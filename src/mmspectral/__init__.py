@@ -50,10 +50,12 @@ from .experiments import (
 )
 from .losses import (
     Batch,
+    BatchSampler,
     EncoderTable,
     amf_loss,
     append_loss_record,
     empirical_scl,
+    empirical_scl_batches,
     empirical_scl_grad,
     equivalence_constant,
     sample_batch,

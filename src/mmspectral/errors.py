@@ -57,8 +57,10 @@ class DegenerateGap(LabWarning):
 
 
 class DidNotConverge(LabWarning):
-    """Training hit the step limit before the loss change fell below
-    tolerance; best-so-far parameters are returned."""
+    """Training did not converge. Population mode stopped (step limit or a
+    step size at machine precision) with the loss still more than the
+    tolerance above the closed-form optimum, and returns the best-so-far
+    parameters; sampled mode produced non-finite batch losses."""
 
 
 class RankDeficient(LabWarning):

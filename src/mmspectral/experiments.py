@@ -10,6 +10,7 @@ without changing results; merging is by task order.
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 from numpy.random import default_rng
 from scipy.linalg import subspace_angles
-from scipy.stats import spearmanr
 
 from .distributions import (
     JointDistribution,
@@ -39,10 +39,12 @@ from .evaluation import (
     surrogate_labeling_error,
 )
 from .losses import (
+    BatchSampler,
     EncoderTable,
     amf_loss,
     append_loss_record,
     empirical_scl,
+    empirical_scl_batches,
     empirical_scl_grad,
     equivalence_constant,
     sample_batch,
@@ -300,12 +302,28 @@ class RunReport:
 
 
 def _map_tasks(fn, tasks, workers: int):
-    """Order-preserving map, optionally fanned over a process pool."""
+    """Order-preserving map, optionally fanned over a process pool of at
+    most one worker per task and per CPU."""
     tasks = list(tasks)
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
+
+
+def _rank_correlation(a, b) -> float:
+    """Spearman rank correlation, ties taking the mean of the ranks they
+    span; nan for fewer than two points, constant input or nan input.
+    Equal to ``scipy.stats.spearmanr(a, b).statistic``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.size < 2 or np.all(a == a[0]) or np.all(b == b[0]) or np.isnan(a).any() or np.isnan(b).any():
+        return math.nan
+    ranks = []
+    for x in (a, b):
+        _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+        ranks.append((np.cumsum(counts) - (counts - 1) / 2.0)[group])
+    return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
 
 def _random_joint(rng, nv: int, nl: int) -> JointDistribution:
@@ -390,10 +408,7 @@ def _empirical_mean_case(task):
     seed, batches, n = task
     joint, fv, fl = _empirical_instance(seed)
     population = scl_loss(fv, fl, joint)
-    rng = default_rng([seed, 71])
-    values = np.empty(batches)
-    for i in range(batches):
-        values[i] = empirical_scl(fv, fl, sample_batch(joint, n, seed=rng))
+    values = empirical_scl_batches(fv, fl, BatchSampler(joint, n), default_rng([seed, 71]), batches)
     stderr = float(values.std(ddof=1)) / math.sqrt(batches)
     return float(values.mean()), population, stderr
 
@@ -402,14 +417,9 @@ def _empirical_rate_case(task):
     seed, rep, counts, n = task
     joint, fv, fl = _empirical_instance(seed)
     population = scl_loss(fv, fl, joint)
-    rng = default_rng([seed, 72, rep])
-    checkpoints = set(counts)
-    running, deviations = 0.0, []
-    for i in range(1, max(counts) + 1):
-        running += empirical_scl(fv, fl, sample_batch(joint, n, seed=rng))
-        if i in checkpoints:
-            deviations.append(running / i - population)
-    return deviations
+    values = empirical_scl_batches(fv, fl, BatchSampler(joint, n), default_rng([seed, 72, rep]), max(counts))
+    running = np.cumsum(values)  # sequential, as a running sum is
+    return [float(running[c - 1] / c - population) for c in counts]
 
 
 def _run_verify_equivalence(params, seeds, out: Path, workers: int):
@@ -751,7 +761,7 @@ def _run_bound_sweep(params, seeds, out: Path, workers: int):
         detail="labeling error is pinned by the cross-class mass across the sweep",
     ))
     mean_errors = errors.mean(axis=1)
-    rho = float(spearmanr(mean_errors, sigma_next).statistic)
+    rho = _rank_correlation(mean_errors, sigma_next)
     checks.append(CheckResult(
         name="probe-sigma-spearman",
         passed=rho >= params["spearman_min"],

@@ -7,6 +7,10 @@ positive pairs and splits a permutation of them into positive /
 negative-caption / negative-image triples, and the empirical loss averages
 the two quadratic negative sums so that its expectation over batches is
 exactly the population loss.
+
+Every sampled path draws through one :class:`BatchSampler` and evaluates
+the loss with one piece of arithmetic, so the single-batch loss, its
+gradient form and the many-batch loss agree bit for bit.
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.random import default_rng
-from scipy.special import logsumexp
 
 from .distributions import InducedDistribution, JointDistribution, NormalizedCooccurrence, _matrix_of
 from .errors import InvalidBatchSize, InvalidSpec
@@ -75,6 +78,8 @@ def sce_loss(f_visual, f_language, joint: JointDistribution) -> float:
     denominator of each softmax is a marginal-weighted expectation of
     exponentiated scores, evaluated with a stabilized logsumexp.
     """
+    from scipy.special import logsumexp  # slow to import; only this loss needs it
+
     fv, fl = _features(f_visual), _features(f_language)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
@@ -193,6 +198,19 @@ class Batch:
         object.__setattr__(self, "extra_pos_weight", ew)
         object.__setattr__(self, "permutation", np.asarray(self.permutation, dtype=int))
 
+    @classmethod
+    def _trusted(cls, **fields) -> "Batch":
+        """Build from arrays the library made itself, skipping validation:
+        every field must be given with the types ``__post_init__`` would
+        store."""
+        batch = object.__new__(cls)
+        batch.__dict__.update(fields)
+        return batch
+
+    def _replace(self, **changes) -> "Batch":
+        """Trusted counterpart of ``dataclasses.replace``."""
+        return Batch._trusted(**{**self.__dict__, **changes})
+
     @property
     def num_positives(self) -> int:
         return self.pos_visual.size
@@ -202,6 +220,68 @@ class Batch:
         return self.neg_language.size + self.neg_visual.size
 
 
+_NO_INDICES = np.zeros(0, dtype=int)
+_NO_WEIGHTS = np.zeros(0)
+
+#: largest number of float64 entries one stacked array of a chunk holds (1 MiB)
+_CHUNK_ENTRIES = 2**17
+_MAX_CHUNK_BATCHES = 1000
+
+
+class BatchSampler:
+    """The three-way batch sampler of one joint distribution and batch size.
+
+    The cumulative distribution over the joint's cells is built once. Each
+    batch then takes ``n`` uniforms and, unless one is forced, a
+    permutation of ``range(n)`` from the caller's generator: the same
+    stream ``Generator.choice(size=n, p=...)`` followed by
+    ``Generator.permutation(n)`` consumes, so equal generator states give
+    identical batches to :func:`sample_batch`.
+    """
+
+    def __init__(self, joint: JointDistribution, n: int):
+        if n <= 0 or n % 3 != 0:
+            raise InvalidBatchSize(f"batch size must be a positive multiple of 3, got {n}")
+        cdf = joint.matrix.ravel().cumsum()
+        cdf /= cdf[-1]
+        self.n = n
+        self._cdf = cdf
+        self._num_language = joint.num_language
+
+    def _triples(self, cells):
+        """(pos_visual, pos_language, neg_language, neg_visual) from permuted
+        cells; leading batch axes carry through."""
+        nl = self._num_language
+        pos = cells[..., 0::3]
+        return pos // nl, pos % nl, cells[..., 1::3] % nl, cells[..., 2::3] // nl
+
+    def draw(self, rng, permutation=None) -> Batch:
+        """One batch; ``permutation`` (trusted to permute ``range(n)``)
+        replaces the drawn one."""
+        cells = self._cdf.searchsorted(rng.random(self.n), side="right")
+        perm = rng.permutation(self.n) if permutation is None else permutation
+        pos_v, pos_l, neg_l, neg_v = self._triples(cells[perm])
+        return Batch._trusted(
+            pos_visual=pos_v, pos_language=pos_l,
+            neg_language=neg_l, neg_language_anchor=pos_v.copy(),
+            neg_visual=neg_v, neg_visual_anchor=pos_l.copy(),
+            permutation=perm, n=self.n, seed=None,
+            extra_pos_visual=_NO_INDICES, extra_pos_language=_NO_INDICES,
+            extra_pos_weight=_NO_WEIGHTS,
+        )
+
+    def draw_chunk(self, rng, count: int):
+        """The triple lists of ``count`` consecutive batches as
+        ``(count, n/3)`` arrays, in the order ``draw`` would make them."""
+        uniforms = np.empty((count, self.n))
+        perms = np.empty((count, self.n), dtype=int)
+        for row in range(count):
+            rng.random(out=uniforms[row])
+            perms[row] = rng.permutation(self.n)
+        cells = self._cdf.searchsorted(uniforms, side="right")
+        return self._triples(np.take_along_axis(cells, perms, axis=1))
+
+
 def sample_batch(joint: JointDistribution, n: int, seed=None, permutation=None) -> Batch:
     """Draw ``n`` i.i.d. pairs from the joint, permute, and slice into
     positives / negative-language / negative-visual triples.
@@ -209,29 +289,55 @@ def sample_batch(joint: JointDistribution, n: int, seed=None, permutation=None) 
     1-based draw i of triple j is: positive pair from permuted slot 3j-2,
     negative language from 3j-1, negative visual from 3j. ``permutation``
     can be forced for tests; by default it is drawn from the same seeded
-    generator as the pairs.
+    generator as the pairs. Loops over many batches should build one
+    :class:`BatchSampler` instead.
     """
-    if n <= 0 or n % 3 != 0:
-        raise InvalidBatchSize(f"batch size must be a positive multiple of 3, got {n}")
-    rng = default_rng(seed)
-    nl = joint.num_language
-    cells = rng.choice(joint.matrix.size, size=n, p=joint.matrix.ravel())
-    v, l = cells // nl, cells % nl
-    if permutation is None:
-        perm = rng.permutation(n)
-    else:
-        perm = np.asarray(permutation, dtype=int)
-        if not np.array_equal(np.sort(perm), np.arange(n)):
+    sampler = BatchSampler(joint, n)
+    if permutation is not None:
+        permutation = np.asarray(permutation, dtype=int)
+        if not np.array_equal(np.sort(permutation), np.arange(n)):
             raise InvalidSpec("permutation must be a rearrangement of range(n)")
-    triples = perm.reshape(n // 3, 3)
-    pos, negl, negv = triples[:, 0], triples[:, 1], triples[:, 2]
-    return Batch(
-        pos_visual=v[pos], pos_language=l[pos],
-        neg_language=l[negl], neg_language_anchor=v[pos],
-        neg_visual=v[negv], neg_visual_anchor=l[pos],
-        permutation=perm, n=n,
-        seed=seed if isinstance(seed, (int, np.integer)) else None,
-    )
+    batch = sampler.draw(default_rng(seed), permutation)
+    return batch._replace(seed=seed if isinstance(seed, (int, np.integer)) else None)
+
+
+def _row_dots(a, b):
+    """Row-wise dot products, summed along the last axis so that leading
+    batch axes leave each product's arithmetic unchanged."""
+    return (a * b).sum(axis=-1)
+
+
+def _spectral_terms(s_pos, s_neg_language, s_neg_visual, triples: int):
+    """Positive and negative terms of the sampled loss from the three score
+    lists, reduced along the last axis: one value per batch."""
+    loss = -2.0 * s_pos.sum(axis=-1) / triples
+    loss = loss + 0.5 * (s_neg_language**2).sum(axis=-1) / triples
+    return loss + 0.5 * (s_neg_visual**2).sum(axis=-1) / triples
+
+
+def _scored_pairs(batch: Batch):
+    """Visual and language indices of every pair a batch scores, in four
+    segments: positives, negative captions, negative images, extra
+    positives."""
+    visual = np.concatenate([batch.pos_visual, batch.neg_language_anchor,
+                             batch.neg_visual, batch.extra_pos_visual])
+    language = np.concatenate([batch.pos_language, batch.neg_language,
+                               batch.neg_visual_anchor, batch.extra_pos_language])
+    return visual, language
+
+
+def _segments(values, batch: Batch):
+    i = batch.pos_visual.size
+    j = i + batch.neg_language.size
+    k = j + batch.neg_visual.size
+    return values[:i], values[i:j], values[j:k], values[k:]
+
+
+def _batch_loss(batch: Batch, s_pos, s_neg_language, s_neg_visual, s_extra) -> float:
+    loss = _spectral_terms(s_pos, s_neg_language, s_neg_visual, batch.n // 3)
+    if s_extra.size:
+        loss += -2.0 * (batch.extra_pos_weight * s_extra).sum() / s_extra.size
+    return float(loss)
 
 
 def empirical_scl(f_visual, f_language, batch: Batch) -> float:
@@ -245,46 +351,46 @@ def empirical_scl(f_visual, f_language, batch: Batch) -> float:
     Appended extra positives contribute their own weighted
     -2 * mean(score) term.
     """
-    loss, _, _ = empirical_scl_grad(f_visual, f_language, batch)
-    return loss
+    fv, fl = _features(f_visual), _features(f_language)
+    visual, language = _scored_pairs(batch)
+    return _batch_loss(batch, *_segments(_row_dots(fv[visual], fl[language]), batch))
+
+
+def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, count: int) -> np.ndarray:
+    """:func:`empirical_scl` of ``count`` consecutive batches drawn from
+    ``sampler`` with ``rng``, bit for bit, evaluated a chunk of batches at a
+    time without building any ``Batch``."""
+    fv, fl = _features(f_visual), _features(f_language)
+    losses = np.empty(count)
+    chunk = max(1, min(_MAX_CHUNK_BATCHES, _CHUNK_ENTRIES // (sampler.n * max(fv.shape[1], 1))))
+    for start in range(0, count, chunk):
+        pos_v, pos_l, neg_l, neg_v = sampler.draw_chunk(rng, min(chunk, count - start))
+        losses[start:start + pos_v.shape[0]] = _spectral_terms(
+            _row_dots(fv[pos_v], fl[pos_l]), _row_dots(fv[pos_v], fl[neg_l]),
+            _row_dots(fv[neg_v], fl[pos_l]), sampler.n // 3)
+    return losses
 
 
 def empirical_scl_grad(f_visual, f_language, batch: Batch):
     """Value and analytic gradients of :func:`empirical_scl` with respect
     to both feature tables. Returns (loss, grad_visual, grad_language)."""
     fv, fl = _features(f_visual), _features(f_language)
-    gv, gl = np.zeros_like(fv), np.zeros_like(fl)
-    loss = 0.0
-
+    visual, language = _scored_pairs(batch)
+    rows_v, rows_l = fv[visual], fl[language]
+    scores = _segments(_row_dots(rows_v, rows_l), batch)
+    s_pos, s_neg_language, s_neg_visual, s_extra = scores
     triples = batch.n // 3
-    if batch.num_positives:
-        s = np.sum(fv[batch.pos_visual] * fl[batch.pos_language], axis=1)
-        loss += -2.0 * float(s.sum()) / triples
-        np.add.at(gv, batch.pos_visual, (-2.0 / triples) * fl[batch.pos_language])
-        np.add.at(gl, batch.pos_language, (-2.0 / triples) * fv[batch.pos_visual])
-
-    for anchors, negs, grad_anchor, grad_neg, f_anchor, f_neg in (
-        (batch.neg_language_anchor, batch.neg_language, gv, gl, fv, fl),
-        (batch.neg_visual_anchor, batch.neg_visual, gl, gv, fl, fv),
-    ):
-        if not negs.size:
-            continue
-        s = np.sum(f_anchor[anchors] * f_neg[negs], axis=1)
-        loss += 0.5 * float(np.sum(s**2)) / triples
-        coef = (s / triples)[:, None]
-        np.add.at(grad_anchor, anchors, coef * f_neg[negs])
-        np.add.at(grad_neg, negs, coef * f_anchor[anchors])
-
-    extra = batch.extra_pos_visual.size
-    if extra:
-        s = np.sum(fv[batch.extra_pos_visual] * fl[batch.extra_pos_language], axis=1)
-        w = batch.extra_pos_weight
-        loss += -2.0 * float(np.sum(w * s)) / extra
-        coef = (-2.0 * w / extra)[:, None]
-        np.add.at(gv, batch.extra_pos_visual, coef * fl[batch.extra_pos_language])
-        np.add.at(gl, batch.extra_pos_language, coef * fv[batch.extra_pos_visual])
-
-    return loss, gv, gl
+    # d loss / d score of each scored pair; the pair (v, l) then moves row v
+    # of the visual table along fl[l] and row l of the language table along
+    # fv[v]. np.add.at accumulates in pair order.
+    slope = np.concatenate([
+        np.full(s_pos.size, -2.0 / triples), s_neg_language / triples, s_neg_visual / triples,
+        -2.0 * batch.extra_pos_weight / max(s_extra.size, 1),
+    ])[:, None]
+    gv, gl = np.zeros_like(fv), np.zeros_like(fl)
+    np.add.at(gv, visual, slope * rows_l)
+    np.add.at(gl, language, slope * rows_v)
+    return _batch_loss(batch, *scores), gv, gl
 
 
 def scl_grad(f_visual, f_language, joint: JointDistribution):
@@ -327,7 +433,7 @@ def append_loss_record(path, instance_id: str, loss_name: str, value: float, see
 
 
 __all__ = [
-    "EncoderTable", "Batch", "sce_loss", "scl_loss", "amf_loss",
+    "EncoderTable", "Batch", "BatchSampler", "sce_loss", "scl_loss", "amf_loss",
     "equivalence_constant", "uni_scl_loss", "sample_batch", "empirical_scl",
-    "empirical_scl_grad", "scl_grad", "uni_scl_grad", "append_loss_record",
+    "empirical_scl_batches", "empirical_scl_grad", "scl_grad", "uni_scl_grad", "append_loss_record",
 ]

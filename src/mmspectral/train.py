@@ -10,7 +10,8 @@ configured, rewrite each batch before its gradient step.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import default_rng
@@ -18,7 +19,8 @@ from numpy.random import default_rng
 from .distributions import InducedDistribution, JointDistribution, normalize_cooccurrence
 from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
-from .losses import Batch, EncoderTable, empirical_scl_grad, sample_batch
+from .losses import Batch, BatchSampler, EncoderTable, empirical_scl_grad
+from .losses import sample_batch  # noqa: F401  (perfbench's tracer test looks it up here)
 from .spectral import _warn_if_degenerate, decompose
 
 STRATEGIES = ("AddNewPositive", "DropFalsePositive", "DropFalseNegative", "DropEasyNegative")
@@ -195,12 +197,13 @@ def train_mmcl(joint: JointDistribution, cfg: TrainConfig):
         f_language = fl / np.sqrt(norm.marginal_language)[:, None]
     else:
         pruned = JointDistribution.from_counts(joint.matrix[np.ix_(norm.visual_index, norm.language_index)])
+        sampler = BatchSampler(pruned, cfg.batch_size)
         batch_rng = default_rng(rng.integers(2**63))
         f_init = [init[0] / np.sqrt(norm.marginal_visual)[:, None],
                   init[1] / np.sqrt(norm.marginal_language)[:, None]]
 
         def batch_grads(factors, step):
-            batch = sample_batch(pruned, cfg.batch_size, seed=batch_rng)
+            batch = sampler.draw(batch_rng)
             loss, gv, gl = empirical_scl_grad(factors[0], factors[1], batch)
             return loss, [gv, gl]
 
@@ -218,14 +221,18 @@ def train_sscl(induced: InducedDistribution, marginal_visual=None, cfg: TrainCon
     sums) and only cross-checked when given. Population mode descends on
     the symmetric factorization residual of the two-side normalized
     matrix. Sampled mode draws three-way batches from the induced joint;
-    when ``resample`` is set, ``teacher`` features (aligned to the sample
-    axis) rewrite every batch before its step. Returns
-    (EncoderTable, LossHistory).
+    when ``resample`` is set, ``teacher`` features (one row per sample of
+    the induced matrix) rewrite every batch before its step. Returns
+    (EncoderTable, LossHistory); the table covers the pruned support, see
+    the normalization index maps, and so does the teacher as the
+    strategies see it.
     """
     if cfg is None:
         raise InvalidSpec("a TrainConfig is required")
     if resample is not None and teacher is None:
         raise TeacherMissing("resampling strategies need teacher features")
+    if resample is not None and teacher.num_samples != induced.num_samples:
+        raise InvalidSpec(f"teacher has {teacher.num_samples} rows for {induced.num_samples} samples")
     if induced.normalized:
         raise InvalidSpec("training needs a mass-1 induced distribution")
     if marginal_visual is not None:
@@ -262,20 +269,28 @@ def train_sscl(induced: InducedDistribution, marginal_visual=None, cfg: TrainCon
         features = factor / np.sqrt(norm.marginal_visual)[:, None]
     else:
         pruned = JointDistribution.from_counts(induced.matrix[np.ix_(norm.visual_index, norm.language_index)])
+        sampler = BatchSampler(pruned, cfg.batch_size)
         batch_rng = default_rng(rng.integers(2**63))
         f_init = init / np.sqrt(norm.marginal_visual)[:, None]
+        # batches index the pruned support, so the teacher must too
+        tables = None if resample is None else _TeacherTables(teacher.matrix[norm.visual_index])
 
         def batch_grads(factors, step):
             f = factors[0]
-            batch = sample_batch(pruned, cfg.batch_size, seed=batch_rng)
-            if resample is not None:
-                batch = apply_strategy(batch, teacher, resample)
+            batch = sampler.draw(batch_rng)
+            if tables is not None:
+                batch = _rewrite(batch, tables, resample)
             loss, gv, gl = empirical_scl_grad(f, f, batch)
             return loss, [gv + gl]  # shared table: both sides contribute
 
         (features,), history = _sgd([f_init], batch_grads, cfg)
 
     return EncoderTable(features, side=side), history
+
+
+def _nearest(rows: np.ndarray, index: int, cand: np.ndarray) -> int:
+    sims = rows[cand] @ rows[index]
+    return int(cand[np.argmax(sims)])  # argmax takes the first = smallest index
 
 
 def nearest_neighbor_positive(index: int, candidates, teacher: EncoderTable) -> int:
@@ -288,14 +303,26 @@ def nearest_neighbor_positive(index: int, candidates, teacher: EncoderTable) -> 
     cand = cand[cand != index]
     if cand.size == 0:
         raise EmptyCandidates("no candidates besides the anchor itself")
-    rows = _unit_rows(teacher.matrix)
-    sims = rows[cand] @ rows[index]
-    return int(cand[np.argmax(sims)])  # argmax takes the first = smallest index
+    return _nearest(_unit_rows(teacher.matrix), index, cand)
 
 
-def _teacher_similarity(teacher: EncoderTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    rows = _unit_rows(teacher.matrix)
-    return np.sum(rows[a] * rows[b], axis=1)
+class _TeacherTables:
+    """What the strategies read of a fixed teacher, computed once: its unit
+    rows and, on first use, every sample's nearest neighbor among all
+    samples, as :func:`nearest_neighbor_positive` finds it."""
+
+    def __init__(self, features: np.ndarray):
+        self.rows = _unit_rows(features)
+
+    @cached_property
+    def nearest(self) -> np.ndarray:
+        everyone = np.arange(self.rows.shape[0])
+        if everyone.size < 2:
+            raise EmptyCandidates("no candidates besides the anchor itself")
+        return np.array([_nearest(self.rows, i, everyone[everyone != i]) for i in everyone])
+
+    def similarity(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.sum(self.rows[a] * self.rows[b], axis=1)
 
 
 def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> Batch:
@@ -306,15 +333,16 @@ def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> 
     floor(ratio * count) over the relevant pool, 0 on tiny batches; drops
     are stable (ties keep the earliest entry candidates first).
     """
+    return _rewrite(batch, _TeacherTables(teacher.matrix), cfg)
+
+
+def _rewrite(batch: Batch, tables: _TeacherTables, cfg: ResampleConfig) -> Batch:
+    """:func:`apply_strategy` on a teacher's precomputed tables."""
     if cfg.strategy == "AddNewPositive":
         if batch.num_positives == 0:
             return batch
-        everyone = np.arange(teacher.num_samples)
-        partners = np.array([
-            nearest_neighbor_positive(int(v), everyone, teacher) for v in batch.pos_visual
-        ])
-        return replace(
-            batch,
+        partners = tables.nearest[batch.pos_visual]
+        return batch._replace(
             extra_pos_visual=np.concatenate([batch.extra_pos_visual, batch.pos_visual]),
             extra_pos_language=np.concatenate([batch.extra_pos_language, partners]),
             extra_pos_weight=np.concatenate([
@@ -327,10 +355,11 @@ def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> 
         drop = int(np.floor(cfg.ratio * m))
         if drop == 0:
             return batch
-        sims = _teacher_similarity(teacher, batch.pos_visual, batch.pos_language)
+        sims = tables.similarity(batch.pos_visual, batch.pos_language)
         order = np.argsort(sims, kind="stable")  # most dissimilar first
-        keep = np.setdiff1d(np.arange(m), order[:drop])
-        return replace(batch, pos_visual=batch.pos_visual[keep], pos_language=batch.pos_language[keep])
+        keep = np.ones(m, dtype=bool)
+        keep[order[:drop]] = False
+        return batch._replace(pos_visual=batch.pos_visual[keep], pos_language=batch.pos_language[keep])
 
     # the two negative drops rank the pooled negatives from both lists
     n1, n2 = batch.neg_language.size, batch.neg_visual.size
@@ -338,8 +367,8 @@ def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> 
     if drop == 0:
         return batch
     sims = np.concatenate([
-        _teacher_similarity(teacher, batch.neg_language_anchor, batch.neg_language),
-        _teacher_similarity(teacher, batch.neg_visual_anchor, batch.neg_visual),
+        tables.similarity(batch.neg_language_anchor, batch.neg_language),
+        tables.similarity(batch.neg_visual_anchor, batch.neg_visual),
     ])
     if cfg.strategy == "DropFalseNegative":
         order = np.argsort(-sims, kind="stable")  # largest similarity first
@@ -348,8 +377,7 @@ def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> 
     dropped = order[:drop]
     keep_mask = np.ones(n1 + n2, dtype=bool)
     keep_mask[dropped] = False
-    return replace(
-        batch,
+    return batch._replace(
         neg_language=batch.neg_language[keep_mask[:n1]],
         neg_language_anchor=batch.neg_language_anchor[keep_mask[:n1]],
         neg_visual=batch.neg_visual[keep_mask[n1:]],

@@ -1,8 +1,15 @@
 """Experiment harness: config resolution, reports, and reproducible runs."""
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import spearmanr
 
 from mmspectral import (
     DEFAULTS,
@@ -14,7 +21,8 @@ from mmspectral import (
     report_summary,
     run,
 )
-from mmspectral.experiments import NUM_SEEDS, TOLERANCE_KEY
+from mmspectral import experiments
+from mmspectral.experiments import KINDS, NUM_SEEDS, TOLERANCE_KEY, _map_tasks, _rank_correlation
 
 
 def check(name, passed=True, value=0.0, tolerance=1e-9, detail=""):
@@ -169,14 +177,83 @@ class TestRun:
         assert on_disk["all_passed"] is True
 
     def test_rerun_is_byte_identical_up_to_wall_clock(self, tmp_path):
-        """Same config, same bytes: only the wall-clock field may move."""
-        cfg_a = ExperimentConfig.build("estimators", out=tmp_path / "a")
-        cfg_b = ExperimentConfig.build("estimators", out=tmp_path / "b")
-        rep_a = run(cfg_a, workers=1)
-        rep_b = run(cfg_b, workers=2)
-        for name in rep_a.artifacts:
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        dict_a, dict_b = rep_a.to_json_dict(), rep_b.to_json_dict()
-        dict_a.pop("wall_clock_seconds")
-        dict_b.pop("wall_clock_seconds")
-        assert dict_a == dict_b
+        """Same config, same bytes: only the wall-clock field may move, also
+        between a sequential and a two-worker run. Every kind at its
+        defaults, except a shortened resample-compare."""
+        reduced = tmp_path / "resample.json"
+        reduced.write_text(json.dumps({"num_seeds": 3, "steps": 40}))
+        for kind in KINDS:
+            path = reduced if kind == "resample-compare" else None
+            cfg_a = ExperimentConfig.build(kind, config_path=path, out=tmp_path / kind / "a")
+            cfg_b = ExperimentConfig.build(kind, config_path=path, out=tmp_path / kind / "b")
+            rep_a = run(cfg_a, workers=1)
+            rep_b = run(cfg_b, workers=2)
+            for name in rep_a.artifacts:
+                assert (tmp_path / kind / "a" / name).read_bytes() == (tmp_path / kind / "b" / name).read_bytes()
+            dict_a, dict_b = rep_a.to_json_dict(), rep_b.to_json_dict()
+            dict_a.pop("wall_clock_seconds")
+            dict_b.pop("wall_clock_seconds")
+            assert dict_a == dict_b
+
+
+class TestMapTasks:
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor without starting processes."""
+
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    @pytest.mark.parametrize("workers, tasks, cpus, expect", [
+        (8, 3, 16, 3),     # one worker per task at most
+        (8, 20, 2, 2),     # one worker per CPU at most
+        (2, 20, None, None),  # unknown CPU count counts as one: no pool
+        (4, 1, 16, None),  # a single task needs no pool
+        (1, 20, 16, None),
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, workers, tasks, cpus, expect):
+        self.RecordingPool.sizes = []
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", self.RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _map_tasks(abs, [-t for t in range(tasks)], workers) == list(range(tasks))
+        assert self.RecordingPool.sizes == ([] if expect is None else [expect])
+
+
+class TestRankCorrelation:
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.floats(-1e3, 1e3)), min_size=2, max_size=30),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scipy_spearman(self, pairs, tied):
+        """Small integers force ties; floats mostly do not."""
+        a = np.array([p[0] for p in pairs], dtype=float)
+        b = np.array([p[0] if tied else p[1] for p in pairs], dtype=float)[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on constant input
+            want = spearmanr(a, b).statistic
+        got = _rank_correlation(a, b)
+        assert repr(got) == repr(float(want))
+
+    def test_constant_input_is_nan(self):
+        assert np.isnan(_rank_correlation([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]))
+        assert np.isnan(_rank_correlation([0.0, 1.0, 2.0], [4.0, 4.0, 4.0]))
+
+    def test_exact_agreement_is_one(self):
+        assert _rank_correlation([0.1, 0.5, 0.3], [1.0, 9.0, 2.0]) == 1.0
+
+
+def test_package_import_leaves_out_slow_scipy_modules():
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mmspectral; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,16 +1,21 @@
 """Population and sampled losses: values, identities, and the batch sampler."""
+from dataclasses import fields, replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mmspectral import (
     Batch,
+    BatchSampler,
     EncoderTable,
     InvalidBatchSize,
     InvalidSpec,
     JointDistribution,
     amf_loss,
     empirical_scl,
+    empirical_scl_batches,
     empirical_scl_grad,
     equivalence_constant,
     normalize_cooccurrence,
@@ -23,6 +28,7 @@ from mmspectral import (
     uni_scl_loss,
 )
 
+from mmspectral import losses
 from oracles import (
     amf_oracle,
     empirical_scl_oracle,
@@ -224,6 +230,67 @@ class TestSampleBatch:
             sample_batch(UNIFORM_2X2, 3, seed=0, permutation=[0, 0, 2])
 
 
+def sparse_joint(rng):
+    """Random joint with some zero cells, including trailing ones."""
+    nv, nl = (int(x) for x in rng.integers(1, 7, size=2))
+    weights = rng.gamma(0.7, size=(nv, nl)) * (rng.random((nv, nl)) < 0.7)
+    weights[int(rng.integers(nv)), int(rng.integers(nl))] += 0.5
+    return JointDistribution.from_counts(weights)
+
+
+class TestBatchSampler:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_draws_match_generator_choice_and_sample_batch(self, seed, triples):
+        """The sampler consumes what Generator.choice(p=...) and
+        Generator.permutation consume, in the same order."""
+        joint = sparse_joint(np.random.default_rng(seed))
+        n = 3 * triples
+        reference = np.random.default_rng(seed)
+        cells = reference.choice(joint.matrix.size, size=n, p=joint.matrix.ravel())
+        perm = reference.permutation(n)
+        v, l = cells // joint.num_language, cells % joint.num_language
+        rng = np.random.default_rng(seed)
+        batch = BatchSampler(joint, n).draw(rng)
+        wrapped = sample_batch(joint, n, seed=seed)
+        for got in (batch, wrapped):
+            np.testing.assert_array_equal(got.permutation, perm)
+            np.testing.assert_array_equal(got.pos_visual, v[perm[0::3]])
+            np.testing.assert_array_equal(got.pos_language, l[perm[0::3]])
+            np.testing.assert_array_equal(got.neg_language, l[perm[1::3]])
+            np.testing.assert_array_equal(got.neg_language_anchor, v[perm[0::3]])
+            np.testing.assert_array_equal(got.neg_visual, v[perm[2::3]])
+            np.testing.assert_array_equal(got.neg_visual_anchor, l[perm[0::3]])
+        assert rng.random() == reference.random()  # the streams stay in step
+        assert wrapped.seed == seed and batch.seed is None
+
+    def test_chunks_continue_the_stream_of_single_draws(self):
+        joint = sparse_joint(np.random.default_rng(8))
+        sampler = BatchSampler(joint, 9)
+        one, many = np.random.default_rng(4), np.random.default_rng(4)
+        singles = [sampler.draw(one) for _ in range(5)]
+        pos_v, pos_l, neg_l, neg_v = sampler.draw_chunk(many, 5)
+        for row, batch in enumerate(singles):
+            np.testing.assert_array_equal(pos_v[row], batch.pos_visual)
+            np.testing.assert_array_equal(pos_l[row], batch.pos_language)
+            np.testing.assert_array_equal(neg_l[row], batch.neg_language)
+            np.testing.assert_array_equal(neg_v[row], batch.neg_visual)
+        assert one.random() == many.random()
+
+    def test_trusted_batches_hold_what_validation_would_store(self):
+        batch = BatchSampler(UNIFORM_2X2, 12).draw(np.random.default_rng(2))
+        checked = Batch(**{f.name: getattr(batch, f.name) for f in fields(Batch)})
+        for f in fields(Batch):
+            mine, theirs = getattr(batch, f.name), getattr(checked, f.name)
+            if isinstance(mine, np.ndarray):
+                assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            np.testing.assert_array_equal(mine, theirs)
+
+    def test_rejects_non_multiple_of_three(self):
+        with pytest.raises(InvalidBatchSize):
+            BatchSampler(UNIFORM_2X2, 0)
+
+
 class TestEmpiricalScl:
     def test_zero_encoders_give_zero(self):
         batch = sample_batch(UNIFORM_2X2, 9, seed=1)
@@ -251,6 +318,50 @@ class TestEmpiricalScl:
         assert empirical_scl(fv, fl, batch) == pytest.approx(
             empirical_scl_oracle(fv, fl, batch), rel=1e-10
         )
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_chunked_loss_is_bit_equal_to_the_batch_loss(self, seed, k, count):
+        """Chunks of 7 batches, so most counts end on a partial chunk."""
+        rng = np.random.default_rng(seed)
+        joint = sparse_joint(rng)
+        fv, fl = random_tables(rng, joint, k)
+        sampler = BatchSampler(joint, 3 * int(rng.integers(1, 12)))
+        one, many = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        singles = [empirical_scl_grad(fv, fl, sampler.draw(one))[0] for _ in range(count)]
+        with mock.patch.object(losses, "_MAX_CHUNK_BATCHES", 7):
+            chunked = empirical_scl_batches(fv, fl, sampler, many, count)
+        assert chunked.tobytes() == np.array(singles).tobytes()
+        assert one.random() == many.random()
+
+    def test_full_size_chunks_match_single_batches(self):
+        rng = np.random.default_rng(21)
+        joint = sparse_joint(rng)
+        fv, fl = random_tables(rng, joint, 3)
+        sampler = BatchSampler(joint, 30)
+        one, many = np.random.default_rng(5), np.random.default_rng(5)
+        singles = [empirical_scl(fv, fl, sampler.draw(one)) for _ in range(2345)]
+        assert empirical_scl_batches(fv, fl, sampler, many, 2345).tobytes() == np.array(singles).tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_loss_only_value_is_bit_equal_to_the_gradient_value(self, seed):
+        """Dropped entries and extra positives included."""
+        rng = np.random.default_rng(seed)
+        joint = sparse_joint(rng)
+        fv, fl = random_tables(rng, joint, int(rng.integers(1, 5)))
+        batch = sample_batch(joint, 3 * int(rng.integers(1, 10)), seed=rng)
+        extras = int(rng.integers(0, 4))
+        keep = rng.random(batch.neg_visual.size) < 0.6
+        batch = replace(
+            batch, neg_visual=batch.neg_visual[keep], neg_visual_anchor=batch.neg_visual_anchor[keep],
+            extra_pos_visual=rng.integers(0, joint.num_visual, size=extras),
+            extra_pos_language=rng.integers(0, joint.num_language, size=extras),
+            extra_pos_weight=rng.uniform(0.0, 2.0, size=extras),
+        )
+        assert repr(empirical_scl(fv, fl, batch)) == repr(empirical_scl_grad(fv, fl, batch)[0])
+        assert empirical_scl(fv, fl, batch) == pytest.approx(
+            empirical_scl_oracle(fv, fl, batch), rel=1e-10, abs=1e-12)
 
     def test_mean_over_many_batches_approaches_population_loss(self):
         rng = np.random.default_rng(33)

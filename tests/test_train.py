@@ -9,6 +9,7 @@ from mmspectral import (
     DidNotConverge,
     EmptyCandidates,
     EncoderTable,
+    InducedDistribution,
     InvalidSpec,
     JointDistribution,
     ResampleConfig,
@@ -26,7 +27,7 @@ from mmspectral import (
     train_mmcl,
     train_sscl,
 )
-from mmspectral.train import DEFAULT_RATIOS
+from mmspectral.train import DEFAULT_RATIOS, STRATEGIES, _rewrite, _TeacherTables
 
 TILTED = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
 DIAG = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
@@ -183,6 +184,34 @@ class TestTrainSSCL:
         np.testing.assert_array_equal(base_h.losses, mixed_h.losses)
         np.testing.assert_array_equal(base_f.matrix, mixed_f.matrix)
 
+    def test_teacher_rows_must_match_samples(self):
+        with pytest.raises(InvalidSpec):
+            train_sscl(text_induced(TILTED), cfg=TrainConfig(dim=2, batch_mode="sampled", batch_size=6),
+                       resample=ResampleConfig("DropEasyNegative"), teacher=EncoderTable(np.eye(3)))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_pruned_sample_keeps_teacher_aligned(self, strategy):
+        """Sample 2 has no mass, so batches index the four kept samples;
+        the teacher must be read on that pruned axis. Dyadic masses keep
+        every normalization exact, so the run equals one on a teacher and
+        a matrix pruned by hand."""
+        keep = [0, 1, 3, 4]
+        small = np.array([[6, 3, 1, 2], [3, 8, 2, 1], [1, 2, 5, 4], [2, 1, 4, 19]]) / 64.0
+        full = np.zeros((5, 5))
+        full[np.ix_(keep, keep)] = small
+        teacher = np.random.default_rng(3).standard_normal((5, 3))
+        teacher[2] = teacher[4] * 2.0  # the dropped sample would be 4's nearest neighbor
+        cfg = TrainConfig(dim=2, batch_mode="sampled", batch_size=12,
+                          max_steps=40, learning_rate=0.05, seed=11)
+        resample = ResampleConfig(strategy, ratio=None if strategy == "AddNewPositive" else 0.3)
+        f, history = train_sscl(InducedDistribution(full, kind="augmentation"), cfg=cfg,
+                                resample=resample, teacher=EncoderTable(teacher))
+        f_ref, history_ref = train_sscl(InducedDistribution(small, kind="augmentation"), cfg=cfg,
+                                        resample=resample, teacher=EncoderTable(teacher[keep]))
+        assert f.num_samples == 4
+        np.testing.assert_array_equal(history.losses, history_ref.losses)
+        np.testing.assert_array_equal(f.matrix, f_ref.matrix)
+
 
 class TestNearestNeighborPositive:
     def test_tie_breaks_to_smallest_index(self):
@@ -206,6 +235,47 @@ class TestNearestNeighborPositive:
         sims = unit @ unit[0]
         sims[0] = -np.inf
         assert nearest_neighbor_positive(0, np.arange(8), EncoderTable(rows)) == int(np.argmax(sims))
+
+
+def tied_teacher(rng, n):
+    """Random teacher whose rows repeat, so similarities tie exactly."""
+    distinct = rng.standard_normal((int(rng.integers(1, n + 1)), int(rng.integers(1, 4))))
+    return EncoderTable(distinct[rng.integers(0, distinct.shape[0], size=n)])
+
+
+class TestTeacherTables:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_nearest_table_matches_reference(self, seed, n, tied):
+        rng = np.random.default_rng(seed)
+        teacher = tied_teacher(rng, n) if tied else EncoderTable(rng.standard_normal((n, 3)))
+        table = _TeacherTables(teacher.matrix).nearest
+        assert table.tolist() == [nearest_neighbor_positive(i, np.arange(n), teacher) for i in range(n)]
+
+    def test_single_sample_has_no_neighbor(self):
+        with pytest.raises(EmptyCandidates):
+            _TeacherTables(np.ones((1, 2))).nearest
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(STRATEGIES), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_one_table_serves_every_batch_as_apply_strategy_would(self, seed, strategy, ratio):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        teacher = tied_teacher(rng, n)
+        joint = JointDistribution.from_counts(rng.gamma(1.0, size=(n, n)))
+        cfg = ResampleConfig(strategy, ratio=None if strategy == "AddNewPositive" else ratio,
+                             mixing_weight=float(rng.uniform(0.0, 2.0)))
+        tables = _TeacherTables(teacher.matrix)
+        for _ in range(4):
+            batch = sample_batch(joint, 3 * int(rng.integers(1, 12)), seed=rng)
+            got, want = _rewrite(batch, tables, cfg), apply_strategy(batch, teacher, cfg)
+            for name in ("pos_visual", "pos_language", "neg_language", "neg_language_anchor",
+                         "neg_visual", "neg_visual_anchor", "extra_pos_visual",
+                         "extra_pos_language", "extra_pos_weight"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            if strategy == "AddNewPositive":
+                assert got.extra_pos_language.tolist() == [
+                    nearest_neighbor_positive(v, np.arange(n), teacher) for v in batch.pos_visual]
 
 
 class TestApplyStrategy:
