@@ -8,7 +8,6 @@ from .distributions import (
     LabelAssignment,
     NormalizedCooccurrence,
     augmentation_joint,
-    marginals,
     normalize_cooccurrence,
     normalized_uni,
     text_induced,
@@ -30,7 +29,6 @@ from .errors import (
     TeacherMissing,
 )
 from .evaluation import (
-    EvalReport,
     LinearProbe,
     estimate_cooccurrence,
     fit_probe,
@@ -59,20 +57,14 @@ from .losses import (
     empirical_scl_grad,
     equivalence_constant,
     sample_batch,
-    sce_loss,
     scl_grad,
     scl_loss,
-    uni_scl_grad,
-    uni_scl_loss,
 )
 from .serialize import (
     canonical_json,
     config_hash,
     load_json_config,
-    load_matrix,
     save_csv,
-    save_matrix,
-    save_matrix_csv,
 )
 from .spectral import (
     BoundReport,

@@ -210,11 +210,6 @@ class InducedDistribution:
         return self.matrix.sum(axis=1)
 
 
-def marginals(joint: JointDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of the joint: the visual and language marginals."""
-    return joint.marginal_visual, joint.marginal_language
-
-
 def normalize_cooccurrence(joint: JointDistribution) -> NormalizedCooccurrence:
     """Two-side normalization: divide each entry by sqrt of its marginals.
 
@@ -226,7 +221,7 @@ def normalize_cooccurrence(joint: JointDistribution) -> NormalizedCooccurrence:
     DegenerateDistribution
         if pruning leaves fewer than 2 samples on either side.
     """
-    pv, pl = marginals(joint)
+    pv, pl = joint.marginal_visual, joint.marginal_language
     keep_v = np.flatnonzero(pv > 0.0)
     keep_l = np.flatnonzero(pl > 0.0)
     if keep_v.size < 2 or keep_l.size < 2:

@@ -172,33 +172,3 @@ def intra_class_connectivity(features, labels, seed: int = 0, max_reference: int
         betas.append(mean_in / mean_out if mean_out > 0.0 else np.inf)
     betas = np.asarray(betas)
     return float(betas.mean()), betas
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Bundle of downstream metrics for one instance."""
-
-    probe_error: float
-    alpha: float
-    alpha_surrogate: float
-    beta: float
-    beta_per_class: np.ndarray
-    instance_id: str = ""
-
-    def __post_init__(self):
-        for name in ("probe_error", "alpha", "alpha_surrogate"):
-            value = getattr(self, name)
-            if not -1e-12 <= value <= 1.0 + 1e-12:
-                raise InvalidSpec(f"{name} must be a rate in [0, 1], got {value!r}")
-        if self.beta < 0.0 or np.any(np.asarray(self.beta_per_class) < 0.0):
-            raise InvalidSpec("connectivity ratios must be non-negative")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "probe_error": float(self.probe_error),
-            "alpha": float(self.alpha),
-            "alpha_surrogate": float(self.alpha_surrogate),
-            "beta": float(self.beta),
-            "beta_per_class": [float(b) for b in np.asarray(self.beta_per_class)],
-        }

@@ -3,9 +3,11 @@ sweeps, and emits machine-readable reports.
 
 Each experiment kind is a pure function of (params, seeds): given the same
 configuration it writes byte-identical CSV artifacts and an identical
-report up to the wall-clock field. Per-seed work units are top-level
-functions taking one picklable task tuple, so a worker pool fans them out
-without changing results; merging is by task order.
+report up to the wall-clock field. Work units are top-level functions of
+``(params, seed)`` (or of ``(params, task)`` where a kind sweeps more than
+seeds); runners map ``functools.partial(fn, params)`` over the tasks, so a
+worker pool fans them out without changing results; merging is by task
+order.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +53,6 @@ from .losses import (
     sample_batch,
     scl_grad,
     scl_loss,
-    uni_scl_grad,
-    uni_scl_loss,
 )
 from .serialize import canonical_json, config_hash, load_json_config, save_csv
 from .spectral import OptimalEncoderParams, bound_report, decompose, hierarchical_eigenvalues, optimal_encoders
@@ -303,7 +304,8 @@ class RunReport:
 
 def _map_tasks(fn, tasks, workers: int):
     """Order-preserving map, optionally fanned over a process pool of at
-    most one worker per task and per CPU."""
+    most one worker per task and per CPU. ``fn`` must pickle: a top-level
+    function, or a ``functools.partial`` of one."""
     tasks = list(tasks)
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -342,25 +344,26 @@ def _one_hot(labels: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def _top_eigvec_features(matrix: np.ndarray, marginal: np.ndarray, k: int) -> np.ndarray:
-    """Top-k eigenvectors of a symmetric matrix, scaled per row by
-    1/sqrt(marginal): the uni-modal closed-form encoder."""
+def _top_eigvecs(matrix: np.ndarray, k: int) -> np.ndarray:
+    """Top-k eigenvectors of a symmetric matrix, largest eigenvalue first.
+    Divided per row by sqrt of the marginal they are the uni-modal
+    closed-form encoder."""
     _, vecs = np.linalg.eigh(matrix)
-    top = vecs[:, ::-1][:, :k]
-    return top / np.sqrt(marginal)[:, None]
+    return vecs[:, ::-1][:, :k]
 
 
-def _gapped_multimodal(seed: int, classes: int, vpc: int, lpc: int, alpha: float,
-                       concentration: float, k: int, min_gap: float):
+def _gapped_multimodal(params, seed: int):
     """Draw synthetic instances until sigma_k - sigma_{k+1} >= min_gap.
 
     Re-draws keep determinism (attempt index folds into the seed); the
     generator's class structure makes the gap large with high probability,
     so this rarely loops.
     """
+    k, min_gap = params["dim"], params["min_gap"]
     for attempt in range(64):
-        cfg = MultiModalGenConfig(classes, vpc, lpc, alpha, concentration,
-                                  seed=seed * 1009 + attempt)
+        cfg = MultiModalGenConfig(params["classes"], params["visual_per_class"],
+                                  params["language_per_class"], params["target_alpha"],
+                                  params["concentration"], seed=seed * 1009 + attempt)
         joint, labels = generate_multimodal(cfg)
         s = decompose(normalize_cooccurrence(joint)).singular_values
         if k >= s.size or s[k - 1] - s[k] >= min_gap:
@@ -374,12 +377,11 @@ def _gapped_multimodal(seed: int, classes: int, vpc: int, lpc: int, alpha: float
 # unbiasedness and Monte-Carlo rate
 
 
-def _equivalence_case(task):
-    seed, max_v, max_l, max_k = task
+def _equivalence_case(params, seed):
     rng = default_rng([seed, 10])
-    nv = int(rng.integers(2, max_v + 1))
-    nl = int(rng.integers(2, max_l + 1))
-    k = int(rng.integers(1, max_k + 1))
+    nv = int(rng.integers(2, params["max_visual"] + 1))
+    nl = int(rng.integers(2, params["max_language"] + 1))
+    k = int(rng.integers(1, params["max_dim"] + 1))
     joint = _random_joint(rng, nv, nl)
     fv = rng.standard_normal((nv, k))
     fl = rng.standard_normal((nl, k))
@@ -392,7 +394,7 @@ def _equivalence_case(task):
     )
     constant = equivalence_constant(norm)
     residual = abs(amf - scl - constant) / (1.0 + abs(scl))
-    return seed, nv, nl, k, residual, scl, amf
+    return nv, nl, k, residual, scl, amf
 
 
 def _empirical_instance(seed: int):
@@ -404,20 +406,26 @@ def _empirical_instance(seed: int):
     return joint, fv, fl
 
 
-def _empirical_mean_case(task):
-    seed, batches, n = task
+def _empirical_mean_case(params, seed):
+    batches = params["mean_batches"]
     joint, fv, fl = _empirical_instance(seed)
     population = scl_loss(fv, fl, joint)
-    values = empirical_scl_batches(fv, fl, BatchSampler(joint, n), default_rng([seed, 71]), batches)
+    sampler = BatchSampler(joint, params["batch_size"])
+    values = empirical_scl_batches(fv, fl, sampler, default_rng([seed, 71]), batches)
     stderr = float(values.std(ddof=1)) / math.sqrt(batches)
     return float(values.mean()), population, stderr
 
 
-def _empirical_rate_case(task):
-    seed, rep, counts, n = task
+def _rate_counts(params) -> tuple:
+    return tuple(sorted(int(c) for c in params["rate_batch_counts"]))
+
+
+def _empirical_rate_case(params, seed, rep):
+    counts = _rate_counts(params)
     joint, fv, fl = _empirical_instance(seed)
     population = scl_loss(fv, fl, joint)
-    values = empirical_scl_batches(fv, fl, BatchSampler(joint, n), default_rng([seed, 72, rep]), max(counts))
+    sampler = BatchSampler(joint, params["batch_size"])
+    values = empirical_scl_batches(fv, fl, sampler, default_rng([seed, 72, rep]), max(counts))
     running = np.cumsum(values)  # sequential, as a running sum is
     return [float(running[c - 1] / c - population) for c in counts]
 
@@ -426,9 +434,8 @@ def _run_verify_equivalence(params, seeds, out: Path, workers: int):
     checks, rows = [], []
     log = out / "loss_log.csv"
     log.unlink(missing_ok=True)
-    tasks = [(s, params["max_visual"], params["max_language"], params["max_dim"]) for s in seeds]
-    for i, (seed, nv, nl, k, residual, scl, amf) in enumerate(
-            _map_tasks(_equivalence_case, tasks, workers)):
+    results = _map_tasks(partial(_equivalence_case, params), seeds, workers)
+    for i, (seed, (nv, nl, k, residual, scl, amf)) in enumerate(zip(seeds, results)):
         checks.append(CheckResult(
             name=f"equivalence-{i + 1:02d}",
             passed=residual <= params["tolerance"],
@@ -442,8 +449,7 @@ def _run_verify_equivalence(params, seeds, out: Path, workers: int):
     save_csv(out / "equivalence.csv", rows,
              header=["instance", "n_visual", "n_language", "dim", "relative_residual"])
 
-    mean, population, stderr = _empirical_mean_case(
-        (seeds[0], params["mean_batches"], params["batch_size"]))
+    mean, population, stderr = _empirical_mean_case(params, seeds[0])
     z = abs(mean - population) / stderr
     checks.append(CheckResult(
         name="empirical-mean-z",
@@ -453,10 +459,9 @@ def _run_verify_equivalence(params, seeds, out: Path, workers: int):
         detail=f"mean={mean!r} population={population!r} stderr={stderr!r}",
     ))
 
-    counts = tuple(sorted(int(c) for c in params["rate_batch_counts"]))
-    rate_tasks = [(seeds[0], rep, counts, params["batch_size"])
-                  for rep in range(params["rate_repeats"])]
-    deviations = np.asarray(_map_tasks(_empirical_rate_case, rate_tasks, workers))
+    counts = _rate_counts(params)
+    deviations = np.asarray(_map_tasks(partial(_empirical_rate_case, params, seeds[0]),
+                                       range(params["rate_repeats"]), workers))
     rmse = np.sqrt(np.mean(deviations**2, axis=0))
     slope = float(np.polyfit(np.log(counts), np.log(rmse), 1)[0])
     checks.append(CheckResult(
@@ -477,12 +482,13 @@ def _run_verify_equivalence(params, seeds, out: Path, workers: int):
 # gradients match central finite differences
 
 
-def _optimum_case(task):
-    (index, seed, classes, vpc, lpc, alpha, conc, dim, min_gap, lr, max_steps, tol) = task
-    joint, labels = _gapped_multimodal(seed, classes, vpc, lpc, alpha, conc, dim, min_gap)
+def _optimum_case(params, seed):
+    dim = params["dim"]
+    joint, labels = _gapped_multimodal(params, seed)
     dec = decompose(normalize_cooccurrence(joint))
     target = -float(np.sum(dec.singular_values[:dim] ** 2))
-    cfg = TrainConfig(dim=dim, learning_rate=lr, max_steps=max_steps, tolerance=tol, seed=seed)
+    cfg = TrainConfig(dim=dim, learning_rate=params["learning_rate"], max_steps=params["max_steps"],
+                      tolerance=params["tolerance"], seed=seed)
     fv, fl, history = train_mmcl(joint, cfg)
     final = scl_loss(fv, fl, joint)
     closed_v, _ = optimal_encoders(joint, OptimalEncoderParams.identity(dim))
@@ -490,7 +496,7 @@ def _optimum_case(task):
     trained_pred = fit_probe(fv.matrix, labels.visual, pv).predict(fv.matrix)
     closed_pred = fit_probe(closed_v.matrix, labels.visual, pv).predict(closed_v.matrix)
     mismatches = int(np.sum(trained_pred != closed_pred))
-    return index, final - target, mismatches, final, target, len(history)
+    return final - target, mismatches, final, target, len(history)
 
 
 def _central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -508,8 +514,7 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
                  max(1.0, float(np.linalg.norm(analytic))))
 
 
-def _grad_case(task):
-    seed = task
+def _grad_case(seed):
     rng = default_rng([seed, 80])
     nv = int(rng.integers(3, 8))
     nl = int(rng.integers(3, 8))
@@ -524,10 +529,11 @@ def _grad_case(task):
     population = _relative_error(np.concatenate([gv.ravel(), gl.ravel()]),
                                  np.concatenate([num_v.ravel(), num_l.ravel()]))
 
-    induced = text_induced(joint)
+    # the uni-modal loss: one table on both sides of the text-induced joint
+    induced = JointDistribution(text_induced(joint).matrix)
     f = rng.standard_normal((nv, k))
-    _, g = uni_scl_grad(f, induced)
-    uni = _relative_error(g, _central_difference(lambda m: uni_scl_loss(m, induced), f))
+    _, gv_uni, gl_uni = scl_grad(f, f, induced)
+    uni = _relative_error(gv_uni + gl_uni, _central_difference(lambda m: scl_loss(m, m, induced), f))
 
     batch = sample_batch(joint, 12, seed=rng)
     extras = int(rng.integers(1, 4))
@@ -547,13 +553,8 @@ def _grad_case(task):
 
 def _run_verify_optimum(params, seeds, out: Path, workers: int):
     checks, rows = [], []
-    tasks = [
-        (i, seed, params["classes"], params["visual_per_class"], params["language_per_class"],
-         params["target_alpha"], params["concentration"], params["dim"], params["min_gap"],
-         params["learning_rate"], params["max_steps"], params["tolerance"])
-        for i, seed in enumerate(seeds)
-    ]
-    for index, gap, mismatches, final, target, steps in _map_tasks(_optimum_case, tasks, workers):
+    results = _map_tasks(partial(_optimum_case, params), seeds, workers)
+    for index, (gap, mismatches, final, target, steps) in enumerate(results):
         checks.append(CheckResult(
             name=f"optimum-gap-{index + 1:02d}",
             passed=abs(gap) <= params["tolerance"],
@@ -572,7 +573,7 @@ def _run_verify_optimum(params, seeds, out: Path, workers: int):
     save_csv(out / "optimum.csv", rows,
              header=["instance", "final_loss", "optimum", "gap", "probe_mismatches"])
 
-    grads = np.asarray(_map_tasks(_grad_case, list(seeds), workers))
+    grads = np.asarray(_map_tasks(_grad_case, seeds, workers))
     for column, name in enumerate(("population", "uni", "empirical")):
         worst = float(grads[:, column].max())
         checks.append(CheckResult(
@@ -589,10 +590,14 @@ def _run_verify_optimum(params, seeds, out: Path, workers: int):
 # hrg-spectrum: closed-form eigenvalues against dense eigendecomposition
 
 
-def _hrg_case(task):
-    s_l, s_h, separations = task
+def _separations(params) -> tuple:
+    return tuple(float(x) for x in params["separations"])
+
+
+def _hrg_case(params, pair):
+    s_l, s_h = pair
     worst = 0.0
-    for sep in separations:
+    for sep in _separations(params):
         spec = HierarchicalGraphSpec.from_separation(s_l, s_h, sep)
         closed_raw = hierarchical_eigenvalues(spec)
         induced = build_hierarchical_matrix(spec)
@@ -602,18 +607,16 @@ def _hrg_case(task):
         numeric_norm = decompose(norm).singular_values
         closed_norm = spec.num_samples * closed_raw
         worst = max(worst, float(np.max(np.abs(closed_norm - numeric_norm))))
-    return s_l, s_h, worst
+    return worst
 
 
 def _run_hrg_spectrum(params, seeds, out: Path, workers: int):
     lo = tuple(int(x) for x in params["s_low"])
     hi = tuple(int(x) for x in params["s_high"])
-    separations = tuple(float(x) for x in params["separations"])
-    tasks = [(s_l, s_h, separations)
-             for s_l in range(lo[0], lo[1] + 1)
-             for s_h in range(hi[0], hi[1] + 1)]
+    separations = _separations(params)
+    pairs = [(s_l, s_h) for s_l in range(lo[0], lo[1] + 1) for s_h in range(hi[0], hi[1] + 1)]
     checks = []
-    for s_l, s_h, worst in _map_tasks(_hrg_case, tasks, workers):
+    for (s_l, s_h), worst in zip(pairs, _map_tasks(partial(_hrg_case, params), pairs, workers)):
         checks.append(CheckResult(
             name=f"hrg-sl{s_l}-sh{s_h}",
             passed=worst <= params["tolerance"],
@@ -639,10 +642,10 @@ def _run_hrg_spectrum(params, seeds, out: Path, workers: int):
 # and the probe-error vs sigma_{k+1} correlation at fixed labeling error
 
 
-def _monotone_case(task):
-    s_l, s_h, separations = task
+def _monotone_case(params, pair):
+    s_l, s_h = pair
     spectra = []
-    for sep in sorted(separations):
+    for sep in sorted(_separations(params)):
         induced = build_hierarchical_matrix(HierarchicalGraphSpec.from_separation(s_l, s_h, sep))
         norm = normalize_cooccurrence(JointDistribution(induced.matrix))
         spectra.append(decompose(norm).singular_values)
@@ -650,7 +653,7 @@ def _monotone_case(task):
     for i in range(len(spectra)):
         for j in range(i + 1, len(spectra)):
             worst = max(worst, float(np.max(spectra[i] - spectra[j])))
-    return s_l, s_h, worst
+    return worst
 
 
 def _nested_block_matrix(classes: int, groups: int, group_size: int,
@@ -683,9 +686,12 @@ def _sweep_masses(point: int, points: int, classes: int, groups: int,
     return within, mid, cross
 
 
-def _sweep_case(task):
-    point, points, seed, classes, groups, group_size, cross_mass, sample_pairs, dim = task
-    within, mid, cross = _sweep_masses(point, points, classes, groups, group_size, cross_mass)
+def _sweep_case(params, task):
+    point, seed = task
+    classes, groups, group_size = params["classes"], params["groups"], params["group_size"]
+    dim = params["dim"]
+    within, mid, cross = _sweep_masses(point, int(params["sweep_points"]), classes, groups,
+                                       group_size, params["cross_mass"])
     matrix = _nested_block_matrix(classes, groups, group_size, within, mid, cross)
     labels = np.repeat(np.arange(classes), groups * group_size)
 
@@ -695,22 +701,22 @@ def _sweep_case(task):
 
     rng = default_rng([seed, 40, point])
     flat = matrix.ravel()
-    counts = rng.multinomial(sample_pairs, flat / flat.sum()).reshape(matrix.shape).astype(float)
+    counts = rng.multinomial(params["sample_pairs"], flat / flat.sum()).reshape(matrix.shape).astype(float)
     counts = (counts + counts.T) / 2.0
     estimated = JointDistribution.from_counts(counts)
     norm = normalize_cooccurrence(estimated)
-    features = _top_eigvec_features(norm.matrix, norm.marginal_visual, dim)
+    features = _top_eigvecs(norm.matrix, dim) / np.sqrt(norm.marginal_visual)[:, None]
     kept = labels[norm.visual_index]
     probe = fit_probe(features, kept, norm.marginal_visual)
     error = probe_error(probe, features, kept, norm.marginal_visual)
-    return point, seed, float(error), sigma_next, float(alpha)
+    return float(error), sigma_next, float(alpha)
 
 
 def _run_bound_sweep(params, seeds, out: Path, workers: int):
     checks = []
-    separations = tuple(float(x) for x in params["separations"])
-    pair_tasks = [(int(a), int(b), separations) for a, b in params["pairs"]]
-    for s_l, s_h, worst in _map_tasks(_monotone_case, pair_tasks, workers):
+    separations = _separations(params)
+    pairs = [(int(a), int(b)) for a, b in params["pairs"]]
+    for (s_l, s_h), worst in zip(pairs, _map_tasks(partial(_monotone_case, params), pairs, workers)):
         checks.append(CheckResult(
             name=f"monotone-sl{s_l}-sh{s_h}",
             passed=worst <= params["tolerance"],
@@ -738,18 +744,14 @@ def _run_bound_sweep(params, seeds, out: Path, workers: int):
                      "sigma_gap", "kappa", "constant_proxy"])
 
     points = int(params["sweep_points"])
-    sweep_tasks = [
-        (point, points, seed, params["classes"], params["groups"], params["group_size"],
-         params["cross_mass"], params["sample_pairs"], params["dim"])
-        for point in range(points) for seed in seeds
-    ]
-    results = _map_tasks(_sweep_case, sweep_tasks, workers)
-    seed_column = {seed: j for j, seed in enumerate(seeds)}
+    tasks = [(point, seed) for point in range(points) for seed in seeds]
+    results = _map_tasks(partial(_sweep_case, params), tasks, workers)
     errors = np.zeros((points, len(seeds)))
     sigma_next = np.zeros(points)
     alphas = np.zeros(points)
-    for point, seed, error, sigma, alpha in results:
-        errors[point, seed_column[seed]] = error
+    for i, (error, sigma, alpha) in enumerate(results):
+        point, column = divmod(i, len(seeds))
+        errors[point, column] = error
         sigma_next[point] = sigma
         alphas[point] = alpha
 
@@ -780,34 +782,28 @@ def _run_bound_sweep(params, seeds, out: Path, workers: int):
 # uni-equivalence: multi-modal closed form vs uni-modal top-k features
 
 
-def _uni_case(task):
-    index, seed, classes, vpc, lpc, alpha, conc, dim, min_gap = task
-    joint, labels = _gapped_multimodal(seed, classes, vpc, lpc, alpha, conc, dim, min_gap)
+def _uni_case(params, seed):
+    dim = params["dim"]
+    joint, labels = _gapped_multimodal(params, seed)
     norm = normalize_cooccurrence(joint)
     dec = decompose(norm)
     closed_v, _ = optimal_encoders(joint, OptimalEncoderParams.identity(dim))
 
-    uni = normalized_uni(norm)
-    _, vecs = np.linalg.eigh(uni.matrix)
-    top = vecs[:, ::-1][:, :dim]
-    features = top / np.sqrt(norm.marginal_visual)[:, None]
-
     pv = norm.marginal_visual
+    top = _top_eigvecs(normalized_uni(norm).matrix, dim)
+    features = top / np.sqrt(pv)[:, None]
+
     pred_multi = fit_probe(closed_v.matrix, labels.visual, pv).predict(closed_v.matrix)
     pred_uni = fit_probe(features, labels.visual, pv).predict(features)
     mismatches = int(np.sum(pred_multi != pred_uni))
     angles = subspace_angles(dec.left[:, :dim], top)
-    return index, mismatches, float(np.max(angles)) if angles.size else 0.0
+    return mismatches, float(np.max(angles)) if angles.size else 0.0
 
 
 def _run_uni_equivalence(params, seeds, out: Path, workers: int):
-    tasks = [
-        (i, seed, params["classes"], params["visual_per_class"], params["language_per_class"],
-         params["target_alpha"], params["concentration"], params["dim"], params["min_gap"])
-        for i, seed in enumerate(seeds)
-    ]
     checks, rows = [], []
-    for index, mismatches, angle in _map_tasks(_uni_case, tasks, workers):
+    results = _map_tasks(partial(_uni_case, params), seeds, workers)
+    for index, (mismatches, angle) in enumerate(results):
         checks.append(CheckResult(
             name=f"probe-identical-{index + 1:02d}",
             passed=mismatches == 0,
@@ -833,8 +829,7 @@ def _run_uni_equivalence(params, seeds, out: Path, workers: int):
 # teacher-feature estimate and a leaky augmentation model
 
 
-def _alpha_case(task):
-    seed = task
+def _alpha_case(seed):
     rng = default_rng([seed, 60])
     r = int(rng.integers(2, 5))
     nv = int(rng.integers(max(r, 4), 21))
@@ -848,9 +843,10 @@ def _alpha_case(task):
     return alpha - alpha_t / 2.0
 
 
-def _estimator_case(task):
-    seed, classes, vpc, lpc, alpha, conc, dim, augs, leak = task
-    cfg = MultiModalGenConfig(classes, vpc, lpc, alpha, conc, seed=seed)
+def _estimator_case(params, seed):
+    classes, vpc, dim = params["classes"], params["visual_per_class"], params["dim"]
+    cfg = MultiModalGenConfig(classes, vpc, params["language_per_class"], params["target_alpha"],
+                              params["concentration"], seed=seed)
     joint, labels = generate_multimodal(cfg)
     teacher_v, _ = optimal_encoders(joint, OptimalEncoderParams.identity(dim))
     estimated = estimate_cooccurrence(teacher_v.matrix)
@@ -858,12 +854,12 @@ def _estimator_case(task):
     beta_teacher, _ = intra_class_connectivity(teacher_v.matrix, labels.visual, seed=seed)
 
     nv = classes * vpc
-    model = generate_augmentation_model(nv, augs, leak, seed=seed)
+    model = generate_augmentation_model(nv, params["augmentations"], params["leak"], seed=seed)
     induced = augmentation_joint(model, np.full(nv, 1.0 / nv))
     labels_aug = model.labels_for_augmented(labels.visual)
     alpha_aug = surrogate_labeling_error(induced, labels_aug)
     norm = normalize_cooccurrence(JointDistribution(induced.matrix))
-    features = _top_eigvec_features(norm.matrix, norm.marginal_visual, dim)
+    features = _top_eigvecs(norm.matrix, dim) / np.sqrt(norm.marginal_visual)[:, None]
     beta_aug, _ = intra_class_connectivity(features, labels_aug[norm.visual_index], seed=seed)
     return alpha_teacher, beta_teacher, alpha_aug, beta_aug
 
@@ -880,13 +876,7 @@ def _run_estimators(params, seeds, out: Path, workers: int):
         detail=f"min of alpha - alpha_T/2 over {params['bound_instances']} instances",
     ))
 
-    tasks = [
-        (seed, params["classes"], params["visual_per_class"], params["language_per_class"],
-         params["target_alpha"], params["concentration"], params["dim"],
-         params["augmentations"], params["leak"])
-        for seed in seeds
-    ]
-    results = np.asarray(_map_tasks(_estimator_case, tasks, workers))
+    results = np.asarray(_map_tasks(partial(_estimator_case, params), seeds, workers))
     alpha_teacher, beta_teacher, alpha_aug, beta_aug = (float(x) for x in results.mean(axis=0))
     checks.append(CheckResult(
         name="alpha-direction",
@@ -916,36 +906,29 @@ def _run_estimators(params, seeds, out: Path, workers: int):
 # plain SGD baseline on a leaky augmentation instance with an ideal teacher
 
 
-def _resample_case(task):
-    (seed, classes, ppc, augs, leak, dim, batch_size, steps, lr, mixing) = task
+def _resample_case(params, seed):
+    classes, ppc = params["classes"], params["parents_per_class"]
     nv = classes * ppc
     labels_v = np.repeat(np.arange(classes), ppc)
-    model = generate_augmentation_model(nv, augs, leak, seed=seed)
+    model = generate_augmentation_model(nv, params["augmentations"], params["leak"], seed=seed)
     induced = augmentation_joint(model, np.full(nv, 1.0 / nv))
     labels_aug = model.labels_for_augmented(labels_v)
     marginal = induced.marginal
     teacher = EncoderTable(_one_hot(labels_aug, classes), side="augmented")
 
-    cfg = TrainConfig(dim=dim, learning_rate=lr, max_steps=steps,
-                      batch_mode="sampled", batch_size=batch_size, seed=seed)
+    cfg = TrainConfig(dim=params["dim"], learning_rate=params["learning_rate"], max_steps=params["steps"],
+                      batch_mode="sampled", batch_size=params["batch_size"], seed=seed)
     accuracies = []
     for name in ("baseline",) + STRATEGIES:
-        resample = None if name == "baseline" else ResampleConfig(name, mixing_weight=mixing)
+        resample = None if name == "baseline" else ResampleConfig(name, mixing_weight=params["mixing_weight"])
         encoder, _ = train_sscl(induced, cfg=cfg, resample=resample, teacher=teacher)
         probe = fit_probe(encoder.matrix, labels_aug, marginal)
         accuracies.append(1.0 - probe_error(probe, encoder.matrix, labels_aug, marginal))
-    return (seed, *accuracies)
+    return accuracies
 
 
 def _run_resample_compare(params, seeds, out: Path, workers: int):
-    tasks = [
-        (seed, params["classes"], params["parents_per_class"], params["augmentations"],
-         params["leak"], params["dim"], params["batch_size"], params["steps"],
-         params["learning_rate"], params["mixing_weight"])
-        for seed in seeds
-    ]
-    rows = _map_tasks(_resample_case, tasks, workers)
-    table = np.asarray([row[1:] for row in rows])
+    table = np.asarray(_map_tasks(partial(_resample_case, params), seeds, workers))
     baseline = table[:, 0]
     margins = {name: float(np.mean(table[:, i + 1] - baseline))
                for i, name in enumerate(STRATEGIES)}
@@ -969,7 +952,7 @@ def _run_resample_compare(params, seeds, out: Path, workers: int):
                    f"vs baseline {float(np.mean(baseline))!r}",
         ))
     save_csv(out / "resample.csv",
-             [(int(r[0]), *[float(x) for x in r[1:]]) for r in rows],
+             [(int(seed), *[float(x) for x in row]) for seed, row in zip(seeds, table)],
              header=["seed", "baseline", *STRATEGIES])
     return checks, [out / "resample.csv"]
 

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import InducedDistribution, JointDistribution, NormalizedCooccurrence, _matrix_of
+from .distributions import JointDistribution, NormalizedCooccurrence
 from .errors import InvalidBatchSize, InvalidSpec
 
 ENCODER_SIDES = ("visual", "language", "augmented")
@@ -71,30 +71,13 @@ def _features(f) -> np.ndarray:
     return f.matrix if isinstance(f, EncoderTable) else np.asarray(f, dtype=float)
 
 
-def sce_loss(f_visual, f_language, joint: JointDistribution) -> float:
-    """Symmetric cross entropy loss, exact population value.
-
-    Both directional terms use expectations over the finite sets: the
-    denominator of each softmax is a marginal-weighted expectation of
-    exponentiated scores, evaluated with a stabilized logsumexp.
-    """
-    from scipy.special import logsumexp  # slow to import; only this loss needs it
-
-    fv, fl = _features(f_visual), _features(f_language)
-    p = joint.matrix
-    pv, pl = joint.marginal_visual, joint.marginal_language
-    scores = fv @ fl.T
-    # log E_{l'~P_L} exp(s(v, l')) per visual row, and the transpose direction
-    lse_rows = logsumexp(scores, axis=1, b=pl[None, :])
-    lse_cols = logsumexp(scores, axis=0, b=pv[:, None])
-    to_language = float(np.sum(p * (scores - lse_rows[:, None])))
-    to_visual = float(np.sum(p * (scores - lse_cols[None, :])))
-    return -(to_language + to_visual)
-
-
 def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
     """Multi-modal spectral contrastive loss, exact population value:
-    -2 E_pos[f_V.f_L] + E_{independent}[(f_V.f_L)^2]."""
+    -2 E_pos[f_V.f_L] + E_{independent}[(f_V.f_L)^2].
+
+    With one table on both sides of a symmetric joint, such as
+    ``JointDistribution(induced.matrix)`` for an induced distribution, this
+    is the uni-modal spectral contrastive loss."""
     fv, fl = _features(f_visual), _features(f_language)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
@@ -120,25 +103,6 @@ def equivalence_constant(normalized) -> float:
     loss. Equals the sum of squared singular values."""
     target = normalized.matrix if isinstance(normalized, NormalizedCooccurrence) else np.asarray(normalized, dtype=float)
     return float(np.sum(target * target))
-
-
-def uni_scl_loss(f, induced, marginal_visual=None) -> float:
-    """Uni-modal spectral contrastive loss against a symmetric joint over
-    visual samples: -2 E_{(v,v')~P}[f.f'] + E_{v,v'~P_V x P_V}[(f.f')^2].
-
-    ``marginal_visual`` defaults to the row sums of the induced matrix.
-    """
-    feats = _features(f)
-    m = _matrix_of(induced)
-    if isinstance(induced, InducedDistribution) and induced.normalized:
-        raise InvalidSpec("uni-modal loss needs a mass-1 induced distribution, not a normalized one")
-    if m.shape[0] != m.shape[1]:
-        raise InvalidSpec("induced matrix must be square")
-    pv = m.sum(axis=1) if marginal_visual is None else np.asarray(marginal_visual, dtype=float)
-    scores = feats @ feats.T
-    positive = float(np.sum(m * scores))
-    negative = float(pv @ (scores**2) @ pv)
-    return -2.0 * positive + negative
 
 
 @dataclass(frozen=True)
@@ -395,29 +359,16 @@ def empirical_scl_grad(f_visual, f_language, batch: Batch):
 
 def scl_grad(f_visual, f_language, joint: JointDistribution):
     """Analytic gradients of :func:`scl_loss` with respect to both feature
-    tables. Returns (loss, grad_visual, grad_language)."""
+    tables. Returns (loss, grad_visual, grad_language). For one table
+    shared by both sides, its gradient is ``grad_visual + grad_language``."""
     fv, fl = _features(f_visual), _features(f_language)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
     scores = fv @ fl.T
-    loss = -2.0 * float(np.sum(p * scores)) + float(pv @ (scores**2) @ pl)
     weighted = pv[:, None] * scores * pl[None, :]
     gv = -2.0 * (p @ fl) + 2.0 * (weighted @ fl)
     gl = -2.0 * (p.T @ fv) + 2.0 * (weighted.T @ fv)
-    return loss, gv, gl
-
-
-def uni_scl_grad(f, induced, marginal_visual=None):
-    """Analytic gradient of :func:`uni_scl_loss` for a shared feature
-    table. Returns (loss, grad)."""
-    feats = _features(f)
-    m = _matrix_of(induced)
-    pv = m.sum(axis=1) if marginal_visual is None else np.asarray(marginal_visual, dtype=float)
-    scores = feats @ feats.T
-    loss = -2.0 * float(np.sum(m * scores)) + float(pv @ (scores**2) @ pv)
-    weighted = pv[:, None] * scores * pv[None, :]
-    grad = -4.0 * (m @ feats) + 4.0 * (weighted @ feats)
-    return loss, grad
+    return scl_loss(fv, fl, joint), gv, gl
 
 
 def append_loss_record(path, instance_id: str, loss_name: str, value: float, seed=None) -> None:
@@ -433,7 +384,7 @@ def append_loss_record(path, instance_id: str, loss_name: str, value: float, see
 
 
 __all__ = [
-    "EncoderTable", "Batch", "BatchSampler", "sce_loss", "scl_loss", "amf_loss",
-    "equivalence_constant", "uni_scl_loss", "sample_batch", "empirical_scl",
-    "empirical_scl_batches", "empirical_scl_grad", "scl_grad", "uni_scl_grad", "append_loss_record",
+    "EncoderTable", "Batch", "BatchSampler", "scl_loss", "amf_loss",
+    "equivalence_constant", "sample_batch", "empirical_scl",
+    "empirical_scl_batches", "empirical_scl_grad", "scl_grad", "append_loss_record",
 ]

@@ -1,11 +1,7 @@
-"""Disk formats.
-
-Every matrix-like object shares one JSON container: {"rows", "cols",
-"data" (row-major list), "kind"}, with extra keys where the type carries
-more than a matrix (marginals, index maps, side, normalized flag). Loading
-reconstructs the typed object through its constructor, so all invariants
-are re-validated on read. CSV writers exist for human inspection and for
-the experiment artifact tables; they are not re-loaded by the package.
+"""Disk formats: the experiment artifact tables as CSV, canonical JSON for
+reports and config hashing, and the declarative JSON config files. CSV
+tables are written for inspection and comparison; the package does not
+re-load them.
 """
 from __future__ import annotations
 
@@ -16,82 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import InducedDistribution, JointDistribution, NormalizedCooccurrence
-from .errors import ConfigParseError, InvalidSpec
-from .losses import EncoderTable
-
-
-def _container(matrix: np.ndarray, kind: str, **extra) -> dict:
-    m = np.asarray(matrix, dtype=float)
-    payload = {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": [float(x) for x in m.ravel()],
-        "kind": kind,
-    }
-    payload.update(extra)
-    return payload
-
-
-def matrix_payload(obj) -> dict:
-    """JSON-ready container for any of the matrix-bearing types; a bare
-    array serializes with kind "generic"."""
-    if isinstance(obj, JointDistribution):
-        return _container(obj.matrix, "joint")
-    if isinstance(obj, InducedDistribution):
-        return _container(obj.matrix, f"induced-{obj.kind}", normalized=obj.normalized)
-    if isinstance(obj, NormalizedCooccurrence):
-        return _container(
-            obj.matrix, "normalized-cooccurrence",
-            marginal_visual=list(map(float, obj.marginal_visual)),
-            marginal_language=list(map(float, obj.marginal_language)),
-            visual_index=list(map(int, obj.visual_index)),
-            language_index=list(map(int, obj.language_index)),
-        )
-    if isinstance(obj, EncoderTable):
-        return _container(obj.matrix, "encoder", side=obj.side)
-    return _container(np.asarray(obj, dtype=float), "generic")
-
-
-def save_matrix(obj, path) -> None:
-    Path(path).write_text(canonical_json(matrix_payload(obj)) + "\n")
-
-
-def matrix_from_payload(payload: dict):
-    """Inverse of :func:`matrix_payload`. Reconstruction goes through the
-    type constructors, so a tampered file fails validation here."""
-    try:
-        rows, cols, kind = int(payload["rows"]), int(payload["cols"]), payload["kind"]
-        data = np.asarray(payload["data"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigParseError(f"malformed matrix container: {exc}") from exc
-    if data.size != rows * cols:
-        raise ConfigParseError(f"data length {data.size} does not match {rows}x{cols}")
-    m = data.reshape(rows, cols)
-    if kind == "joint":
-        return JointDistribution(m)
-    if kind.startswith("induced-"):
-        return InducedDistribution(m, kind=kind[len("induced-"):],
-                                   normalized=bool(payload.get("normalized", False)))
-    if kind == "normalized-cooccurrence":
-        return NormalizedCooccurrence(
-            m, payload["marginal_visual"], payload["marginal_language"],
-            payload["visual_index"], payload["language_index"],
-        )
-    if kind == "encoder":
-        return EncoderTable(m, side=payload.get("side", "visual"))
-    if kind == "generic":
-        return m
-    raise ConfigParseError(f"unknown matrix kind {kind!r}")
-
-
-def load_matrix(path):
-    text = Path(path).read_text()
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"{path}: {exc}") from exc
-    return matrix_from_payload(payload)
+from .errors import ConfigParseError
 
 
 def save_csv(path, rows, header=None) -> None:
@@ -108,14 +29,6 @@ def save_csv(path, rows, header=None) -> None:
             writer.writerow(header)
         for row in rows:
             writer.writerow([cell(x) for x in row])
-
-
-def save_matrix_csv(path, obj) -> None:
-    """Plain numeric CSV of the underlying matrix, one row per line."""
-    m = obj.matrix if hasattr(obj, "matrix") else np.asarray(obj, dtype=float)
-    if m.ndim != 2:
-        raise InvalidSpec("CSV export expects a 2-d matrix")
-    save_csv(path, m.astype(float))
 
 
 def canonical_json(obj) -> str:
@@ -144,8 +57,4 @@ def load_json_config(path) -> dict:
     return payload
 
 
-__all__ = [
-    "matrix_payload", "matrix_from_payload", "save_matrix", "load_matrix",
-    "save_csv", "save_matrix_csv", "canonical_json", "config_hash",
-    "load_json_config",
-]
+__all__ = ["save_csv", "canonical_json", "config_hash", "load_json_config"]

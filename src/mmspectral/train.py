@@ -5,7 +5,9 @@ Population mode optimizes the factor matrices (sqrt-marginal scaled
 features) by full-batch gradient descent with a halve-on-increase step
 rule, so accepted loss histories are monotone after the first step.
 Sampled mode runs SGD over three-way batches; resampling strategies, when
-configured, rewrite each batch before its gradient step.
+configured, rewrite each batch before its gradient step. One core trains
+both encoder kinds: SSCL is its one-table case, a single encoder shared by
+both sides of the symmetric induced joint.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from numpy.random import default_rng
 from .distributions import InducedDistribution, JointDistribution, normalize_cooccurrence
 from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
-from .losses import Batch, BatchSampler, EncoderTable, empirical_scl_grad
+from .losses import Batch, BatchSampler, EncoderTable, _scored_pairs, empirical_scl_grad
 from .losses import sample_batch  # noqa: F401  (perfbench's tracer test looks it up here)
 from .spectral import _warn_if_degenerate, decompose
 
@@ -162,6 +164,67 @@ def _sgd(init_factors, batch_grads, cfg: TrainConfig):
     return factors, LossHistory(np.array(history), converged)
 
 
+def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
+           resample: ResampleConfig = None, teacher: EncoderTable = None):
+    """The training core behind :func:`train_mmcl` (``tables=2``: a visual
+    and a language table) and :func:`train_sscl` (``tables=1``: one table
+    shared by both sides of a symmetric joint).
+
+    Population mode descends on the factorization form of the loss (exact
+    gradients); sampled mode runs SGD on three-way batches of the pruned
+    support, each rewritten by ``resample`` with ``teacher`` when given.
+    Returns (feature matrices on the pruned support, LossHistory).
+    """
+    norm = normalize_cooccurrence(joint)
+    target = norm.matrix
+    constant = float(np.sum(target * target))
+    dec = decompose(norm)
+    k = cfg.dim
+    if k > dec.rank_bound:
+        raise InvalidSpec(f"k={k} exceeds the rank bound {dec.rank_bound}")
+    _warn_if_degenerate(dec.singular_values, k)
+
+    rng = default_rng(cfg.seed)
+    init = [rng.standard_normal((n, k)) / np.sqrt(k) for n in target.shape[:tables]]
+    scales = [np.sqrt(m)[:, None] for m in (norm.marginal_visual, norm.marginal_language)[:tables]]
+
+    if cfg.batch_mode == "population":
+        if tables == 2:
+            optimum = -float(np.sum(dec.singular_values[:k] ** 2))
+        else:
+            # FF^T is PSD, so only positive eigenvalues of the target are reachable
+            eigs = np.linalg.eigvalsh(target)[::-1]
+            optimum = -float(np.sum(np.clip(eigs[:k], 0.0, None) ** 2))
+
+        def loss_and_grads(factors):
+            fv, fl = factors[0], factors[-1]
+            resid = fv @ fl.T - target
+            loss = float(np.sum(resid * resid)) - constant
+            if tables == 2:
+                return loss, [2.0 * (resid @ fl), 2.0 * (resid.T @ fv)]
+            return loss, [4.0 * (resid @ fv)]
+
+        factors, history = _population_descent(init, loss_and_grads, cfg, optimum)
+        # same stationary points either way; report features, not factors
+        return [f / scale for f, scale in zip(factors, scales)], history
+
+    pruned = JointDistribution.from_counts(joint.matrix[np.ix_(norm.visual_index, norm.language_index)])
+    sampler = BatchSampler(pruned, cfg.batch_size)
+    batch_rng = default_rng(rng.integers(2**63))
+    f_init = [f / scale for f, scale in zip(init, scales)]
+    # batches index the pruned support, so the teacher must too
+    teacher_tables = None if resample is None else _TeacherTables(teacher.matrix[norm.visual_index])
+
+    def batch_grads(factors, step):
+        batch = sampler.draw(batch_rng)
+        if teacher_tables is not None:
+            batch = _rewrite(batch, teacher_tables, resample)
+        loss, gv, gl = empirical_scl_grad(factors[0], factors[-1], batch)
+        return loss, [gv, gl] if tables == 2 else [gv + gl]  # a shared table takes both sides
+
+    return _sgd(f_init, batch_grads, cfg)
+
+
 def train_mmcl(joint: JointDistribution, cfg: TrainConfig):
     """Train a visual/language encoder pair on the multi-modal spectral loss.
 
@@ -170,121 +233,33 @@ def train_mmcl(joint: JointDistribution, cfg: TrainConfig):
     Returns (visual EncoderTable, language EncoderTable, LossHistory); the
     tables cover the pruned support, see the normalization index maps.
     """
-    norm = normalize_cooccurrence(joint)
-    target = norm.matrix
-    constant = float(np.sum(target * target))
-    dec = decompose(norm)
-    k = cfg.dim
-    if k > dec.rank_bound:
-        raise InvalidSpec(f"k={k} exceeds the rank bound {dec.rank_bound}")
-    _warn_if_degenerate(dec.singular_values, k)
-
-    rng = default_rng(cfg.seed)
-    init = [rng.standard_normal((n, k)) / np.sqrt(k) for n in target.shape]
-
-    if cfg.batch_mode == "population":
-        optimum = -float(np.sum(dec.singular_values[:k] ** 2))
-
-        def loss_and_grads(factors):
-            fv, fl = factors
-            resid = fv @ fl.T - target
-            loss = float(np.sum(resid * resid)) - constant
-            return loss, [2.0 * (resid @ fl), 2.0 * (resid.T @ fv)]
-
-        (fv, fl), history = _population_descent(init, loss_and_grads, cfg, optimum)
-        # same stationary points either way; report features, not factors
-        f_visual = fv / np.sqrt(norm.marginal_visual)[:, None]
-        f_language = fl / np.sqrt(norm.marginal_language)[:, None]
-    else:
-        pruned = JointDistribution.from_counts(joint.matrix[np.ix_(norm.visual_index, norm.language_index)])
-        sampler = BatchSampler(pruned, cfg.batch_size)
-        batch_rng = default_rng(rng.integers(2**63))
-        f_init = [init[0] / np.sqrt(norm.marginal_visual)[:, None],
-                  init[1] / np.sqrt(norm.marginal_language)[:, None]]
-
-        def batch_grads(factors, step):
-            batch = sampler.draw(batch_rng)
-            loss, gv, gl = empirical_scl_grad(factors[0], factors[1], batch)
-            return loss, [gv, gl]
-
-        (f_visual, f_language), history = _sgd(f_init, batch_grads, cfg)
-
+    (f_visual, f_language), history = _train(joint, cfg, 2)
     return EncoderTable(f_visual, side="visual"), EncoderTable(f_language, side="language"), history
 
 
-def train_sscl(induced: InducedDistribution, marginal_visual=None, cfg: TrainConfig = None,
+def train_sscl(induced: InducedDistribution, cfg: TrainConfig,
                resample: ResampleConfig = None, teacher: EncoderTable = None):
     """Train a single encoder on the uni-modal spectral loss over a
-    symmetric induced distribution.
+    symmetric induced distribution: the multi-modal loss with one table on
+    both sides of ``JointDistribution(induced.matrix)``.
 
-    ``marginal_visual`` is redundant with the induced matrix (its row
-    sums) and only cross-checked when given. Population mode descends on
-    the symmetric factorization residual of the two-side normalized
-    matrix. Sampled mode draws three-way batches from the induced joint;
-    when ``resample`` is set, ``teacher`` features (one row per sample of
-    the induced matrix) rewrite every batch before its step. Returns
-    (EncoderTable, LossHistory); the table covers the pruned support, see
-    the normalization index maps, and so does the teacher as the
-    strategies see it.
+    Population mode descends on the symmetric factorization residual of
+    the two-side normalized matrix. Sampled mode draws three-way batches
+    from the induced joint; when ``resample`` is set, ``teacher`` features
+    (one row per sample of the induced matrix) rewrite every batch before
+    its step. Returns (EncoderTable, LossHistory); the table covers the
+    pruned support, see the normalization index maps, and so does the
+    teacher as the strategies see it.
     """
-    if cfg is None:
-        raise InvalidSpec("a TrainConfig is required")
     if resample is not None and teacher is None:
         raise TeacherMissing("resampling strategies need teacher features")
     if resample is not None and teacher.num_samples != induced.num_samples:
         raise InvalidSpec(f"teacher has {teacher.num_samples} rows for {induced.num_samples} samples")
     if induced.normalized:
         raise InvalidSpec("training needs a mass-1 induced distribution")
-    if marginal_visual is not None:
-        given = np.asarray(marginal_visual, dtype=float)
-        if given.shape != induced.marginal.shape or np.max(np.abs(given - induced.marginal)) > 1e-9:
-            raise InvalidSpec("marginal_visual disagrees with the induced row sums")
     side = "augmented" if induced.kind == "augmentation" else "visual"
 
-    joint = JointDistribution(induced.matrix)
-    norm = normalize_cooccurrence(joint)
-    target = norm.matrix
-    constant = float(np.sum(target * target))
-    k = cfg.dim
-    dec = decompose(norm)
-    if k > dec.rank_bound:
-        raise InvalidSpec(f"k={k} exceeds the rank bound {dec.rank_bound}")
-    _warn_if_degenerate(dec.singular_values, k)
-
-    rng = default_rng(cfg.seed)
-    init = rng.standard_normal((target.shape[0], k)) / np.sqrt(k)
-
-    if cfg.batch_mode == "population":
-        # FF^T is PSD, so only positive eigenvalues of the target are reachable
-        eigs = np.linalg.eigvalsh(target)[::-1]
-        optimum = -float(np.sum(np.clip(eigs[:k], 0.0, None) ** 2))
-
-        def loss_and_grads(factors):
-            f = factors[0]
-            resid = f @ f.T - target
-            loss = float(np.sum(resid * resid)) - constant
-            return loss, [4.0 * (resid @ f)]
-
-        (factor,), history = _population_descent([init], loss_and_grads, cfg, optimum)
-        features = factor / np.sqrt(norm.marginal_visual)[:, None]
-    else:
-        pruned = JointDistribution.from_counts(induced.matrix[np.ix_(norm.visual_index, norm.language_index)])
-        sampler = BatchSampler(pruned, cfg.batch_size)
-        batch_rng = default_rng(rng.integers(2**63))
-        f_init = init / np.sqrt(norm.marginal_visual)[:, None]
-        # batches index the pruned support, so the teacher must too
-        tables = None if resample is None else _TeacherTables(teacher.matrix[norm.visual_index])
-
-        def batch_grads(factors, step):
-            f = factors[0]
-            batch = sampler.draw(batch_rng)
-            if tables is not None:
-                batch = _rewrite(batch, tables, resample)
-            loss, gv, gl = empirical_scl_grad(f, f, batch)
-            return loss, [gv + gl]  # shared table: both sides contribute
-
-        (features,), history = _sgd([f_init], batch_grads, cfg)
-
+    (features,), history = _train(JointDistribution(induced.matrix), cfg, 1, resample, teacher)
     return EncoderTable(features, side=side), history
 
 
@@ -298,8 +273,10 @@ def nearest_neighbor_positive(index: int, candidates, teacher: EncoderTable) -> 
 
     Similarity is cosine on row-normalized teacher features; the anchor
     itself is excluded; exact ties break to the smallest sample index.
+    The anchor and every candidate must index a row of the teacher.
     """
     cand = np.unique(np.asarray(candidates, dtype=int))
+    _check_rows(np.append(cand, index), teacher)
     cand = cand[cand != index]
     if cand.size == 0:
         raise EmptyCandidates("no candidates besides the anchor itself")
@@ -331,9 +308,17 @@ def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> 
     Assumes a shared sample space (uni-modal batches), since teacher
     similarities compare both members of a pair. Drop counts are
     floor(ratio * count) over the relevant pool, 0 on tiny batches; drops
-    are stable (ties keep the earliest entry candidates first).
+    are stable (ties keep the earliest entry candidates first). Every
+    index of the batch must index a row of the teacher.
     """
+    _check_rows(np.concatenate(_scored_pairs(batch)), teacher)
     return _rewrite(batch, _TeacherTables(teacher.matrix), cfg)
+
+
+def _check_rows(indices: np.ndarray, teacher: EncoderTable) -> None:
+    rows = teacher.num_samples
+    if indices.size and (indices.min() < 0 or indices.max() >= rows):
+        raise InvalidSpec(f"sample indices must lie in [0, {rows}) for a teacher with {rows} rows")
 
 
 def _rewrite(batch: Batch, tables: _TeacherTables, cfg: ResampleConfig) -> Batch:

@@ -57,23 +57,6 @@ def augmentation_joint_oracle(conditional, pv):
     return out
 
 
-def sce_oracle(fv, fl, p):
-    """Symmetric cross entropy with per-pair log-sums over the full sets."""
-    fv, fl = np.asarray(fv, dtype=float), np.asarray(fl, dtype=float)
-    p = np.asarray(p, dtype=float)
-    pv, pl = marginals_oracle(p)
-    total = 0.0
-    for v in range(p.shape[0]):
-        for l in range(p.shape[1]):
-            if p[v][l] == 0:
-                continue
-            score = float(fv[v] @ fl[l])
-            denom_l = sum(pl[j] * math.exp(float(fv[v] @ fl[j])) for j in range(p.shape[1]))
-            denom_v = sum(pv[i] * math.exp(float(fv[i] @ fl[l])) for i in range(p.shape[0]))
-            total += p[v][l] * ((score - math.log(denom_l)) + (score - math.log(denom_v)))
-    return -total
-
-
 def scl_oracle(fv, fl, p):
     """Spectral contrastive loss as two explicit weighted sums."""
     fv, fl = np.asarray(fv, dtype=float), np.asarray(fl, dtype=float)

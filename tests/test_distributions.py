@@ -11,7 +11,6 @@ from mmspectral import (
     LabelAssignment,
     augmentation_joint,
     generate_augmentation_model,
-    marginals,
     normalize_cooccurrence,
     normalized_uni,
     text_induced,
@@ -50,17 +49,17 @@ class TestJointDistribution:
 
 class TestMarginals:
     def test_uniform(self):
-        pv, pl = marginals(UNIFORM_2X2)
+        pv, pl = UNIFORM_2X2.marginal_visual, UNIFORM_2X2.marginal_language
         np.testing.assert_allclose(pv, [0.5, 0.5], atol=1e-15)
         np.testing.assert_allclose(pl, [0.5, 0.5], atol=1e-15)
 
     def test_diagonal(self):
-        pv, pl = marginals(DIAG_HALF)
+        pv, pl = DIAG_HALF.marginal_visual, DIAG_HALF.marginal_language
         np.testing.assert_allclose(pv, [0.5, 0.5], atol=1e-15)
         np.testing.assert_allclose(pl, [0.5, 0.5], atol=1e-15)
 
     def test_tilted_matches_summation_oracle(self):
-        pv, pl = marginals(TILTED)
+        pv, pl = TILTED.marginal_visual, TILTED.marginal_language
         opv, opl = marginals_oracle(TILTED.matrix)
         np.testing.assert_allclose(pv, opv, atol=1e-15)
         np.testing.assert_allclose(pl, opl, atol=1e-15)
@@ -70,7 +69,7 @@ class TestMarginals:
     @settings(max_examples=40, deadline=None)
     def test_each_marginal_sums_to_one(self, seed):
         joint = JointDistribution(random_joint(np.random.default_rng(seed)))
-        pv, pl = marginals(joint)
+        pv, pl = joint.marginal_visual, joint.marginal_language
         assert abs(pv.sum() - 1.0) < 1e-12
         assert abs(pl.sum() - 1.0) < 1e-12
 

@@ -176,6 +176,19 @@ class TestRun:
         on_disk = json.loads((tmp_path / "hrg" / "hrg-spectrum-report.json").read_text())
         assert on_disk["all_passed"] is True
 
+    def test_bound_sweep_gives_a_repeated_seed_its_own_column(self, tmp_path):
+        """Each entry of the seed list fills its own column of the probe
+        sweep, so listing a seed twice leaves every per-point mean as is."""
+        means = []
+        for seeds in ([3], [3, 3]):
+            name = f"seeds{len(seeds)}"
+            (tmp_path / f"{name}.json").write_text(json.dumps({"seeds": seeds}))
+            run(ExperimentConfig.build("bound-sweep", config_path=tmp_path / f"{name}.json",
+                                       out=tmp_path / name))
+            rows = (tmp_path / name / "probe_sweep.csv").read_text().splitlines()[1:]
+            means.append([row.split(",")[3] for row in rows])
+        assert means[0] == means[1]
+
     def test_rerun_is_byte_identical_up_to_wall_clock(self, tmp_path):
         """Same config, same bytes: only the wall-clock field may move, also
         between a sequential and a two-worker run. Every kind at its

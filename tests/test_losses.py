@@ -20,12 +20,9 @@ from mmspectral import (
     equivalence_constant,
     normalize_cooccurrence,
     sample_batch,
-    sce_loss,
     scl_grad,
     scl_loss,
     text_induced,
-    uni_scl_grad,
-    uni_scl_loss,
 )
 
 from mmspectral import losses
@@ -33,7 +30,6 @@ from oracles import (
     amf_oracle,
     empirical_scl_oracle,
     random_joint,
-    sce_oracle,
     scl_oracle,
     uni_scl_oracle,
 )
@@ -45,30 +41,6 @@ UNIFORM_2X2 = JointDistribution([[0.25, 0.25], [0.25, 0.25]])
 def random_tables(rng, joint, k):
     nv, nl = joint.matrix.shape
     return rng.standard_normal((nv, k)), rng.standard_normal((nl, k))
-
-
-class TestSceLoss:
-    def test_single_pair_is_zero(self):
-        joint = JointDistribution([[1.0]])
-        assert sce_loss(np.array([[2.0]]), np.array([[3.0]]), joint) == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_encoders_give_zero(self):
-        fv, fl = np.zeros((2, 3)), np.zeros((2, 3))
-        assert sce_loss(fv, fl, UNIFORM_2X2) == pytest.approx(0.0, abs=1e-12)
-
-    def test_decreasing_in_alignment_scale(self):
-        values = [
-            sce_loss(s * np.eye(2), s * np.eye(2), DIAG_HALF) for s in (0.0, 1.0, 2.0)
-        ]
-        assert values[0] > values[1] > values[2]
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_loop_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        joint = JointDistribution(random_joint(rng, 6, 6))
-        fv, fl = random_tables(rng, joint, 2)
-        assert sce_loss(fv, fl, joint) == pytest.approx(sce_oracle(fv, fl, joint.matrix), rel=1e-10)
 
 
 class TestSclLoss:
@@ -90,6 +62,18 @@ class TestSclLoss:
         joint = JointDistribution(random_joint(rng, 6, 6))
         fv, fl = random_tables(rng, joint, 2)
         assert scl_loss(fv, fl, joint) == pytest.approx(scl_oracle(fv, fl, joint.matrix), rel=1e-10)
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_gradient_value_is_the_loss(self, seed, shared):
+        rng = np.random.default_rng(seed)
+        joint = JointDistribution(random_joint(rng, 6, 6))
+        if shared:
+            joint = JointDistribution(text_induced(joint).matrix)
+        fv, fl = random_tables(rng, joint, 2)
+        if shared:
+            fl = fv
+        assert repr(scl_grad(fv, fl, joint)[0]) == repr(scl_loss(fv, fl, joint))
 
 
 class TestAmfLossAndConstant:
@@ -149,33 +133,40 @@ class TestEquivalenceIdentity:
         )
 
 
+def uni_loss(f, induced):
+    """The uni-modal spectral loss: one table on both sides of the induced
+    joint."""
+    return scl_loss(f, f, JointDistribution(induced.matrix))
+
+
+def text_induced_with_zero_row(rng, zero_row: bool):
+    """A text-induced graph of a random joint; with ``zero_row`` one visual
+    sample carries no mass, so the induced matrix has a zero row and column."""
+    raw = random_joint(rng, 6, 6)
+    if zero_row:
+        raw[int(rng.integers(0, raw.shape[0]))] = 0.0
+    return text_induced(JointDistribution.from_counts(raw))
+
+
 class TestUniSclLoss:
+    """The uni-modal loss is the bimodal loss with a shared table."""
+
     def test_zero_encoder_gives_zero(self):
         induced = text_induced(UNIFORM_2X2)
-        assert uni_scl_loss(np.zeros((2, 2)), induced) == 0.0
-
-    def test_equals_bimodal_loss_on_symmetric_joint(self):
-        rng = np.random.default_rng(4)
-        raw = rng.gamma(2.0, size=(5, 5)) + 1e-9
-        raw = (raw + raw.T) / 2.0
-        sym = JointDistribution(raw / raw.sum())
-        f = rng.standard_normal((5, 2))
-        assert uni_scl_loss(f, sym.matrix, sym.marginal_visual) == pytest.approx(
-            scl_loss(f, f, sym), rel=1e-12
-        )
+        assert uni_loss(np.zeros((2, 2)), induced) == 0.0
 
     def test_text_induced_diag_with_identity_features(self):
         induced = text_induced(DIAG_HALF)
-        assert uni_scl_loss(np.eye(2), induced) == pytest.approx(-1.5, abs=1e-12)
+        assert uni_loss(np.eye(2), induced) == pytest.approx(-1.5, abs=1e-12)
 
-    @given(st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=25, deadline=None)
-    def test_matches_loop_oracle(self, seed):
+    def test_matches_loop_oracle(self, seed, zero_row):
         rng = np.random.default_rng(seed)
-        induced = text_induced(JointDistribution(random_joint(rng, 6, 6)))
+        induced = text_induced_with_zero_row(rng, zero_row)
         f = rng.standard_normal((induced.matrix.shape[0], 2))
         expected = uni_scl_oracle(f, induced.matrix, induced.marginal)
-        assert uni_scl_loss(f, induced) == pytest.approx(expected, rel=1e-10)
+        assert uni_loss(f, induced) == pytest.approx(expected, rel=1e-10)
 
     def test_symmetric_factorization_identity(self):
         """Loss plus squared norm of the normalized square equals the
@@ -188,7 +179,7 @@ class TestUniSclLoss:
         induced = text_induced(joint)
         f = rng.standard_normal((induced.matrix.shape[0], 3))
         factor = f * np.sqrt(induced.marginal)[:, None]
-        lhs = uni_scl_loss(f, induced) + equivalence_constant(square.matrix)
+        lhs = uni_loss(f, induced) + equivalence_constant(square.matrix)
         rhs = amf_loss(factor, factor, square.matrix)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -403,12 +394,14 @@ class TestAnalyticGradients:
         np.testing.assert_allclose(gl, num_l, atol=1e-6)
 
     def test_uni_gradient_matches_finite_differences(self):
+        """A shared table's gradient is the sum of both sides' gradients."""
         rng = np.random.default_rng(13)
-        induced = text_induced(JointDistribution(random_joint(rng, 5, 5)))
-        f = rng.standard_normal((induced.matrix.shape[0], 2))
-        _, grad = uni_scl_grad(f, induced)
-        numeric = self._central_difference(lambda a: uni_scl_loss(a, induced), (f,), 0)
-        np.testing.assert_allclose(grad, numeric, atol=1e-6)
+        for zero_row in (False, True):
+            induced = text_induced_with_zero_row(rng, zero_row)
+            f = rng.standard_normal((induced.matrix.shape[0], 2))
+            _, gv, gl = scl_grad(f, f, JointDistribution(induced.matrix))
+            numeric = self._central_difference(lambda a: uni_loss(a, induced), (f,), 0)
+            np.testing.assert_allclose(gv + gl, numeric, atol=1e-6)
 
     def test_empirical_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(14)

@@ -1,113 +1,14 @@
-"""Disk formats: JSON matrix containers, canonical hashing, CSV tables."""
-import json
-
+"""Disk formats: canonical hashing, config files, CSV tables."""
 import numpy as np
 import pytest
 
 from mmspectral import (
     ConfigParseError,
-    EncoderTable,
-    InducedDistribution,
-    InvalidSpec,
-    JointDistribution,
-    NormalizedCooccurrence,
     canonical_json,
     config_hash,
     load_json_config,
-    load_matrix,
-    normalize_cooccurrence,
-    normalized_uni,
     save_csv,
-    save_matrix,
-    save_matrix_csv,
-    text_induced,
 )
-from mmspectral.serialize import matrix_from_payload, matrix_payload
-
-TILTED = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
-
-
-class TestMatrixRoundtrips:
-    def test_joint_roundtrip(self, tmp_path):
-        path = tmp_path / "joint.json"
-        save_matrix(TILTED, path)
-        loaded = load_matrix(path)
-        assert isinstance(loaded, JointDistribution)
-        np.testing.assert_array_equal(loaded.matrix, TILTED.matrix)
-
-    def test_induced_roundtrip_keeps_kind_and_flag(self, tmp_path):
-        for obj in (text_induced(TILTED), normalized_uni(normalize_cooccurrence(TILTED))):
-            path = tmp_path / f"{obj.kind}-{obj.normalized}.json"
-            save_matrix(obj, path)
-            loaded = load_matrix(path)
-            assert isinstance(loaded, InducedDistribution)
-            assert loaded.kind == obj.kind
-            assert loaded.normalized == obj.normalized
-            np.testing.assert_array_equal(loaded.matrix, obj.matrix)
-
-    def test_normalized_cooccurrence_roundtrip_keeps_index_maps(self, tmp_path):
-        """A pruned zero column must come back with the same index maps so
-        feature tables stay aligned with the original samples."""
-        joint = JointDistribution([[0.5, 0.0, 0.1], [0.3, 0.0, 0.1]])
-        norm = normalize_cooccurrence(joint)
-        path = tmp_path / "norm.json"
-        save_matrix(norm, path)
-        loaded = load_matrix(path)
-        assert isinstance(loaded, NormalizedCooccurrence)
-        np.testing.assert_array_equal(loaded.matrix, norm.matrix)
-        np.testing.assert_array_equal(loaded.language_index, [0, 2])
-        np.testing.assert_array_equal(loaded.visual_index, [0, 1])
-        np.testing.assert_array_equal(loaded.marginal_language, norm.marginal_language)
-
-    def test_encoder_roundtrip_keeps_side(self, tmp_path):
-        table = EncoderTable(np.array([[1.0, -2.0], [0.5, 0.25]]), side="language")
-        path = tmp_path / "enc.json"
-        save_matrix(table, path)
-        loaded = load_matrix(path)
-        assert isinstance(loaded, EncoderTable)
-        assert loaded.side == "language"
-        np.testing.assert_array_equal(loaded.matrix, table.matrix)
-
-    def test_bare_array_roundtrips_as_generic(self, tmp_path):
-        m = np.array([[0.1, 2.5, -3.0]])
-        payload = matrix_payload(m)
-        assert payload["kind"] == "generic"
-        path = tmp_path / "gen.json"
-        save_matrix(m, path)
-        loaded = load_matrix(path)
-        assert type(loaded) is np.ndarray
-        np.testing.assert_array_equal(loaded, m)
-
-
-class TestPayloadValidation:
-    def test_missing_key_is_parse_error(self):
-        with pytest.raises(ConfigParseError):
-            matrix_from_payload({"rows": 1, "cols": 1, "kind": "joint"})
-
-    def test_length_mismatch_is_parse_error(self):
-        with pytest.raises(ConfigParseError):
-            matrix_from_payload({"rows": 2, "cols": 2, "data": [1.0], "kind": "generic"})
-
-    def test_unknown_kind_is_parse_error(self):
-        with pytest.raises(ConfigParseError):
-            matrix_from_payload({"rows": 1, "cols": 1, "data": [1.0], "kind": "mystery"})
-
-    def test_garbage_file_is_parse_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigParseError):
-            load_matrix(path)
-
-    def test_tampered_mass_fails_type_validation(self, tmp_path):
-        """Loading goes through the constructors, so a hand-edited file
-        that breaks an invariant is rejected."""
-        path = tmp_path / "joint.json"
-        save_matrix(TILTED, path)
-        payload = json.loads(path.read_text())
-        payload["data"][0] += 0.5
-        path.write_text(json.dumps(payload))
-        with pytest.raises(InvalidSpec):
-            load_matrix(path)
 
 
 class TestCanonicalJson:
@@ -143,6 +44,12 @@ class TestLoadJsonConfig:
         with pytest.raises(ConfigParseError):
             load_json_config(path)
 
+    def test_garbage_file_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigParseError):
+            load_json_config(path)
+
 
 class TestCsv:
     def test_floats_written_with_repr(self, tmp_path):
@@ -163,19 +70,9 @@ class TestCsv:
         rng = np.random.default_rng(11)
         m = rng.standard_normal((4, 3))
         path = tmp_path / "m.csv"
-        save_matrix_csv(path, m)
+        save_csv(path, m)
         back = np.loadtxt(path, delimiter=",")
         np.testing.assert_array_equal(back, m)
-
-    def test_matrix_csv_accepts_wrapper_types(self, tmp_path):
-        path = tmp_path / "joint.csv"
-        save_matrix_csv(path, TILTED)
-        back = np.loadtxt(path, delimiter=",")
-        np.testing.assert_array_equal(back, TILTED.matrix)
-
-    def test_rejects_non_matrix(self, tmp_path):
-        with pytest.raises(InvalidSpec):
-            save_matrix_csv(tmp_path / "bad.csv", np.zeros((2, 2, 2)))
 
     def test_rewrites_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

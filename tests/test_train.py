@@ -127,10 +127,6 @@ class TestTrainMMCL:
 
 
 class TestTrainSSCL:
-    def test_requires_config(self):
-        with pytest.raises(InvalidSpec):
-            train_sscl(text_induced(DIAG))
-
     def test_resample_requires_teacher(self):
         with pytest.raises(TeacherMissing):
             train_sscl(text_induced(DIAG), cfg=TrainConfig(dim=2),
@@ -140,11 +136,6 @@ class TestTrainSSCL:
         normalized = normalized_uni(normalize_cooccurrence(TILTED))
         with pytest.raises(InvalidSpec):
             train_sscl(normalized, cfg=TrainConfig(dim=2))
-
-    def test_marginal_cross_check(self):
-        with pytest.raises(InvalidSpec):
-            train_sscl(text_induced(DIAG), marginal_visual=[0.7, 0.3],
-                       cfg=TrainConfig(dim=2))
 
     def test_dim_beyond_rank_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -225,6 +216,20 @@ class TestNearestNeighborPositive:
     def test_anchor_alone_is_empty(self):
         with pytest.raises(EmptyCandidates):
             nearest_neighbor_positive(1, [1, 1], EncoderTable(np.eye(3)))
+
+    def test_negative_candidate_is_invalid(self):
+        """-1 would wrap to the last row and come back as a sample index."""
+        with pytest.raises(InvalidSpec):
+            nearest_neighbor_positive(0, [-1, 1], EncoderTable(np.eye(3)))
+
+    def test_candidate_past_teacher_rows_is_invalid(self):
+        with pytest.raises(InvalidSpec):
+            nearest_neighbor_positive(0, [1, 9], EncoderTable(np.eye(3)))
+
+    def test_anchor_outside_teacher_rows_is_invalid(self):
+        for anchor in (-1, 3):
+            with pytest.raises(InvalidSpec):
+                nearest_neighbor_positive(anchor, [0, 1], EncoderTable(np.eye(3)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -333,6 +338,33 @@ class TestApplyStrategy:
         np.testing.assert_allclose(out.extra_pos_weight, 0.25)
         np.testing.assert_array_equal(out.pos_visual, batch.pos_visual)
         assert out.num_positives == 2
+
+    def test_positive_past_teacher_rows_is_invalid(self):
+        batch = make_batch(pos_v=[0], pos_l=[5], n=3)
+        with pytest.raises(InvalidSpec):
+            apply_strategy(batch, EncoderTable(np.eye(3)), ResampleConfig("DropFalsePositive", ratio=1.0))
+
+    def test_add_new_positive_past_teacher_rows_is_invalid(self):
+        batch = make_batch(pos_v=[7], pos_l=[0], n=3)
+        with pytest.raises(InvalidSpec):
+            apply_strategy(batch, EncoderTable(np.eye(3)), ResampleConfig("AddNewPositive"))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_batch_index_is_checked(self, strategy):
+        """A negative, an anchor or an extra positive past the teacher's
+        rows is rejected too, whether or not the strategy reads it."""
+        fields = dict(pos_visual=[0], pos_language=[1], neg_language=[2], neg_language_anchor=[0],
+                      neg_visual=[1], neg_visual_anchor=[2], extra_pos_visual=[0],
+                      extra_pos_language=[1], extra_pos_weight=[1.0])
+        teacher = EncoderTable(np.eye(3))
+        cfg = ResampleConfig(strategy, ratio=None if strategy == "AddNewPositive" else 1.0)
+        apply_strategy(Batch(permutation=np.arange(3), n=3, **fields), teacher, cfg)
+        for name, value in fields.items():
+            if name == "extra_pos_weight":
+                continue
+            bad = Batch(permutation=np.arange(3), n=3, **{**fields, name: [3]})
+            with pytest.raises(InvalidSpec):
+                apply_strategy(bad, teacher, cfg)
 
     def test_add_new_positive_on_empty_batch_is_identity(self):
         batch = make_batch(n=6)
