@@ -38,8 +38,7 @@ from .evaluation import (
     surrogate_labeling_error,
 )
 from .experiments import (
-    DEFAULTS,
-    KINDS,
+    SUITES,
     CheckResult,
     ExperimentConfig,
     RunReport,
@@ -51,7 +50,6 @@ from .losses import (
     BatchSampler,
     EncoderTable,
     amf_loss,
-    append_loss_record,
     empirical_scl,
     empirical_scl_batches,
     empirical_scl_grad,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigParseError
-from .experiments import KINDS, ExperimentConfig, report_summary, run
+from .experiments import SUITES, ExperimentConfig, report_summary, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,13 +33,33 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parallel", type=int, default=1, metavar="N",
                        help="fan independent work units over N worker processes")
 
-    for kind in KINDS:
+    for kind in SUITES:
         add_common(sub.add_parser(kind, help=f"run the {kind} suite"))
 
     rep = sub.add_parser("report", help="summarize previously written run reports")
     rep.add_argument("paths", nargs="*", help="report JSON files (default: <out>/*-report.json)")
     add_common(rep)
     return parser
+
+
+def _is_check(data) -> bool:
+    return (isinstance(data, dict) and isinstance(data.get("name"), str)
+            and isinstance(data.get("passed"), bool) and isinstance(data.get("detail"), str)
+            and all(isinstance(data.get(k), (int, float)) for k in ("value", "tolerance")))
+
+
+def _load_report(path: Path) -> dict:
+    """One run report's JSON form; a file that is not one is a
+    ConfigParseError."""
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigParseError(f"cannot read report {path}: {exc}") from exc
+    if not (isinstance(data, dict) and isinstance(data.get("experiment"), str)
+            and isinstance(data.get("all_passed"), bool) and isinstance(data.get("checks"), list)
+            and all(_is_check(c) for c in data["checks"])):
+        raise ConfigParseError(f"{path} is not a run report")
+    return data
 
 
 def _cmd_report(args) -> int:
@@ -49,12 +69,7 @@ def _cmd_report(args) -> int:
         paths = sorted(out.glob("**/*-report.json"))
     if not paths:
         raise ConfigParseError("no report files found; pass paths or --out")
-    reports = []
-    for path in paths:
-        try:
-            reports.append(json.loads(path.read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigParseError(f"cannot read report {path}: {exc}") from exc
+    reports = [_load_report(path) for path in paths]
     print(report_summary(reports))
     return 0 if all(r["all_passed"] for r in reports) else 1
 

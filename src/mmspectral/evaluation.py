@@ -16,7 +16,6 @@ from numpy.random import default_rng
 
 from .distributions import InducedDistribution, JointDistribution, LabelAssignment, _matrix_of
 from .errors import ClassTooSmall, DegenerateDistribution, InvalidSpec, RankDeficient
-from .losses import _features
 
 PROBE_RIDGE = 1e-10
 
@@ -51,7 +50,7 @@ class LinearProbe:
         object.__setattr__(self, "weights", frozen)
 
     def scores(self, features) -> np.ndarray:
-        return _features(features) @ self.weights
+        return _matrix_of(features) @ self.weights
 
     def predict(self, features) -> np.ndarray:
         # np.argmax returns the first maximal index, which is the tie rule
@@ -65,7 +64,7 @@ def fit_probe(features, labels, weights=None) -> LinearProbe:
     warns RankDeficient when the Gram matrix is singular beyond what the
     ridge repairs.
     """
-    x = _features(features)
+    x = _matrix_of(features)
     y = np.asarray(labels, dtype=int)
     if x.shape[0] != y.size:
         raise InvalidSpec("features and labels must align")
@@ -121,18 +120,12 @@ def surrogate_labeling_error(induced, labels_visual) -> float:
     return float(m[mismatch].sum())
 
 
-def estimate_cooccurrence(features, policy=None) -> InducedDistribution:
-    """Estimate a visual-visual co-occurrence matrix from features.
-
-    Default policy: row-normalize features to unit norm, take the Gram
-    matrix, clamp negatives at 0, and scale to total mass 1. A different
-    ``policy`` callable (features -> symmetric mass-1 matrix) can be
-    plugged in to compare interpretations.
+def estimate_cooccurrence(features) -> InducedDistribution:
+    """Estimate a visual-visual co-occurrence matrix from features:
+    row-normalize features to unit norm, take the Gram matrix, clamp
+    negatives at 0, and scale to total mass 1.
     """
-    x = _features(features)
-    if policy is not None:
-        return InducedDistribution(policy(x), kind="estimated")
-    gram = _unit_rows(x)
+    gram = _unit_rows(_matrix_of(features))
     gram = gram @ gram.T
     gram = np.maximum((gram + gram.T) / 2.0, 0.0)
     total = float(gram.sum())
@@ -150,7 +143,7 @@ def intra_class_connectivity(features, labels, seed: int = 0, max_reference: int
     given seed. Returns (beta, per-class beta array, one per class in label
     order).
     """
-    x = _features(features)
+    x = _matrix_of(features)
     y = np.asarray(labels, dtype=int)
     if x.shape[0] != y.size:
         raise InvalidSpec("features and labels must align")

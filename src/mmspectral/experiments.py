@@ -1,9 +1,11 @@
 """Experiment harness: builds instances, runs the verification suites and
 sweeps, and emits machine-readable reports.
 
-Each experiment kind is a pure function of (params, seeds): given the same
-configuration it writes byte-identical CSV artifacts and an identical
-report up to the wall-clock field. Work units are top-level functions of
+Each experiment kind is a :class:`Suite` in ``SUITES``. Its runner is a
+pure function of (params, seeds) that returns the checks and the artifact
+tables; :func:`run` alone writes them, so the same configuration gives
+byte-identical CSV artifacts and an identical report up to the wall-clock
+field. Work units are top-level functions of
 ``(params, seed)`` (or of ``(params, task)`` where a kind sweeps more than
 seeds); runners map ``functools.partial(fn, params)`` over the tasks, so a
 worker pool fans them out without changing results; merging is by task
@@ -12,6 +14,7 @@ order.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 import warnings
@@ -19,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from numpy.random import default_rng
@@ -45,7 +49,6 @@ from .losses import (
     BatchSampler,
     EncoderTable,
     amf_loss,
-    append_loss_record,
     empirical_scl,
     empirical_scl_batches,
     empirical_scl_grad,
@@ -65,131 +68,38 @@ from .synth import (
 )
 from .train import STRATEGIES, ResampleConfig, TrainConfig, train_mmcl, train_sscl
 
-KINDS = (
-    "verify-equivalence",
-    "verify-optimum",
-    "hrg-spectrum",
-    "bound-sweep",
-    "uni-equivalence",
-    "resample-compare",
-    "estimators",
-)
-
-#: instance parameters per experiment kind; a config file or CLI flags
-#: override these, and the resolved values are recorded in the RunReport
-DEFAULTS = {
-    "verify-equivalence": {
-        "max_visual": 40,
-        "max_language": 60,
-        "max_dim": 8,
-        "tolerance": 1e-9,
-        "mean_batches": 20000,
-        "batch_size": 30,
-        "z_limit": 3.0,
-        "rate_batch_counts": (50, 200, 800, 3200),
-        "rate_repeats": 24,
-        "slope_limit": 0.15,
-    },
-    "verify-optimum": {
-        "classes": 3,
-        "visual_per_class": 4,
-        "language_per_class": 5,
-        "target_alpha": 0.05,
-        "concentration": 5.0,
-        "dim": 3,
-        "min_gap": 0.05,
-        "tolerance": 1e-4,
-        "learning_rate": 0.2,
-        "max_steps": 40000,
-        "grad_tolerance": 1e-6,
-    },
-    "hrg-spectrum": {
-        "s_low": (2, 6),
-        "s_high": (1, 6),
-        "separations": (0.0, 0.25, 0.5, 0.75, 1.0),
-        "tolerance": 1e-10,
-        "csv_pair": (2, 2),
-    },
-    "bound-sweep": {
-        "pairs": ((2, 2), (3, 2), (4, 3)),
-        "separations": (0.0, 0.25, 0.5, 0.75, 1.0),
-        "tolerance": 1e-12,
-        "classes": 3,
-        "groups": 3,
-        "group_size": 4,
-        "cross_mass": 0.15,
-        "sweep_points": 9,
-        "sample_pairs": 250,
-        "dim": 3,
-        "spearman_min": 0.8,
-    },
-    "uni-equivalence": {
-        "classes": 3,
-        "visual_per_class": 4,
-        "language_per_class": 5,
-        "target_alpha": 0.05,
-        "concentration": 5.0,
-        "dim": 3,
-        "min_gap": 0.05,
-        "tolerance": 1e-8,
-    },
-    "estimators": {
-        "bound_instances": 100,
-        "bound_tolerance": 1e-12,
-        "classes": 3,
-        "visual_per_class": 8,
-        "language_per_class": 8,
-        "target_alpha": 0.05,
-        "concentration": 4.0,
-        "dim": 3,
-        "augmentations": 2,
-        "leak": 0.35,
-    },
-    "resample-compare": {
-        "classes": 5,
-        "parents_per_class": 4,
-        "augmentations": 3,
-        "leak": 0.15,
-        "dim": 5,
-        "batch_size": 120,
-        "steps": 600,
-        "learning_rate": 0.05,
-        "mixing_weight": 1.0,
-        "harm_limit": 0.005,
-    },
-}
-
-#: number of seeds (instances / repetitions) per kind when not configured
-NUM_SEEDS = {
-    "verify-equivalence": 50,
-    "verify-optimum": 10,
-    "hrg-spectrum": 1,
-    "bound-sweep": 8,
-    "uni-equivalence": 10,
-    "resample-compare": 10,
-    "estimators": 10,
-}
-
-#: param key the --tolerance flag overrides, per kind
-TOLERANCE_KEY = {kind: "tolerance" for kind in KINDS}
-TOLERANCE_KEY["estimators"] = "bound_tolerance"
-TOLERANCE_KEY["resample-compare"] = "harm_limit"
-
 _META_KEYS = ("seed", "num_seeds", "seeds", "out", "tolerance")
 
 
 def _coerce_param(default, value):
     """Coerce a config-file value to the default's shape (JSON arrays come
-    back as lists, numbers sometimes cross int/float)."""
+    back as lists, numbers sometimes cross int/float). Every entry of an
+    array must convert to the type of the default's entries, as the
+    runners convert it."""
     if isinstance(default, tuple):
-        if default and isinstance(default[0], tuple):
-            return tuple(tuple(v) for v in value)
-        return tuple(value)
+        if isinstance(default[0], tuple):
+            value = tuple(tuple(v) for v in value)
+            entries, kind = [x for v in value for x in v], type(default[0][0])
+        else:
+            value = tuple(value)
+            entries, kind = value, type(default[0])
+        for x in entries:
+            kind(x)
+        return value
     if isinstance(default, float):
         return float(value)
     if isinstance(default, int):
         return int(value)
     return value
+
+
+def _parsed(key: str, convert, value):
+    """``convert(value)``; a value of the wrong type or shape is a
+    ConfigParseError naming its key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigParseError(f"bad value for {key!r}: {value!r} ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -212,6 +122,13 @@ class CheckResult:
         }
 
 
+def _check(name: str, value, limit, detail: str, ok=operator.le) -> CheckResult:
+    """The one way a suite builds a check: its verdict is ``ok(value,
+    limit)``, so it cannot disagree with the value and tolerance it
+    records."""
+    return CheckResult(name=name, passed=ok(value, limit), value=value, tolerance=limit, detail=detail)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved configuration of one experiment run."""
@@ -222,34 +139,39 @@ class ExperimentConfig:
     out: str
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in SUITES:
             raise ConfigParseError(f"unknown experiment kind {self.kind!r}")
         if not self.seeds:
             raise ConfigParseError("seed list must be non-empty")
-        unknown = set(self.params) - set(DEFAULTS[self.kind])
+        defaults = SUITES[self.kind].defaults
+        unknown = set(self.params) - set(defaults)
         if unknown:
             raise ConfigParseError(f"unknown parameters for {self.kind}: {sorted(unknown)}")
+        missing = set(defaults) - set(self.params)
+        if missing:
+            raise ConfigParseError(f"missing parameters for {self.kind}: {sorted(missing)}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     @classmethod
     def build(cls, kind: str, config_path=None, seed=None, out=None,
               tolerance=None) -> "ExperimentConfig":
         """Resolve defaults <- config file <- command-line overrides."""
-        if kind not in KINDS:
+        if kind not in SUITES:
             raise ConfigParseError(f"unknown experiment kind {kind!r}")
-        params = dict(DEFAULTS[kind])
+        suite = SUITES[kind]
+        params = dict(suite.defaults)
         file_cfg = load_json_config(config_path) if config_path is not None else {}
         unknown = set(file_cfg) - set(params) - set(_META_KEYS)
         if unknown:
             raise ConfigParseError(f"unknown config keys for {kind}: {sorted(unknown)}")
         for key in sorted(set(file_cfg) & set(params)):
-            params[key] = _coerce_param(params[key], file_cfg[key])
+            params[key] = _parsed(key, partial(_coerce_param, params[key]), file_cfg[key])
 
         if "seeds" in file_cfg:
-            seeds = tuple(int(s) for s in file_cfg["seeds"])
+            seeds = _parsed("seeds", lambda v: tuple(int(s) for s in v), file_cfg["seeds"])
         else:
-            base = int(seed if seed is not None else file_cfg.get("seed", 0))
-            count = int(file_cfg.get("num_seeds", NUM_SEEDS[kind]))
+            base = _parsed("seed", int, seed if seed is not None else file_cfg.get("seed", 0))
+            count = _parsed("num_seeds", int, file_cfg.get("num_seeds", suite.num_seeds))
             if count < 1:
                 raise ConfigParseError("num_seeds must be >= 1")
             seeds = tuple(range(base, base + count))
@@ -257,9 +179,9 @@ class ExperimentConfig:
             seeds = tuple(int(seed) + (s - seeds[0]) for s in seeds)
 
         if tolerance is not None:
-            params[TOLERANCE_KEY[kind]] = float(tolerance)
-        elif "tolerance" in file_cfg and "tolerance" not in DEFAULTS[kind]:
-            params[TOLERANCE_KEY[kind]] = float(file_cfg["tolerance"])
+            params[suite.tolerance_key] = float(tolerance)
+        elif "tolerance" in file_cfg and "tolerance" not in suite.defaults:
+            params[suite.tolerance_key] = _parsed("tolerance", float, file_cfg["tolerance"])
         out_dir = str(out if out is not None else file_cfg.get("out", Path("runs") / kind))
         return cls(kind=kind, params=params, seeds=seeds, out=out_dir)
 
@@ -430,50 +352,32 @@ def _empirical_rate_case(params, seed, rep):
     return [float(running[c - 1] / c - population) for c in counts]
 
 
-def _run_verify_equivalence(params, seeds, out: Path, workers: int):
-    checks, rows = [], []
-    log = out / "loss_log.csv"
-    log.unlink(missing_ok=True)
+def _run_verify_equivalence(params, seeds, workers: int):
+    checks, rows, log = [], [], []
     results = _map_tasks(partial(_equivalence_case, params), seeds, workers)
     for i, (seed, (nv, nl, k, residual, scl, amf)) in enumerate(zip(seeds, results)):
-        checks.append(CheckResult(
-            name=f"equivalence-{i + 1:02d}",
-            passed=residual <= params["tolerance"],
-            value=residual,
-            tolerance=params["tolerance"],
-            detail=f"N_V={nv} N_L={nl} k={k}",
-        ))
+        checks.append(_check(f"equivalence-{i + 1:02d}", residual, params["tolerance"],
+                             f"N_V={nv} N_L={nl} k={k}"))
         rows.append((i + 1, nv, nl, k, float(residual)))
-        append_loss_record(log, f"instance-{i + 1:02d}", "scl", scl, seed=seed)
-        append_loss_record(log, f"instance-{i + 1:02d}", "amf", amf, seed=seed)
-    save_csv(out / "equivalence.csv", rows,
-             header=["instance", "n_visual", "n_language", "dim", "relative_residual"])
+        log += [(f"instance-{i + 1:02d}", "scl", scl, seed), (f"instance-{i + 1:02d}", "amf", amf, seed)]
 
     mean, population, stderr = _empirical_mean_case(params, seeds[0])
-    z = abs(mean - population) / stderr
-    checks.append(CheckResult(
-        name="empirical-mean-z",
-        passed=z <= params["z_limit"],
-        value=z,
-        tolerance=params["z_limit"],
-        detail=f"mean={mean!r} population={population!r} stderr={stderr!r}",
-    ))
+    checks.append(_check("empirical-mean-z", abs(mean - population) / stderr, params["z_limit"],
+                         f"mean={mean!r} population={population!r} stderr={stderr!r}"))
 
     counts = _rate_counts(params)
     deviations = np.asarray(_map_tasks(partial(_empirical_rate_case, params, seeds[0]),
                                        range(params["rate_repeats"]), workers))
     rmse = np.sqrt(np.mean(deviations**2, axis=0))
     slope = float(np.polyfit(np.log(counts), np.log(rmse), 1)[0])
-    checks.append(CheckResult(
-        name="empirical-rate-slope",
-        passed=abs(slope + 0.5) <= params["slope_limit"],
-        value=slope,
-        tolerance=params["slope_limit"],
-        detail=f"rmse={list(map(float, rmse))!r} at counts={list(counts)!r}",
-    ))
-    save_csv(out / "mc_rate.csv", list(zip(counts, map(float, rmse))),
-             header=["num_batches", "rmse"])
-    return checks, [out / "equivalence.csv", out / "loss_log.csv", out / "mc_rate.csv"]
+    checks.append(_check("empirical-rate-slope", slope, params["slope_limit"],
+                         f"rmse={list(map(float, rmse))!r} at counts={list(counts)!r}",
+                         ok=lambda v, t: abs(v + 0.5) <= t))
+    return checks, {
+        "equivalence.csv": (["instance", "n_visual", "n_language", "dim", "relative_residual"], rows),
+        "loss_log.csv": (["instance_id", "loss_name", "value", "seed"], log),
+        "mc_rate.csv": (["num_batches", "rmse"], list(zip(counts, map(float, rmse)))),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -551,39 +455,22 @@ def _grad_case(seed):
     return population, uni, empirical
 
 
-def _run_verify_optimum(params, seeds, out: Path, workers: int):
+def _run_verify_optimum(params, seeds, workers: int):
     checks, rows = [], []
     results = _map_tasks(partial(_optimum_case, params), seeds, workers)
     for index, (gap, mismatches, final, target, steps) in enumerate(results):
-        checks.append(CheckResult(
-            name=f"optimum-gap-{index + 1:02d}",
-            passed=abs(gap) <= params["tolerance"],
-            value=gap,
-            tolerance=params["tolerance"],
-            detail=f"final={final!r} optimum={target!r} accepted_steps={steps}",
-        ))
-        checks.append(CheckResult(
-            name=f"probe-match-{index + 1:02d}",
-            passed=mismatches == 0,
-            value=float(mismatches),
-            tolerance=0.0,
-            detail="trained vs closed-form probe predictions",
-        ))
+        checks.append(_check(f"optimum-gap-{index + 1:02d}", gap, params["tolerance"],
+                             f"final={final!r} optimum={target!r} accepted_steps={steps}",
+                             ok=lambda v, t: abs(v) <= t))
+        checks.append(_check(f"probe-match-{index + 1:02d}", float(mismatches), 0.0,
+                             "trained vs closed-form probe predictions"))
         rows.append((index + 1, float(final), float(target), float(gap), mismatches))
-    save_csv(out / "optimum.csv", rows,
-             header=["instance", "final_loss", "optimum", "gap", "probe_mismatches"])
 
     grads = np.asarray(_map_tasks(_grad_case, seeds, workers))
     for column, name in enumerate(("population", "uni", "empirical")):
-        worst = float(grads[:, column].max())
-        checks.append(CheckResult(
-            name=f"grad-{name}",
-            passed=worst <= params["grad_tolerance"],
-            value=worst,
-            tolerance=params["grad_tolerance"],
-            detail=f"max relative error over {len(seeds)} instances",
-        ))
-    return checks, [out / "optimum.csv"]
+        checks.append(_check(f"grad-{name}", float(grads[:, column].max()), params["grad_tolerance"],
+                             f"max relative error over {len(seeds)} instances"))
+    return checks, {"optimum.csv": (["instance", "final_loss", "optimum", "gap", "probe_mismatches"], rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -610,20 +497,14 @@ def _hrg_case(params, pair):
     return worst
 
 
-def _run_hrg_spectrum(params, seeds, out: Path, workers: int):
+def _run_hrg_spectrum(params, seeds, workers: int):
     lo = tuple(int(x) for x in params["s_low"])
     hi = tuple(int(x) for x in params["s_high"])
     separations = _separations(params)
     pairs = [(s_l, s_h) for s_l in range(lo[0], lo[1] + 1) for s_h in range(hi[0], hi[1] + 1)]
-    checks = []
-    for (s_l, s_h), worst in zip(pairs, _map_tasks(partial(_hrg_case, params), pairs, workers)):
-        checks.append(CheckResult(
-            name=f"hrg-sl{s_l}-sh{s_h}",
-            passed=worst <= params["tolerance"],
-            value=worst,
-            tolerance=params["tolerance"],
-            detail=f"max |closed - numeric| over {len(separations)} separations",
-        ))
+    checks = [_check(f"hrg-sl{s_l}-sh{s_h}", worst, params["tolerance"],
+                     f"max |closed - numeric| over {len(separations)} separations")
+              for (s_l, s_h), worst in zip(pairs, _map_tasks(partial(_hrg_case, params), pairs, workers))]
 
     s_l, s_h = (int(x) for x in params["csv_pair"])
     rows = []
@@ -632,9 +513,7 @@ def _run_hrg_spectrum(params, seeds, out: Path, workers: int):
         svals = spec.num_samples * hierarchical_eigenvalues(spec)
         rows.append((float(sep), *[float(v) for v in svals]))
     header = ["separation"] + [f"sigma_{t + 1}" for t in range(s_l * s_h)]
-    path = out / f"hrg_sl{s_l}_sh{s_h}.csv"
-    save_csv(path, rows, header=header)
-    return checks, [path]
+    return checks, {f"hrg_sl{s_l}_sh{s_h}.csv": (header, rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -712,18 +591,12 @@ def _sweep_case(params, task):
     return float(error), sigma_next, float(alpha)
 
 
-def _run_bound_sweep(params, seeds, out: Path, workers: int):
-    checks = []
+def _run_bound_sweep(params, seeds, workers: int):
     separations = _separations(params)
     pairs = [(int(a), int(b)) for a, b in params["pairs"]]
-    for (s_l, s_h), worst in zip(pairs, _map_tasks(partial(_monotone_case, params), pairs, workers)):
-        checks.append(CheckResult(
-            name=f"monotone-sl{s_l}-sh{s_h}",
-            passed=worst <= params["tolerance"],
-            value=worst,
-            tolerance=params["tolerance"],
-            detail="max over t, d<d' of sigma_t(d) - sigma_t(d')",
-        ))
+    checks = [_check(f"monotone-sl{s_l}-sh{s_h}", worst, params["tolerance"],
+                     "max over t, d<d' of sigma_t(d) - sigma_t(d')")
+              for (s_l, s_h), worst in zip(pairs, _map_tasks(partial(_monotone_case, params), pairs, workers))]
 
     # bound terms along the separation sweep for the first pair
     s_l, s_h = (int(x) for x in params["pairs"][0])
@@ -739,9 +612,6 @@ def _run_bound_sweep(params, seeds, out: Path, workers: int):
             bound_rows.append((float(sep), report.alpha, report.sigma_next,
                                report.dominant_term, report.sigma_gap,
                                report.kappa, report.constant_proxy))
-    save_csv(out / "bound_terms.csv", bound_rows,
-             header=["separation", "alpha", "sigma_next", "dominant_term",
-                     "sigma_gap", "kappa", "constant_proxy"])
 
     points = int(params["sweep_points"])
     tasks = [(point, seed) for point in range(points) for seed in seeds]
@@ -755,27 +625,19 @@ def _run_bound_sweep(params, seeds, out: Path, workers: int):
         sigma_next[point] = sigma
         alphas[point] = alpha
 
-    checks.append(CheckResult(
-        name="alpha-fixed",
-        passed=float(np.max(np.abs(alphas - params["cross_mass"]))) <= 1e-12,
-        value=float(np.max(np.abs(alphas - params["cross_mass"]))),
-        tolerance=1e-12,
-        detail="labeling error is pinned by the cross-class mass across the sweep",
-    ))
+    checks.append(_check("alpha-fixed", float(np.max(np.abs(alphas - params["cross_mass"]))), 1e-12,
+                         "labeling error is pinned by the cross-class mass across the sweep"))
     mean_errors = errors.mean(axis=1)
-    rho = _rank_correlation(mean_errors, sigma_next)
-    checks.append(CheckResult(
-        name="probe-sigma-spearman",
-        passed=rho >= params["spearman_min"],
-        value=rho,
-        tolerance=params["spearman_min"],
-        detail=f"mean probe error per point: {list(map(float, mean_errors))!r}",
-    ))
-    save_csv(out / "probe_sweep.csv",
-             [(p, float(sigma_next[p]), float(alphas[p]), float(mean_errors[p]))
-              for p in range(points)],
-             header=["point", "sigma_next_clean", "alpha", "probe_error_mean"])
-    return checks, [out / "bound_terms.csv", out / "probe_sweep.csv"]
+    checks.append(_check("probe-sigma-spearman", _rank_correlation(mean_errors, sigma_next),
+                         params["spearman_min"],
+                         f"mean probe error per point: {list(map(float, mean_errors))!r}", ok=operator.ge))
+    return checks, {
+        "bound_terms.csv": (["separation", "alpha", "sigma_next", "dominant_term",
+                             "sigma_gap", "kappa", "constant_proxy"], bound_rows),
+        "probe_sweep.csv": (["point", "sigma_next_clean", "alpha", "probe_error_mean"],
+                            [(p, float(sigma_next[p]), float(alphas[p]), float(mean_errors[p]))
+                             for p in range(points)]),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -800,28 +662,17 @@ def _uni_case(params, seed):
     return mismatches, float(np.max(angles)) if angles.size else 0.0
 
 
-def _run_uni_equivalence(params, seeds, out: Path, workers: int):
+def _run_uni_equivalence(params, seeds, workers: int):
     checks, rows = [], []
     results = _map_tasks(partial(_uni_case, params), seeds, workers)
     for index, (mismatches, angle) in enumerate(results):
-        checks.append(CheckResult(
-            name=f"probe-identical-{index + 1:02d}",
-            passed=mismatches == 0,
-            value=float(mismatches),
-            tolerance=0.0,
-            detail="multi-modal vs uni-modal probe predictions",
-        ))
-        checks.append(CheckResult(
-            name=f"subspace-angle-{index + 1:02d}",
-            passed=angle < params["tolerance"],
-            value=angle,
-            tolerance=params["tolerance"],
-            detail="largest principal angle, left singular vs uni-modal eigenvectors",
-        ))
+        checks.append(_check(f"probe-identical-{index + 1:02d}", float(mismatches), 0.0,
+                             "multi-modal vs uni-modal probe predictions"))
+        checks.append(_check(f"subspace-angle-{index + 1:02d}", angle, params["tolerance"],
+                             "largest principal angle, left singular vs uni-modal eigenvectors",
+                             ok=operator.lt))
         rows.append((index + 1, mismatches, angle))
-    save_csv(out / "uni_equivalence.csv", rows,
-             header=["instance", "probe_mismatches", "max_principal_angle"])
-    return checks, [out / "uni_equivalence.csv"]
+    return checks, {"uni_equivalence.csv": (["instance", "probe_mismatches", "max_principal_angle"], rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -864,41 +715,25 @@ def _estimator_case(params, seed):
     return alpha_teacher, beta_teacher, alpha_aug, beta_aug
 
 
-def _run_estimators(params, seeds, out: Path, workers: int):
-    checks = []
+def _run_estimators(params, seeds, workers: int):
     instance_seeds = [seeds[0] + i for i in range(params["bound_instances"])]
     margins = np.asarray(_map_tasks(_alpha_case, instance_seeds, workers))
-    checks.append(CheckResult(
-        name="alpha-halves-bound",
-        passed=float(margins.min()) >= -params["bound_tolerance"],
-        value=float(margins.min()),
-        tolerance=params["bound_tolerance"],
-        detail=f"min of alpha - alpha_T/2 over {params['bound_instances']} instances",
-    ))
-
     results = np.asarray(_map_tasks(partial(_estimator_case, params), seeds, workers))
     alpha_teacher, beta_teacher, alpha_aug, beta_aug = (float(x) for x in results.mean(axis=0))
-    checks.append(CheckResult(
-        name="alpha-direction",
-        passed=alpha_teacher < alpha_aug,
-        value=float(alpha_aug - alpha_teacher),
-        tolerance=0.0,
-        detail=f"mean alpha_T: teacher={alpha_teacher!r} augmentation={alpha_aug!r}",
-    ))
-    checks.append(CheckResult(
-        name="beta-direction",
-        passed=beta_teacher > beta_aug,
-        value=float(beta_teacher - beta_aug),
-        tolerance=0.0,
-        detail=f"mean beta: teacher={beta_teacher!r} augmentation={beta_aug!r}",
-    ))
-
+    checks = [
+        _check("alpha-halves-bound", float(margins.min()), params["bound_tolerance"],
+               f"min of alpha - alpha_T/2 over {params['bound_instances']} instances",
+               ok=lambda v, t: v >= -t),
+        _check("alpha-direction", float(alpha_aug - alpha_teacher), 0.0,
+               f"mean alpha_T: teacher={alpha_teacher!r} augmentation={alpha_aug!r}", ok=operator.gt),
+        _check("beta-direction", float(beta_teacher - beta_aug), 0.0,
+               f"mean beta: teacher={beta_teacher!r} augmentation={beta_aug!r}", ok=operator.gt),
+    ]
     rows = []
     for case in results:
         rows.append(("teacher", float(case[0]), float(case[1])))
         rows.append(("augmentation", float(case[2]), float(case[3])))
-    save_csv(out / "estimators.csv", rows, header=["graph", "alpha_T", "beta"])
-    return checks, [out / "estimators.csv"]
+    return checks, {"estimators.csv": (["graph", "alpha_T", "beta"], rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -927,64 +762,143 @@ def _resample_case(params, seed):
     return accuracies
 
 
-def _run_resample_compare(params, seeds, out: Path, workers: int):
+def _run_resample_compare(params, seeds, workers: int):
     table = np.asarray(_map_tasks(partial(_resample_case, params), seeds, workers))
     baseline = table[:, 0]
     margins = {name: float(np.mean(table[:, i + 1] - baseline))
                for i, name in enumerate(STRATEGIES)}
 
-    checks = []
     best_other = max(v for k, v in margins.items() if k != "AddNewPositive")
-    checks.append(CheckResult(
-        name="addnew-largest-margin",
-        passed=margins["AddNewPositive"] > best_other,
-        value=margins["AddNewPositive"] - best_other,
-        tolerance=0.0,
-        detail=f"paired mean accuracy margins over baseline: {margins!r}",
-    ))
+    checks = [_check("addnew-largest-margin", margins["AddNewPositive"] - best_other, 0.0,
+                     f"paired mean accuracy margins over baseline: {margins!r}", ok=operator.gt)]
     for i, name in enumerate(STRATEGIES):
-        checks.append(CheckResult(
-            name=f"nonharm-{name}",
-            passed=margins[name] >= -params["harm_limit"],
-            value=margins[name],
-            tolerance=params["harm_limit"],
-            detail=f"mean accuracy {float(np.mean(table[:, i + 1]))!r} "
-                   f"vs baseline {float(np.mean(baseline))!r}",
-        ))
-    save_csv(out / "resample.csv",
-             [(int(seed), *[float(x) for x in row]) for seed, row in zip(seeds, table)],
-             header=["seed", "baseline", *STRATEGIES])
-    return checks, [out / "resample.csv"]
+        checks.append(_check(f"nonharm-{name}", margins[name], params["harm_limit"],
+                             f"mean accuracy {float(np.mean(table[:, i + 1]))!r} "
+                             f"vs baseline {float(np.mean(baseline))!r}",
+                             ok=lambda v, t: v >= -t))
+    rows = [(int(seed), *[float(x) for x in row]) for seed, row in zip(seeds, table)]
+    return checks, {"resample.csv": (["seed", "baseline", *STRATEGIES], rows)}
 
 
-_RUNNERS = {
-    "verify-equivalence": _run_verify_equivalence,
-    "verify-optimum": _run_verify_optimum,
-    "hrg-spectrum": _run_hrg_spectrum,
-    "bound-sweep": _run_bound_sweep,
-    "uni-equivalence": _run_uni_equivalence,
-    "resample-compare": _run_resample_compare,
-    "estimators": _run_estimators,
+@dataclass(frozen=True)
+class Suite:
+    """One experiment kind. ``runner(params, seeds, workers)`` returns the
+    checks and the artifact tables, ``{file name: (header, rows)}``;
+    ``defaults`` are the instance parameters a config file or CLI flags
+    override (the resolved values are recorded in the RunReport);
+    ``num_seeds`` is the seed count when none is configured; and
+    ``--tolerance`` sets ``params[tolerance_key]``."""
+
+    runner: Callable
+    defaults: dict
+    num_seeds: int
+    tolerance_key: str = "tolerance"
+
+
+#: every experiment kind, in CLI order
+SUITES = {
+    "verify-equivalence": Suite(_run_verify_equivalence, {
+        "max_visual": 40,
+        "max_language": 60,
+        "max_dim": 8,
+        "tolerance": 1e-9,
+        "mean_batches": 20000,
+        "batch_size": 30,
+        "z_limit": 3.0,
+        "rate_batch_counts": (50, 200, 800, 3200),
+        "rate_repeats": 24,
+        "slope_limit": 0.15,
+    }, num_seeds=50),
+    "verify-optimum": Suite(_run_verify_optimum, {
+        "classes": 3,
+        "visual_per_class": 4,
+        "language_per_class": 5,
+        "target_alpha": 0.05,
+        "concentration": 5.0,
+        "dim": 3,
+        "min_gap": 0.05,
+        "tolerance": 1e-4,
+        "learning_rate": 0.2,
+        "max_steps": 40000,
+        "grad_tolerance": 1e-6,
+    }, num_seeds=10),
+    "hrg-spectrum": Suite(_run_hrg_spectrum, {
+        "s_low": (2, 6),
+        "s_high": (1, 6),
+        "separations": (0.0, 0.25, 0.5, 0.75, 1.0),
+        "tolerance": 1e-10,
+        "csv_pair": (2, 2),
+    }, num_seeds=1),
+    "bound-sweep": Suite(_run_bound_sweep, {
+        "pairs": ((2, 2), (3, 2), (4, 3)),
+        "separations": (0.0, 0.25, 0.5, 0.75, 1.0),
+        "tolerance": 1e-12,
+        "classes": 3,
+        "groups": 3,
+        "group_size": 4,
+        "cross_mass": 0.15,
+        "sweep_points": 9,
+        "sample_pairs": 250,
+        "dim": 3,
+        "spearman_min": 0.8,
+    }, num_seeds=8),
+    "uni-equivalence": Suite(_run_uni_equivalence, {
+        "classes": 3,
+        "visual_per_class": 4,
+        "language_per_class": 5,
+        "target_alpha": 0.05,
+        "concentration": 5.0,
+        "dim": 3,
+        "min_gap": 0.05,
+        "tolerance": 1e-8,
+    }, num_seeds=10),
+    "resample-compare": Suite(_run_resample_compare, {
+        "classes": 5,
+        "parents_per_class": 4,
+        "augmentations": 3,
+        "leak": 0.15,
+        "dim": 5,
+        "batch_size": 120,
+        "steps": 600,
+        "learning_rate": 0.05,
+        "mixing_weight": 1.0,
+        "harm_limit": 0.005,
+    }, num_seeds=10, tolerance_key="harm_limit"),
+    "estimators": Suite(_run_estimators, {
+        "bound_instances": 100,
+        "bound_tolerance": 1e-12,
+        "classes": 3,
+        "visual_per_class": 8,
+        "language_per_class": 8,
+        "target_alpha": 0.05,
+        "concentration": 4.0,
+        "dim": 3,
+        "augmentations": 2,
+        "leak": 0.35,
+    }, num_seeds=10, tolerance_key="bound_tolerance"),
 }
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
     """Execute one experiment: all checks evaluated (no fail-fast), CSV
-    artifacts and the JSON report written under the output directory."""
+    artifacts and the JSON report written under the output directory.
+    This is the only code that writes there."""
     start = time.perf_counter()
     out = Path(config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigParseError(f"output directory {out} is not writable: {exc}") from exc
-    checks, artifacts = _RUNNERS[config.kind](config.params, list(config.seeds), out, max(1, int(workers)))
+    checks, tables = SUITES[config.kind].runner(config.params, list(config.seeds), max(1, int(workers)))
+    for name, (header, rows) in tables.items():
+        save_csv(out / name, rows, header=header)
     report = RunReport(
         experiment=config.kind,
         config_hash=config.hash(),
         seeds=config.seeds,
         checks=tuple(checks),
         wall_clock_seconds=time.perf_counter() - start,
-        artifacts=tuple(Path(p).name for p in artifacts),
+        artifacts=tuple(tables),
     )
     (out / f"{config.kind}-report.json").write_text(canonical_json(report.to_json_dict()) + "\n")
     return report
@@ -1024,7 +938,4 @@ def report_summary(reports) -> str:
     return "\n".join(lines)
 
 
-__all__ = [
-    "KINDS", "DEFAULTS", "NUM_SEEDS", "CheckResult", "ExperimentConfig",
-    "RunReport", "run", "report_summary",
-]
+__all__ = ["SUITES", "CheckResult", "ExperimentConfig", "RunReport", "run", "report_summary"]

@@ -14,14 +14,12 @@ gradient form and the many-batch loss agree bit for bit.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import JointDistribution, NormalizedCooccurrence
+from .distributions import JointDistribution, _matrix_of
 from .errors import InvalidBatchSize, InvalidSpec
 
 ENCODER_SIDES = ("visual", "language", "augmented")
@@ -67,10 +65,6 @@ class EncoderTable:
         return self.matrix * np.sqrt(p)[:, None]
 
 
-def _features(f) -> np.ndarray:
-    return f.matrix if isinstance(f, EncoderTable) else np.asarray(f, dtype=float)
-
-
 def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
     """Multi-modal spectral contrastive loss, exact population value:
     -2 E_pos[f_V.f_L] + E_{independent}[(f_V.f_L)^2].
@@ -78,7 +72,7 @@ def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
     With one table on both sides of a symmetric joint, such as
     ``JointDistribution(induced.matrix)`` for an induced distribution, this
     is the uni-modal spectral contrastive loss."""
-    fv, fl = _features(f_visual), _features(f_language)
+    fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
     scores = fv @ fl.T
@@ -90,10 +84,7 @@ def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
 def amf_loss(factor_visual, factor_language, normalized) -> float:
     """Squared Frobenius residual of the asymmetric factorization:
     ``|| P_norm - F_V F_L^T ||_F^2``."""
-    fv = _features(factor_visual)
-    fl = _features(factor_language)
-    target = normalized.matrix if isinstance(normalized, NormalizedCooccurrence) else np.asarray(normalized, dtype=float)
-    resid = target - fv @ fl.T
+    resid = _matrix_of(normalized) - _matrix_of(factor_visual) @ _matrix_of(factor_language).T
     return float(np.sum(resid * resid))
 
 
@@ -101,7 +92,7 @@ def equivalence_constant(normalized) -> float:
     """Squared Frobenius norm of the normalized co-occurrence matrix: the
     constant separating the factorization residual from the contrastive
     loss. Equals the sum of squared singular values."""
-    target = normalized.matrix if isinstance(normalized, NormalizedCooccurrence) else np.asarray(normalized, dtype=float)
+    target = _matrix_of(normalized)
     return float(np.sum(target * target))
 
 
@@ -315,7 +306,7 @@ def empirical_scl(f_visual, f_language, batch: Batch) -> float:
     Appended extra positives contribute their own weighted
     -2 * mean(score) term.
     """
-    fv, fl = _features(f_visual), _features(f_language)
+    fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
     visual, language = _scored_pairs(batch)
     return _batch_loss(batch, *_segments(_row_dots(fv[visual], fl[language]), batch))
 
@@ -324,7 +315,7 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     """:func:`empirical_scl` of ``count`` consecutive batches drawn from
     ``sampler`` with ``rng``, bit for bit, evaluated a chunk of batches at a
     time without building any ``Batch``."""
-    fv, fl = _features(f_visual), _features(f_language)
+    fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
     losses = np.empty(count)
     chunk = max(1, min(_MAX_CHUNK_BATCHES, _CHUNK_ENTRIES // (sampler.n * max(fv.shape[1], 1))))
     for start in range(0, count, chunk):
@@ -338,7 +329,7 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
 def empirical_scl_grad(f_visual, f_language, batch: Batch):
     """Value and analytic gradients of :func:`empirical_scl` with respect
     to both feature tables. Returns (loss, grad_visual, grad_language)."""
-    fv, fl = _features(f_visual), _features(f_language)
+    fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
     visual, language = _scored_pairs(batch)
     rows_v, rows_l = fv[visual], fl[language]
     scores = _segments(_row_dots(rows_v, rows_l), batch)
@@ -361,7 +352,7 @@ def scl_grad(f_visual, f_language, joint: JointDistribution):
     """Analytic gradients of :func:`scl_loss` with respect to both feature
     tables. Returns (loss, grad_visual, grad_language). For one table
     shared by both sides, its gradient is ``grad_visual + grad_language``."""
-    fv, fl = _features(f_visual), _features(f_language)
+    fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
     scores = fv @ fl.T
@@ -371,20 +362,8 @@ def scl_grad(f_visual, f_language, joint: JointDistribution):
     return scl_loss(fv, fl, joint), gv, gl
 
 
-def append_loss_record(path, instance_id: str, loss_name: str, value: float, seed=None) -> None:
-    """Append one loss evaluation to a CSV log, writing the header first if
-    the file does not exist yet."""
-    path = Path(path)
-    fresh = not path.exists()
-    with path.open("a", newline="") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(["instance_id", "loss_name", "value", "seed"])
-        writer.writerow([instance_id, loss_name, repr(float(value)), "" if seed is None else seed])
-
-
 __all__ = [
     "EncoderTable", "Batch", "BatchSampler", "scl_loss", "amf_loss",
     "equivalence_constant", "sample_batch", "empirical_scl",
-    "empirical_scl_batches", "empirical_scl_grad", "scl_grad", "append_loss_record",
+    "empirical_scl_batches", "empirical_scl_grad", "scl_grad",
 ]

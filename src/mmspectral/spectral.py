@@ -174,18 +174,6 @@ class BoundReport:
         if self.dominant_term < self.alpha - 1e-12:
             raise InvalidSpec("dominant term cannot undercut alpha")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": float(self.alpha),
-            "sigma_next": float(self.sigma_next),
-            "dominant_term": float(self.dominant_term),
-            "sigma_gap": float(self.sigma_gap),
-            "kappa": float(self.kappa),
-            "constant_proxy": float(self.constant_proxy),
-            "dim": int(self.dim),
-            "gap_zero": bool(self.gap_zero),
-        }
-
 
 def bound_report(joint: JointDistribution, labels: LabelAssignment, k: int) -> BoundReport:
     """Assemble the bound terms for one instance.

@@ -183,10 +183,6 @@ class AugmentationModel:
         object.__setattr__(self, "matrix", _readonly(a))
 
     @property
-    def num_augmented(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def num_visual(self) -> int:
         return self.matrix.shape[1]
 
@@ -204,21 +200,17 @@ class AugmentationModel:
 
 
 def generate_augmentation_model(num_visual: int, augs_per_sample: int, leak: float,
-                                labels=None, seed: int = 0) -> AugmentationModel:
+                                seed: int = 0) -> AugmentationModel:
     """Augmentation model: each natural sample splits mass 1 - leak over its
     own augmented copies (seeded Dirichlet split), plus a uniform leak over
     all augmented samples. leak=0 keeps every column on its own block;
-    leak=1 is the fully uniform conditional.
-
-    ``labels`` is optional and only validated/carried for bookkeeping; the
-    leak is class-agnostic by construction.
+    leak=1 is the fully uniform conditional. The leak is class-agnostic
+    by construction.
     """
     if num_visual < 1 or augs_per_sample < 1:
         raise InvalidSpec("need num_visual >= 1 and augs_per_sample >= 1")
     if not 0.0 <= leak <= 1.0:
         raise InvalidSpec("leak must lie in [0, 1]")
-    if labels is not None and np.asarray(labels).size != num_visual:
-        raise InvalidSpec("labels must cover every natural sample")
     rng = default_rng(seed)
     n_a = num_visual * augs_per_sample
     a = np.full((n_a, num_visual), leak / n_a)

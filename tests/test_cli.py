@@ -45,6 +45,22 @@ class TestExperimentCommands:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"dim": "x"},
+        {"pairs": 5},
+        {"seeds": ["a"]},
+        {"num_seeds": "two"},
+        {"separations": [0.0, "a"]},
+    ])
+    def test_malformed_config_value_exits_two(self, tmp_path, capsys, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code = main(["bound-sweep", "--config", str(cfg), "--out", str(tmp_path / "b")])
+        assert code == 2
+        (key,) = payload
+        assert f"error: bad value for {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     def test_seed_flag_reaches_report(self, tmp_path):
         code, out = run_hrg(tmp_path, "--seed", "9")
         assert code == 0
@@ -75,6 +91,17 @@ class TestReportCommand:
         code = main(["report", "--out", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "{}",
+        "[]",
+        '{"experiment": "x", "all_passed": true, "checks": [{"name": "a"}]}',
+    ])
+    def test_json_that_is_not_a_report_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 2
+        assert "is not a run report" in capsys.readouterr().err
 
     def test_any_failure_exits_one(self, tmp_path, capsys):
         run_hrg(tmp_path / "good")

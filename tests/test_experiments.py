@@ -1,4 +1,5 @@
 """Experiment harness: config resolution, reports, and reproducible runs."""
+import csv
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import spearmanr
 
 from mmspectral import (
-    DEFAULTS,
+    SUITES,
     CheckResult,
     ConfigParseError,
     ExperimentConfig,
@@ -22,7 +23,7 @@ from mmspectral import (
     run,
 )
 from mmspectral import experiments
-from mmspectral.experiments import KINDS, NUM_SEEDS, TOLERANCE_KEY, _map_tasks, _rank_correlation
+from mmspectral.experiments import _map_tasks, _rank_correlation
 
 
 def check(name, passed=True, value=0.0, tolerance=1e-9, detail=""):
@@ -39,13 +40,13 @@ def report(kind="hrg-spectrum", checks=(), **kw):
 class TestExperimentConfigBuild:
     def test_defaults(self):
         cfg = ExperimentConfig.build("hrg-spectrum")
-        assert cfg.params == DEFAULTS["hrg-spectrum"]
-        assert cfg.seeds == tuple(range(NUM_SEEDS["hrg-spectrum"]))
+        assert cfg.params == SUITES["hrg-spectrum"].defaults
+        assert cfg.seeds == tuple(range(SUITES["hrg-spectrum"].num_seeds))
         assert Path(cfg.out) == Path("runs") / "hrg-spectrum"
 
     def test_seed_flag_shifts_base(self):
         cfg = ExperimentConfig.build("estimators", seed=5)
-        assert cfg.seeds == tuple(range(5, 5 + NUM_SEEDS["estimators"]))
+        assert cfg.seeds == tuple(range(5, 5 + SUITES["estimators"].num_seeds))
 
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -89,6 +90,10 @@ class TestExperimentConfigBuild:
         with pytest.raises(ConfigParseError):
             ExperimentConfig(kind="estimators", params={"bogus_knob": 1}, seeds=(0,), out="x")
 
+    def test_missing_params_rejected_by_constructor(self):
+        with pytest.raises(ConfigParseError, match="missing parameters for estimators: .*'bound_instances'"):
+            ExperimentConfig(kind="estimators", params={}, seeds=(0,), out="x")
+
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ConfigParseError):
             ExperimentConfig(kind="estimators", params={}, seeds=(), out="x")
@@ -96,9 +101,9 @@ class TestExperimentConfigBuild:
     def test_tolerance_flag_maps_per_kind(self):
         """Each kind names its headline tolerance differently; the flag
         lands on the right parameter."""
-        for kind, key in TOLERANCE_KEY.items():
+        for kind, suite in SUITES.items():
             cfg = ExperimentConfig.build(kind, tolerance=0.5)
-            assert cfg.params[key] == 0.5
+            assert cfg.params[suite.tolerance_key] == 0.5
 
     def test_file_tolerance_maps_when_key_differs(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -189,13 +194,29 @@ class TestRun:
             means.append([row.split(",")[3] for row in rows])
         assert means[0] == means[1]
 
+    def test_loss_log_lists_both_losses_per_instance_in_seed_order(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seeds": [7, 3, 5], "mean_batches": 50, "rate_repeats": 3,
+                                    "rate_batch_counts": [5, 20]}))
+        cfg = ExperimentConfig.build("verify-equivalence", config_path=path, out=tmp_path / "eq")
+        assert "loss_log.csv" in run(cfg).artifacts
+        with (tmp_path / "eq" / "loss_log.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["instance_id", "loss_name", "value", "seed"]
+        expect = []
+        for i, seed in enumerate((7, 3, 5)):
+            *_, scl, amf = experiments._equivalence_case(cfg.params, seed)
+            expect += [[f"instance-{i + 1:02d}", "scl", repr(scl), str(seed)],
+                       [f"instance-{i + 1:02d}", "amf", repr(amf), str(seed)]]
+        assert rows[1:] == expect
+
     def test_rerun_is_byte_identical_up_to_wall_clock(self, tmp_path):
         """Same config, same bytes: only the wall-clock field may move, also
         between a sequential and a two-worker run. Every kind at its
         defaults, except a shortened resample-compare."""
         reduced = tmp_path / "resample.json"
         reduced.write_text(json.dumps({"num_seeds": 3, "steps": 40}))
-        for kind in KINDS:
+        for kind in SUITES:
             path = reduced if kind == "resample-compare" else None
             cfg_a = ExperimentConfig.build(kind, config_path=path, out=tmp_path / kind / "a")
             cfg_b = ExperimentConfig.build(kind, config_path=path, out=tmp_path / kind / "b")

@@ -153,7 +153,7 @@ class TestGenerateAugmentationModel:
         def mean_alpha(leak):
             vals = []
             for seed in range(10):
-                model = generate_augmentation_model(4, 2, leak, labels=labels, seed=seed)
+                model = generate_augmentation_model(4, 2, leak, seed=seed)
                 induced = augmentation_joint(model, np.full(4, 0.25))
                 vals.append(surrogate_labeling_error(induced, model.labels_for_augmented(labels)))
             return float(np.mean(vals))
