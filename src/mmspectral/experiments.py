@@ -71,25 +71,41 @@ from .train import STRATEGIES, ResampleConfig, TrainConfig, train_mmcl, train_ss
 _META_KEYS = ("seed", "num_seeds", "seeds", "out", "tolerance")
 
 
-def _coerce_param(default, value):
+#: array parameters that hold exactly two numbers; each entry of a nested
+#: array parameter has the length of the default's entries
+_PAIR_KEYS = ("s_low", "s_high", "csv_pair")
+
+
+def _integer(value) -> int:
+    """``int(value)``, refusing to truncate a non-integral number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _coerce_param(default, value, pair=False):
     """Coerce a config-file value to the default's shape (JSON arrays come
     back as lists, numbers sometimes cross int/float). Every entry of an
     array must convert to the type of the default's entries, as the
-    runners convert it."""
+    runners convert it, and a pair must have two entries."""
     if isinstance(default, tuple):
         if isinstance(default[0], tuple):
             value = tuple(tuple(v) for v in value)
+            if any(len(v) != len(default[0]) for v in value):
+                raise ValueError(f"every entry must hold {len(default[0])} values")
             entries, kind = [x for v in value for x in v], type(default[0][0])
         else:
             value = tuple(value)
+            if pair and len(value) != 2:
+                raise ValueError("must hold 2 values")
             entries, kind = value, type(default[0])
         for x in entries:
-            kind(x)
+            (_integer if kind is int else kind)(x)
         return value
     if isinstance(default, float):
         return float(value)
     if isinstance(default, int):
-        return int(value)
+        return _integer(value)
     return value
 
 
@@ -165,13 +181,14 @@ class ExperimentConfig:
         if unknown:
             raise ConfigParseError(f"unknown config keys for {kind}: {sorted(unknown)}")
         for key in sorted(set(file_cfg) & set(params)):
-            params[key] = _parsed(key, partial(_coerce_param, params[key]), file_cfg[key])
+            params[key] = _parsed(key, partial(_coerce_param, params[key], pair=key in _PAIR_KEYS),
+                                  file_cfg[key])
 
         if "seeds" in file_cfg:
-            seeds = _parsed("seeds", lambda v: tuple(int(s) for s in v), file_cfg["seeds"])
+            seeds = _parsed("seeds", lambda v: tuple(_integer(s) for s in v), file_cfg["seeds"])
         else:
-            base = _parsed("seed", int, seed if seed is not None else file_cfg.get("seed", 0))
-            count = _parsed("num_seeds", int, file_cfg.get("num_seeds", suite.num_seeds))
+            base = _parsed("seed", _integer, seed if seed is not None else file_cfg.get("seed", 0))
+            count = _parsed("num_seeds", _integer, file_cfg.get("num_seeds", suite.num_seeds))
             if count < 1:
                 raise ConfigParseError("num_seeds must be >= 1")
             seeds = tuple(range(base, base + count))
@@ -566,18 +583,11 @@ def _sweep_masses(point: int, points: int, classes: int, groups: int,
 
 
 def _sweep_case(params, task):
-    point, seed = task
-    classes, groups, group_size = params["classes"], params["groups"], params["group_size"]
+    """Probe error of top-k features fitted to a sampled estimate of one
+    sweep point's clean joint ``matrix``."""
+    matrix, point, seed = task
     dim = params["dim"]
-    within, mid, cross = _sweep_masses(point, int(params["sweep_points"]), classes, groups,
-                                       group_size, params["cross_mass"])
-    matrix = _nested_block_matrix(classes, groups, group_size, within, mid, cross)
-    labels = np.repeat(np.arange(classes), groups * group_size)
-
-    clean = JointDistribution(matrix)
-    alpha = labeling_error(clean, LabelAssignment(labels, labels, classes))
-    sigma_next = float(decompose(normalize_cooccurrence(clean)).singular_values[dim])
-
+    labels = np.repeat(np.arange(params["classes"]), params["groups"] * params["group_size"])
     rng = default_rng([seed, 40, point])
     flat = matrix.ravel()
     counts = rng.multinomial(params["sample_pairs"], flat / flat.sum()).reshape(matrix.shape).astype(float)
@@ -587,8 +597,7 @@ def _sweep_case(params, task):
     features = _top_eigvecs(norm.matrix, dim) / np.sqrt(norm.marginal_visual)[:, None]
     kept = labels[norm.visual_index]
     probe = fit_probe(features, kept, norm.marginal_visual)
-    error = probe_error(probe, features, kept, norm.marginal_visual)
-    return float(error), sigma_next, float(alpha)
+    return float(probe_error(probe, features, kept, norm.marginal_visual))
 
 
 def _run_bound_sweep(params, seeds, workers: int):
@@ -613,17 +622,20 @@ def _run_bound_sweep(params, seeds, workers: int):
                                report.dominant_term, report.sigma_gap,
                                report.kappa, report.constant_proxy))
 
+    # each sweep point's clean joint, labeling error and sigma_{k+1}, once;
+    # the seeds then only resample it
+    classes, groups, group_size = params["classes"], params["groups"], params["group_size"]
     points = int(params["sweep_points"])
-    tasks = [(point, seed) for point in range(points) for seed in seeds]
-    results = _map_tasks(partial(_sweep_case, params), tasks, workers)
-    errors = np.zeros((points, len(seeds)))
-    sigma_next = np.zeros(points)
-    alphas = np.zeros(points)
-    for i, (error, sigma, alpha) in enumerate(results):
-        point, column = divmod(i, len(seeds))
-        errors[point, column] = error
-        sigma_next[point] = sigma
-        alphas[point] = alpha
+    labels = np.repeat(np.arange(classes), groups * group_size)
+    matrices, sigma_next, alphas = [], np.zeros(points), np.zeros(points)
+    for point in range(points):
+        masses = _sweep_masses(point, points, classes, groups, group_size, params["cross_mass"])
+        clean = JointDistribution(_nested_block_matrix(classes, groups, group_size, *masses))
+        matrices.append(clean.matrix)
+        alphas[point] = labeling_error(clean, LabelAssignment(labels, labels, classes))
+        sigma_next[point] = decompose(normalize_cooccurrence(clean)).singular_values[params["dim"]]
+    tasks = [(matrices[point], point, seed) for point in range(points) for seed in seeds]
+    errors = np.array(_map_tasks(partial(_sweep_case, params), tasks, workers)).reshape(points, len(seeds))
 
     checks.append(_check("alpha-fixed", float(np.max(np.abs(alphas - params["cross_mass"]))), 1e-12,
                          "labeling error is pinned by the cross-class mass across the sweep"))

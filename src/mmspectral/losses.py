@@ -15,6 +15,7 @@ gradient form and the many-batch loss agree bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
@@ -270,29 +271,111 @@ def _spectral_terms(s_pos, s_neg_language, s_neg_visual, triples: int):
     return loss + 0.5 * (s_neg_visual**2).sum(axis=-1) / triples
 
 
-def _scored_pairs(batch: Batch):
-    """Visual and language indices of every pair a batch scores, in four
-    segments: positives, negative captions, negative images, extra
-    positives."""
-    visual = np.concatenate([batch.pos_visual, batch.neg_language_anchor,
-                             batch.neg_visual, batch.extra_pos_visual])
-    language = np.concatenate([batch.pos_language, batch.neg_language,
-                               batch.neg_visual_anchor, batch.extra_pos_language])
-    return visual, language
+class _Plan(NamedTuple):
+    """Consecutive batches as rectangular arrays, one row per batch.
+
+    Row s lists every pair batch s scores, ``visual[s]`` against
+    ``language[s]``: positives in columns ``[0, positives)``, caption
+    negatives (anchor image, negative caption) in ``[positives,
+    split[s])``, image negatives (negative image, anchor caption) in
+    ``[split[s], negatives_end)`` and extra positives, weighted by
+    ``weight[s]``, in the rest. Only the caption/image split varies between
+    rows: a resampling strategy drops the same number of entries from
+    every batch of a run.
+    """
+
+    visual: np.ndarray
+    language: np.ndarray
+    weight: np.ndarray
+    positives: int
+    split: np.ndarray
+    negatives_end: int
+    n: int
+
+    @classmethod
+    def of_batch(cls, batch: Batch) -> "_Plan":
+        """The one-row plan of a batch."""
+        split = batch.pos_visual.size + batch.neg_language.size
+        visual = np.concatenate([batch.pos_visual, batch.neg_language_anchor,
+                                 batch.neg_visual, batch.extra_pos_visual])
+        language = np.concatenate([batch.pos_language, batch.neg_language,
+                                   batch.neg_visual_anchor, batch.extra_pos_language])
+        return cls(visual[None], language[None], batch.extra_pos_weight[None],
+                   batch.pos_visual.size, np.array([split]), split + batch.neg_visual.size, batch.n)
+
+    @classmethod
+    def of_triples(cls, pos_visual, pos_language, neg_language, neg_visual, n: int) -> "_Plan":
+        """The plan of freshly drawn batches, from their ``(rows, n/3)``
+        triple lists as :meth:`BatchSampler.draw_chunk` returns them."""
+        rows, triples = pos_visual.shape
+        return cls(np.concatenate([pos_visual, pos_visual, neg_visual], axis=1, dtype=int),
+                   np.concatenate([pos_language, neg_language, pos_language], axis=1, dtype=int),
+                   np.zeros((rows, 0)), triples, np.full(rows, 2 * triples), 3 * triples, n)
+
+    def as_batch(self, batch: Batch) -> Batch:
+        """``batch`` with the lists of row 0 in place of its own."""
+        p, j, q = self.positives, self.split[0], self.negatives_end
+        visual, language = self.visual[0], self.language[0]
+        return batch._replace(
+            pos_visual=visual[:p], pos_language=language[:p],
+            neg_language=language[p:j], neg_language_anchor=visual[p:j],
+            neg_visual=visual[j:q], neg_visual_anchor=language[j:q],
+            extra_pos_visual=visual[q:], extra_pos_language=language[q:],
+            extra_pos_weight=self.weight[0],
+        )
+
+    def loss(self, row: int, scores) -> float:
+        """:func:`empirical_scl` of batch ``row`` from the scores of its pairs."""
+        p, j, q = self.positives, self.split[row], self.negatives_end
+        loss = _spectral_terms(scores[:p], scores[p:j], scores[j:q], self.n // 3)
+        if scores.size > q:
+            loss += -2.0 * (self.weight[row] * scores[q:]).sum() / (scores.size - q)
+        return float(loss)
 
 
-def _segments(values, batch: Batch):
-    i = batch.pos_visual.size
-    j = i + batch.neg_language.size
-    k = j + batch.neg_visual.size
-    return values[:i], values[i:j], values[j:k], values[k:]
+class _PlanGrads:
+    """:func:`empirical_scl_grad` of each batch of a plan, with the scatter
+    indices and the constant slopes of every batch prepared at once.
+
+    The pair (v, l) moves row v of the visual table along fl[l] and row l
+    of the language table along fv[v], scaled by d loss / d score. Those
+    moves are summed with ``np.bincount`` over the flat entry indices
+    ``row * k + column``, which adds each entry's moves to zero one at a
+    time in pair order.
+    """
+
+    def __init__(self, plan: _Plan, k: int):
+        rows, width = plan.visual.shape
+        columns = np.arange(k)
+        self.plan = plan
+        self.flat_visual = ((plan.visual * k)[:, :, None] + columns).reshape(rows, width * k)
+        self.flat_language = ((plan.language * k)[:, :, None] + columns).reshape(rows, width * k)
+        # positives and extra positives have constant slopes; each step
+        # writes the slopes of its negatives, score / (n/3), in between
+        self.slope = np.concatenate([
+            np.full((rows, plan.positives), -2.0 / (plan.n // 3)),
+            np.zeros((rows, plan.negatives_end - plan.positives)),
+            -2.0 * plan.weight / max(width - plan.negatives_end, 1),
+        ], axis=1)
+
+    def __call__(self, row: int, fv, fl):
+        plan = self.plan
+        rows_v, rows_l = fv.take(plan.visual[row], axis=0), fl.take(plan.language[row], axis=0)
+        scores = _row_dots(rows_v, rows_l)
+        slope = self.slope[row]
+        p, q = plan.positives, plan.negatives_end
+        np.divide(scores[p:q], plan.n // 3, out=slope[p:q])
+        slope = slope[:, None]
+        return (plan.loss(row, scores), _scatter(self.flat_visual[row], slope * rows_l, fv),
+                _scatter(self.flat_language[row], slope * rows_v, fl))
 
 
-def _batch_loss(batch: Batch, s_pos, s_neg_language, s_neg_visual, s_extra) -> float:
-    loss = _spectral_terms(s_pos, s_neg_language, s_neg_visual, batch.n // 3)
-    if s_extra.size:
-        loss += -2.0 * (batch.extra_pos_weight * s_extra).sum() / s_extra.size
-    return float(loss)
+def _scatter(flat, moves, table):
+    """Zeros shaped like ``table`` plus ``moves`` summed in order at the
+    flat entry indices ``flat``."""
+    if not flat.size:  # bincount gives integer zeros for no input
+        return np.zeros_like(table)
+    return np.bincount(flat, moves.ravel(), table.size).reshape(table.shape)
 
 
 def empirical_scl(f_visual, f_language, batch: Batch) -> float:
@@ -307,8 +390,8 @@ def empirical_scl(f_visual, f_language, batch: Batch) -> float:
     -2 * mean(score) term.
     """
     fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
-    visual, language = _scored_pairs(batch)
-    return _batch_loss(batch, *_segments(_row_dots(fv[visual], fl[language]), batch))
+    plan = _Plan.of_batch(batch)
+    return plan.loss(0, _row_dots(fv[plan.visual[0]], fl[plan.language[0]]))
 
 
 def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, count: int) -> np.ndarray:
@@ -330,22 +413,7 @@ def empirical_scl_grad(f_visual, f_language, batch: Batch):
     """Value and analytic gradients of :func:`empirical_scl` with respect
     to both feature tables. Returns (loss, grad_visual, grad_language)."""
     fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
-    visual, language = _scored_pairs(batch)
-    rows_v, rows_l = fv[visual], fl[language]
-    scores = _segments(_row_dots(rows_v, rows_l), batch)
-    s_pos, s_neg_language, s_neg_visual, s_extra = scores
-    triples = batch.n // 3
-    # d loss / d score of each scored pair; the pair (v, l) then moves row v
-    # of the visual table along fl[l] and row l of the language table along
-    # fv[v]. np.add.at accumulates in pair order.
-    slope = np.concatenate([
-        np.full(s_pos.size, -2.0 / triples), s_neg_language / triples, s_neg_visual / triples,
-        -2.0 * batch.extra_pos_weight / max(s_extra.size, 1),
-    ])[:, None]
-    gv, gl = np.zeros_like(fv), np.zeros_like(fl)
-    np.add.at(gv, visual, slope * rows_l)
-    np.add.at(gl, language, slope * rows_v)
-    return _batch_loss(batch, *scores), gv, gl
+    return _PlanGrads(_Plan.of_batch(batch), fv.shape[1])(0, fv, fl)
 
 
 def scl_grad(f_visual, f_language, joint: JointDistribution):

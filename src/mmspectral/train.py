@@ -8,6 +8,15 @@ Sampled mode runs SGD over three-way batches; resampling strategies, when
 configured, rewrite each batch before its gradient step. One core trains
 both encoder kinds: SSCL is its one-table case, a single encoder shared by
 both sides of the symmetric induced joint.
+
+Batches do not depend on the features, so a sampled run draws all of
+them first, in :meth:`BatchSampler.draw`'s stream, and keeps the latest
+run's draws for a run that would draw the same. It then steps through a
+plan (``losses._Plan``) a chunk of steps at a time: the strategy rewrites
+every batch of the chunk at once, and each step gathers its row of pairs
+and scatters its gradient with ``np.bincount``. :func:`apply_strategy`
+and :func:`empirical_scl_grad` are the one-row case of the same code, so
+a run equals the loop over single batches bit for bit.
 """
 from __future__ import annotations
 
@@ -21,7 +30,7 @@ from numpy.random import default_rng
 from .distributions import InducedDistribution, JointDistribution, normalize_cooccurrence
 from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
-from .losses import Batch, BatchSampler, EncoderTable, _scored_pairs, empirical_scl_grad
+from .losses import Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads
 from .losses import sample_batch  # noqa: F401  (perfbench's tracer test looks it up here)
 from .spectral import _warn_if_degenerate, decompose
 
@@ -35,6 +44,12 @@ DEFAULT_RATIOS = {
     "DropFalseNegative": 0.05,
     "DropEasyNegative": 0.10,
 }
+
+#: largest number of entries one array of a sampled run's plan chunk holds
+_PLAN_ENTRIES = 2**13
+
+#: {draw key: triple lists} of the latest sampled run, see _run_draws
+_LATEST_DRAWS = {}
 
 
 @dataclass(frozen=True)
@@ -209,20 +224,48 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
         return [f / scale for f, scale in zip(factors, scales)], history
 
     pruned = JointDistribution.from_counts(joint.matrix[np.ix_(norm.visual_index, norm.language_index)])
-    sampler = BatchSampler(pruned, cfg.batch_size)
-    batch_rng = default_rng(rng.integers(2**63))
+    batch_seed = int(rng.integers(2**63))
     f_init = [f / scale for f, scale in zip(init, scales)]
     # batches index the pruned support, so the teacher must too
     teacher_tables = None if resample is None else _TeacherTables(teacher.matrix[norm.visual_index])
+    chunk = max(1, _PLAN_ENTRIES // (cfg.batch_size * k))
+    draws = _run_draws(pruned, cfg.batch_size, batch_seed, cfg.max_steps, chunk)
+    grads = None
 
     def batch_grads(factors, step):
-        batch = sampler.draw(batch_rng)
-        if teacher_tables is not None:
-            batch = _rewrite(batch, teacher_tables, resample)
-        loss, gv, gl = empirical_scl_grad(factors[0], factors[-1], batch)
+        nonlocal grads
+        if step % chunk == 0:
+            plan = _Plan.of_triples(*(d[step:step + chunk] for d in draws), cfg.batch_size)
+            if teacher_tables is not None:
+                plan = _resample(plan, teacher_tables, resample)
+            grads = _PlanGrads(plan, k)
+        loss, gv, gl = grads(step % chunk, factors[0], factors[-1])
         return loss, [gv, gl] if tables == 2 else [gv + gl]  # a shared table takes both sides
 
     return _sgd(f_init, batch_grads, cfg)
+
+
+def _run_draws(pruned: JointDistribution, n: int, seed: int, steps: int, chunk: int):
+    """The triple lists of the ``steps`` batches a sampled run draws from
+    ``pruned`` with the generator seeded by ``seed``, as read-only
+    ``(steps, n/3)`` arrays, drawn ``chunk`` batches at a time.
+
+    The latest run's draws are kept: the runs of one resample-compare
+    work unit differ only in strategy, so they draw the same batches.
+    """
+    key = (pruned.matrix.shape, pruned.matrix.tobytes(), n, seed, steps)
+    if key not in _LATEST_DRAWS:
+        sampler, rng = BatchSampler(pruned, n), default_rng(seed)
+        dtype = np.min_scalar_type(max(pruned.matrix.shape))  # small: a run holds them all
+        draws = tuple(np.empty((steps, n // 3), dtype=dtype) for _ in range(4))
+        for start in range(0, steps, chunk):
+            for out, part in zip(draws, sampler.draw_chunk(rng, min(chunk, steps - start))):
+                out[start:start + chunk] = part
+        for out in draws:
+            out.setflags(write=False)
+        _LATEST_DRAWS.clear()
+        _LATEST_DRAWS[key] = draws
+    return _LATEST_DRAWS[key]
 
 
 def train_mmcl(joint: JointDistribution, cfg: TrainConfig):
@@ -299,7 +342,7 @@ class _TeacherTables:
         return np.array([_nearest(self.rows, i, everyone[everyone != i]) for i in everyone])
 
     def similarity(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.sum(self.rows[a] * self.rows[b], axis=1)
+        return np.sum(self.rows[a] * self.rows[b], axis=-1)
 
 
 def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> Batch:
@@ -311,8 +354,10 @@ def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> 
     are stable (ties keep the earliest entry candidates first). Every
     index of the batch must index a row of the teacher.
     """
-    _check_rows(np.concatenate(_scored_pairs(batch)), teacher)
-    return _rewrite(batch, _TeacherTables(teacher.matrix), cfg)
+    plan = _Plan.of_batch(batch)
+    _check_rows(np.append(plan.visual, plan.language), teacher)
+    out = _resample(plan, _TeacherTables(teacher.matrix), cfg)
+    return batch if out is plan else out.as_batch(batch)
 
 
 def _check_rows(indices: np.ndarray, teacher: EncoderTable) -> None:
@@ -321,50 +366,41 @@ def _check_rows(indices: np.ndarray, teacher: EncoderTable) -> None:
         raise InvalidSpec(f"sample indices must lie in [0, {rows}) for a teacher with {rows} rows")
 
 
-def _rewrite(batch: Batch, tables: _TeacherTables, cfg: ResampleConfig) -> Batch:
-    """:func:`apply_strategy` on a teacher's precomputed tables."""
+def _resample(plan: _Plan, tables: _TeacherTables, cfg: ResampleConfig) -> _Plan:
+    """:func:`apply_strategy` on every batch of a plan at once, with a
+    teacher's precomputed tables. Returns ``plan`` itself when the
+    strategy leaves the batches as they are."""
+    p, q = plan.positives, plan.negatives_end
     if cfg.strategy == "AddNewPositive":
-        if batch.num_positives == 0:
-            return batch
-        partners = tables.nearest[batch.pos_visual]
-        return batch._replace(
-            extra_pos_visual=np.concatenate([batch.extra_pos_visual, batch.pos_visual]),
-            extra_pos_language=np.concatenate([batch.extra_pos_language, partners]),
-            extra_pos_weight=np.concatenate([
-                batch.extra_pos_weight, np.full(partners.size, cfg.mixing_weight),
-            ]),
+        if p == 0:
+            return plan
+        positives = plan.visual[:, :p]
+        return plan._replace(
+            visual=np.concatenate([plan.visual, positives], axis=1),
+            language=np.concatenate([plan.language, tables.nearest[positives]], axis=1),
+            weight=np.concatenate([plan.weight, np.full(positives.shape, cfg.mixing_weight)], axis=1),
         )
 
-    if cfg.strategy == "DropFalsePositive":
-        m = batch.num_positives
-        drop = int(np.floor(cfg.ratio * m))
-        if drop == 0:
-            return batch
-        sims = tables.similarity(batch.pos_visual, batch.pos_language)
-        order = np.argsort(sims, kind="stable")  # most dissimilar first
-        keep = np.ones(m, dtype=bool)
-        keep[order[:drop]] = False
-        return batch._replace(pos_visual=batch.pos_visual[keep], pos_language=batch.pos_language[keep])
-
-    # the two negative drops rank the pooled negatives from both lists
-    n1, n2 = batch.neg_language.size, batch.neg_visual.size
-    drop = int(np.floor(cfg.ratio * (n1 + n2)))
+    # DropFalsePositive ranks the positives; the two negative drops rank
+    # the pooled negatives from both lists
+    drops_positives = cfg.strategy == "DropFalsePositive"
+    lo, hi = (0, p) if drops_positives else (p, q)
+    drop = int(np.floor(cfg.ratio * (hi - lo)))
     if drop == 0:
-        return batch
-    sims = np.concatenate([
-        tables.similarity(batch.neg_language_anchor, batch.neg_language),
-        tables.similarity(batch.neg_visual_anchor, batch.neg_visual),
-    ])
+        return plan
+    sims = tables.similarity(plan.visual[:, lo:hi], plan.language[:, lo:hi])
     if cfg.strategy == "DropFalseNegative":
-        order = np.argsort(-sims, kind="stable")  # largest similarity first
-    else:  # DropEasyNegative
-        order = np.argsort(sims, kind="stable")  # smallest similarity first
-    dropped = order[:drop]
-    keep_mask = np.ones(n1 + n2, dtype=bool)
-    keep_mask[dropped] = False
-    return batch._replace(
-        neg_language=batch.neg_language[keep_mask[:n1]],
-        neg_language_anchor=batch.neg_language_anchor[keep_mask[:n1]],
-        neg_visual=batch.neg_visual[keep_mask[n1:]],
-        neg_visual_anchor=batch.neg_visual_anchor[keep_mask[n1:]],
+        sims = -sims  # largest similarity first
+    # otherwise smallest similarity first: most dissimilar positives, easiest negatives
+    order = np.argsort(sims, axis=1, kind="stable")
+    keep = np.ones(plan.visual.shape, dtype=bool)
+    np.put_along_axis(keep[:, lo:hi], order[:, :drop], False, axis=1)
+    rows, width = keep.shape
+    kept_before_split = keep & (np.arange(width) < plan.split[:, None])
+    return plan._replace(
+        visual=plan.visual[keep].reshape(rows, width - drop),
+        language=plan.language[keep].reshape(rows, width - drop),
+        positives=p - drop if drops_positives else p,
+        split=kept_before_split.sum(axis=1),
+        negatives_end=q - drop,
     )

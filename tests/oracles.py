@@ -114,6 +114,65 @@ def empirical_scl_oracle(fv, fl, batch):
     return total
 
 
+BATCH_INDEX_FIELDS = ("pos_visual", "pos_language", "neg_language", "neg_language_anchor",
+                      "neg_visual", "neg_visual_anchor", "extra_pos_visual", "extra_pos_language")
+
+
+def _cosine(a, b):
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(x * x for x in b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return sum(x * y for x, y in zip(a, b)) / (na * nb)
+
+
+def nearest_oracle(index, rows):
+    """Most cosine-similar other row; ties to the smallest index."""
+    best = None
+    for j in range(len(rows)):
+        if j != index:
+            sim = _cosine(rows[index], rows[j])
+            if best is None or sim > best[0]:
+                best = (sim, j)
+    return best[1]
+
+
+def strategy_oracle(batch, rows, strategy, ratio, mixing_weight):
+    """A teacher-guided strategy applied to one batch, on plain lists.
+
+    ``rows`` are the teacher's feature rows. Returns the batch's lists as
+    a dict keyed by field name: integer indices, plus float
+    ``extra_pos_weight``. Drops remove floor(ratio * pool size) entries,
+    the earliest first among equal similarities.
+    """
+    out = {name: [int(x) for x in getattr(batch, name)] for name in BATCH_INDEX_FIELDS}
+    out["extra_pos_weight"] = [float(w) for w in batch.extra_pos_weight]
+    if strategy == "AddNewPositive":
+        for v in out["pos_visual"]:
+            out["extra_pos_visual"].append(v)
+            out["extra_pos_language"].append(nearest_oracle(v, rows))
+            out["extra_pos_weight"].append(mixing_weight)
+        return out
+    if strategy == "DropFalsePositive":
+        lists = [("pos_visual", "pos_language")]
+    else:  # the negative drops pool caption negatives, then image negatives
+        lists = [("neg_language_anchor", "neg_language"), ("neg_visual", "neg_visual_anchor")]
+    pool = []  # (similarity, position in the pool, list, position in the list)
+    for which, (first, second) in enumerate(lists):
+        for i, (a, b) in enumerate(zip(out[first], out[second])):
+            pool.append((_cosine(rows[a], rows[b]), len(pool), which, i))
+    drop = math.floor(ratio * len(pool))
+    if strategy == "DropFalseNegative":
+        ranked = sorted(pool, key=lambda e: (-e[0], e[1]))  # most similar first
+    else:
+        ranked = sorted(pool, key=lambda e: (e[0], e[1]))  # least similar first
+    dropped = {(which, i) for _, _, which, i in ranked[:drop]}
+    for which, names in enumerate(lists):
+        for name in names:
+            out[name] = [x for i, x in enumerate(out[name]) if (which, i) not in dropped]
+    return out
+
+
 def labeling_error_oracle(p, labels_v, labels_l):
     """Mass on label-disagreeing pairs, double loop."""
     p = np.asarray(p, dtype=float)

@@ -51,13 +51,21 @@ class TestExperimentCommands:
         {"seeds": ["a"]},
         {"num_seeds": "two"},
         {"separations": [0.0, "a"]},
+        {"dim": 2.7},
+        {"num_seeds": 1.9},
+        {"pairs": [[2.5, 2]]},
+        {"pairs": [[2, 2, 2]]},
+        {"s_low": [2]},
+        {"s_high": [1, 2, 3]},
+        {"csv_pair": [2]},
     ])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, payload):
+        (key,) = payload
+        kind = "hrg-spectrum" if key in ("s_low", "s_high", "csv_pair") else "bound-sweep"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
-        code = main(["bound-sweep", "--config", str(cfg), "--out", str(tmp_path / "b")])
+        code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "b")])
         assert code == 2
-        (key,) = payload
         assert f"error: bad value for {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 

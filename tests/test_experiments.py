@@ -76,6 +76,14 @@ class TestExperimentConfigBuild:
         path.write_text(json.dumps({"seed": 5, "num_seeds": 2}))
         assert ExperimentConfig.build("estimators", config_path=path).seeds == (5, 6)
 
+    def test_integral_floats_resolve_as_integers(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dim": 3.0, "num_seeds": 8.0, "seed": 0.0}))
+        cfg = ExperimentConfig.build("bound-sweep", config_path=path)
+        default = ExperimentConfig.build("bound-sweep")
+        assert cfg.params == default.params and cfg.seeds == default.seeds
+        assert cfg.hash() == default.hash()
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigParseError):
             ExperimentConfig.build("verify-everything")

@@ -27,7 +27,10 @@ from mmspectral import (
     train_mmcl,
     train_sscl,
 )
-from mmspectral.train import DEFAULT_RATIOS, STRATEGIES, _rewrite, _TeacherTables
+from mmspectral import BatchSampler, empirical_scl_grad, generate_augmentation_model
+from mmspectral.losses import _Plan
+from mmspectral.train import _LATEST_DRAWS, _PLAN_ENTRIES, DEFAULT_RATIOS, STRATEGIES, _resample, _TeacherTables
+from oracles import BATCH_INDEX_FIELDS, strategy_oracle
 
 TILTED = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
 DIAG = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
@@ -264,23 +267,185 @@ class TestTeacherTables:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(STRATEGIES), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_one_table_serves_every_batch_as_apply_strategy_would(self, seed, strategy, ratio):
+        """One teacher table rewrites a plan of consecutive draws at once,
+        each row as apply_strategy rewrites that batch alone."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         teacher = tied_teacher(rng, n)
         joint = JointDistribution.from_counts(rng.gamma(1.0, size=(n, n)))
         cfg = ResampleConfig(strategy, ratio=None if strategy == "AddNewPositive" else ratio,
                              mixing_weight=float(rng.uniform(0.0, 2.0)))
-        tables = _TeacherTables(teacher.matrix)
-        for _ in range(4):
-            batch = sample_batch(joint, 3 * int(rng.integers(1, 12)), seed=rng)
-            got, want = _rewrite(batch, tables, cfg), apply_strategy(batch, teacher, cfg)
-            for name in ("pos_visual", "pos_language", "neg_language", "neg_language_anchor",
-                         "neg_visual", "neg_visual_anchor", "extra_pos_visual",
-                         "extra_pos_language", "extra_pos_weight"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        sampler = BatchSampler(joint, 3 * int(rng.integers(1, 12)))
+        count, draw_seed = int(rng.integers(1, 6)), int(rng.integers(2**32))
+        single = np.random.default_rng(draw_seed)
+        batches = [sampler.draw(single) for _ in range(count)]
+        drawn = sampler.draw_chunk(np.random.default_rng(draw_seed), count)
+        plan = _resample(_Plan.of_triples(*drawn, sampler.n), _TeacherTables(teacher.matrix), cfg)
+        for row, batch in enumerate(batches):
+            want = _Plan.of_batch(apply_strategy(batch, teacher, cfg))
+            assert (plan.positives, plan.split[row], plan.negatives_end) == (
+                want.positives, want.split[0], want.negatives_end)
+            for name in ("visual", "language", "weight"):
+                assert getattr(plan, name)[row].tobytes() == getattr(want, name)[0].tobytes()
             if strategy == "AddNewPositive":
-                assert got.extra_pos_language.tolist() == [
+                assert plan.language[row, plan.negatives_end:].tolist() == [
                     nearest_neighbor_positive(v, np.arange(n), teacher) for v in batch.pos_visual]
+
+
+def exact_teacher(rng, n):
+    """Teacher of repeated one-hot rows, some scaled and some zero: its
+    cosine similarities are exactly 0 or 1 in any arithmetic, so a
+    ranking has no rounding to disagree on."""
+    d = int(rng.integers(1, 4))
+    rows = np.vstack([np.eye(d), np.zeros((1, d))])[rng.integers(0, d + 1, size=n)]
+    return EncoderTable(rows * rng.choice([1.0, 0.5, 3.0], size=(n, 1)))
+
+
+class TestStrategyOracle:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(STRATEGIES), st.floats(0.0, 1.0), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_apply_strategy_matches_oracle(self, seed, strategy, ratio, rewritten):
+        """On one-hot teachers, apply_strategy gives the plain-Python
+        oracle's lists, also on a batch an earlier strategy left uneven."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 10))
+        teacher = exact_teacher(rng, n)
+        joint = JointDistribution.from_counts(rng.gamma(1.0, size=(n, n)))
+        batch = sample_batch(joint, 3 * int(rng.integers(1, 12)), seed=rng)
+        if rewritten:
+            batch = apply_strategy(batch, teacher, ResampleConfig(
+                STRATEGIES[int(rng.integers(4))], ratio=float(rng.uniform()), mixing_weight=0.5))
+        weight = float(rng.uniform(0.0, 2.0))
+        cfg = ResampleConfig(strategy, ratio=None if strategy == "AddNewPositive" else ratio,
+                             mixing_weight=weight)
+        out = apply_strategy(batch, teacher, cfg)
+        want = strategy_oracle(batch, teacher.matrix.tolist(), strategy, cfg.ratio, weight)
+        for name in BATCH_INDEX_FIELDS:
+            assert getattr(out, name).dtype.kind == "i"
+            assert getattr(out, name).tolist() == want[name], name
+        assert out.extra_pos_weight.tolist() == want["extra_pos_weight"]
+        assert out.n == batch.n
+
+    def test_oracle_ties_keep_the_earliest(self):
+        """Four positives at similarity 0 (two) and 1 (two): dropping half
+        removes the two dissimilar ones, and DropFalseNegative on pooled
+        negatives removes the earliest similar ones first."""
+        teacher = EncoderTable(np.eye(3)[[0, 0, 1, 1]])
+        batch = make_batch(pos_v=[0, 0, 2, 2], pos_l=[1, 2, 3, 0],
+                           neg_l=[1, 2], neg_l_anchor=[0, 0], neg_v=[3, 1], neg_v_anchor=[2, 2], n=12)
+        rows = teacher.matrix.tolist()
+        for strategy, ratio, field, kept in (
+                ("DropFalsePositive", 0.5, "pos_language", [1, 3]),
+                ("DropFalseNegative", 0.5, "neg_language", [2]),
+                ("DropEasyNegative", 0.5, "neg_visual", [3])):
+            want = strategy_oracle(batch, rows, strategy, ratio, 1.0)
+            assert want[field] == kept
+            out = apply_strategy(batch, teacher, ResampleConfig(strategy, ratio=ratio))
+            assert getattr(out, field).tolist() == kept
+
+
+def sgd_reference(joint, cfg, tables, resample=None, teacher=None):
+    """Sampled training as a loop over single batches: draw, rewrite with
+    apply_strategy, step along empirical_scl_grad. Returns (feature
+    matrices, per-step losses)."""
+    norm = normalize_cooccurrence(joint)
+    k = cfg.dim
+    rng = np.random.default_rng(cfg.seed)
+    init = [rng.standard_normal((n, k)) / np.sqrt(k) for n in norm.matrix.shape[:tables]]
+    marginals = (norm.marginal_visual, norm.marginal_language)[:tables]
+    factors = [f / np.sqrt(m)[:, None] for f, m in zip(init, marginals)]
+    pruned = JointDistribution.from_counts(joint.matrix[np.ix_(norm.visual_index, norm.language_index)])
+    sampler = BatchSampler(pruned, cfg.batch_size)
+    batch_rng = np.random.default_rng(rng.integers(2**63))
+    if resample is not None:
+        teacher = EncoderTable(teacher.matrix[norm.visual_index])
+    losses = []
+    for _ in range(cfg.max_steps):
+        batch = sampler.draw(batch_rng)
+        if resample is not None:
+            batch = apply_strategy(batch, teacher, resample)
+        loss, gv, gl = empirical_scl_grad(factors[0], factors[-1], batch)
+        grads = [gv, gl] if tables == 2 else [gv + gl]
+        factors = [f - cfg.learning_rate * g for f, g in zip(factors, grads)]
+        losses.append(loss)
+    return factors, np.array(losses)
+
+
+def augmentation_instance(rng):
+    nv = int(rng.integers(6, 10))
+    model = generate_augmentation_model(nv, 2, 0.2, seed=int(rng.integers(2**32)))
+    induced = augmentation_joint(model, np.full(nv, 1.0 / nv))
+    return induced, tied_teacher(rng, induced.num_samples)
+
+
+def sampled_config(rng, chunks=2, **changes):
+    """A sampled run of more than ``chunks - 1`` plan chunks."""
+    triples, k = int(rng.integers(15, 41)), int(rng.integers(2, 4))
+    chunk = max(1, _PLAN_ENTRIES // (3 * triples * k))
+    steps = (chunks - 1) * chunk + int(rng.integers(1, chunk + 1))
+    fields = dict(dim=k, learning_rate=0.005, max_steps=steps, batch_mode="sampled",
+                  batch_size=3 * triples, seed=int(rng.integers(2**32)))
+    return TrainConfig(**{**fields, **changes})
+
+
+class TestSampledTrainingPlan:
+    """Sampled training draws, rewrites and steps a plan chunk at a time;
+    it must equal the loop over single batches bit for bit."""
+
+    @pytest.mark.parametrize("strategy,ratio", [(None, None), ("AddNewPositive", None)] + [
+        (s, r) for s in STRATEGIES[1:] for r in (0.0, None, 1.0)])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_sscl_equals_single_batch_loop(self, strategy, ratio, seed):
+        rng = np.random.default_rng(seed)
+        induced, teacher = augmentation_instance(rng)
+        cfg = sampled_config(rng, chunks=3)
+        resample = None if strategy is None else ResampleConfig(
+            strategy, ratio=ratio, mixing_weight=float(rng.uniform(0.0, 2.0)))
+        f, history = train_sscl(induced, cfg, resample, teacher)
+        (f_ref,), losses = sgd_reference(JointDistribution(induced.matrix), cfg, 1, resample, teacher)
+        assert history.losses.tobytes() == losses.tobytes()
+        assert f.matrix.tobytes() == f_ref.tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_mmcl_equals_single_batch_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.gamma(1.0, size=(int(rng.integers(4, 8)), int(rng.integers(4, 8))))
+        counts[0] *= rng.integers(0, 2)  # sometimes a row to prune
+        joint = JointDistribution.from_counts(counts)
+        cfg = sampled_config(rng, chunks=3, dim=2)
+        fv, fl, history = train_mmcl(joint, cfg)
+        (fv_ref, fl_ref), losses = sgd_reference(joint, cfg, 2)
+        assert history.losses.tobytes() == losses.tobytes()
+        assert fv.matrix.tobytes() == fv_ref.tobytes() and fl.matrix.tobytes() == fl_ref.tobytes()
+
+    def test_runs_share_draws_only_when_they_draw_alike(self):
+        """Each variant runs right after the base run, whose draws a memo
+        keyed too loosely would hand it: another seed, more steps, another
+        batch size, another joint of the same shape. Repeated base runs
+        are identical."""
+        rng = np.random.default_rng(12)
+        induced, teacher = augmentation_instance(rng)
+        other, _ = augmentation_instance(np.random.default_rng(13))
+        while other.matrix.shape != induced.matrix.shape:
+            other, _ = augmentation_instance(rng)
+        base = sampled_config(rng)
+        variants = [(induced, TrainConfig(**{**vars(base), "seed": base.seed + 1})),
+                    (induced, TrainConfig(**{**vars(base), "max_steps": 3 * base.max_steps})),
+                    (induced, TrainConfig(**{**vars(base), "batch_size": base.batch_size + 3})),
+                    (other, base)]
+        resample = ResampleConfig("DropEasyNegative")
+        results = []
+        for joint, cfg in [run for variant in variants for run in ((induced, base), variant)] + [(induced, base)]:
+            f, history = train_sscl(joint, cfg, resample, teacher)
+            (f_ref,), losses = sgd_reference(JointDistribution(joint.matrix), cfg, 1, resample, teacher)
+            assert history.losses.tobytes() == losses.tobytes()
+            assert f.matrix.tobytes() == f_ref.tobytes()
+            results.append((f.matrix.tobytes(), history.losses.tobytes()))
+            assert not any(d.flags.writeable for draws in _LATEST_DRAWS.values() for d in draws)
+        assert len(set(results[::2])) == 1
+        assert len(set(results)) == 1 + len(variants)
 
 
 class TestApplyStrategy:
