@@ -3,7 +3,8 @@
 One subcommand per experiment kind plus ``report``, which aggregates
 previously written run reports into a pass/fail table. Exit code 0 means
 every check passed; 1 means at least one failed; 2 means the invocation
-itself was invalid (unknown kind, malformed config, missing reports).
+itself was invalid (unknown kind, malformed config, missing reports) or
+the library refused its values (any ``LabError``).
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigParseError
+from .errors import ConfigParseError, LabError
 from .experiments import SUITES, ExperimentConfig, report_summary, run
 
 
@@ -85,7 +86,7 @@ def main(argv=None) -> int:
             out=args.out, tolerance=args.tolerance,
         )
         report = run(config, workers=args.parallel)
-    except ConfigParseError as exc:
+    except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report_summary([report]))

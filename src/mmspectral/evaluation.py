@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .distributions import InducedDistribution, JointDistribution, LabelAssignment, _matrix_of
 from .errors import ClassTooSmall, DegenerateDistribution, InvalidSpec, RankDeficient
@@ -134,14 +133,13 @@ def estimate_cooccurrence(features) -> InducedDistribution:
     return InducedDistribution(gram / total, kind="estimated")
 
 
-def intra_class_connectivity(features, labels, seed: int = 0, max_reference: int = 1000):
-    """Mean within-class similarity relative to a random-sample reference.
+def intra_class_connectivity(features, labels):
+    """Mean within-class similarity relative to the mean similarity over
+    all samples.
 
     Similarity is the clamped cosine (consistent with
-    :func:`estimate_cooccurrence`), diagonals included. The reference matrix
-    uses min(max_reference, N) samples drawn without replacement with the
-    given seed. Returns (beta, per-class beta array, one per class in label
-    order).
+    :func:`estimate_cooccurrence`), diagonals included. Returns (beta,
+    per-class beta array, one per class in label order).
     """
     x = _matrix_of(features)
     y = np.asarray(labels, dtype=int)
@@ -153,10 +151,7 @@ def intra_class_connectivity(features, labels, seed: int = 0, max_reference: int
 
     sim = _unit_rows(x)
     sim = np.maximum(sim @ sim.T, 0.0)
-    rng = default_rng(seed)
-    n = y.size
-    ref_idx = np.sort(rng.choice(n, size=min(max_reference, n), replace=False))
-    mean_out = float(sim[np.ix_(ref_idx, ref_idx)].mean())
+    mean_out = float(sim.mean())
 
     betas = []
     for c in classes:

@@ -83,11 +83,19 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _count(value) -> int:
+    """An integer parameter: every one is a count, so at least 1."""
+    if _integer(value) < 1:
+        raise ValueError(f"{value!r} is not >= 1")
+    return int(value)
+
+
 def _coerce_param(default, value, pair=False):
     """Coerce a config-file value to the default's shape (JSON arrays come
-    back as lists, numbers sometimes cross int/float). Every entry of an
-    array must convert to the type of the default's entries, as the
-    runners convert it, and a pair must have two entries."""
+    back as lists, numbers sometimes cross int/float). An array must not be
+    empty, every entry must convert to the type of the default's entries,
+    as the runners convert it, and a pair must have two entries. Integers
+    are counts, so at least 1."""
     if isinstance(default, tuple):
         if isinstance(default[0], tuple):
             value = tuple(tuple(v) for v in value)
@@ -99,13 +107,15 @@ def _coerce_param(default, value, pair=False):
             if pair and len(value) != 2:
                 raise ValueError("must hold 2 values")
             entries, kind = value, type(default[0])
+        if not value:
+            raise ValueError("must not be empty")
         for x in entries:
-            (_integer if kind is int else kind)(x)
+            (_count if kind is int else kind)(x)
         return value
     if isinstance(default, float):
         return float(value)
     if isinstance(default, int):
-        return _integer(value)
+        return _count(value)
     return value
 
 
@@ -714,7 +724,7 @@ def _estimator_case(params, seed):
     teacher_v, _ = optimal_encoders(joint, OptimalEncoderParams.identity(dim))
     estimated = estimate_cooccurrence(teacher_v.matrix)
     alpha_teacher = surrogate_labeling_error(estimated, labels.visual)
-    beta_teacher, _ = intra_class_connectivity(teacher_v.matrix, labels.visual, seed=seed)
+    beta_teacher, _ = intra_class_connectivity(teacher_v.matrix, labels.visual)
 
     nv = classes * vpc
     model = generate_augmentation_model(nv, params["augmentations"], params["leak"], seed=seed)
@@ -723,7 +733,7 @@ def _estimator_case(params, seed):
     alpha_aug = surrogate_labeling_error(induced, labels_aug)
     norm = normalize_cooccurrence(JointDistribution(induced.matrix))
     features = _top_eigvecs(norm.matrix, dim) / np.sqrt(norm.marginal_visual)[:, None]
-    beta_aug, _ = intra_class_connectivity(features, labels_aug[norm.visual_index], seed=seed)
+    beta_aug, _ = intra_class_connectivity(features, labels_aug[norm.visual_index])
     return alpha_teacher, beta_teacher, alpha_aug, beta_aug
 
 
@@ -902,6 +912,8 @@ def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
     except OSError as exc:
         raise ConfigParseError(f"output directory {out} is not writable: {exc}") from exc
     checks, tables = SUITES[config.kind].runner(config.params, list(config.seeds), max(1, int(workers)))
+    if not checks:
+        raise ConfigParseError(f"the {config.kind} configuration selects nothing to check")
     for name, (header, rows) in tables.items():
         save_csv(out / name, rows, header=header)
     report = RunReport(

@@ -8,13 +8,14 @@ negative-caption / negative-image triples, and the empirical loss averages
 the two quadratic negative sums so that its expectation over batches is
 exactly the population loss.
 
-Every sampled path draws through one :class:`BatchSampler` and evaluates
-the loss with one piece of arithmetic, so the single-batch loss, its
-gradient form and the many-batch loss agree bit for bit.
+Every sampled path draws through one :class:`BatchSampler`, lays the
+batches out as a ``_Plan`` and scores them with ``_Plan.losses``, within
+one ``_CHUNK_ENTRIES`` budget, so the single-batch loss, its gradient form
+and the many-batch loss agree bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -154,19 +155,6 @@ class Batch:
         object.__setattr__(self, "extra_pos_weight", ew)
         object.__setattr__(self, "permutation", np.asarray(self.permutation, dtype=int))
 
-    @classmethod
-    def _trusted(cls, **fields) -> "Batch":
-        """Build from arrays the library made itself, skipping validation:
-        every field must be given with the types ``__post_init__`` would
-        store."""
-        batch = object.__new__(cls)
-        batch.__dict__.update(fields)
-        return batch
-
-    def _replace(self, **changes) -> "Batch":
-        """Trusted counterpart of ``dataclasses.replace``."""
-        return Batch._trusted(**{**self.__dict__, **changes})
-
     @property
     def num_positives(self) -> int:
         return self.pos_visual.size
@@ -176,23 +164,19 @@ class Batch:
         return self.neg_language.size + self.neg_visual.size
 
 
-_NO_INDICES = np.zeros(0, dtype=int)
-_NO_WEIGHTS = np.zeros(0)
-
-#: largest number of float64 entries one stacked array of a chunk holds (1 MiB)
-_CHUNK_ENTRIES = 2**17
-_MAX_CHUNK_BATCHES = 1000
+#: largest number of entries one array of a draw block (``// n`` batches)
+#: or of a plan chunk (``// (n * k)`` batches) holds
+_CHUNK_ENTRIES = 2**13
 
 
 class BatchSampler:
     """The three-way batch sampler of one joint distribution and batch size.
 
     The cumulative distribution over the joint's cells is built once. Each
-    batch then takes ``n`` uniforms and, unless one is forced, a
-    permutation of ``range(n)`` from the caller's generator: the same
-    stream ``Generator.choice(size=n, p=...)`` followed by
-    ``Generator.permutation(n)`` consumes, so equal generator states give
-    identical batches to :func:`sample_batch`.
+    batch then takes ``n`` uniforms and a permutation of ``range(n)`` from
+    the caller's generator: the same stream ``Generator.choice(size=n,
+    p=...)`` followed by ``Generator.permutation(n)`` consumes, so equal
+    generator states give identical batches to :func:`sample_batch`.
     """
 
     def __init__(self, joint: JointDistribution, n: int):
@@ -203,6 +187,7 @@ class BatchSampler:
         self.n = n
         self._cdf = cdf
         self._num_language = joint.num_language
+        self._dtype = np.min_scalar_type(max(joint.matrix.shape))  # small: a run holds them all
 
     def _triples(self, cells):
         """(pos_visual, pos_language, neg_language, neg_visual) from permuted
@@ -211,50 +196,49 @@ class BatchSampler:
         pos = cells[..., 0::3]
         return pos // nl, pos % nl, cells[..., 1::3] % nl, cells[..., 2::3] // nl
 
-    def draw(self, rng, permutation=None) -> Batch:
-        """One batch; ``permutation`` (trusted to permute ``range(n)``)
-        replaces the drawn one."""
+    def draw(self, rng) -> Batch:
+        """One batch."""
         cells = self._cdf.searchsorted(rng.random(self.n), side="right")
-        perm = rng.permutation(self.n) if permutation is None else permutation
+        perm = rng.permutation(self.n)
         pos_v, pos_l, neg_l, neg_v = self._triples(cells[perm])
-        return Batch._trusted(
-            pos_visual=pos_v, pos_language=pos_l,
-            neg_language=neg_l, neg_language_anchor=pos_v.copy(),
-            neg_visual=neg_v, neg_visual_anchor=pos_l.copy(),
-            permutation=perm, n=self.n, seed=None,
-            extra_pos_visual=_NO_INDICES, extra_pos_language=_NO_INDICES,
-            extra_pos_weight=_NO_WEIGHTS,
-        )
+        return Batch(pos_visual=pos_v, pos_language=pos_l,
+                     neg_language=neg_l, neg_language_anchor=pos_v.copy(),
+                     neg_visual=neg_v, neg_visual_anchor=pos_l.copy(),
+                     permutation=perm, n=self.n)
 
     def draw_chunk(self, rng, count: int):
-        """The triple lists of ``count`` consecutive batches as
-        ``(count, n/3)`` arrays, in the order ``draw`` would make them."""
-        uniforms = np.empty((count, self.n))
-        perms = np.empty((count, self.n), dtype=int)
-        for row in range(count):
-            rng.random(out=uniforms[row])
-            perms[row] = rng.permutation(self.n)
-        cells = self._cdf.searchsorted(uniforms, side="right")
-        return self._triples(np.take_along_axis(cells, perms, axis=1))
+        """The triple lists of ``count`` batches, as ``count`` calls to
+        :meth:`draw` make them, in read-only ``(count, n/3)`` arrays of the
+        smallest index dtype; drawn ``_CHUNK_ENTRIES // n`` at a time."""
+        draws = tuple(np.empty((count, self.n // 3), dtype=self._dtype) for _ in range(4))
+        block = max(1, _CHUNK_ENTRIES // self.n)
+        uniforms = np.empty((min(block, count), self.n))
+        perms = np.empty(uniforms.shape, dtype=int)
+        for start in range(0, count, block):
+            rows = min(block, count - start)
+            perms[:] = np.arange(self.n)
+            for row in range(rows):
+                rng.random(out=uniforms[row])
+                rng.shuffle(perms[row])  # what Generator.permutation(n) does to arange(n)
+            cells = self._cdf.searchsorted(uniforms[:rows], side="right")
+            for out, part in zip(draws, self._triples(np.take_along_axis(cells, perms[:rows], axis=1))):
+                out[start:start + rows] = part
+        for out in draws:
+            out.setflags(write=False)
+        return draws
 
 
-def sample_batch(joint: JointDistribution, n: int, seed=None, permutation=None) -> Batch:
+def sample_batch(joint: JointDistribution, n: int, seed=None) -> Batch:
     """Draw ``n`` i.i.d. pairs from the joint, permute, and slice into
     positives / negative-language / negative-visual triples.
 
     1-based draw i of triple j is: positive pair from permuted slot 3j-2,
-    negative language from 3j-1, negative visual from 3j. ``permutation``
-    can be forced for tests; by default it is drawn from the same seeded
-    generator as the pairs. Loops over many batches should build one
-    :class:`BatchSampler` instead.
+    negative language from 3j-1, negative visual from 3j, the permutation
+    being drawn from the same seeded generator as the pairs. Loops over
+    many batches should build one :class:`BatchSampler` instead.
     """
-    sampler = BatchSampler(joint, n)
-    if permutation is not None:
-        permutation = np.asarray(permutation, dtype=int)
-        if not np.array_equal(np.sort(permutation), np.arange(n)):
-            raise InvalidSpec("permutation must be a rearrangement of range(n)")
-    batch = sampler.draw(default_rng(seed), permutation)
-    return batch._replace(seed=seed if isinstance(seed, (int, np.integer)) else None)
+    batch = BatchSampler(joint, n).draw(default_rng(seed))
+    return replace(batch, seed=seed if isinstance(seed, (int, np.integer)) else None)
 
 
 def _row_dots(a, b):
@@ -316,21 +300,23 @@ class _Plan(NamedTuple):
         """``batch`` with the lists of row 0 in place of its own."""
         p, j, q = self.positives, self.split[0], self.negatives_end
         visual, language = self.visual[0], self.language[0]
-        return batch._replace(
-            pos_visual=visual[:p], pos_language=language[:p],
+        return replace(
+            batch, pos_visual=visual[:p], pos_language=language[:p],
             neg_language=language[p:j], neg_language_anchor=visual[p:j],
             neg_visual=visual[j:q], neg_visual_anchor=language[j:q],
             extra_pos_visual=visual[q:], extra_pos_language=language[q:],
             extra_pos_weight=self.weight[0],
         )
 
-    def loss(self, row: int, scores) -> float:
-        """:func:`empirical_scl` of batch ``row`` from the scores of its pairs."""
-        p, j, q = self.positives, self.split[row], self.negatives_end
-        loss = _spectral_terms(scores[:p], scores[p:j], scores[j:q], self.n // 3)
-        if scores.size > q:
-            loss += -2.0 * (self.weight[row] * scores[q:]).sum() / (scores.size - q)
-        return float(loss)
+    def losses(self, scores, split, weight):
+        """:func:`empirical_scl` of batches from their pairs' ``scores``, one
+        row per batch, their common caption/image ``split`` and their extra
+        positives' ``weight``; leading axes carry through."""
+        p, q, width = self.positives, self.negatives_end, scores.shape[-1]
+        loss = _spectral_terms(scores[..., :p], scores[..., p:split], scores[..., split:q], self.n // 3)
+        if width > q:
+            loss = loss - 2.0 * (weight * scores[..., q:]).sum(axis=-1) / (width - q)
+        return loss
 
 
 class _PlanGrads:
@@ -366,7 +352,8 @@ class _PlanGrads:
         p, q = plan.positives, plan.negatives_end
         np.divide(scores[p:q], plan.n // 3, out=slope[p:q])
         slope = slope[:, None]
-        return (plan.loss(row, scores), _scatter(self.flat_visual[row], slope * rows_l, fv),
+        return (plan.losses(scores, plan.split[row], plan.weight[row]),
+                _scatter(self.flat_visual[row], slope * rows_l, fv),
                 _scatter(self.flat_language[row], slope * rows_v, fl))
 
 
@@ -391,21 +378,22 @@ def empirical_scl(f_visual, f_language, batch: Batch) -> float:
     """
     fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
     plan = _Plan.of_batch(batch)
-    return plan.loss(0, _row_dots(fv[plan.visual[0]], fl[plan.language[0]]))
+    scores = _row_dots(fv[plan.visual[0]], fl[plan.language[0]])
+    return float(plan.losses(scores, plan.split[0], plan.weight[0]))
 
 
 def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, count: int) -> np.ndarray:
     """:func:`empirical_scl` of ``count`` consecutive batches drawn from
-    ``sampler`` with ``rng``, bit for bit, evaluated a chunk of batches at a
-    time without building any ``Batch``."""
+    ``sampler`` with ``rng``, bit for bit, evaluated a plan chunk of
+    batches at a time without building any ``Batch``."""
     fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
     losses = np.empty(count)
-    chunk = max(1, min(_MAX_CHUNK_BATCHES, _CHUNK_ENTRIES // (sampler.n * max(fv.shape[1], 1))))
+    draws = sampler.draw_chunk(rng, count)
+    chunk = max(1, _CHUNK_ENTRIES // (sampler.n * max(fv.shape[1], 1)))
     for start in range(0, count, chunk):
-        pos_v, pos_l, neg_l, neg_v = sampler.draw_chunk(rng, min(chunk, count - start))
-        losses[start:start + pos_v.shape[0]] = _spectral_terms(
-            _row_dots(fv[pos_v], fl[pos_l]), _row_dots(fv[pos_v], fl[neg_l]),
-            _row_dots(fv[neg_v], fl[pos_l]), sampler.n // 3)
+        plan = _Plan.of_triples(*(d[start:start + chunk] for d in draws), sampler.n)
+        scores = _row_dots(fv[plan.visual], fl[plan.language])
+        losses[start:start + chunk] = plan.losses(scores, plan.split[0], plan.weight)
     return losses
 
 
@@ -413,7 +401,8 @@ def empirical_scl_grad(f_visual, f_language, batch: Batch):
     """Value and analytic gradients of :func:`empirical_scl` with respect
     to both feature tables. Returns (loss, grad_visual, grad_language)."""
     fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
-    return _PlanGrads(_Plan.of_batch(batch), fv.shape[1])(0, fv, fl)
+    loss, gv, gl = _PlanGrads(_Plan.of_batch(batch), fv.shape[1])(0, fv, fl)
+    return float(loss), gv, gl
 
 
 def scl_grad(f_visual, f_language, joint: JointDistribution):

@@ -10,7 +10,7 @@ both encoder kinds: SSCL is its one-table case, a single encoder shared by
 both sides of the symmetric induced joint.
 
 Batches do not depend on the features, so a sampled run draws all of
-them first, in :meth:`BatchSampler.draw`'s stream, and keeps the latest
+them first with one :meth:`BatchSampler.draw_chunk` and keeps the latest
 run's draws for a run that would draw the same. It then steps through a
 plan (``losses._Plan``) a chunk of steps at a time: the strategy rewrites
 every batch of the chunk at once, and each step gathers its row of pairs
@@ -30,7 +30,7 @@ from numpy.random import default_rng
 from .distributions import InducedDistribution, JointDistribution, normalize_cooccurrence
 from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
-from .losses import Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads
+from .losses import _CHUNK_ENTRIES, Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads
 from .losses import sample_batch  # noqa: F401  (perfbench's tracer test looks it up here)
 from .spectral import _warn_if_degenerate, decompose
 
@@ -44,9 +44,6 @@ DEFAULT_RATIOS = {
     "DropFalseNegative": 0.05,
     "DropEasyNegative": 0.10,
 }
-
-#: largest number of entries one array of a sampled run's plan chunk holds
-_PLAN_ENTRIES = 2**13
 
 #: {draw key: triple lists} of the latest sampled run, see _run_draws
 _LATEST_DRAWS = {}
@@ -165,20 +162,6 @@ def _population_descent(init_factors, loss_and_grads, cfg: TrainConfig, optimum:
     return factors, LossHistory(np.array(history), converged)
 
 
-def _sgd(init_factors, batch_grads, cfg: TrainConfig):
-    """Plain SGD; history records per-batch losses (noisy by nature)."""
-    factors = [f.copy() for f in init_factors]
-    history = []
-    for step in range(cfg.max_steps):
-        loss, grads = batch_grads(factors, step)
-        factors = [f - cfg.learning_rate * g for f, g in zip(factors, grads)]
-        history.append(loss)
-    converged = bool(np.all(np.isfinite(history)))
-    if not converged:
-        warnings.warn("sampled-mode training produced non-finite losses", DidNotConverge)
-    return factors, LossHistory(np.array(history), converged)
-
-
 def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
            resample: ResampleConfig = None, teacher: EncoderTable = None):
     """The training core behind :func:`train_mmcl` (``tables=2``: a visual
@@ -186,9 +169,9 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
     shared by both sides of a symmetric joint).
 
     Population mode descends on the factorization form of the loss (exact
-    gradients); sampled mode runs SGD on three-way batches of the pruned
-    support, each rewritten by ``resample`` with ``teacher`` when given.
-    Returns (feature matrices on the pruned support, LossHistory).
+    gradients); sampled mode runs plain SGD on three-way batches of the
+    pruned support, each rewritten by ``resample`` with ``teacher`` when
+    given. Returns (feature matrices on the pruned support, LossHistory).
     """
     norm = normalize_cooccurrence(joint)
     target = norm.matrix
@@ -225,44 +208,38 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
 
     pruned = JointDistribution.from_counts(joint.matrix[np.ix_(norm.visual_index, norm.language_index)])
     batch_seed = int(rng.integers(2**63))
-    f_init = [f / scale for f, scale in zip(init, scales)]
+    factors = [f / scale for f, scale in zip(init, scales)]
     # batches index the pruned support, so the teacher must too
     teacher_tables = None if resample is None else _TeacherTables(teacher.matrix[norm.visual_index])
-    chunk = max(1, _PLAN_ENTRIES // (cfg.batch_size * k))
-    draws = _run_draws(pruned, cfg.batch_size, batch_seed, cfg.max_steps, chunk)
-    grads = None
+    draws = _run_draws(pruned, cfg.batch_size, batch_seed, cfg.max_steps)
+    chunk = max(1, _CHUNK_ENTRIES // (cfg.batch_size * k))
+    history = []
+    for start in range(0, cfg.max_steps, chunk):
+        plan = _Plan.of_triples(*(d[start:start + chunk] for d in draws), cfg.batch_size)
+        if teacher_tables is not None:
+            plan = _resample(plan, teacher_tables, resample)
+        grads = _PlanGrads(plan, k)
+        for row in range(plan.visual.shape[0]):
+            loss, gv, gl = grads(row, factors[0], factors[-1])
+            steps = [gv, gl] if tables == 2 else [gv + gl]  # a shared table takes both sides
+            factors = [f - cfg.learning_rate * g for f, g in zip(factors, steps)]
+            history.append(loss)
+    converged = bool(np.all(np.isfinite(history)))
+    if not converged:
+        warnings.warn("sampled-mode training produced non-finite losses", DidNotConverge)
+    return factors, LossHistory(np.array(history), converged)
 
-    def batch_grads(factors, step):
-        nonlocal grads
-        if step % chunk == 0:
-            plan = _Plan.of_triples(*(d[step:step + chunk] for d in draws), cfg.batch_size)
-            if teacher_tables is not None:
-                plan = _resample(plan, teacher_tables, resample)
-            grads = _PlanGrads(plan, k)
-        loss, gv, gl = grads(step % chunk, factors[0], factors[-1])
-        return loss, [gv, gl] if tables == 2 else [gv + gl]  # a shared table takes both sides
 
-    return _sgd(f_init, batch_grads, cfg)
-
-
-def _run_draws(pruned: JointDistribution, n: int, seed: int, steps: int, chunk: int):
-    """The triple lists of the ``steps`` batches a sampled run draws from
-    ``pruned`` with the generator seeded by ``seed``, as read-only
-    ``(steps, n/3)`` arrays, drawn ``chunk`` batches at a time.
+def _run_draws(pruned: JointDistribution, n: int, seed: int, steps: int):
+    """:meth:`BatchSampler.draw_chunk` of the ``steps`` batches a sampled
+    run draws from ``pruned`` with the generator seeded by ``seed``.
 
     The latest run's draws are kept: the runs of one resample-compare
     work unit differ only in strategy, so they draw the same batches.
     """
     key = (pruned.matrix.shape, pruned.matrix.tobytes(), n, seed, steps)
     if key not in _LATEST_DRAWS:
-        sampler, rng = BatchSampler(pruned, n), default_rng(seed)
-        dtype = np.min_scalar_type(max(pruned.matrix.shape))  # small: a run holds them all
-        draws = tuple(np.empty((steps, n // 3), dtype=dtype) for _ in range(4))
-        for start in range(0, steps, chunk):
-            for out, part in zip(draws, sampler.draw_chunk(rng, min(chunk, steps - start))):
-                out[start:start + chunk] = part
-        for out in draws:
-            out.setflags(write=False)
+        draws = BatchSampler(pruned, n).draw_chunk(default_rng(seed), steps)
         _LATEST_DRAWS.clear()
         _LATEST_DRAWS[key] = draws
     return _LATEST_DRAWS[key]

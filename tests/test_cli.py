@@ -58,16 +58,41 @@ class TestExperimentCommands:
         {"s_low": [2]},
         {"s_high": [1, 2, 3]},
         {"csv_pair": [2]},
+        {"pairs": []},
+        {"separations": []},
+        {"rate_batch_counts": []},
+        {"sweep_points": 0},
+        {"dim": 0},
+        {"steps": 0},
+        {"bound_instances": 0},
     ])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, payload):
         (key,) = payload
-        kind = "hrg-spectrum" if key in ("s_low", "s_high", "csv_pair") else "bound-sweep"
+        kind = {"s_low": "hrg-spectrum", "s_high": "hrg-spectrum", "csv_pair": "hrg-spectrum",
+                "rate_batch_counts": "verify-equivalence", "steps": "resample-compare",
+                "bound_instances": "estimators"}.get(key, "bound-sweep")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
         code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "b")])
         assert code == 2
         assert f"error: bad value for {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("kind,payload,message", [
+        ("hrg-spectrum", {"s_low": [6, 2]}, "selects nothing to check"),
+        ("resample-compare", {"batch_size": 10}, "batch size must be a positive multiple of 3"),
+        ("hrg-spectrum", {"s_low": [1, 2]}, "need s_l >= 2"),
+        ("bound-sweep", {"separations": [2.0]}, "separation must lie in [0, 1]"),
+    ], ids=["empty-range", "batch-size", "s-low", "separation"])
+    def test_values_the_library_refuses_exit_two(self, tmp_path, capsys, kind, payload, message):
+        """The output directory is made before these surface, so only the
+        exit code and the one-line message are pinned."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "passed" not in captured.out
 
     def test_seed_flag_reaches_report(self, tmp_path):
         code, out = run_hrg(tmp_path, "--seed", "9")

@@ -202,7 +202,7 @@ class TestIntraClassConnectivity:
         values = []
         for seed in range(20):
             labels = np.random.default_rng(seed).permutation([0] * 10 + [1] * 10)
-            beta, _ = intra_class_connectivity(feats, labels, seed=seed)
+            beta, _ = intra_class_connectivity(feats, labels)
             values.append(beta)
         assert abs(float(np.mean(values)) - 1.0) < 0.1
 

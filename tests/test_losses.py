@@ -1,5 +1,5 @@
 """Population and sampled losses: values, identities, and the batch sampler."""
-from dataclasses import fields, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -198,27 +198,9 @@ class TestSampleBatch:
         assert np.array_equal(a.permutation, b.permutation)
         assert np.array_equal(a.neg_visual, b.neg_visual)
 
-    def test_identity_permutation_slices_by_draw_order(self):
-        """Triple j takes draws 3j-2, 3j-1, 3j (1-based): positives from
-        draws 1 and 4, negative texts from 2 and 5, negative images 3 and 6."""
-        joint = JointDistribution([[0.05, 0.2], [0.3, 0.45]])
-        n = 6
-        rng = np.random.default_rng(17)
-        cells = rng.choice(4, size=n, p=joint.matrix.ravel())
-        v, l = cells // 2, cells % 2
-        batch = sample_batch(joint, n, seed=17, permutation=np.arange(n))
-        np.testing.assert_array_equal(batch.pos_visual, v[[0, 3]])
-        np.testing.assert_array_equal(batch.pos_language, l[[0, 3]])
-        np.testing.assert_array_equal(batch.neg_language, l[[1, 4]])
-        np.testing.assert_array_equal(batch.neg_visual, v[[2, 5]])
-
     def test_rejects_non_multiple_of_three(self):
         with pytest.raises(InvalidBatchSize):
             sample_batch(UNIFORM_2X2, 4, seed=0)
-
-    def test_rejects_bogus_permutation(self):
-        with pytest.raises(InvalidSpec):
-            sample_batch(UNIFORM_2X2, 3, seed=0, permutation=[0, 0, 2])
 
 
 def sparse_joint(rng):
@@ -255,27 +237,27 @@ class TestBatchSampler:
         assert rng.random() == reference.random()  # the streams stay in step
         assert wrapped.seed == seed and batch.seed is None
 
-    def test_chunks_continue_the_stream_of_single_draws(self):
-        joint = sparse_joint(np.random.default_rng(8))
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_chunks_continue_the_stream_of_single_draws(self, seed, count, block):
+        """Blocks of ``block`` batches, so most counts span several and
+        end on a partial one."""
+        joint = sparse_joint(np.random.default_rng(seed))
         sampler = BatchSampler(joint, 9)
-        one, many = np.random.default_rng(4), np.random.default_rng(4)
-        singles = [sampler.draw(one) for _ in range(5)]
-        pos_v, pos_l, neg_l, neg_v = sampler.draw_chunk(many, 5)
-        for row, batch in enumerate(singles):
-            np.testing.assert_array_equal(pos_v[row], batch.pos_visual)
-            np.testing.assert_array_equal(pos_l[row], batch.pos_language)
-            np.testing.assert_array_equal(neg_l[row], batch.neg_language)
-            np.testing.assert_array_equal(neg_v[row], batch.neg_visual)
+        one, many = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 4])
+        singles = [sampler.draw(one) for _ in range(count)]
+        with mock.patch.object(losses, "_CHUNK_ENTRIES", block * sampler.n):
+            drawn = sampler.draw_chunk(many, count)
+        for got, name in zip(drawn, ("pos_visual", "pos_language", "neg_language", "neg_visual")):
+            assert got.shape == (count, 3) and got.dtype == np.uint8 and not got.flags.writeable
+            assert got.tolist() == [getattr(batch, name).tolist() for batch in singles]
         assert one.random() == many.random()
 
-    def test_trusted_batches_hold_what_validation_would_store(self):
-        batch = BatchSampler(UNIFORM_2X2, 12).draw(np.random.default_rng(2))
-        checked = Batch(**{f.name: getattr(batch, f.name) for f in fields(Batch)})
-        for f in fields(Batch):
-            mine, theirs = getattr(batch, f.name), getattr(checked, f.name)
-            if isinstance(mine, np.ndarray):
-                assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
-            np.testing.assert_array_equal(mine, theirs)
+    def test_chunks_take_the_smallest_index_dtype(self):
+        for size, dtype in ((255, np.uint8), (256, np.uint16), (70000, np.uint32)):
+            joint = JointDistribution.from_counts(np.arange(1.0, size + 1.0)[None, :])
+            drawn = BatchSampler(joint, 6).draw_chunk(np.random.default_rng(size), 4)
+            assert all(d.dtype == dtype for d in drawn)
 
     def test_rejects_non_multiple_of_three(self):
         with pytest.raises(InvalidBatchSize):
@@ -313,14 +295,14 @@ class TestEmpiricalScl:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 60))
     @settings(max_examples=40, deadline=None)
     def test_chunked_loss_is_bit_equal_to_the_batch_loss(self, seed, k, count):
-        """Chunks of 7 batches, so most counts end on a partial chunk."""
+        """Plan chunks of 7 batches, so most counts end on a partial chunk."""
         rng = np.random.default_rng(seed)
         joint = sparse_joint(rng)
         fv, fl = random_tables(rng, joint, k)
         sampler = BatchSampler(joint, 3 * int(rng.integers(1, 12)))
         one, many = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
         singles = [empirical_scl_grad(fv, fl, sampler.draw(one))[0] for _ in range(count)]
-        with mock.patch.object(losses, "_MAX_CHUNK_BATCHES", 7):
+        with mock.patch.object(losses, "_CHUNK_ENTRIES", 7 * sampler.n * k):
             chunked = empirical_scl_batches(fv, fl, sampler, many, count)
         assert chunked.tobytes() == np.array(singles).tobytes()
         assert one.random() == many.random()

@@ -28,8 +28,8 @@ from mmspectral import (
     train_sscl,
 )
 from mmspectral import BatchSampler, empirical_scl_grad, generate_augmentation_model
-from mmspectral.losses import _Plan
-from mmspectral.train import _LATEST_DRAWS, _PLAN_ENTRIES, DEFAULT_RATIOS, STRATEGIES, _resample, _TeacherTables
+from mmspectral.losses import _CHUNK_ENTRIES, _Plan
+from mmspectral.train import _LATEST_DRAWS, DEFAULT_RATIOS, STRATEGIES, _resample, _TeacherTables
 from oracles import BATCH_INDEX_FIELDS, strategy_oracle
 
 TILTED = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
@@ -381,7 +381,7 @@ def augmentation_instance(rng):
 def sampled_config(rng, chunks=2, **changes):
     """A sampled run of more than ``chunks - 1`` plan chunks."""
     triples, k = int(rng.integers(15, 41)), int(rng.integers(2, 4))
-    chunk = max(1, _PLAN_ENTRIES // (3 * triples * k))
+    chunk = max(1, _CHUNK_ENTRIES // (3 * triples * k))
     steps = (chunks - 1) * chunk + int(rng.integers(1, chunk + 1))
     fields = dict(dim=k, learning_rate=0.005, max_steps=steps, batch_mode="sampled",
                   batch_size=3 * triples, seed=int(rng.integers(2**32)))
