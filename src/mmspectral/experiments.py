@@ -36,7 +36,7 @@ from .distributions import (
     normalized_uni,
     text_induced,
 )
-from .errors import ConfigParseError, InvalidSpec, NumericalFailure
+from .errors import ConfigParseError, DegenerateGap, InvalidSpec, NumericalFailure
 from .evaluation import (
     estimate_cooccurrence,
     fit_probe,
@@ -266,15 +266,20 @@ def _map_tasks(fn, tasks, workers: int):
 def _rank_correlation(a, b) -> float:
     """Spearman rank correlation, ties taking the mean of the ranks they
     span; nan for fewer than two points, constant input or nan input.
-    Equal to ``scipy.stats.spearmanr(a, b).statistic``."""
+
+    Exact: on twice the ranks, integers, rho = C / sqrt(V_a V_b) in Python
+    integers, rounded once. Without ties V_a = V_b and the root is exact;
+    otherwise ``math.isqrt`` takes it 64 bits past the point."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.size < 2 or np.all(a == a[0]) or np.all(b == b[0]) or np.isnan(a).any() or np.isnan(b).any():
         return math.nan
-    ranks = []
+    twice = []
     for x in (a, b):
         _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
-        ranks.append((np.cumsum(counts) - (counts - 1) / 2.0)[group])
-    return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
+        twice.append((2 * np.cumsum(counts) - counts + 1)[group].astype(object))
+    (ra, rb), n = twice, a.size
+    c, va, vb = (n * (x @ y) - x.sum() * y.sum() for x, y in ((ra, rb), (ra, ra), (rb, rb)))
+    return (c << 64) / math.isqrt(va * vb << 128)
 
 
 def _random_joint(rng, nv: int, nl: int) -> JointDistribution:
@@ -302,7 +307,8 @@ def _top_eigvecs(matrix: np.ndarray, k: int) -> np.ndarray:
 
 
 def _gapped_multimodal(params, seed: int):
-    """Draw synthetic instances until sigma_k - sigma_{k+1} >= min_gap.
+    """(joint, labels, normalized joint, decomposition) of the first
+    synthetic instance with sigma_k - sigma_{k+1} >= min_gap.
 
     Re-draws keep determinism (attempt index folds into the seed); the
     generator's class structure makes the gap large with high probability,
@@ -314,9 +320,11 @@ def _gapped_multimodal(params, seed: int):
                                   params["language_per_class"], params["target_alpha"],
                                   params["concentration"], seed=seed * 1009 + attempt)
         joint, labels = generate_multimodal(cfg)
-        s = decompose(normalize_cooccurrence(joint)).singular_values
+        norm = normalize_cooccurrence(joint)
+        dec = decompose(norm)
+        s = dec.singular_values
         if k >= s.size or s[k - 1] - s[k] >= min_gap:
-            return joint, labels
+            return joint, labels, norm, dec
     raise NumericalFailure(
         f"no instance with spectral gap >= {min_gap} in 64 draws for seed {seed}")
 
@@ -415,8 +423,7 @@ def _run_verify_equivalence(params, seeds, workers: int):
 
 def _optimum_case(params, seed):
     dim = params["dim"]
-    joint, labels = _gapped_multimodal(params, seed)
-    dec = decompose(normalize_cooccurrence(joint))
+    joint, labels, _, dec = _gapped_multimodal(params, seed)
     target = -float(np.sum(dec.singular_values[:dim] ** 2))
     cfg = TrainConfig(dim=dim, learning_rate=params["learning_rate"], max_steps=params["max_steps"],
                       tolerance=params["tolerance"], seed=seed)
@@ -626,7 +633,7 @@ def _run_bound_sweep(params, seeds, workers: int):
         for sep in separations:
             induced = build_hierarchical_matrix(HierarchicalGraphSpec.from_separation(s_l, s_h, sep))
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("ignore", DegenerateGap)  # sigma_k = sigma_{k+1} at separation 0
                 report = bound_report(JointDistribution(induced.matrix), assignment, s_l)
             bound_rows.append((float(sep), report.alpha, report.sigma_next,
                                report.dominant_term, report.sigma_gap,
@@ -668,9 +675,7 @@ def _run_bound_sweep(params, seeds, workers: int):
 
 def _uni_case(params, seed):
     dim = params["dim"]
-    joint, labels = _gapped_multimodal(params, seed)
-    norm = normalize_cooccurrence(joint)
-    dec = decompose(norm)
+    joint, labels, norm, dec = _gapped_multimodal(params, seed)
     closed_v, _ = optimal_encoders(joint, OptimalEncoderParams.identity(dim))
 
     pv = norm.marginal_visual
@@ -904,16 +909,17 @@ SUITES = {
 def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
     """Execute one experiment: all checks evaluated (no fail-fast), CSV
     artifacts and the JSON report written under the output directory.
-    This is the only code that writes there."""
+    This is the only code that writes there, and only after the runner
+    succeeds: a failed run leaves no directory behind."""
     start = time.perf_counter()
+    checks, tables = SUITES[config.kind].runner(config.params, list(config.seeds), max(1, int(workers)))
+    if not checks:
+        raise ConfigParseError(f"the {config.kind} configuration selects nothing to check")
     out = Path(config.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigParseError(f"output directory {out} is not writable: {exc}") from exc
-    checks, tables = SUITES[config.kind].runner(config.params, list(config.seeds), max(1, int(workers)))
-    if not checks:
-        raise ConfigParseError(f"the {config.kind} configuration selects nothing to check")
     for name, (header, rows) in tables.items():
         save_csv(out / name, rows, header=header)
     report = RunReport(

@@ -8,14 +8,14 @@ negative-caption / negative-image triples, and the empirical loss averages
 the two quadratic negative sums so that its expectation over batches is
 exactly the population loss.
 
-Every sampled path draws through one :class:`BatchSampler`, lays the
-batches out as a ``_Plan`` and scores them with ``_Plan.losses``, within
-one ``_CHUNK_ENTRIES`` budget, so the single-batch loss, its gradient form
-and the many-batch loss agree bit for bit.
+Every sampled path draws with ``BatchSampler.draw_chunk``, lays batches
+out as ``_Plan`` rows (a ``Batch`` is one row) and scores them with
+``_Plan.losses`` within one ``_CHUNK_ENTRIES`` budget, so the single-batch
+loss, its gradient form and the many-batch loss agree bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -120,9 +120,7 @@ class Batch:
     neg_language_anchor: np.ndarray
     neg_visual: np.ndarray
     neg_visual_anchor: np.ndarray
-    permutation: np.ndarray
     n: int
-    seed: int | None = None
     extra_pos_visual: np.ndarray = None
     extra_pos_language: np.ndarray = None
     extra_pos_weight: np.ndarray = None
@@ -153,7 +151,6 @@ class Batch:
         if max(pv.size, nl.size, nv.size) > self.n // 3:
             raise InvalidSpec("batch lists cannot exceed the n/3 sampled triples")
         object.__setattr__(self, "extra_pos_weight", ew)
-        object.__setattr__(self, "permutation", np.asarray(self.permutation, dtype=int))
 
     @property
     def num_positives(self) -> int:
@@ -189,27 +186,16 @@ class BatchSampler:
         self._num_language = joint.num_language
         self._dtype = np.min_scalar_type(max(joint.matrix.shape))  # small: a run holds them all
 
-    def _triples(self, cells):
-        """(pos_visual, pos_language, neg_language, neg_visual) from permuted
-        cells; leading batch axes carry through."""
-        nl = self._num_language
-        pos = cells[..., 0::3]
-        return pos // nl, pos % nl, cells[..., 1::3] % nl, cells[..., 2::3] // nl
-
     def draw(self, rng) -> Batch:
-        """One batch."""
-        cells = self._cdf.searchsorted(rng.random(self.n), side="right")
-        perm = rng.permutation(self.n)
-        pos_v, pos_l, neg_l, neg_v = self._triples(cells[perm])
-        return Batch(pos_visual=pos_v, pos_language=pos_l,
-                     neg_language=neg_l, neg_language_anchor=pos_v.copy(),
-                     neg_visual=neg_v, neg_visual_anchor=pos_l.copy(),
-                     permutation=perm, n=self.n)
+        """One batch: the one-row case of :meth:`draw_chunk`."""
+        return _Plan.of_triples(*self.draw_chunk(rng, 1), self.n).as_batch()
 
     def draw_chunk(self, rng, count: int):
-        """The triple lists of ``count`` batches, as ``count`` calls to
-        :meth:`draw` make them, in read-only ``(count, n/3)`` arrays of the
-        smallest index dtype; drawn ``_CHUNK_ENTRIES // n`` at a time."""
+        """The (pos_visual, pos_language, neg_language, neg_visual) lists of
+        ``count`` consecutive batches, in read-only ``(count, n/3)`` arrays
+        of the smallest index dtype; drawn ``_CHUNK_ENTRIES // n`` at a
+        time. The slot rule is :func:`sample_batch`'s."""
+        nl = self._num_language
         draws = tuple(np.empty((count, self.n // 3), dtype=self._dtype) for _ in range(4))
         block = max(1, _CHUNK_ENTRIES // self.n)
         uniforms = np.empty((min(block, count), self.n))
@@ -220,8 +206,10 @@ class BatchSampler:
             for row in range(rows):
                 rng.random(out=uniforms[row])
                 rng.shuffle(perms[row])  # what Generator.permutation(n) does to arange(n)
-            cells = self._cdf.searchsorted(uniforms[:rows], side="right")
-            for out, part in zip(draws, self._triples(np.take_along_axis(cells, perms[:rows], axis=1))):
+            cells = np.take_along_axis(self._cdf.searchsorted(uniforms[:rows], side="right"),
+                                       perms[:rows], axis=1)
+            pos = cells[:, 0::3]
+            for out, part in zip(draws, (pos // nl, pos % nl, cells[:, 1::3] % nl, cells[:, 2::3] // nl)):
                 out[start:start + rows] = part
         for out in draws:
             out.setflags(write=False)
@@ -234,11 +222,11 @@ def sample_batch(joint: JointDistribution, n: int, seed=None) -> Batch:
 
     1-based draw i of triple j is: positive pair from permuted slot 3j-2,
     negative language from 3j-1, negative visual from 3j, the permutation
-    being drawn from the same seeded generator as the pairs. Loops over
-    many batches should build one :class:`BatchSampler` instead.
+    being drawn from the same seeded generator as the pairs. This is
+    ``BatchSampler(joint, n).draw(default_rng(seed))``; loops over many
+    batches should build one :class:`BatchSampler` instead.
     """
-    batch = BatchSampler(joint, n).draw(default_rng(seed))
-    return replace(batch, seed=seed if isinstance(seed, (int, np.integer)) else None)
+    return BatchSampler(joint, n).draw(default_rng(seed))
 
 
 def _row_dots(a, b):
@@ -296,14 +284,14 @@ class _Plan(NamedTuple):
                    np.concatenate([pos_language, neg_language, pos_language], axis=1, dtype=int),
                    np.zeros((rows, 0)), triples, np.full(rows, 2 * triples), 3 * triples, n)
 
-    def as_batch(self, batch: Batch) -> Batch:
-        """``batch`` with the lists of row 0 in place of its own."""
+    def as_batch(self) -> Batch:
+        """The batch of row 0: the inverse of :meth:`of_batch`."""
         p, j, q = self.positives, self.split[0], self.negatives_end
         visual, language = self.visual[0], self.language[0]
-        return replace(
-            batch, pos_visual=visual[:p], pos_language=language[:p],
+        return Batch(
+            pos_visual=visual[:p], pos_language=language[:p],
             neg_language=language[p:j], neg_language_anchor=visual[p:j],
-            neg_visual=visual[j:q], neg_visual_anchor=language[j:q],
+            neg_visual=visual[j:q], neg_visual_anchor=language[j:q], n=self.n,
             extra_pos_visual=visual[q:], extra_pos_language=language[q:],
             extra_pos_weight=self.weight[0],
         )

@@ -103,7 +103,11 @@ class OptimalEncoderParams:
         return cls(dim=dim)
 
 
-def _warn_if_degenerate(s: np.ndarray, k: int) -> None:
+def _check_top_k(dec: SpectralDecomposition, k: int) -> None:
+    """Refuse k past the rank bound; warn when the top-k subspace is ill-defined."""
+    s = dec.singular_values
+    if k > s.size:
+        raise InvalidSpec(f"k={k} exceeds the rank bound {s.size}")
     # only an interior gap can be degenerate; k == rank bound has none
     if k < s.size and s[k - 1] - s[k] < GAP_TOL:
         warnings.warn(
@@ -123,9 +127,7 @@ def optimal_encoders(joint: JointDistribution, params: OptimalEncoderParams) -> 
     norm = normalize_cooccurrence(joint)
     dec = decompose(norm)
     k = params.dim
-    if k > dec.rank_bound:
-        raise InvalidSpec(f"k={k} exceeds the rank bound {dec.rank_bound}")
-    _warn_if_degenerate(dec.singular_values, k)
+    _check_top_k(dec, k)
     d_diag = np.diag(params.scaling)
     right_mix = params.rotation / d_diag[:, None]  # D^-1 R, both k x k
     visual = (dec.left[:, :k] @ (params.scaling @ params.rotation)) / np.sqrt(norm.marginal_visual)[:, None]

@@ -32,7 +32,7 @@ from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
 from .losses import _CHUNK_ENTRIES, Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads
 from .losses import sample_batch  # noqa: F401  (perfbench's tracer test looks it up here)
-from .spectral import _warn_if_degenerate, decompose
+from .spectral import _check_top_k, decompose
 
 STRATEGIES = ("AddNewPositive", "DropFalsePositive", "DropFalseNegative", "DropEasyNegative")
 
@@ -178,9 +178,7 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
     constant = float(np.sum(target * target))
     dec = decompose(norm)
     k = cfg.dim
-    if k > dec.rank_bound:
-        raise InvalidSpec(f"k={k} exceeds the rank bound {dec.rank_bound}")
-    _warn_if_degenerate(dec.singular_values, k)
+    _check_top_k(dec, k)
 
     rng = default_rng(cfg.seed)
     init = [rng.standard_normal((n, k)) / np.sqrt(k) for n in target.shape[:tables]]
@@ -334,7 +332,7 @@ def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> 
     plan = _Plan.of_batch(batch)
     _check_rows(np.append(plan.visual, plan.language), teacher)
     out = _resample(plan, _TeacherTables(teacher.matrix), cfg)
-    return batch if out is plan else out.as_batch(batch)
+    return batch if out is plan else out.as_batch()
 
 
 def _check_rows(indices: np.ndarray, teacher: EncoderTable) -> None:

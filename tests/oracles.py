@@ -5,6 +5,7 @@ deliberately ignoring the vectorized formulations in the package. Slow and
 simple on purpose: these are the oracles the unit tests trust.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -181,6 +182,23 @@ def labeling_error_oracle(p, labels_v, labels_l):
         for v in range(p.shape[0]) for l in range(p.shape[1])
         if labels_v[v] != labels_l[l]
     )
+
+
+def spearman_oracle(a, b):
+    """Spearman rho of two equal-length sequences, exactly: its sign and
+    its square as a Fraction. Tied values share the mean of the ranks
+    they span. None when either side is constant."""
+    def ranks(x):
+        return [sum(v < xi for v in x) + Fraction(sum(v == xi for v in x) + 1, 2) for xi in x]
+
+    ra, rb = ranks(list(a)), ranks(list(b))
+    ma, mb = sum(ra) / len(ra), sum(rb) / len(rb)
+    cov = sum((x - ma) * (y - mb) for x, y in zip(ra, rb))
+    va = sum((x - ma) ** 2 for x in ra)
+    vb = sum((y - mb) ** 2 for y in rb)
+    if va == 0 or vb == 0:
+        return None
+    return (cov > 0) - (cov < 0), cov * cov / (va * vb)
 
 
 def random_joint(rng, max_visual=12, max_language=12):

@@ -85,14 +85,15 @@ class TestExperimentCommands:
         ("bound-sweep", {"separations": [2.0]}, "separation must lie in [0, 1]"),
     ], ids=["empty-range", "batch-size", "s-low", "separation"])
     def test_values_the_library_refuses_exit_two(self, tmp_path, capsys, kind, payload, message):
-        """The output directory is made before these surface, so only the
-        exit code and the one-line message are pinned."""
+        """These surface in the runner, before the output directory is
+        made: one error line, exit code 2 and nothing written."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
         assert main([kind, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert "passed" not in captured.out
+        assert not (tmp_path / "o").exists()
 
     def test_seed_flag_reaches_report(self, tmp_path):
         code, out = run_hrg(tmp_path, "--seed", "9")

@@ -1,16 +1,16 @@
 """Experiment harness: config resolution, reports, and reproducible runs."""
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
-import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import spearmanr
 
 from mmspectral import (
     SUITES,
@@ -24,6 +24,7 @@ from mmspectral import (
 )
 from mmspectral import experiments
 from mmspectral.experiments import _map_tasks, _rank_correlation
+from oracles import spearman_oracle
 
 
 def check(name, passed=True, value=0.0, tolerance=1e-9, detail=""):
@@ -275,15 +276,28 @@ class TestRankCorrelation:
     @given(st.lists(st.tuples(st.integers(-3, 3), st.floats(-1e3, 1e3)), min_size=2, max_size=30),
            st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_matches_scipy_spearman(self, pairs, tied):
-        """Small integers force ties; floats mostly do not."""
+    def test_is_exact_rho_rounded_once(self, pairs, tied):
+        """Small integers force ties; floats mostly do not. The result is
+        the float nearest the exact rho: rho lies within half a unit in the
+        last place of it on either side."""
         a = np.array([p[0] for p in pairs], dtype=float)
         b = np.array([p[0] if tied else p[1] for p in pairs], dtype=float)[::-1]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy warns on constant input
-            want = spearmanr(a, b).statistic
         got = _rank_correlation(a, b)
-        assert repr(got) == repr(float(want))
+        exact = spearman_oracle(a.tolist(), b.tolist())
+        if exact is None:
+            assert math.isnan(got)
+            return
+        sign, square = exact
+        assert math.copysign(1.0, got) == sign or got == sign == 0
+        size = abs(got)
+        below = (Fraction(size) + Fraction(math.nextafter(size, 0.0))) / 2
+        above = (Fraction(size) + Fraction(math.nextafter(size, 2.0))) / 2
+        assert below**2 <= square <= above**2
+
+    def test_exact_four_fifths(self):
+        """A rho of exactly 4/5 that correlating float ranks rounds to
+        0.7999999999999999, below a spearman_min of 0.8."""
+        assert _rank_correlation([9, 8, 7, 6, 2, 3, 5, 1, 4], [9, 8, 7, 6, 5, 4, 3, 2, 1]) == 0.8
 
     def test_constant_input_is_nan(self):
         assert np.isnan(_rank_correlation([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]))

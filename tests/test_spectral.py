@@ -113,8 +113,12 @@ class TestOptimalEncoders:
         np.testing.assert_array_equal(pred_base, pred_fancy)
 
     def test_rejects_rank_exceeding_dimension(self):
+        """k = 2, the rank bound, has no interior gap to be degenerate, so
+        it passes without a warning though sigma_1 = sigma_2."""
         joint = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
-        with pytest.raises(InvalidSpec):
+        fv, fl = optimal_encoders(joint, OptimalEncoderParams.identity(2))
+        assert fv.dim == fl.dim == 2
+        with pytest.raises(InvalidSpec, match="k=3 exceeds the rank bound 2"):
             optimal_encoders(joint, OptimalEncoderParams.identity(3))
 
 

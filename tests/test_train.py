@@ -44,7 +44,6 @@ def make_batch(pos_v=(), pos_l=(), neg_l=(), neg_l_anchor=(), neg_v=(), neg_v_an
         neg_language_anchor=np.asarray(neg_l_anchor, dtype=int),
         neg_visual=np.asarray(neg_v, dtype=int),
         neg_visual_anchor=np.asarray(neg_v_anchor, dtype=int),
-        permutation=np.arange(n),
         n=n,
     )
 
@@ -291,6 +290,28 @@ class TestTeacherTables:
                 assert plan.language[row, plan.negatives_end:].tolist() == [
                     nearest_neighbor_positive(v, np.arange(n), teacher) for v in batch.pos_visual]
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(STRATEGIES), st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_every_batch_is_a_plan_row(self, seed, strategy, ratio):
+        """Drawn and rewritten batches carry the plan's n and come back
+        from their one-row plan unchanged, extra positives included."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        teacher = tied_teacher(rng, n)
+        joint = JointDistribution.from_counts(rng.gamma(1.0, size=(n, n)))
+        cfg = ResampleConfig(strategy, ratio=None if strategy == "AddNewPositive" else ratio)
+        sampler = BatchSampler(joint, 3 * int(rng.integers(1, 12)))
+        drawn = sampler.draw(rng)
+        rewritten = apply_strategy(drawn, teacher, cfg)
+        if strategy == "AddNewPositive":
+            assert rewritten.extra_pos_visual.tolist() == drawn.pos_visual.tolist()
+        for batch in (drawn, rewritten):
+            again = _Plan.of_batch(batch).as_batch()
+            assert batch.n == again.n == sampler.n
+            for name in BATCH_INDEX_FIELDS + ("extra_pos_weight",):
+                got, want = getattr(again, name), getattr(batch, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 def exact_teacher(rng, n):
     """Teacher of repeated one-hot rows, some scaled and some zero: its
@@ -523,11 +544,11 @@ class TestApplyStrategy:
                       extra_pos_language=[1], extra_pos_weight=[1.0])
         teacher = EncoderTable(np.eye(3))
         cfg = ResampleConfig(strategy, ratio=None if strategy == "AddNewPositive" else 1.0)
-        apply_strategy(Batch(permutation=np.arange(3), n=3, **fields), teacher, cfg)
+        apply_strategy(Batch(n=3, **fields), teacher, cfg)
         for name, value in fields.items():
             if name == "extra_pos_weight":
                 continue
-            bad = Batch(permutation=np.arange(3), n=3, **{**fields, name: [3]})
+            bad = Batch(n=3, **{**fields, name: [3]})
             with pytest.raises(InvalidSpec):
                 apply_strategy(bad, teacher, cfg)
 
