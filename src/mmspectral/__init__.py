@@ -66,7 +66,6 @@ from .serialize import (
 )
 from .spectral import (
     BoundReport,
-    OptimalEncoderParams,
     SpectralDecomposition,
     bound_report,
     decompose,

@@ -58,7 +58,7 @@ from .losses import (
     scl_loss,
 )
 from .serialize import canonical_json, config_hash, load_json_config, save_csv
-from .spectral import OptimalEncoderParams, bound_report, decompose, hierarchical_eigenvalues, optimal_encoders
+from .spectral import bound_report, decompose, hierarchical_eigenvalues, optimal_encoders
 from .synth import (
     HierarchicalGraphSpec,
     MultiModalGenConfig,
@@ -423,13 +423,13 @@ def _run_verify_equivalence(params, seeds, workers: int):
 
 def _optimum_case(params, seed):
     dim = params["dim"]
-    joint, labels, _, dec = _gapped_multimodal(params, seed)
+    joint, labels, norm, dec = _gapped_multimodal(params, seed)
     target = -float(np.sum(dec.singular_values[:dim] ** 2))
     cfg = TrainConfig(dim=dim, learning_rate=params["learning_rate"], max_steps=params["max_steps"],
                       tolerance=params["tolerance"], seed=seed)
     fv, fl, history = train_mmcl(joint, cfg)
     final = scl_loss(fv, fl, joint)
-    closed_v, _ = optimal_encoders(joint, OptimalEncoderParams.identity(dim))
+    closed_v, _ = optimal_encoders(norm, dec, dim)
     pv = joint.marginal_visual
     trained_pred = fit_probe(fv.matrix, labels.visual, pv).predict(fv.matrix)
     closed_pred = fit_probe(closed_v.matrix, labels.visual, pv).predict(closed_v.matrix)
@@ -676,7 +676,7 @@ def _run_bound_sweep(params, seeds, workers: int):
 def _uni_case(params, seed):
     dim = params["dim"]
     joint, labels, norm, dec = _gapped_multimodal(params, seed)
-    closed_v, _ = optimal_encoders(joint, OptimalEncoderParams.identity(dim))
+    closed_v, _ = optimal_encoders(norm, dec, dim)
 
     pv = norm.marginal_visual
     top = _top_eigvecs(normalized_uni(norm).matrix, dim)
@@ -726,7 +726,8 @@ def _estimator_case(params, seed):
     cfg = MultiModalGenConfig(classes, vpc, params["language_per_class"], params["target_alpha"],
                               params["concentration"], seed=seed)
     joint, labels = generate_multimodal(cfg)
-    teacher_v, _ = optimal_encoders(joint, OptimalEncoderParams.identity(dim))
+    norm = normalize_cooccurrence(joint)
+    teacher_v, _ = optimal_encoders(norm, decompose(norm), dim)
     estimated = estimate_cooccurrence(teacher_v.matrix)
     alpha_teacher = surrogate_labeling_error(estimated, labels.visual)
     beta_teacher, _ = intra_class_connectivity(teacher_v.matrix, labels.visual)

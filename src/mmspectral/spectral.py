@@ -72,40 +72,11 @@ def decompose(norm: NormalizedCooccurrence) -> SpectralDecomposition:
     return SpectralDecomposition(left=u, singular_values=s, right=vt.T)
 
 
-@dataclass(frozen=True)
-class OptimalEncoderParams:
-    """Free parameters of the optimal-encoder family: embedding dimension
-    k, an invertible diagonal scaling D, and a rotation R. Every choice in
-    the family gives the same losses and probe predictions."""
-
-    dim: int
-    scaling: np.ndarray = None
-    rotation: np.ndarray = None
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidSpec("embedding dimension must be >= 1")
-        d = np.eye(self.dim) if self.scaling is None else np.asarray(self.scaling, dtype=float)
-        r = np.eye(self.dim) if self.rotation is None else np.asarray(self.rotation, dtype=float)
-        if d.shape != (self.dim, self.dim) or r.shape != (self.dim, self.dim):
-            raise InvalidSpec("scaling and rotation must be k x k")
-        if np.any(d[~np.eye(self.dim, dtype=bool)] != 0.0):
-            raise InvalidSpec("scaling must be diagonal")
-        if np.any(np.diag(d) == 0.0):
-            raise InvalidSpec("scaling must be invertible (no zero diagonal entries)")
-        if np.max(np.abs(r.T @ r - np.eye(self.dim))) > 1e-10:
-            raise InvalidSpec("rotation must be unitary")
-        object.__setattr__(self, "scaling", d)
-        object.__setattr__(self, "rotation", r)
-
-    @classmethod
-    def identity(cls, dim: int) -> "OptimalEncoderParams":
-        return cls(dim=dim)
-
-
 def _check_top_k(dec: SpectralDecomposition, k: int) -> None:
     """Refuse k past the rank bound; warn when the top-k subspace is ill-defined."""
     s = dec.singular_values
+    if k < 1:
+        raise InvalidSpec("embedding dimension must be >= 1")
     if k > s.size:
         raise InvalidSpec(f"k={k} exceeds the rank bound {s.size}")
     # only an interior gap can be degenerate; k == rank bound has none
@@ -116,22 +87,24 @@ def _check_top_k(dec: SpectralDecomposition, k: int) -> None:
         )
 
 
-def optimal_encoders(joint: JointDistribution, params: OptimalEncoderParams) -> tuple[EncoderTable, EncoderTable]:
-    """Closed-form minimizers of the multi-modal spectral loss.
+def optimal_encoders(norm: NormalizedCooccurrence, dec: SpectralDecomposition,
+                     k: int) -> tuple[EncoderTable, EncoderTable]:
+    """Closed-form minimizers of the multi-modal spectral loss, read off the
+    decomposition ``dec`` of the normalized joint ``norm``.
 
     Visual rows are U_k D R scaled by 1/sqrt(P_V); language rows are
-    V_k diag(sigma_1..k) D^-1 R scaled by 1/sqrt(P_L). Plugging them into
-    the loss gives -(sigma_1^2 + ... + sigma_k^2), the best any rank-k
-    factorization can do.
+    V_k diag(sigma_1..k) D^-1 R scaled by 1/sqrt(P_L), for any invertible
+    diagonal D and rotation R. The returned pair is the D = R = I member;
+    every other member gives the same loss and probe predictions. Plugging
+    them into the loss gives -(sigma_1^2 + ... + sigma_k^2), the best any
+    rank-k factorization can do.
     """
-    norm = normalize_cooccurrence(joint)
-    dec = decompose(norm)
-    k = params.dim
+    rows = (dec.left.shape[0], dec.right.shape[0])
+    if rows != norm.matrix.shape:
+        raise InvalidSpec(f"decomposition factor rows {rows} do not match the normalized joint {norm.matrix.shape}")
     _check_top_k(dec, k)
-    d_diag = np.diag(params.scaling)
-    right_mix = params.rotation / d_diag[:, None]  # D^-1 R, both k x k
-    visual = (dec.left[:, :k] @ (params.scaling @ params.rotation)) / np.sqrt(norm.marginal_visual)[:, None]
-    language = ((dec.right[:, :k] * dec.singular_values[:k]) @ right_mix) / np.sqrt(norm.marginal_language)[:, None]
+    visual = dec.left[:, :k] / np.sqrt(norm.marginal_visual)[:, None]
+    language = (dec.right[:, :k] * dec.singular_values[:k]) / np.sqrt(norm.marginal_language)[:, None]
     return EncoderTable(visual, side="visual"), EncoderTable(language, side="language")
 
 
@@ -204,7 +177,7 @@ def bound_report(joint: JointDistribution, labels: LabelAssignment, k: int) -> B
     j = (3 * k) // 4  # 1-based index floor(3k/4)
     sigma_gap = float(s[j - 1] ** 2 - s[k - 1] ** 2) if j >= 1 else math.nan
 
-    fv, fl = optimal_encoders(joint, OptimalEncoderParams.identity(k))
+    fv, fl = optimal_encoders(norm, dec, k)
     kappa = max(float(np.max(np.abs(fv.matrix))), float(np.max(np.abs(fl.matrix))))
     constant = (k * kappa + 2.0 * k * kappa**2 + 1.0) ** 2
     return BoundReport(

@@ -10,9 +10,9 @@ from mmspectral import (
     HierarchicalGraphSpec,
     JointDistribution,
     LabelAssignment,
-    OptimalEncoderParams,
     RankDeficient,
     build_hierarchical_matrix,
+    decompose,
     estimate_cooccurrence,
     fit_probe,
     intra_class_connectivity,
@@ -154,9 +154,10 @@ class TestEstimateCooccurrence:
         for b in range(3):
             p[3 * b:3 * b + 3, 3 * b:3 * b + 3] = 1.0 / 27.0
         joint = JointDistribution(p)
-        fv, _ = optimal_encoders(joint, OptimalEncoderParams.identity(3))
+        norm = normalize_cooccurrence(joint)
+        fv, _ = optimal_encoders(norm, decompose(norm), 3)
         est = estimate_cooccurrence(fv.matrix)
-        truth = normalized_uni(normalize_cooccurrence(joint)).matrix
+        truth = normalized_uni(norm).matrix
         est_vals, est_vecs = np.linalg.eigh(est.matrix)
         true_vals, true_vecs = np.linalg.eigh(truth)
         top_est = est_vecs[:, np.argsort(est_vals)[::-1][:3]]
@@ -171,9 +172,10 @@ class TestEstimateCooccurrence:
         induced = build_hierarchical_matrix(spec)
         assert np.all(induced.matrix > 0)
         joint = JointDistribution(induced.matrix)
-        fv, _ = optimal_encoders(joint, OptimalEncoderParams.identity(4))
+        norm = normalize_cooccurrence(joint)
+        fv, _ = optimal_encoders(norm, decompose(norm), 4)
         est = estimate_cooccurrence(fv.matrix)
-        truth = normalize_cooccurrence(joint).matrix
+        truth = norm.matrix
         est_vals, est_vecs = np.linalg.eigh(est.matrix)
         true_vals, true_vecs = np.linalg.eigh(truth)
         top_est = est_vecs[:, np.argsort(est_vals)[::-1][:4]]

@@ -17,12 +17,17 @@ from mmspectral import (
     CheckResult,
     ConfigParseError,
     ExperimentConfig,
+    HierarchicalGraphSpec,
     InvalidSpec,
+    JointDistribution,
+    LabelAssignment,
     RunReport,
+    bound_report,
+    build_hierarchical_matrix,
     report_summary,
     run,
 )
-from mmspectral import experiments
+from mmspectral import experiments, spectral
 from mmspectral.experiments import _map_tasks, _rank_correlation
 from oracles import spearman_oracle
 
@@ -237,6 +242,36 @@ class TestRun:
             dict_a.pop("wall_clock_seconds")
             dict_b.pop("wall_clock_seconds")
             assert dict_a == dict_b
+
+
+class TestOneDecompositionPerMatrix:
+    """Each normalized matrix is decomposed once; the closed-form encoders
+    read the decomposition their caller already holds."""
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        calls, original = [], spectral.decompose
+
+        def counting(norm):
+            calls.append(norm.matrix.shape)
+            return original(norm)
+
+        monkeypatch.setattr(spectral, "decompose", counting)
+        monkeypatch.setattr(experiments, "decompose", counting)
+        return calls
+
+    def test_bound_report(self, shapes):
+        joint = JointDistribution(build_hierarchical_matrix(HierarchicalGraphSpec.from_separation(2, 2, 0.5)).matrix)
+        bound_report(joint, LabelAssignment([0, 0, 1, 1], [0, 0, 1, 1], 2), k=1)
+        assert shapes == [(4, 4)]
+
+    def test_uni_equivalence_unit(self, shapes):
+        experiments._uni_case(SUITES["uni-equivalence"].defaults, 0)
+        assert len(shapes) == 1
+
+    def test_estimators_unit(self, shapes):
+        experiments._estimator_case(SUITES["estimators"].defaults, 0)
+        assert len(shapes) == 1
 
 
 class TestMapTasks:

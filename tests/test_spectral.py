@@ -7,11 +7,11 @@ from scipy.linalg import subspace_angles
 
 from mmspectral import (
     DegenerateGap,
+    EncoderTable,
     HierarchicalGraphSpec,
     InvalidSpec,
     JointDistribution,
     LabelAssignment,
-    OptimalEncoderParams,
     SpectralGapZero,
     amf_loss,
     build_hierarchical_matrix,
@@ -68,18 +68,23 @@ class TestDecompose:
         assert np.max(angles) < 1e-8
 
 
+def closed_form(joint, k):
+    norm = normalize_cooccurrence(joint)
+    return optimal_encoders(norm, decompose(norm), k)
+
+
 class TestOptimalEncoders:
     def test_diag_full_rank_reaches_minus_two(self):
         joint = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
-        fv, fl = optimal_encoders(joint, OptimalEncoderParams.identity(2))
+        fv, fl = closed_form(joint, 2)
         assert scl_loss(fv, fl, joint) == pytest.approx(-2.0, abs=1e-10)
 
     def test_full_rank_factorization_is_exact(self):
         rng = np.random.default_rng(7)
         joint = JointDistribution(random_joint(rng, 6, 5))
         norm = normalize_cooccurrence(joint)
-        k = min(norm.matrix.shape)
-        fv, fl = optimal_encoders(joint, OptimalEncoderParams.identity(k))
+        dec = decompose(norm)
+        fv, fl = optimal_encoders(norm, dec, dec.rank_bound)
         residual = amf_loss(fv.factor(norm.marginal_visual),
                             fl.factor(norm.marginal_language), norm)
         assert residual <= 1e-10
@@ -88,38 +93,51 @@ class TestOptimalEncoders:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             joint = JointDistribution(random_joint(rng, 40, 60))
-            dec = decompose(normalize_cooccurrence(joint))
+            norm = normalize_cooccurrence(joint)
+            dec = decompose(norm)
             k = int(rng.integers(1, min(4, dec.singular_values.size) + 1))
-            fv, fl = optimal_encoders(joint, OptimalEncoderParams.identity(k))
+            fv, fl = optimal_encoders(norm, dec, k)
             expected = -float(np.sum(dec.singular_values[:k] ** 2))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateGap)
                 assert scl_loss(fv, fl, joint) == pytest.approx(expected, abs=1e-8)
 
     def test_scaling_and_rotation_leave_probe_predictions_alone(self):
+        """Every member U_k D R, V_k Sigma_k D^-1 R of the optimal family
+        gives the same loss and the same probe predictions."""
         rng = np.random.default_rng(19)
         joint = JointDistribution(random_joint(rng, 8, 8))
         nv = joint.matrix.shape[0]
         labels = rng.integers(0, 2, nv)
         labels[:2] = [0, 1]
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        base = optimal_encoders(joint, OptimalEncoderParams.identity(2))[0]
-        fancy = optimal_encoders(
-            joint, OptimalEncoderParams(2, scaling=np.diag([2.0, 0.3]), rotation=q)
-        )[0]
+        d = np.diag([2.0, 0.3])
+        fv, fl = closed_form(joint, 2)
+        fancy_v = EncoderTable(fv.matrix @ (d @ q), side="visual")
+        fancy_l = EncoderTable(fl.matrix @ (np.linalg.inv(d) @ q), side="language")
+        assert abs(scl_loss(fancy_v, fancy_l, joint) - scl_loss(fv, fl, joint)) <= 1e-12
         pv = joint.marginal_visual
-        pred_base = fit_probe(base.matrix, labels, pv).predict(base.matrix)
-        pred_fancy = fit_probe(fancy.matrix, labels, pv).predict(fancy.matrix)
+        pred_base = fit_probe(fv.matrix, labels, pv).predict(fv.matrix)
+        pred_fancy = fit_probe(fancy_v.matrix, labels, pv).predict(fancy_v.matrix)
         np.testing.assert_array_equal(pred_base, pred_fancy)
 
     def test_rejects_rank_exceeding_dimension(self):
         """k = 2, the rank bound, has no interior gap to be degenerate, so
         it passes without a warning though sigma_1 = sigma_2."""
         joint = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
-        fv, fl = optimal_encoders(joint, OptimalEncoderParams.identity(2))
+        fv, fl = closed_form(joint, 2)
         assert fv.dim == fl.dim == 2
         with pytest.raises(InvalidSpec, match="k=3 exceeds the rank bound 2"):
-            optimal_encoders(joint, OptimalEncoderParams.identity(3))
+            closed_form(joint, 3)
+        with pytest.raises(InvalidSpec, match="must be >= 1"):
+            closed_form(joint, 0)
+
+    def test_rejects_decomposition_of_another_matrix(self):
+        rng = np.random.default_rng(5)
+        small, large = (normalize_cooccurrence(JointDistribution(raw / raw.sum()))
+                        for raw in (rng.uniform(0.5, 1.0, (5, 4)), rng.uniform(0.5, 1.0, (6, 4))))
+        with pytest.raises(InvalidSpec, match=r"rows \(5, 4\) do not match the normalized joint \(6, 4\)"):
+            optimal_encoders(large, decompose(small), 2)
 
 
 class TestHierarchicalEigenvalues:
