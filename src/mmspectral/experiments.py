@@ -781,9 +781,9 @@ def _resample_case(params, seed):
 
     cfg = TrainConfig(dim=params["dim"], learning_rate=params["learning_rate"], max_steps=params["steps"],
                       batch_mode="sampled", batch_size=params["batch_size"], seed=seed)
+    resamples = [None] + [ResampleConfig(name, mixing_weight=params["mixing_weight"]) for name in STRATEGIES]
     accuracies = []
-    for name in ("baseline",) + STRATEGIES:
-        resample = None if name == "baseline" else ResampleConfig(name, mixing_weight=params["mixing_weight"])
+    for resample in resamples:  # the baseline, then each strategy
         encoder, _ = train_sscl(induced, cfg=cfg, resample=resample, teacher=teacher)
         probe = fit_probe(encoder.matrix, labels_aug, marginal)
         accuracies.append(1.0 - probe_error(probe, encoder.matrix, labels_aug, marginal))

@@ -12,6 +12,10 @@ Every sampled path draws with ``BatchSampler.draw_chunk``, lays batches
 out as ``_Plan`` rows (a ``Batch`` is one row) and scores them with
 ``_Plan.losses`` within one ``_CHUNK_ENTRIES`` budget, so the single-batch
 loss, its gradient form and the many-batch loss agree bit for bit.
+Gradients (``_PlanGrads``) work on one stacked table, the language rows
+after the visual rows or one table shared by both sides: a batch is one
+gather and one ``np.bincount`` scatter, and keeps its scores, so that a
+chunk is scored once per distinct caption/image split.
 """
 from __future__ import annotations
 
@@ -229,10 +233,10 @@ def sample_batch(joint: JointDistribution, n: int, seed=None) -> Batch:
     return BatchSampler(joint, n).draw(default_rng(seed))
 
 
-def _row_dots(a, b):
+def _row_dots(a, b, out=None):
     """Row-wise dot products, summed along the last axis so that leading
     batch axes leave each product's arithmetic unchanged."""
-    return (a * b).sum(axis=-1)
+    return np.add.reduce(a * b, axis=-1, out=out)
 
 
 def _spectral_terms(s_pos, s_neg_language, s_neg_visual, triples: int):
@@ -308,49 +312,71 @@ class _Plan(NamedTuple):
 
 
 class _PlanGrads:
-    """:func:`empirical_scl_grad` of each batch of a plan, with the scatter
-    indices and the constant slopes of every batch prepared at once.
+    """:func:`empirical_scl_grad` of each batch of a plan on one stacked
+    table, with the gather and scatter indices and the constant slopes of
+    every batch prepared at once.
 
-    The pair (v, l) moves row v of the visual table along fl[l] and row l
-    of the language table along fv[v], scaled by d loss / d score. Those
-    moves are summed with ``np.bincount`` over the flat entry indices
-    ``row * k + column``, which adds each entry's moves to zero one at a
-    time in pair order.
+    The table holds ``num_visual`` visual rows, then ``num_language``
+    language rows, or is one table ``shared`` by both sides. The pair
+    (v, l) moves visual row v along fl[l] and language row l along fv[v],
+    scaled by d loss / d score. A batch gathers its pairs' visual rows,
+    then their language rows, with one ``take``, scales both by the
+    slopes with one multiply and sums every move with one ``np.bincount``
+    over flat entry indices, gathered out of an ``arange`` table. The
+    bincount adds each entry's moves to zero one at a time in pair order;
+    its output holds the visual gradient, then the language gradient.
+    Each batch keeps its scores, and :meth:`losses` scores them all at
+    once.
     """
 
-    def __init__(self, plan: _Plan, k: int):
+    def __init__(self, plan: _Plan, k: int, num_visual: int, num_language: int, shared: bool = False):
         rows, width = plan.visual.shape
-        columns = np.arange(k)
-        self.plan = plan
-        self.flat_visual = ((plan.visual * k)[:, :, None] + columns).reshape(rows, width * k)
-        self.flat_language = ((plan.language * k)[:, :, None] + columns).reshape(rows, width * k)
-        # positives and extra positives have constant slopes; each step
+        self.plan, self.width, self.k, self.shared = plan, width, k, shared
+        self.gather = np.concatenate([plan.visual, plan.language + (0 if shared else num_visual)], axis=1)
+        # a gathered visual row moves its pair's language row, and the other way round
+        targets = np.concatenate([plan.language + num_visual, plan.visual], axis=1)
+        entries = np.arange((num_visual + num_language) * k).reshape(-1, k)
+        self.flat = entries.take(targets, axis=0).reshape(rows, 2 * width * k)
+        self.size = entries.size
+        # positives and extra positives have constant slopes; each batch
         # writes the slopes of its negatives, score / (n/3), in between
-        self.slope = np.concatenate([
-            np.full((rows, plan.positives), -2.0 / (plan.n // 3)),
-            np.zeros((rows, plan.negatives_end - plan.positives)),
-            -2.0 * plan.weight / max(width - plan.negatives_end, 1),
-        ], axis=1)
+        self.slope = np.zeros((rows, width))
+        self.slope[:, :plan.positives] = -2.0 / (plan.n // 3)
+        if width > plan.negatives_end:
+            self.slope[:, plan.negatives_end:] = -2.0 * plan.weight / (width - plan.negatives_end)
+        self.scores = np.empty((rows, width))
 
-    def __call__(self, row: int, fv, fl):
-        plan = self.plan
-        rows_v, rows_l = fv.take(plan.visual[row], axis=0), fl.take(plan.language[row], axis=0)
-        scores = _row_dots(rows_v, rows_l)
+    def __call__(self, row: int, table):
+        """The gradient of batch ``row`` on ``table``, flat: the visual
+        gradient's entries, then the language gradient's."""
+        width, plan = self.width, self.plan
+        if not width:  # bincount gives integer zeros for no input
+            return np.zeros(self.size)
+        pairs = table.take(self.gather[row], axis=0)
+        scores = _row_dots(pairs[:width], pairs[width:], out=self.scores[row])
         slope = self.slope[row]
         p, q = plan.positives, plan.negatives_end
         np.divide(scores[p:q], plan.n // 3, out=slope[p:q])
-        slope = slope[:, None]
-        return (plan.losses(scores, plan.split[row], plan.weight[row]),
-                _scatter(self.flat_visual[row], slope * rows_l, fv),
-                _scatter(self.flat_language[row], slope * rows_v, fl))
+        moves = pairs.reshape(2, width, self.k) * slope[:, None]
+        return np.bincount(self.flat[row], moves.ravel(), self.size)
 
+    def step(self, row: int, table, rate: float) -> None:
+        """One SGD step along batch ``row``'s gradient, on ``table`` in place."""
+        grad = self(row, table)
+        if self.shared:  # a shared table takes both sides, gv + gl
+            grad = grad[:table.size] + grad[table.size:]
+        grad *= rate
+        table -= grad.reshape(table.shape)
 
-def _scatter(flat, moves, table):
-    """Zeros shaped like ``table`` plus ``moves`` summed in order at the
-    flat entry indices ``flat``."""
-    if not flat.size:  # bincount gives integer zeros for no input
-        return np.zeros_like(table)
-    return np.bincount(flat, moves.ravel(), table.size).reshape(table.shape)
+    def losses(self) -> np.ndarray:
+        """:func:`empirical_scl` of every batch, from the scores kept when
+        its gradient was taken: one :meth:`_Plan.losses` call per distinct
+        caption/image split."""
+        plan, out = self.plan, np.empty(self.scores.shape[0])
+        for split in np.unique(plan.split):
+            rows = plan.split == split
+            out[rows] = plan.losses(self.scores[rows], split, plan.weight[rows])
+        return out
 
 
 def empirical_scl(f_visual, f_language, batch: Batch) -> float:
@@ -389,8 +415,11 @@ def empirical_scl_grad(f_visual, f_language, batch: Batch):
     """Value and analytic gradients of :func:`empirical_scl` with respect
     to both feature tables. Returns (loss, grad_visual, grad_language)."""
     fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
-    loss, gv, gl = _PlanGrads(_Plan.of_batch(batch), fv.shape[1])(0, fv, fl)
-    return float(loss), gv, gl
+    plan = _Plan.of_batch(batch)
+    grads = _PlanGrads(plan, fv.shape[1], fv.shape[0], fl.shape[0])
+    flat = grads(0, np.concatenate([fv, fl]))
+    loss = plan.losses(grads.scores[0], plan.split[0], plan.weight[0])
+    return float(loss), flat[:fv.size].reshape(fv.shape), flat[fv.size:].reshape(fl.shape)
 
 
 def scl_grad(f_visual, f_language, joint: JointDistribution):

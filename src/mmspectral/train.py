@@ -12,14 +12,18 @@ both sides of the symmetric induced joint.
 Batches do not depend on the features, so a sampled run draws all of
 them first with one :meth:`BatchSampler.draw_chunk` and keeps the latest
 run's draws for a run that would draw the same. It then steps through a
-plan (``losses._Plan``) a chunk of steps at a time: the strategy rewrites
-every batch of the chunk at once, and each step gathers its row of pairs
-and scatters its gradient with ``np.bincount``. :func:`apply_strategy`
-and :func:`empirical_scl_grad` are the one-row case of the same code, so
-a run equals the loop over single batches bit for bit.
+plan (``losses._Plan``) a chunk of ``_CHUNK_ENTRIES // (n * k)`` steps at
+a time, on one stacked table (``losses._PlanGrads``): the strategy
+rewrites every batch of the chunk at once from teacher similarities
+cached for the run, each step is one gather, one ``np.bincount`` scatter
+and an in-place update, and the chunk's losses are scored after its last
+step. :func:`apply_strategy` and :func:`empirical_scl_grad` are the
+one-row case of the same code, so a run equals the loop over single
+batches bit for bit.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,10 +75,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidSpec("embedding dimension must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise InvalidSpec("learning rate must be positive")
-        if self.tolerance <= 0.0:
-            raise InvalidSpec("tolerance must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise InvalidSpec(f"learning rate must be finite and positive, got {self.learning_rate!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise InvalidSpec(f"tolerance must be finite and positive, got {self.tolerance!r}")
         if self.max_steps < 1:
             raise InvalidSpec("max_steps must be >= 1")
         if self.batch_mode not in ("population", "sampled"):
@@ -100,8 +104,8 @@ class ResampleConfig:
         ratio = DEFAULT_RATIOS[self.strategy] if self.ratio is None else float(self.ratio)
         if not 0.0 <= ratio <= 1.0:
             raise InvalidSpec("ratio must lie in [0, 1]")
-        if self.mixing_weight < 0.0:
-            raise InvalidSpec("mixing weight must be >= 0")
+        if not (math.isfinite(self.mixing_weight) and self.mixing_weight >= 0.0):
+            raise InvalidSpec(f"mixing weight must be finite and >= 0, got {self.mixing_weight!r}")
         object.__setattr__(self, "ratio", ratio)
 
 
@@ -206,26 +210,26 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
 
     pruned = JointDistribution.from_counts(joint.matrix[np.ix_(norm.visual_index, norm.language_index)])
     batch_seed = int(rng.integers(2**63))
-    factors = [f / scale for f, scale in zip(init, scales)]
+    # one table: the language rows after the visual rows, or the shared table
+    table = np.concatenate([f / scale for f, scale in zip(init, scales)])
     # batches index the pruned support, so the teacher must too
     teacher_tables = None if resample is None else _TeacherTables(teacher.matrix[norm.visual_index])
     draws = _run_draws(pruned, cfg.batch_size, batch_seed, cfg.max_steps)
     chunk = max(1, _CHUNK_ENTRIES // (cfg.batch_size * k))
-    history = []
+    num_visual, num_language = target.shape
+    history = np.empty(cfg.max_steps)
     for start in range(0, cfg.max_steps, chunk):
         plan = _Plan.of_triples(*(d[start:start + chunk] for d in draws), cfg.batch_size)
         if teacher_tables is not None:
             plan = _resample(plan, teacher_tables, resample)
-        grads = _PlanGrads(plan, k)
+        grads = _PlanGrads(plan, k, num_visual, num_language, shared=tables == 1)
         for row in range(plan.visual.shape[0]):
-            loss, gv, gl = grads(row, factors[0], factors[-1])
-            steps = [gv, gl] if tables == 2 else [gv + gl]  # a shared table takes both sides
-            factors = [f - cfg.learning_rate * g for f, g in zip(factors, steps)]
-            history.append(loss)
+            grads.step(row, table, cfg.learning_rate)
+        history[start:start + chunk] = grads.losses()
     converged = bool(np.all(np.isfinite(history)))
     if not converged:
         warnings.warn("sampled-mode training produced non-finite losses", DidNotConverge)
-    return factors, LossHistory(np.array(history), converged)
+    return [table] if tables == 1 else np.split(table, [num_visual]), LossHistory(history, converged)
 
 
 def _run_draws(pruned: JointDistribution, n: int, seed: int, steps: int):
@@ -304,7 +308,8 @@ def nearest_neighbor_positive(index: int, candidates, teacher: EncoderTable) -> 
 class _TeacherTables:
     """What the strategies read of a fixed teacher, computed once: its unit
     rows and, on first use, every sample's nearest neighbor among all
-    samples, as :func:`nearest_neighbor_positive` finds it."""
+    samples, as :func:`nearest_neighbor_positive` finds it, and the cosine
+    similarity of every pair of samples."""
 
     def __init__(self, features: np.ndarray):
         self.rows = _unit_rows(features)
@@ -316,8 +321,20 @@ class _TeacherTables:
             raise EmptyCandidates("no candidates besides the anchor itself")
         return np.array([_nearest(self.rows, i, everyone[everyone != i]) for i in everyone])
 
+    @cached_property
+    def similarities(self) -> np.ndarray:
+        """The N x N table :meth:`similarity` reads, a block of rows at a
+        time in the arithmetic ``np.sum(rows[a] * rows[b], axis=-1)``."""
+        n, k = self.rows.shape
+        table = np.empty((n, n))
+        block = max(1, _CHUNK_ENTRIES // (n * k))
+        for start in range(0, n, block):
+            np.sum(self.rows[start:start + block, None] * self.rows, axis=-1, out=table[start:start + block])
+        return table
+
     def similarity(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.sum(self.rows[a] * self.rows[b], axis=-1)
+        """Cosine similarities of samples ``a`` and ``b``, elementwise."""
+        return self.similarities[a, b]
 
 
 def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> Batch:

@@ -1,5 +1,6 @@
 """Exit codes and output of the command-line interface."""
 import json
+import math
 
 import pytest
 
@@ -83,7 +84,14 @@ class TestExperimentCommands:
         ("resample-compare", {"batch_size": 10}, "batch size must be a positive multiple of 3"),
         ("hrg-spectrum", {"s_low": [1, 2]}, "need s_l >= 2"),
         ("bound-sweep", {"separations": [2.0]}, "separation must lie in [0, 1]"),
-    ], ids=["empty-range", "batch-size", "s-low", "separation"])
+        ("verify-optimum", {"learning_rate": math.nan, "num_seeds": 1}, "learning rate must be finite"),
+        ("verify-optimum", {"tolerance": math.nan, "num_seeds": 1}, "tolerance must be finite"),
+        ("resample-compare", {"learning_rate": math.nan}, "learning rate must be finite"),
+        ("resample-compare", {"learning_rate": math.inf}, "learning rate must be finite"),
+        ("resample-compare", {"mixing_weight": math.inf}, "mixing weight must be finite"),
+        ("resample-compare", {"mixing_weight": math.nan}, "mixing weight must be finite"),
+    ], ids=["empty-range", "batch-size", "s-low", "separation", "nan-rate", "nan-tolerance",
+            "nan-sgd-rate", "inf-sgd-rate", "inf-weight", "nan-weight"])
     def test_values_the_library_refuses_exit_two(self, tmp_path, capsys, kind, payload, message):
         """These surface in the runner, before the output directory is
         made: one error line, exit code 2 and nothing written."""

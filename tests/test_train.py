@@ -1,4 +1,7 @@
 """Training loops and teacher-guided batch resampling."""
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +30,9 @@ from mmspectral import (
     train_mmcl,
     train_sscl,
 )
-from mmspectral import BatchSampler, empirical_scl_grad, generate_augmentation_model
-from mmspectral.losses import _CHUNK_ENTRIES, _Plan
+from mmspectral import BatchSampler, empirical_scl, empirical_scl_grad, generate_augmentation_model
+from mmspectral import train
+from mmspectral.losses import _CHUNK_ENTRIES, _Plan, _PlanGrads
 from mmspectral.train import _LATEST_DRAWS, DEFAULT_RATIOS, STRATEGIES, _resample, _TeacherTables
 from oracles import BATCH_INDEX_FIELDS, strategy_oracle
 
@@ -61,6 +65,16 @@ class TestTrainConfig:
         with pytest.raises(InvalidSpec):
             TrainConfig(dim=0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(InvalidSpec, match="learning rate must be finite"):
+            TrainConfig(dim=2, learning_rate=rate)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0])
+    def test_rejects_non_finite_or_zero_tolerance(self, tolerance):
+        with pytest.raises(InvalidSpec, match="tolerance must be finite"):
+            TrainConfig(dim=2, tolerance=tolerance)
+
 
 class TestResampleConfig:
     def test_unknown_strategy_rejected(self):
@@ -78,6 +92,14 @@ class TestResampleConfig:
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidSpec):
             ResampleConfig("AddNewPositive", mixing_weight=-0.1)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(InvalidSpec, match="mixing weight must be finite"):
+            ResampleConfig("AddNewPositive", mixing_weight=weight)
+
+    def test_zero_weight_accepted(self):
+        assert ResampleConfig("AddNewPositive", mixing_weight=0.0).mixing_weight == 0.0
 
 
 class TestTrainMMCL:
@@ -262,6 +284,30 @@ class TestTeacherTables:
     def test_single_sample_has_no_neighbor(self):
         with pytest.raises(EmptyCandidates):
             _TeacherTables(np.ones((1, 2))).nearest
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 80), st.integers(1, 40), st.booleans(),
+           st.booleans(), st.integers(1, 4000))
+    @settings(max_examples=80, deadline=None)
+    def test_similarity_lookup_is_the_row_product_sum(self, seed, n, k, scaled, duplicated, budget):
+        """The cached table holds np.sum(rows[a] * rows[b], axis=-1) bit for
+        bit, built in blocks of any size, for scaled, zero and repeated
+        rows and for index arrays of any shape."""
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((n, k))
+        if duplicated:
+            features = features[rng.integers(0, max(1, n // 3), size=n)]
+        if scaled:
+            features *= rng.choice([0.0, 1e-3, 0.5, 3.0, 1e3], size=(n, 1))
+        tables = _TeacherTables(features)
+        every = np.arange(n)
+        pairs = [(every[:, None], every[None, :]), (every, every[::-1])]
+        for shape in ((int(rng.integers(1, 20)),), tuple(int(x) for x in rng.integers(1, 12, size=2))):
+            pairs.append((rng.integers(0, n, size=shape), rng.integers(0, n, size=shape)))
+        with mock.patch.object(train, "_CHUNK_ENTRIES", budget):
+            for a, b in pairs:
+                want = np.sum(tables.rows[a] * tables.rows[b], axis=-1)
+                got = tables.similarity(a, b)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(STRATEGIES), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -467,6 +513,57 @@ class TestSampledTrainingPlan:
             assert not any(d.flags.writeable for draws in _LATEST_DRAWS.values() for d in draws)
         assert len(set(results[::2])) == 1
         assert len(set(results)) == 1 + len(variants)
+
+
+def plan_row_batch(plan, row):
+    """Batch ``row`` of a plan, built from its one-row plan."""
+    return plan._replace(visual=plan.visual[row:row + 1], language=plan.language[row:row + 1],
+                         weight=plan.weight[row:row + 1], split=plan.split[row:row + 1]).as_batch()
+
+
+class TestStackedSteps:
+    """A plan chunk steps on one stacked table and scores its losses once
+    per caption/image split; every row must equal empirical_scl and
+    empirical_scl_grad on its single batch, bit for bit."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["two-tables", "shared"])
+    @pytest.mark.parametrize("strategy,ratio", [
+        (None, None), ("AddNewPositive", None), ("DropEasyNegative", 0.5), ("DropEasyNegative", 1.0),
+        ("DropFalseNegative", 0.5), ("DropFalseNegative", 1.0)])
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+    @settings(max_examples=12, deadline=None)
+    def test_chunk_rows_equal_single_batches(self, shared, strategy, ratio, seed, k):
+        rng = np.random.default_rng(seed)
+        nv = int(rng.integers(2, 7))
+        nl = nv if shared else nv + int(rng.integers(1, 4))  # the teacher's rows cover both sides
+        joint = JointDistribution.from_counts(rng.gamma(1.0, size=(nv, nl)))
+        sampler = BatchSampler(joint, 3 * int(rng.integers(2, 12)))
+        plan = _Plan.of_triples(*sampler.draw_chunk(rng, int(rng.integers(1, 9))), sampler.n)
+        if strategy is not None:
+            cfg = ResampleConfig(strategy, ratio=ratio, mixing_weight=float(rng.uniform(0.0, 2.0)))
+            plan = _resample(plan, _TeacherTables(rng.standard_normal((nl, 2))), cfg)
+        if strategy == "AddNewPositive":  # a weight per extra positive, not one per run
+            plan = plan._replace(weight=rng.uniform(0.0, 2.0, size=plan.weight.shape))
+        fv = rng.standard_normal((nv, k))
+        fl = fv if shared else rng.standard_normal((nl, k))
+        table = fv.copy() if shared else np.concatenate([fv, fl])
+        rate = float(rng.uniform(0.01, 0.5))
+        grads = _PlanGrads(plan, k, nv, nl, shared=shared)
+        rows = plan.visual.shape[0]
+        want_losses = []
+        for row in range(rows):
+            loss, gv, gl = empirical_scl_grad(fv, fl, plan_row_batch(plan, row))
+            want_losses.append(loss)
+            if not shared:
+                assert grads(row, table).tobytes() == np.concatenate([gv, gl]).tobytes()
+            stepped = table.copy()
+            grads.step(row, stepped, rate)
+            want = fv - rate * (gv + gl) if shared else np.concatenate([fv - rate * gv, fl - rate * gl])
+            assert stepped.tobytes() == want.tobytes()
+        losses = grads.losses()
+        assert losses.tobytes() == np.array(want_losses).tobytes()
+        singles = [empirical_scl(fv, fl, plan_row_batch(plan, row)) for row in range(rows)]
+        assert losses.tobytes() == np.array(singles).tobytes()
 
 
 class TestApplyStrategy:

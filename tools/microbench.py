@@ -1,0 +1,92 @@
+"""Time the primitives sampled training spends its time in.
+
+    python3 tools/microbench.py
+
+Prints the median microseconds per call, over 7 repeats, of:
+
+- ``sample_batch``, ``empirical_scl``, ``empirical_scl_grad`` and
+  ``apply_strategy`` for each strategy (the drops at ratio 0.5, so that
+  each drops something) on one 12-draw batch of an 8 x 8 joint with k = 3
+  tables and an 8 x 3 teacher;
+- one sampled ``train_sscl`` step at the ``resample-compare`` defaults,
+  without and with each strategy: a whole run divided by its steps. The
+  timed runs repeat one run, so they reuse its memoised draws, as the
+  strategy runs of one ``resample-compare`` seed do.
+
+The package is imported from the ``src`` of the checkout this script sits
+in, with one BLAS thread, as ``perfbench/run.py`` pins it. Run it in two
+checkouts one after the other to compare them.
+"""
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import timeit  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from mmspectral import (  # noqa: E402
+    EncoderTable, JointDistribution, ResampleConfig, TrainConfig, apply_strategy, augmentation_joint,
+    empirical_scl, empirical_scl_grad, generate_augmentation_model, sample_batch, train_sscl,
+)
+from mmspectral.experiments import SUITES  # noqa: E402
+from mmspectral.train import STRATEGIES  # noqa: E402
+
+REPEATS = 7
+
+
+def per_call_us(fn, number: int) -> float:
+    """Median over ``REPEATS`` of the mean time of ``number`` calls, in us."""
+    times = timeit.Timer(fn).repeat(repeat=REPEATS, number=number)
+    return statistics.median(times) / number * 1e6
+
+
+def single_batch_cases():
+    rng = np.random.default_rng(0)
+    joint = JointDistribution.from_counts(rng.gamma(1.0, size=(8, 8)))
+    fv, fl = rng.standard_normal((8, 3)), rng.standard_normal((8, 3))
+    teacher = EncoderTable(rng.standard_normal((8, 3)))
+    batch = sample_batch(joint, 12, seed=0)
+    yield "sample_batch", lambda: sample_batch(joint, 12, seed=0)
+    yield "empirical_scl", lambda: empirical_scl(fv, fl, batch)
+    yield "empirical_scl_grad", lambda: empirical_scl_grad(fv, fl, batch)
+    for strategy in STRATEGIES:
+        cfg = ResampleConfig(strategy, ratio=None if strategy == "AddNewPositive" else 0.5)
+        yield f"apply_strategy {strategy}", lambda cfg=cfg: apply_strategy(batch, teacher, cfg)
+
+
+def resample_compare_instance():
+    """The first seed's induced joint, teacher and training config."""
+    params = SUITES["resample-compare"].defaults
+    classes, parents = params["classes"], params["parents_per_class"]
+    model = generate_augmentation_model(classes * parents, params["augmentations"], params["leak"], seed=0)
+    induced = augmentation_joint(model, np.full(classes * parents, 1.0 / (classes * parents)))
+    labels = model.labels_for_augmented(np.repeat(np.arange(classes), parents))
+    teacher = EncoderTable(np.eye(classes)[labels], side="augmented")
+    cfg = TrainConfig(dim=params["dim"], learning_rate=params["learning_rate"], max_steps=params["steps"],
+                      batch_mode="sampled", batch_size=params["batch_size"], seed=0)
+    return induced, teacher, cfg, params["mixing_weight"]
+
+
+def main() -> int:
+    for name, fn in single_batch_cases():
+        print(f"{name:36s} {per_call_us(fn, 2000):9.2f} us")
+    induced, teacher, cfg, weight = resample_compare_instance()
+    for name in ("baseline",) + STRATEGIES:
+        resample = None if name == "baseline" else ResampleConfig(name, mixing_weight=weight)
+        run = lambda resample=resample: train_sscl(induced, cfg, resample, teacher)  # noqa: E731
+        run()
+        step = per_call_us(run, 1) / cfg.max_steps
+        print(f"{'train_sscl step ' + name:36s} {step:9.2f} us")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
