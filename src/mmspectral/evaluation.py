@@ -56,6 +56,22 @@ class LinearProbe:
         return np.argmax(self.scores(features), axis=1)
 
 
+def _labels_and_weights(labels, rows: int, weights):
+    """(labels, weights of mass 1) for ``rows`` feature rows: one class
+    index >= 0 per row, and weights that are uniform when None, else
+    finite and non-negative with a positive total."""
+    y = np.asarray(labels, dtype=int)
+    if y.shape != (rows,) or rows == 0:
+        raise InvalidSpec("features and labels must align, one label per feature row")
+    if y.min() < 0:
+        raise InvalidSpec("labels must be class indices >= 0")
+    w = np.full(rows, 1.0 / rows) if weights is None else np.asarray(weights, dtype=float)
+    total = w.sum()  # nan or inf if an entry is
+    if w.shape != y.shape or not (w >= 0.0).all() or not 0.0 < total < np.inf:
+        raise InvalidSpec("weights must be finite and non-negative with positive total")
+    return y, w / total
+
+
 def fit_probe(features, labels, weights=None) -> LinearProbe:
     """Weighted least-squares fit of one-hot targets, closed form.
 
@@ -64,16 +80,10 @@ def fit_probe(features, labels, weights=None) -> LinearProbe:
     ridge repairs.
     """
     x = _matrix_of(features)
-    y = np.asarray(labels, dtype=int)
-    if x.shape[0] != y.size:
-        raise InvalidSpec("features and labels must align")
-    r = int(y.max()) + 1 if y.size else 0
+    y, w = _labels_and_weights(labels, x.shape[0], weights)
+    r = int(y.max()) + 1
     if r < 2:
         raise InvalidSpec("probe fitting needs at least 2 classes")
-    w = np.full(y.size, 1.0 / y.size) if weights is None else np.asarray(weights, dtype=float)
-    if w.size != y.size or np.any(w < 0.0) or w.sum() <= 0.0:
-        raise InvalidSpec("weights must be non-negative with positive total")
-    w = w / w.sum()
 
     onehot = np.zeros((y.size, r))
     onehot[np.arange(y.size), y] = 1.0
@@ -88,10 +98,9 @@ def fit_probe(features, labels, weights=None) -> LinearProbe:
 
 def probe_error(probe: LinearProbe, features, labels, weights=None) -> float:
     """Weighted 0-1 error of the probe's argmax predictions."""
-    y = np.asarray(labels, dtype=int)
-    w = np.full(y.size, 1.0 / y.size) if weights is None else np.asarray(weights, dtype=float)
-    w = w / w.sum()
-    wrong = probe.predict(features) != y
+    x = _matrix_of(features)
+    y, w = _labels_and_weights(labels, x.shape[0], weights)
+    wrong = probe.predict(x) != y
     return float(np.sum(w[wrong]))
 
 
@@ -111,8 +120,8 @@ def surrogate_labeling_error(induced, labels_visual) -> float:
     if isinstance(induced, InducedDistribution) and induced.normalized:
         raise InvalidSpec("surrogate labeling error needs a mass-1 matrix, not a normalized one")
     y = np.asarray(labels_visual, dtype=int)
-    if y.size != m.shape[0] or m.shape[0] != m.shape[1]:
-        raise InvalidSpec("labels must cover the induced matrix")
+    if y.shape != (m.shape[0],) or m.shape[0] != m.shape[1] or np.any(y < 0):
+        raise InvalidSpec("labels must be class indices >= 0 covering the induced matrix")
     if abs(float(m.sum()) - 1.0) > 1e-9:
         raise InvalidSpec("induced matrix must be mass-normalized")
     mismatch = y[:, None] != y[None, :]

@@ -14,6 +14,7 @@ order.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import time
@@ -76,47 +77,44 @@ _META_KEYS = ("seed", "num_seeds", "seeds", "out", "tolerance")
 _PAIR_KEYS = ("s_low", "s_high", "csv_pair")
 
 
-def _integer(value) -> int:
-    """``int(value)``, refusing to truncate a non-integral number."""
-    if isinstance(value, float) and not value.is_integer():
+def _number(value, kind):
+    """``value`` as a ``kind`` (int or float): a finite real that is neither
+    a bool nor a string, and integral if ``kind`` is int."""
+    if isinstance(value, (bool, str)) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    if kind is int and value != int(value):
         raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    return kind(value)
 
 
-def _count(value) -> int:
-    """An integer parameter: every one is a count, so at least 1."""
-    if _integer(value) < 1:
-        raise ValueError(f"{value!r} is not >= 1")
-    return int(value)
+def _count(value, least: int = 1) -> int:
+    """An integer of at least ``least``: every integer parameter is a
+    count, so at least 1; a seed (:data:`_seed`) is at least 0."""
+    count = _number(value, int)
+    if count < least:
+        raise ValueError(f"{value!r} is not >= {least}")
+    return count
 
 
-def _coerce_param(default, value, pair=False):
-    """Coerce a config-file value to the default's shape (JSON arrays come
-    back as lists, numbers sometimes cross int/float). An array must not be
-    empty, every entry must convert to the type of the default's entries,
-    as the runners convert it, and a pair must have two entries. Integers
-    are counts, so at least 1."""
-    if isinstance(default, tuple):
-        if isinstance(default[0], tuple):
-            value = tuple(tuple(v) for v in value)
-            if any(len(v) != len(default[0]) for v in value):
-                raise ValueError(f"every entry must hold {len(default[0])} values")
-            entries, kind = [x for v in value for x in v], type(default[0][0])
-        else:
-            value = tuple(value)
-            if pair and len(value) != 2:
-                raise ValueError("must hold 2 values")
-            entries, kind = value, type(default[0])
-        if not value:
-            raise ValueError("must not be empty")
-        for x in entries:
-            (_count if kind is int else kind)(x)
-        return value
-    if isinstance(default, float):
-        return float(value)
-    if isinstance(default, int):
-        return _count(value)
-    return value
+_seed = partial(_count, least=0)
+
+
+def _typed(default, value, length=None):
+    """``value`` in the default's shape and entry type: a count where the
+    default is an int, a finite float where it is a float, and a non-empty
+    tuple (of ``length`` entries, if given) of such entries where it is a
+    tuple; the entries of a nested tuple have the length of the default's."""
+    if not isinstance(default, tuple):
+        return _count(value) if isinstance(default, int) else _number(value, float)
+    value = tuple(value)
+    if not value:
+        raise ValueError("must not be empty")
+    if length is not None and len(value) != length:
+        raise ValueError(f"must hold {length} values")
+    inner = len(default[0]) if isinstance(default[0], tuple) else None
+    return tuple(_typed(default[0], v, inner) for v in value)
 
 
 def _parsed(key: str, convert, value):
@@ -157,7 +155,11 @@ def _check(name: str, value, limit, detail: str, ok=operator.le) -> CheckResult:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved configuration of one experiment run."""
+    """Resolved configuration of one experiment run: the one place where
+    its values are typed and checked. Every parameter is converted to its
+    default's shape and entry type, the seeds to integers >= 0 and ``out``
+    to a path string; a value that does not convert is a ConfigParseError
+    naming its key."""
 
     kind: str
     params: dict
@@ -167,8 +169,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in SUITES:
             raise ConfigParseError(f"unknown experiment kind {self.kind!r}")
-        if not self.seeds:
-            raise ConfigParseError("seed list must be non-empty")
         defaults = SUITES[self.kind].defaults
         unknown = set(self.params) - set(defaults)
         if unknown:
@@ -176,12 +176,23 @@ class ExperimentConfig:
         missing = set(defaults) - set(self.params)
         if missing:
             raise ConfigParseError(f"missing parameters for {self.kind}: {sorted(missing)}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        params = {key: _parsed(key, partial(_typed, default, length=2 if key in _PAIR_KEYS else None),
+                               self.params[key])
+                  for key, default in defaults.items()}
+        seeds = _parsed("seeds", lambda v: tuple(map(_seed, v)), self.seeds)
+        if not seeds:
+            raise ConfigParseError("seed list must be non-empty")
+        if not isinstance(self.out, (str, os.PathLike)):
+            raise ConfigParseError(f"bad value for 'out': {self.out!r} (not a path)")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "out", str(self.out))
 
     @classmethod
     def build(cls, kind: str, config_path=None, seed=None, out=None,
               tolerance=None) -> "ExperimentConfig":
-        """Resolve defaults <- config file <- command-line overrides."""
+        """Resolve defaults <- config file <- command-line overrides. A
+        ``seed`` shifts the seed list to start at it."""
         if kind not in SUITES:
             raise ConfigParseError(f"unknown experiment kind {kind!r}")
         suite = SUITES[kind]
@@ -190,27 +201,22 @@ class ExperimentConfig:
         unknown = set(file_cfg) - set(params) - set(_META_KEYS)
         if unknown:
             raise ConfigParseError(f"unknown config keys for {kind}: {sorted(unknown)}")
-        for key in sorted(set(file_cfg) & set(params)):
-            params[key] = _parsed(key, partial(_coerce_param, params[key], pair=key in _PAIR_KEYS),
-                                  file_cfg[key])
+        params.update((key, file_cfg[key]) for key in set(file_cfg) & set(params))
+        if "tolerance" in file_cfg:
+            params[suite.tolerance_key] = file_cfg["tolerance"]
+        if tolerance is not None:
+            params[suite.tolerance_key] = tolerance
 
         if "seeds" in file_cfg:
-            seeds = _parsed("seeds", lambda v: tuple(_integer(s) for s in v), file_cfg["seeds"])
+            seeds = _parsed("seeds", lambda v: tuple(map(_seed, v)), file_cfg["seeds"])
+            base = seeds[0] if seeds else 0
         else:
-            base = _parsed("seed", _integer, seed if seed is not None else file_cfg.get("seed", 0))
-            count = _parsed("num_seeds", _integer, file_cfg.get("num_seeds", suite.num_seeds))
-            if count < 1:
-                raise ConfigParseError("num_seeds must be >= 1")
-            seeds = tuple(range(base, base + count))
-        if seed is not None and "seeds" in file_cfg:
-            seeds = tuple(int(seed) + (s - seeds[0]) for s in seeds)
-
-        if tolerance is not None:
-            params[suite.tolerance_key] = float(tolerance)
-        elif "tolerance" in file_cfg and "tolerance" not in suite.defaults:
-            params[suite.tolerance_key] = _parsed("tolerance", float, file_cfg["tolerance"])
-        out_dir = str(out if out is not None else file_cfg.get("out", Path("runs") / kind))
-        return cls(kind=kind, params=params, seeds=seeds, out=out_dir)
+            seeds = range(_parsed("num_seeds", _count, file_cfg.get("num_seeds", suite.num_seeds)))
+            base = file_cfg.get("seed", 0)
+        base = _parsed("seed", _seed, seed if seed is not None else base)
+        seeds = tuple(base + s - seeds[0] for s in seeds)
+        out = out if out is not None else file_cfg.get("out", Path("runs") / kind)
+        return cls(kind=kind, params=params, seeds=seeds, out=out)
 
     def hash(self) -> str:
         return config_hash({"kind": self.kind, "params": self.params, "seeds": self.seeds})
@@ -374,7 +380,7 @@ def _empirical_mean_case(params, seed):
 
 
 def _rate_counts(params) -> tuple:
-    return tuple(sorted(int(c) for c in params["rate_batch_counts"]))
+    return tuple(sorted(params["rate_batch_counts"]))
 
 
 def _empirical_rate_case(params, seed, rep):
@@ -511,14 +517,10 @@ def _run_verify_optimum(params, seeds, workers: int):
 # hrg-spectrum: closed-form eigenvalues against dense eigendecomposition
 
 
-def _separations(params) -> tuple:
-    return tuple(float(x) for x in params["separations"])
-
-
 def _hrg_case(params, pair):
     s_l, s_h = pair
     worst = 0.0
-    for sep in _separations(params):
+    for sep in params["separations"]:
         spec = HierarchicalGraphSpec.from_separation(s_l, s_h, sep)
         closed_raw = hierarchical_eigenvalues(spec)
         induced = build_hierarchical_matrix(spec)
@@ -532,20 +534,19 @@ def _hrg_case(params, pair):
 
 
 def _run_hrg_spectrum(params, seeds, workers: int):
-    lo = tuple(int(x) for x in params["s_low"])
-    hi = tuple(int(x) for x in params["s_high"])
-    separations = _separations(params)
-    pairs = [(s_l, s_h) for s_l in range(lo[0], lo[1] + 1) for s_h in range(hi[0], hi[1] + 1)]
+    (lo, lo_end), (hi, hi_end) = params["s_low"], params["s_high"]
+    separations = params["separations"]
+    pairs = [(s_l, s_h) for s_l in range(lo, lo_end + 1) for s_h in range(hi, hi_end + 1)]
     checks = [_check(f"hrg-sl{s_l}-sh{s_h}", worst, params["tolerance"],
                      f"max |closed - numeric| over {len(separations)} separations")
               for (s_l, s_h), worst in zip(pairs, _map_tasks(partial(_hrg_case, params), pairs, workers))]
 
-    s_l, s_h = (int(x) for x in params["csv_pair"])
+    s_l, s_h = params["csv_pair"]
     rows = []
     for sep in separations:
         spec = HierarchicalGraphSpec.from_separation(s_l, s_h, sep)
         svals = spec.num_samples * hierarchical_eigenvalues(spec)
-        rows.append((float(sep), *[float(v) for v in svals]))
+        rows.append((sep, *[float(v) for v in svals]))
     header = ["separation"] + [f"sigma_{t + 1}" for t in range(s_l * s_h)]
     return checks, {f"hrg_sl{s_l}_sh{s_h}.csv": (header, rows)}
 
@@ -558,7 +559,7 @@ def _run_hrg_spectrum(params, seeds, workers: int):
 def _monotone_case(params, pair):
     s_l, s_h = pair
     spectra = []
-    for sep in sorted(_separations(params)):
+    for sep in sorted(params["separations"]):
         induced = build_hierarchical_matrix(HierarchicalGraphSpec.from_separation(s_l, s_h, sep))
         norm = normalize_cooccurrence(JointDistribution(induced.matrix))
         spectra.append(decompose(norm).singular_values)
@@ -618,14 +619,13 @@ def _sweep_case(params, task):
 
 
 def _run_bound_sweep(params, seeds, workers: int):
-    separations = _separations(params)
-    pairs = [(int(a), int(b)) for a, b in params["pairs"]]
+    separations, pairs = params["separations"], params["pairs"]
     checks = [_check(f"monotone-sl{s_l}-sh{s_h}", worst, params["tolerance"],
                      "max over t, d<d' of sigma_t(d) - sigma_t(d')")
               for (s_l, s_h), worst in zip(pairs, _map_tasks(partial(_monotone_case, params), pairs, workers))]
 
     # bound terms along the separation sweep for the first pair
-    s_l, s_h = (int(x) for x in params["pairs"][0])
+    s_l, s_h = pairs[0]
     bound_rows = []
     if s_l * s_h >= s_l + 1:
         labels = np.repeat(np.arange(s_l), s_h)
@@ -635,14 +635,14 @@ def _run_bound_sweep(params, seeds, workers: int):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateGap)  # sigma_k = sigma_{k+1} at separation 0
                 report = bound_report(JointDistribution(induced.matrix), assignment, s_l)
-            bound_rows.append((float(sep), report.alpha, report.sigma_next,
+            bound_rows.append((sep, report.alpha, report.sigma_next,
                                report.dominant_term, report.sigma_gap,
                                report.kappa, report.constant_proxy))
 
     # each sweep point's clean joint, labeling error and sigma_{k+1}, once;
     # the seeds then only resample it
     classes, groups, group_size = params["classes"], params["groups"], params["group_size"]
-    points = int(params["sweep_points"])
+    points = params["sweep_points"]
     labels = np.repeat(np.arange(classes), groups * group_size)
     matrices, sigma_next, alphas = [], np.zeros(points), np.zeros(points)
     for point in range(points):
@@ -804,7 +804,7 @@ def _run_resample_compare(params, seeds, workers: int):
                              f"mean accuracy {float(np.mean(table[:, i + 1]))!r} "
                              f"vs baseline {float(np.mean(baseline))!r}",
                              ok=lambda v, t: v >= -t))
-    rows = [(int(seed), *[float(x) for x in row]) for seed, row in zip(seeds, table)]
+    rows = [(seed, *[float(x) for x in row]) for seed, row in zip(seeds, table)]
     return checks, {"resample.csv": (["seed", "baseline", *STRATEGIES], rows)}
 
 

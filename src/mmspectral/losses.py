@@ -66,8 +66,8 @@ class EncoderTable:
     def factor(self, marginal) -> np.ndarray:
         """Rows scaled by sqrt(marginal): F(x) = sqrt(p(x)) * f(x)."""
         p = np.asarray(marginal, dtype=float)
-        if p.size != self.num_samples or np.any(p < 0.0):
-            raise InvalidSpec("marginal must be a non-negative vector matching the table")
+        if p.shape != (self.num_samples,) or not np.all(np.isfinite(p) & (p >= 0.0)):
+            raise InvalidSpec("marginal must be a finite non-negative vector matching the table")
         return self.matrix * np.sqrt(p)[:, None]
 
 

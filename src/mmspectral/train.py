@@ -285,11 +285,6 @@ def train_sscl(induced: InducedDistribution, cfg: TrainConfig,
     return EncoderTable(features, side=side), history
 
 
-def _nearest(rows: np.ndarray, index: int, cand: np.ndarray) -> int:
-    sims = rows[cand] @ rows[index]
-    return int(cand[np.argmax(sims)])  # argmax takes the first = smallest index
-
-
 def nearest_neighbor_positive(index: int, candidates, teacher: EncoderTable) -> int:
     """Teacher-space nearest neighbor of a sample among candidate indices.
 
@@ -302,28 +297,34 @@ def nearest_neighbor_positive(index: int, candidates, teacher: EncoderTable) -> 
     cand = cand[cand != index]
     if cand.size == 0:
         raise EmptyCandidates("no candidates besides the anchor itself")
-    return _nearest(_unit_rows(teacher.matrix), index, cand)
+    rows = _unit_rows(teacher.matrix)
+    # the arithmetic of _TeacherTables.similarities; argmax takes the first
+    # maximum, which is the smallest index
+    return int(cand[np.argmax(np.sum(rows[cand] * rows[index], axis=-1))])
 
 
 class _TeacherTables:
     """What the strategies read of a fixed teacher, computed once: its unit
-    rows and, on first use, every sample's nearest neighbor among all
-    samples, as :func:`nearest_neighbor_positive` finds it, and the cosine
-    similarity of every pair of samples."""
+    rows and, on first use, the cosine similarity of every pair of samples
+    and every sample's nearest neighbor among all the others, as
+    :func:`nearest_neighbor_positive` finds it."""
 
     def __init__(self, features: np.ndarray):
         self.rows = _unit_rows(features)
 
     @cached_property
     def nearest(self) -> np.ndarray:
-        everyone = np.arange(self.rows.shape[0])
-        if everyone.size < 2:
+        """The most similar other sample of each sample, ties to the
+        smallest index (``np.argmax`` takes the first maximum)."""
+        if self.rows.shape[0] < 2:
             raise EmptyCandidates("no candidates besides the anchor itself")
-        return np.array([_nearest(self.rows, i, everyone[everyone != i]) for i in everyone])
+        others = self.similarities.copy()
+        np.fill_diagonal(others, -np.inf)
+        return np.argmax(others, axis=1)
 
     @cached_property
     def similarities(self) -> np.ndarray:
-        """The N x N table :meth:`similarity` reads, a block of rows at a
+        """The N x N table of cosine similarities, a block of rows at a
         time in the arithmetic ``np.sum(rows[a] * rows[b], axis=-1)``."""
         n, k = self.rows.shape
         table = np.empty((n, n))
@@ -331,10 +332,6 @@ class _TeacherTables:
         for start in range(0, n, block):
             np.sum(self.rows[start:start + block, None] * self.rows, axis=-1, out=table[start:start + block])
         return table
-
-    def similarity(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Cosine similarities of samples ``a`` and ``b``, elementwise."""
-        return self.similarities[a, b]
 
 
 def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> Batch:
@@ -380,7 +377,7 @@ def _resample(plan: _Plan, tables: _TeacherTables, cfg: ResampleConfig) -> _Plan
     drop = int(np.floor(cfg.ratio * (hi - lo)))
     if drop == 0:
         return plan
-    sims = tables.similarity(plan.visual[:, lo:hi], plan.language[:, lo:hi])
+    sims = tables.similarities[plan.visual[:, lo:hi], plan.language[:, lo:hi]]
     if cfg.strategy == "DropFalseNegative":
         sims = -sims  # largest similarity first
     # otherwise smallest similarity first: most dissimilar positives, easiest negatives

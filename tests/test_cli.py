@@ -7,6 +7,18 @@ import pytest
 from mmspectral.cli import main
 
 
+def assert_refused(tmp_path, capsys, monkeypatch, argv, key):
+    """Run ``argv`` in ``tmp_path``: exit code 2, the one line ``error: bad
+    value for '<key>' ...`` and nothing written next to the config file."""
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: bad value for {key!r}") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def run_hrg(tmp_path, *extra):
     out = tmp_path / "hrg"
     code = main(["hrg-spectrum", "--out", str(out), *extra])
@@ -66,32 +78,45 @@ class TestExperimentCommands:
         {"dim": 0},
         {"steps": 0},
         {"bound_instances": 0},
+        # (kind, payload[, the key the message names where it is not the payload's])
+        pytest.param(("verify-optimum", {"learning_rate": math.nan}), id="nan-rate"),
+        pytest.param(("verify-optimum", {"tolerance": math.nan}), id="nan-tolerance"),
+        pytest.param(("resample-compare", {"learning_rate": math.nan}), id="nan-sgd-rate"),
+        pytest.param(("resample-compare", {"learning_rate": math.inf}), id="inf-sgd-rate"),
+        pytest.param(("resample-compare", {"mixing_weight": math.inf}), id="inf-weight"),
+        pytest.param(("resample-compare", {"mixing_weight": math.nan}), id="nan-weight"),
+        pytest.param(("resample-compare", {"tolerance": math.nan}, "harm_limit"), id="nan-file-tolerance"),
+        pytest.param(("estimators", {"out": None}), id="null-out"),
+        pytest.param(("estimators", {"dim": True}), id="bool-dim"),
+        pytest.param(("estimators", {"leak": "0.35"}), id="string-leak"),
+        pytest.param(("estimators", {"leak": math.inf}), id="inf-leak"),
+        pytest.param(("estimators", {"seeds": [3, -1]}), id="negative-seed-list"),
+        pytest.param(("bound-sweep", {"separations": ["0.5", "1"]}), id="string-separations"),
     ])
-    def test_malformed_config_value_exits_two(self, tmp_path, capsys, payload):
+    def test_malformed_config_value_exits_two(self, tmp_path, capsys, monkeypatch, payload):
+        kind, payload, *named = payload if isinstance(payload, tuple) else (None, payload)
         (key,) = payload
-        kind = {"s_low": "hrg-spectrum", "s_high": "hrg-spectrum", "csv_pair": "hrg-spectrum",
-                "rate_batch_counts": "verify-equivalence", "steps": "resample-compare",
-                "bound_instances": "estimators"}.get(key, "bound-sweep")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(payload))
-        code = main([kind, "--config", str(cfg), "--out", str(tmp_path / "b")])
-        assert code == 2
-        assert f"error: bad value for {key!r}" in capsys.readouterr().err
-        assert not (tmp_path / "b").exists()
+        kind = kind or {"s_low": "hrg-spectrum", "s_high": "hrg-spectrum", "csv_pair": "hrg-spectrum",
+                        "rate_batch_counts": "verify-equivalence", "steps": "resample-compare",
+                        "bound_instances": "estimators"}.get(key, "bound-sweep")
+        (tmp_path / "cfg.json").write_text(json.dumps(payload))
+        flags = [] if key == "out" else ["--out", "b"]
+        assert_refused(tmp_path, capsys, monkeypatch, [kind, "--config", "cfg.json", *flags], *named or [key])
+
+    @pytest.mark.parametrize("kind,flags,key", [
+        ("verify-equivalence", ["--seed", "-5"], "seed"),
+        ("hrg-spectrum", ["--seed", "-5"], "seed"),
+        ("resample-compare", ["--tolerance", "nan"], "harm_limit"),
+    ], ids=["negative-seed", "negative-seed-seedless-kind", "nan-tolerance"])
+    def test_malformed_flag_value_exits_two(self, tmp_path, capsys, monkeypatch, kind, flags, key):
+        assert_refused(tmp_path, capsys, monkeypatch, [kind, *flags, "--out", "b"], key)
 
     @pytest.mark.parametrize("kind,payload,message", [
         ("hrg-spectrum", {"s_low": [6, 2]}, "selects nothing to check"),
         ("resample-compare", {"batch_size": 10}, "batch size must be a positive multiple of 3"),
         ("hrg-spectrum", {"s_low": [1, 2]}, "need s_l >= 2"),
         ("bound-sweep", {"separations": [2.0]}, "separation must lie in [0, 1]"),
-        ("verify-optimum", {"learning_rate": math.nan, "num_seeds": 1}, "learning rate must be finite"),
-        ("verify-optimum", {"tolerance": math.nan, "num_seeds": 1}, "tolerance must be finite"),
-        ("resample-compare", {"learning_rate": math.nan}, "learning rate must be finite"),
-        ("resample-compare", {"learning_rate": math.inf}, "learning rate must be finite"),
-        ("resample-compare", {"mixing_weight": math.inf}, "mixing weight must be finite"),
-        ("resample-compare", {"mixing_weight": math.nan}, "mixing weight must be finite"),
-    ], ids=["empty-range", "batch-size", "s-low", "separation", "nan-rate", "nan-tolerance",
-            "nan-sgd-rate", "inf-sgd-rate", "inf-weight", "nan-weight"])
+    ], ids=["empty-range", "batch-size", "s-low", "separation"])
     def test_values_the_library_refuses_exit_two(self, tmp_path, capsys, kind, payload, message):
         """These surface in the runner, before the output directory is
         made: one error line, exit code 2 and nothing written."""

@@ -8,6 +8,7 @@ from mmspectral import (
     ClassTooSmall,
     EncoderTable,
     HierarchicalGraphSpec,
+    InvalidSpec,
     JointDistribution,
     LabelAssignment,
     RankDeficient,
@@ -76,6 +77,24 @@ class TestFitProbeAndError:
         pred = probe.predict(np.zeros((1, 2)))
         assert pred[0] == 0
 
+    def test_negative_label_rejected(self):
+        """-1 is no class: fitted, it would silently become the last one."""
+        with pytest.raises(InvalidSpec, match="labels must be class indices >= 0"):
+            fit_probe(np.eye(5), [-1, 0, 1, 0, 1])
+
+    @pytest.mark.parametrize("labels,weights", [
+        ([0, 1, 1], [0.0, 0.0, 0.0]),
+        ([0, 1, 1], [1.0, -0.5, 1.0]),
+        ([0, 1, 1], [1.0, np.nan, 1.0]),
+        ([0, 1], None),
+        ([0, -1, 1], None),
+    ], ids=["zero-weights", "negative-weight", "nan-weight", "short-labels", "negative-label"])
+    def test_probe_error_refuses_what_fit_probe_refuses(self, labels, weights):
+        features = np.eye(3)
+        probe = fit_probe(features, [0, 1, 1])
+        with pytest.raises(InvalidSpec):
+            probe_error(probe, features, labels, weights)
+
 
 class TestLabelingError:
     def test_class_aligned_blocks_have_zero_error(self):
@@ -134,6 +153,11 @@ class TestSurrogateLabelingError:
         alpha = labeling_error(joint, labels)
         alpha_t = surrogate_labeling_error(text_induced(joint), lv)
         assert alpha - alpha_t / 2.0 >= -1e-12
+
+    def test_negative_label_rejected(self):
+        induced = text_induced(JointDistribution([[0.25, 0.25], [0.25, 0.25]]))
+        with pytest.raises(InvalidSpec, match="labels must be class indices >= 0"):
+            surrogate_labeling_error(induced, np.array([-1, 0]))
 
 
 class TestEstimateCooccurrence:
@@ -218,3 +242,8 @@ class TestEncoderTableFactor:
         table = EncoderTable(np.array([[1.0, 2.0], [3.0, 4.0]]))
         factor = table.factor(np.array([0.25, 0.81]))
         np.testing.assert_allclose(factor, [[0.5, 1.0], [2.7, 3.6]], atol=1e-12)
+
+    @pytest.mark.parametrize("marginal", [[np.nan, 1.0], [np.inf, 1.0], [-0.5, 1.5], [1.0]])
+    def test_factor_refuses_a_bad_marginal(self, marginal):
+        with pytest.raises(InvalidSpec, match="marginal must be a finite non-negative vector"):
+            EncoderTable(np.ones((2, 2))).factor(marginal)

@@ -90,6 +90,25 @@ class TestExperimentConfigBuild:
         assert cfg.params == default.params and cfg.seeds == default.seeds
         assert cfg.hash() == default.hash()
 
+    @pytest.mark.parametrize("kind", SUITES)
+    def test_defaults_written_back_as_floats_resolve_to_the_defaults(self, tmp_path, kind):
+        """Every parameter written back to a file, integers as 3.0-style
+        floats and arrays included, resolves to the default's types, so
+        the config hash is the default's."""
+        def floats(value):
+            return [floats(v) for v in value] if isinstance(value, tuple) else float(value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: floats(v) for key, v in SUITES[kind].defaults.items()}))
+        cfg, default = ExperimentConfig.build(kind, config_path=path), ExperimentConfig.build(kind)
+        assert repr(cfg.params) == repr(default.params) == repr(SUITES[kind].defaults)
+        assert cfg.hash() == default.hash()
+
+    def test_constructor_types_every_value(self):
+        params = dict(SUITES["hrg-spectrum"].defaults, csv_pair=[2.0, np.int64(2)], tolerance=np.float64(1.0))
+        cfg = ExperimentConfig(kind="hrg-spectrum", params=params, seeds=[np.int64(4), 5.0], out=Path("x"))
+        assert repr(cfg.params["csv_pair"]) == "(2, 2)" and repr(cfg.params["tolerance"]) == "1.0"
+        assert repr(cfg.seeds) == "(4, 5)" and cfg.out == "x"
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigParseError):
             ExperimentConfig.build("verify-everything")

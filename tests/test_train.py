@@ -306,7 +306,7 @@ class TestTeacherTables:
         with mock.patch.object(train, "_CHUNK_ENTRIES", budget):
             for a, b in pairs:
                 want = np.sum(tables.rows[a] * tables.rows[b], axis=-1)
-                got = tables.similarity(a, b)
+                got = tables.similarities[a, b]
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(STRATEGIES), st.floats(0.0, 1.0))
