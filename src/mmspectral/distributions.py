@@ -1,9 +1,12 @@
 """Finite joint distributions and the uni-modal distributions they induce.
 
 Every probability object here is a dense float64 matrix validated at
-construction: a joint distribution over visual x language pairs, its
-two-side normalized form, and the visual-visual distributions obtained by
-marginalizing over a shared text pivot or over an augmentation model.
+construction: a joint distribution over visual x language pairs and its
+two-side normalized form. A visual-visual distribution obtained by
+marginalizing over a shared text pivot or over an augmentation model is
+itself a joint distribution, a symmetric one over sample pairs
+(:class:`InducedDistribution`), so every function of a joint takes it
+as it is. Class labels are read by one function, :func:`_class_indices`.
 Instances are immutable after construction and all operations are pure
 functions, so everything is safe to share across threads.
 """
@@ -39,6 +42,24 @@ def _matrix_of(x) -> np.ndarray:
     return x.matrix if hasattr(x, "matrix") else np.asarray(x, dtype=float)
 
 
+def _class_indices(labels, size=None) -> np.ndarray:
+    """``labels`` as a 1-d int array of class indices >= 0, of ``size``
+    entries when given. Integral floats such as ``1.0`` pass; fractions,
+    negatives, non-finite values and other shapes are refused, never
+    truncated."""
+    y = np.asarray(labels)
+    if y.ndim != 1 or (size is not None and y.size != size):
+        want = "1-d" if size is None else f"{size} in a 1-d array"
+        raise InvalidSpec(f"labels must be class indices >= 0, {want}; got shape {y.shape}")
+    if np.can_cast(y.dtype, int):  # bools and integers that fit
+        indices = not (y < 0).any()
+    else:  # floats, and unsigned integers that may not fit
+        indices = y.dtype.kind in "uf" and np.all((y >= 0) & (y < 2.0**63) & (np.floor(y) == y))
+    if not indices:
+        raise InvalidSpec(f"labels must be class indices >= 0, finite integral numbers; got {y!r}")
+    return y.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Explicit co-occurrence mass over all visual-language sample pairs.
@@ -63,14 +84,15 @@ class JointDistribution:
         object.__setattr__(self, "matrix", _readonly(m))
 
     @classmethod
-    def from_counts(cls, counts) -> "JointDistribution":
+    def from_counts(cls, counts, **fields) -> "JointDistribution":
         """Build a joint distribution from non-negative weights, renormalized
-        exactly so the sum-to-1 invariant holds by construction."""
+        exactly so the sum-to-1 invariant holds by construction; ``fields``
+        are a subclass's other fields, such as an induced ``kind``."""
         c = np.asarray(counts, dtype=float)
         total = c.sum()
         if not np.isfinite(total) or total <= 0.0:
             raise InvalidSpec("counts must have positive finite total mass")
-        return cls(c / total)
+        return cls(c / total, **fields)
 
     @property
     def num_visual(self) -> int:
@@ -102,15 +124,13 @@ class LabelAssignment:
     num_classes: int
 
     def __post_init__(self):
-        v = np.asarray(self.visual, dtype=int)
-        l = np.asarray(self.language, dtype=int)
-        if v.ndim != 1 or l.ndim != 1:
-            raise InvalidSpec("label vectors must be 1-d")
+        v = _class_indices(self.visual)
+        l = _class_indices(self.language)
         r = int(self.num_classes)
         if r < 1:
             raise InvalidSpec("need at least one class")
         for name, arr in (("visual", v), ("language", l)):
-            if arr.size and (arr.min() < 0 or arr.max() >= r):
+            if arr.size and arr.max() >= r:
                 raise InvalidSpec(f"{name} labels must lie in [0, {r})")
         if not np.array_equal(np.unique(v), np.arange(r)):
             raise InvalidSpec("every class must appear at least once on the visual side")
@@ -165,19 +185,19 @@ class NormalizedCooccurrence:
 
 
 @dataclass(frozen=True)
-class InducedDistribution:
-    """Symmetric visual-visual matrix induced from a joint distribution.
+class InducedDistribution(JointDistribution):
+    """Symmetric visual-visual joint distribution induced from a joint.
 
     ``kind`` names the origin: "text" (shared-caption pivot),
     "augmentation" (shared natural image), "estimated" (from features), or
-    "hierarchical" (block-structured generator). Plain induced matrices are
-    probability masses and sum to 1; ``normalized=True`` marks the two-side
-    normalized product form, which does not.
+    "hierarchical" (block-structured generator). Both axes index the same
+    samples, so every function of a :class:`JointDistribution` reads it as
+    the symmetric joint of the uni-modal loss. Asymmetry up to
+    ``SYMMETRY_TOL`` and negative round-off down to -1e-15 are repaired,
+    and the mass is renormalized to 1 exactly.
     """
 
-    matrix: np.ndarray
     kind: str
-    normalized: bool = False
 
     def __post_init__(self):
         if self.kind not in INDUCED_KINDS:
@@ -185,21 +205,15 @@ class InducedDistribution:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidSpec("induced distribution must be a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise InvalidSpec("induced entries must be finite")
-        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+        with np.errstate(invalid="ignore"):  # inf - inf; non-finite entries fail below
+            asym = float(np.max(np.abs(m - m.T)))
         if asym > SYMMETRY_TOL:
             raise InvalidSpec(f"induced matrix asymmetry {asym!r} exceeds {SYMMETRY_TOL}")
         m = (m + m.T) / 2.0  # keep eigendecompositions exactly real
-        if np.any(m < -1e-15):
-            raise InvalidSpec("induced entries must be non-negative")
-        m = np.maximum(m, 0.0)
-        if not self.normalized:
-            total = float(m.sum())
-            if abs(total - 1.0) > MASS_TOL:
-                raise InvalidSpec(f"induced mass must be 1, got {total!r}")
-            m = m / total
-        object.__setattr__(self, "matrix", _readonly(m))
+        np.maximum(m, 0.0, out=m, where=m >= -1e-15)  # larger negatives fail below
+        object.__setattr__(self, "matrix", m)
+        super().__post_init__()  # finite, non-negative, mass 1 within MASS_TOL
+        object.__setattr__(self, "matrix", _readonly(self.matrix / self.matrix.sum()))
 
     @property
     def num_samples(self) -> int:
@@ -246,19 +260,17 @@ def text_induced(joint: JointDistribution) -> InducedDistribution:
     pl = joint.marginal_language
     cols = np.flatnonzero(pl > 0.0)
     m = joint.matrix[:, cols]
-    induced = (m / pl[cols][None, :]) @ m.T
-    asym = float(np.max(np.abs(induced - induced.T)))
-    if asym > SYMMETRY_TOL:
-        raise InvalidSpec(f"text-induced asymmetry {asym!r} exceeds {SYMMETRY_TOL}")
-    return InducedDistribution((induced + induced.T) / 2.0, kind="text")
+    return InducedDistribution((m / pl[cols][None, :]) @ m.T, kind="text")
 
 
-def normalized_uni(norm: NormalizedCooccurrence) -> InducedDistribution:
+def normalized_uni(norm: NormalizedCooccurrence) -> NormalizedCooccurrence:
     """Normalized uni-modal matrix: the product of the normalized
-    co-occurrence matrix with its transpose. Equals two-side normalization
-    applied directly to the text-induced distribution."""
+    co-occurrence matrix with its transpose, which is the two-side
+    normalization of the text-induced distribution. Both axes carry the
+    visual marginal and index map of ``norm``."""
     product = norm.matrix @ norm.matrix.T
-    return InducedDistribution((product + product.T) / 2.0, kind="text", normalized=True)
+    return NormalizedCooccurrence((product + product.T) / 2.0, norm.marginal_visual, norm.marginal_visual,
+                                  norm.visual_index, norm.visual_index)
 
 
 def augmentation_joint(model: "AugmentationModel | np.ndarray", marginal_visual) -> InducedDistribution:
@@ -277,5 +289,4 @@ def augmentation_joint(model: "AugmentationModel | np.ndarray", marginal_visual)
     col_sums = a.sum(axis=0)
     if np.max(np.abs(col_sums - 1.0)) > 1e-9:
         raise InvalidSpec("each conditional column A(.|v) must sum to 1")
-    induced = (a * pv[None, :]) @ a.T
-    return InducedDistribution((induced + induced.T) / 2.0, kind="augmentation")
+    return InducedDistribution((a * pv[None, :]) @ a.T, kind="augmentation")

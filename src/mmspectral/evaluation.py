@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import InducedDistribution, JointDistribution, LabelAssignment, _matrix_of
+from .distributions import (InducedDistribution, JointDistribution, LabelAssignment, NormalizedCooccurrence,
+                            _class_indices, _matrix_of)
 from .errors import ClassTooSmall, DegenerateDistribution, InvalidSpec, RankDeficient
 
 PROBE_RIDGE = 1e-10
@@ -60,11 +61,9 @@ def _labels_and_weights(labels, rows: int, weights):
     """(labels, weights of mass 1) for ``rows`` feature rows: one class
     index >= 0 per row, and weights that are uniform when None, else
     finite and non-negative with a positive total."""
-    y = np.asarray(labels, dtype=int)
-    if y.shape != (rows,) or rows == 0:
+    y = _class_indices(labels, rows)
+    if rows == 0:
         raise InvalidSpec("features and labels must align, one label per feature row")
-    if y.min() < 0:
-        raise InvalidSpec("labels must be class indices >= 0")
     w = np.full(rows, 1.0 / rows) if weights is None else np.asarray(weights, dtype=float)
     total = w.sum()  # nan or inf if an entry is
     if w.shape != y.shape or not (w >= 0.0).all() or not 0.0 < total < np.inf:
@@ -116,12 +115,12 @@ def labeling_error(joint: JointDistribution, labels: LabelAssignment) -> float:
 def surrogate_labeling_error(induced, labels_visual) -> float:
     """Labeling error measured on a visual-visual induced distribution:
     ``sum_{v,v'} P(v,v') 1[y(v) != y(v')]``."""
-    m = _matrix_of(induced)
-    if isinstance(induced, InducedDistribution) and induced.normalized:
+    if isinstance(induced, NormalizedCooccurrence):
         raise InvalidSpec("surrogate labeling error needs a mass-1 matrix, not a normalized one")
-    y = np.asarray(labels_visual, dtype=int)
-    if y.shape != (m.shape[0],) or m.shape[0] != m.shape[1] or np.any(y < 0):
-        raise InvalidSpec("labels must be class indices >= 0 covering the induced matrix")
+    m = _matrix_of(induced)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidSpec("surrogate labeling error needs a square induced matrix")
+    y = _class_indices(labels_visual, m.shape[0])
     if abs(float(m.sum()) - 1.0) > 1e-9:
         raise InvalidSpec("induced matrix must be mass-normalized")
     mismatch = y[:, None] != y[None, :]
@@ -151,9 +150,7 @@ def intra_class_connectivity(features, labels):
     per-class beta array, one per class in label order).
     """
     x = _matrix_of(features)
-    y = np.asarray(labels, dtype=int)
-    if x.shape[0] != y.size:
-        raise InvalidSpec("features and labels must align")
+    y = _class_indices(labels, x.shape[0])
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2 or np.any(counts < 2):
         raise ClassTooSmall("need >= 2 classes with >= 2 samples each")

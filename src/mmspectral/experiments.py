@@ -69,9 +69,6 @@ from .synth import (
 )
 from .train import STRATEGIES, ResampleConfig, TrainConfig, train_mmcl, train_sscl
 
-_META_KEYS = ("seed", "num_seeds", "seeds", "out", "tolerance")
-
-
 #: array parameters that hold exactly two numbers; each entry of a nested
 #: array parameter has the length of the default's entries
 _PAIR_KEYS = ("s_low", "s_high", "csv_pair")
@@ -99,6 +96,18 @@ def _count(value, least: int = 1) -> int:
 
 
 _seed = partial(_count, least=0)
+
+
+def _seeds(value) -> tuple:
+    """A list of seeds as a tuple of integers >= 0."""
+    return tuple(map(_seed, value))
+
+
+def _path(value) -> str:
+    """An output directory: a string or path-like, as a string."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise TypeError("not a path")
+    return str(value)
 
 
 def _typed(default, value, length=None):
@@ -179,43 +188,46 @@ class ExperimentConfig:
         params = {key: _parsed(key, partial(_typed, default, length=2 if key in _PAIR_KEYS else None),
                                self.params[key])
                   for key, default in defaults.items()}
-        seeds = _parsed("seeds", lambda v: tuple(map(_seed, v)), self.seeds)
+        seeds = _parsed("seeds", _seeds, self.seeds)
         if not seeds:
             raise ConfigParseError("seed list must be non-empty")
-        if not isinstance(self.out, (str, os.PathLike)):
-            raise ConfigParseError(f"bad value for 'out': {self.out!r} (not a path)")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "out", str(self.out))
+        object.__setattr__(self, "out", _parsed("out", _path, self.out))
 
     @classmethod
     def build(cls, kind: str, config_path=None, seed=None, out=None,
               tolerance=None) -> "ExperimentConfig":
         """Resolve defaults <- config file <- command-line overrides. A
-        ``seed`` shifts the seed list to start at it."""
+        ``seed`` shifts the seed list to start at it. Every meta key the
+        file gives is checked, also where ``seeds`` or a flag overrides it."""
         if kind not in SUITES:
             raise ConfigParseError(f"unknown experiment kind {kind!r}")
         suite = SUITES[kind]
         params = dict(suite.defaults)
         file_cfg = load_json_config(config_path) if config_path is not None else {}
-        unknown = set(file_cfg) - set(params) - set(_META_KEYS)
+        checks = {"seed": _seed, "num_seeds": _count, "seeds": _seeds, "out": _path,
+                  "tolerance": partial(_typed, suite.defaults[suite.tolerance_key])}
+        unknown = set(file_cfg) - set(params) - set(checks)
         if unknown:
             raise ConfigParseError(f"unknown config keys for {kind}: {sorted(unknown)}")
         params.update((key, file_cfg[key]) for key in set(file_cfg) & set(params))
-        if "tolerance" in file_cfg:
-            params[suite.tolerance_key] = file_cfg["tolerance"]
+        meta = {key: _parsed(suite.tolerance_key if key == "tolerance" else key, check, file_cfg[key])
+                for key, check in checks.items() if key in file_cfg}
+        if "tolerance" in meta:
+            params[suite.tolerance_key] = meta["tolerance"]
         if tolerance is not None:
             params[suite.tolerance_key] = tolerance
 
-        if "seeds" in file_cfg:
-            seeds = _parsed("seeds", lambda v: tuple(map(_seed, v)), file_cfg["seeds"])
+        if "seeds" in meta:
+            seeds = meta["seeds"]
             base = seeds[0] if seeds else 0
         else:
-            seeds = range(_parsed("num_seeds", _count, file_cfg.get("num_seeds", suite.num_seeds)))
-            base = file_cfg.get("seed", 0)
+            seeds = range(meta.get("num_seeds", suite.num_seeds))
+            base = meta.get("seed", 0)
         base = _parsed("seed", _seed, seed if seed is not None else base)
         seeds = tuple(base + s - seeds[0] for s in seeds)
-        out = out if out is not None else file_cfg.get("out", Path("runs") / kind)
+        out = out if out is not None else meta.get("out", Path("runs") / kind)
         return cls(kind=kind, params=params, seeds=seeds, out=out)
 
     def hash(self) -> str:
@@ -474,7 +486,7 @@ def _grad_case(seed):
                                  np.concatenate([num_v.ravel(), num_l.ravel()]))
 
     # the uni-modal loss: one table on both sides of the text-induced joint
-    induced = JointDistribution(text_induced(joint).matrix)
+    induced = text_induced(joint)
     f = rng.standard_normal((nv, k))
     _, gv_uni, gl_uni = scl_grad(f, f, induced)
     uni = _relative_error(gv_uni + gl_uni, _central_difference(lambda m: scl_loss(m, m, induced), f))
@@ -526,7 +538,7 @@ def _hrg_case(params, pair):
         induced = build_hierarchical_matrix(spec)
         numeric_raw = np.sort(np.linalg.eigvalsh(induced.matrix))[::-1]
         worst = max(worst, float(np.max(np.abs(closed_raw - numeric_raw))))
-        norm = normalize_cooccurrence(JointDistribution(induced.matrix))
+        norm = normalize_cooccurrence(induced)
         numeric_norm = decompose(norm).singular_values
         closed_norm = spec.num_samples * closed_raw
         worst = max(worst, float(np.max(np.abs(closed_norm - numeric_norm))))
@@ -561,7 +573,7 @@ def _monotone_case(params, pair):
     spectra = []
     for sep in sorted(params["separations"]):
         induced = build_hierarchical_matrix(HierarchicalGraphSpec.from_separation(s_l, s_h, sep))
-        norm = normalize_cooccurrence(JointDistribution(induced.matrix))
+        norm = normalize_cooccurrence(induced)
         spectra.append(decompose(norm).singular_values)
     worst = -math.inf
     for i in range(len(spectra)):
@@ -634,7 +646,7 @@ def _run_bound_sweep(params, seeds, workers: int):
             induced = build_hierarchical_matrix(HierarchicalGraphSpec.from_separation(s_l, s_h, sep))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateGap)  # sigma_k = sigma_{k+1} at separation 0
-                report = bound_report(JointDistribution(induced.matrix), assignment, s_l)
+                report = bound_report(induced, assignment, s_l)
             bound_rows.append((sep, report.alpha, report.sigma_next,
                                report.dominant_term, report.sigma_gap,
                                report.kappa, report.constant_proxy))
@@ -737,7 +749,7 @@ def _estimator_case(params, seed):
     induced = augmentation_joint(model, np.full(nv, 1.0 / nv))
     labels_aug = model.labels_for_augmented(labels.visual)
     alpha_aug = surrogate_labeling_error(induced, labels_aug)
-    norm = normalize_cooccurrence(JointDistribution(induced.matrix))
+    norm = normalize_cooccurrence(induced)
     features = _top_eigvecs(norm.matrix, dim) / np.sqrt(norm.marginal_visual)[:, None]
     beta_aug, _ = intra_class_connectivity(features, labels_aug[norm.visual_index])
     return alpha_teacher, beta_teacher, alpha_aug, beta_aug

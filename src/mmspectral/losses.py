@@ -75,9 +75,9 @@ def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
     """Multi-modal spectral contrastive loss, exact population value:
     -2 E_pos[f_V.f_L] + E_{independent}[(f_V.f_L)^2].
 
-    With one table on both sides of a symmetric joint, such as
-    ``JointDistribution(induced.matrix)`` for an induced distribution, this
-    is the uni-modal spectral contrastive loss."""
+    With one table on both sides of a symmetric joint, such as an
+    :class:`~mmspectral.distributions.InducedDistribution`, this is the
+    uni-modal spectral contrastive loss."""
     fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
@@ -288,6 +288,16 @@ class _Plan(NamedTuple):
                    np.concatenate([pos_language, neg_language, pos_language], axis=1, dtype=int),
                    np.zeros((rows, 0)), triples, np.full(rows, 2 * triples), 3 * triples, n)
 
+    @classmethod
+    def chunks(cls, draws, n: int, k: int):
+        """Yield ``(batches, plan)``, a slice of the batches ``draws`` holds
+        and its plan, ``_CHUNK_ENTRIES // (n * k)`` batches at a time: the
+        chunk rule of every sampled run on ``k`` features."""
+        chunk = max(1, _CHUNK_ENTRIES // (n * max(k, 1)))
+        for start in range(0, draws[0].shape[0], chunk):
+            batches = slice(start, start + chunk)
+            yield batches, cls.of_triples(*(d[batches] for d in draws), n)
+
     def as_batch(self) -> Batch:
         """The batch of row 0: the inverse of :meth:`of_batch`."""
         p, j, q = self.positives, self.split[0], self.negatives_end
@@ -402,12 +412,9 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     batches at a time without building any ``Batch``."""
     fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
     losses = np.empty(count)
-    draws = sampler.draw_chunk(rng, count)
-    chunk = max(1, _CHUNK_ENTRIES // (sampler.n * max(fv.shape[1], 1)))
-    for start in range(0, count, chunk):
-        plan = _Plan.of_triples(*(d[start:start + chunk] for d in draws), sampler.n)
+    for batches, plan in _Plan.chunks(sampler.draw_chunk(rng, count), sampler.n, fv.shape[1]):
         scores = _row_dots(fv[plan.visual], fl[plan.language])
-        losses[start:start + chunk] = plan.losses(scores, plan.split[0], plan.weight)
+        losses[batches] = plan.losses(scores, plan.split[0], plan.weight)
     return losses
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import InducedDistribution, JointDistribution, LabelAssignment, _readonly
+from .distributions import InducedDistribution, JointDistribution, LabelAssignment, _class_indices, _readonly
 from .errors import InvalidSpec
 
 CONSTRAINT_TOL = 1e-12
@@ -193,10 +193,7 @@ class AugmentationModel:
 
     def labels_for_augmented(self, labels_visual) -> np.ndarray:
         """Lift natural-sample labels to the augmented samples."""
-        lv = np.asarray(labels_visual, dtype=int)
-        if lv.size != self.num_visual:
-            raise InvalidSpec("labels must cover every natural sample")
-        return lv[self.parent]
+        return _class_indices(labels_visual, self.num_visual)[self.parent]
 
 
 def generate_augmentation_model(num_visual: int, augs_per_sample: int, leak: float,

@@ -34,7 +34,7 @@ from numpy.random import default_rng
 from .distributions import InducedDistribution, JointDistribution, normalize_cooccurrence
 from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
-from .losses import _CHUNK_ENTRIES, Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads
+from .losses import _CHUNK_ENTRIES, Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads, equivalence_constant
 from .losses import sample_batch  # noqa: F401  (perfbench's tracer test looks it up here)
 from .spectral import _check_top_k, decompose
 
@@ -179,7 +179,7 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
     """
     norm = normalize_cooccurrence(joint)
     target = norm.matrix
-    constant = float(np.sum(target * target))
+    constant = equivalence_constant(norm)
     dec = decompose(norm)
     k = cfg.dim
     _check_top_k(dec, k)
@@ -215,17 +215,15 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
     # batches index the pruned support, so the teacher must too
     teacher_tables = None if resample is None else _TeacherTables(teacher.matrix[norm.visual_index])
     draws = _run_draws(pruned, cfg.batch_size, batch_seed, cfg.max_steps)
-    chunk = max(1, _CHUNK_ENTRIES // (cfg.batch_size * k))
     num_visual, num_language = target.shape
     history = np.empty(cfg.max_steps)
-    for start in range(0, cfg.max_steps, chunk):
-        plan = _Plan.of_triples(*(d[start:start + chunk] for d in draws), cfg.batch_size)
+    for steps, plan in _Plan.chunks(draws, cfg.batch_size, k):
         if teacher_tables is not None:
             plan = _resample(plan, teacher_tables, resample)
         grads = _PlanGrads(plan, k, num_visual, num_language, shared=tables == 1)
         for row in range(plan.visual.shape[0]):
             grads.step(row, table, cfg.learning_rate)
-        history[start:start + chunk] = grads.losses()
+        history[steps] = grads.losses()
     converged = bool(np.all(np.isfinite(history)))
     if not converged:
         warnings.warn("sampled-mode training produced non-finite losses", DidNotConverge)
@@ -263,7 +261,7 @@ def train_sscl(induced: InducedDistribution, cfg: TrainConfig,
                resample: ResampleConfig = None, teacher: EncoderTable = None):
     """Train a single encoder on the uni-modal spectral loss over a
     symmetric induced distribution: the multi-modal loss with one table on
-    both sides of ``JointDistribution(induced.matrix)``.
+    both sides of that joint.
 
     Population mode descends on the symmetric factorization residual of
     the two-side normalized matrix. Sampled mode draws three-way batches
@@ -273,15 +271,15 @@ def train_sscl(induced: InducedDistribution, cfg: TrainConfig,
     pruned support, see the normalization index maps, and so does the
     teacher as the strategies see it.
     """
+    if not isinstance(induced, InducedDistribution):
+        raise InvalidSpec(f"training needs a mass-1 induced distribution, got {type(induced).__name__}")
     if resample is not None and teacher is None:
         raise TeacherMissing("resampling strategies need teacher features")
     if resample is not None and teacher.num_samples != induced.num_samples:
         raise InvalidSpec(f"teacher has {teacher.num_samples} rows for {induced.num_samples} samples")
-    if induced.normalized:
-        raise InvalidSpec("training needs a mass-1 induced distribution")
     side = "augmented" if induced.kind == "augmentation" else "visual"
 
-    (features,), history = _train(JointDistribution(induced.matrix), cfg, 1, resample, teacher)
+    (features,), history = _train(induced, cfg, 1, resample, teacher)
     return EncoderTable(features, side=side), history
 
 

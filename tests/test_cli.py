@@ -92,10 +92,12 @@ class TestExperimentCommands:
         pytest.param(("estimators", {"leak": math.inf}), id="inf-leak"),
         pytest.param(("estimators", {"seeds": [3, -1]}), id="negative-seed-list"),
         pytest.param(("bound-sweep", {"separations": ["0.5", "1"]}), id="string-separations"),
+        pytest.param(("hrg-spectrum", {"seeds": [3], "seed": "x", "num_seeds": -4}, "seed"),
+                     id="meta-keys-beside-seed-list"),
     ])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, monkeypatch, payload):
         kind, payload, *named = payload if isinstance(payload, tuple) else (None, payload)
-        (key,) = payload
+        key = next(iter(payload))
         kind = kind or {"s_low": "hrg-spectrum", "s_high": "hrg-spectrum", "csv_pair": "hrg-spectrum",
                         "rate_batch_counts": "verify-equivalence", "steps": "resample-compare",
                         "bound_instances": "estimators"}.get(key, "bound-sweep")

@@ -1,4 +1,7 @@
 """Distribution containers, marginals, normalization, and induced joints."""
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +12,18 @@ from mmspectral import (
     InvalidSpec,
     JointDistribution,
     LabelAssignment,
+    NormalizedCooccurrence,
+    TrainConfig,
     augmentation_joint,
+    bound_report,
     generate_augmentation_model,
     normalize_cooccurrence,
     normalized_uni,
+    scl_grad,
+    scl_loss,
+    surrogate_labeling_error,
     text_induced,
+    train_sscl,
 )
 
 from oracles import (
@@ -147,18 +157,27 @@ class TestNormalizedUni:
         norm = normalize_cooccurrence(DIAG_HALF)
         out = normalized_uni(norm)
         np.testing.assert_allclose(out.matrix, np.eye(2), atol=1e-15)
-        assert out.normalized
+        assert isinstance(out, NormalizedCooccurrence)
 
     def test_product_oracle(self):
         norm = normalize_cooccurrence(TILTED)
         out = normalized_uni(norm)
         np.testing.assert_allclose(out.matrix, [[0.68, 0.32], [0.32, 0.68]], atol=1e-12)
 
-    def test_rank_one_preserved(self):
-        u = np.array([0.6, 0.8])
-        out = InducedDistribution(np.outer(u, u), kind="text", normalized=True)
-        prod = out.matrix @ out.matrix.T
-        assert np.linalg.matrix_rank(prod, tol=1e-10) == 1
+    def test_is_the_normalized_text_induced_cooccurrence(self):
+        counts = np.random.default_rng(8).gamma(2.0, size=(5, 4))
+        counts[1] = 0.0  # a pruned visual sample, so the index map is not the identity
+        norm = normalize_cooccurrence(JointDistribution.from_counts(counts))
+        out = normalized_uni(norm)
+        assert isinstance(out, NormalizedCooccurrence)
+        for marginal in (out.marginal_visual, out.marginal_language):
+            assert marginal.tobytes() == norm.marginal_visual.tobytes()
+        for index in (out.visual_index, out.language_index):
+            assert index.tolist() == norm.visual_index.tolist() == [0, 2, 3, 4]
+        with pytest.raises(InvalidSpec):
+            train_sscl(out, TrainConfig(dim=1))
+        with pytest.raises(InvalidSpec):
+            surrogate_labeling_error(out, np.arange(out.num_visual) % 2)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -169,6 +188,66 @@ class TestNormalizedUni:
         direct = normalized_uni(norm).matrix
         via_induced = normalize_oracle(text_induced_oracle(p))
         np.testing.assert_allclose(direct, via_induced, atol=1e-10)
+
+
+class TestInducedIsAJoint:
+    """An induced distribution is a symmetric JointDistribution: every
+    function of a joint reads it exactly as the joint of its matrix."""
+
+    def test_is_a_joint_with_a_kind(self):
+        induced = text_induced(TILTED)
+        assert isinstance(induced, JointDistribution)
+        assert [f.name for f in dataclasses.fields(InducedDistribution)] == ["matrix", "kind"]
+        assert not induced.matrix.flags.writeable
+        counts = InducedDistribution.from_counts([[2.0, 1.0], [1.0, 4.0]], kind="estimated")
+        assert counts.matrix.tolist() == [[0.25, 0.125], [0.125, 0.5]] and counts.kind == "estimated"
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_reads_as_the_joint_of_its_matrix(self, seed, text):
+        rng = np.random.default_rng(seed)
+        if text:
+            induced = text_induced(JointDistribution(random_joint(rng)))
+        else:
+            nv = int(rng.integers(2, 7))
+            model = generate_augmentation_model(nv, int(rng.integers(1, 4)), float(rng.uniform(0.1, 1.0)),
+                                                seed=seed)
+            induced = augmentation_joint(model, rng.dirichlet(np.ones(nv)))
+        joint = JointDistribution(induced.matrix)
+        got, want = normalize_cooccurrence(induced), normalize_cooccurrence(joint)
+        for field in dataclasses.fields(got):
+            assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes()
+        f = rng.standard_normal((induced.num_samples, 2))
+        assert repr(scl_loss(f, f, induced)) == repr(scl_loss(f, f, joint))
+        loss, gv, gl = scl_grad(f, f, induced)
+        loss_ref, gv_ref, gl_ref = scl_grad(f, f, joint)
+        assert repr(loss) == repr(loss_ref) and gv.tobytes() == gv_ref.tobytes() and gl.tobytes() == gl_ref.tobytes()
+        labels = np.arange(induced.num_samples) % 2
+        assignment = LabelAssignment(labels, labels, 2)
+
+        def report(x):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                return repr(bound_report(x, assignment, 1)), [str(w.message) for w in caught]
+        assert report(induced) == report(joint)
+
+    @pytest.mark.parametrize("matrix,kind", [
+        ([[0.5, np.nan], [np.nan, 0.0]], "text"),
+        ([[np.inf, 0.0], [0.0, 0.5]], "text"),
+        ([[0.6, -0.1], [-0.1, 0.6]], "text"),
+        ([[0.5, 0.5], [0.5, 0.5]], "text"),
+        ([[0.5, 0.25], [0.0, 0.25]], "text"),
+        ([[0.5, 0.5]], "text"),
+        ([[0.5, 0.0], [0.0, 0.5]], "caption"),
+    ], ids=["nan", "inf", "negative", "mass-two", "asymmetric", "not-square", "unknown-kind"])
+    def test_refuses_what_is_not_a_symmetric_joint(self, matrix, kind):
+        with pytest.raises(InvalidSpec):
+            InducedDistribution(matrix, kind=kind)
+
+    def test_round_off_is_repaired(self):
+        """Negative round-off clips to 0 and the mass renormalizes to 1."""
+        out = InducedDistribution([[0.5 + 1e-13, -1e-16], [-1e-16, 0.5]], kind="estimated")
+        assert out.matrix[0, 1] == 0.0 and out.matrix.sum() == 1.0
 
 
 class TestAugmentationJoint:

@@ -16,6 +16,7 @@ from mmspectral import (
     decompose,
     estimate_cooccurrence,
     fit_probe,
+    generate_augmentation_model,
     intra_class_connectivity,
     labeling_error,
     normalize_cooccurrence,
@@ -94,6 +95,52 @@ class TestFitProbeAndError:
         probe = fit_probe(features, [0, 1, 1])
         with pytest.raises(InvalidSpec):
             probe_error(probe, features, labels, weights)
+
+
+UNIFORM_4X4 = JointDistribution(np.full((4, 4), 1.0 / 16.0))
+
+#: every reader of class labels, each given four labels
+LABEL_READERS = {
+    "LabelAssignment": lambda y: LabelAssignment(y, [0, 1], 2),
+    "fit_probe": lambda y: fit_probe(np.eye(4), y),
+    "probe_error": lambda y: probe_error(fit_probe(np.eye(4), [0, 1, 0, 1]), np.eye(4), y),
+    "surrogate_labeling_error": lambda y: surrogate_labeling_error(text_induced(UNIFORM_4X4), y),
+    "intra_class_connectivity": lambda y: intra_class_connectivity(np.eye(4), y),
+    "labels_for_augmented": lambda y: generate_augmentation_model(4, 2, 0.5).labels_for_augmented(y),
+}
+
+#: labels no reader may take; "fraction" fits two classes with error 0.0 if truncated
+BAD_LABELS = {
+    "fraction": [0.9, 1.5, 0.2, 1.99], "negative": [0, -1, 1, 0], "nan": [0, np.nan, 1, 1],
+    "inf": [0, np.inf, 1, 1], "2-d": [[0, 1, 0, 1]], "strings": ["0", "1", "0", "1"], "short": [0, 1, 0],
+}
+
+
+class TestLabelReaders:
+    """Every reader takes class indices through one check: labels are
+    refused, never truncated."""
+
+    @pytest.mark.parametrize("reader,labels", [
+        pytest.param(reader, labels, id=f"{reader}-{name}")
+        for reader in LABEL_READERS for name, labels in BAD_LABELS.items()
+        if (reader, name) != ("LabelAssignment", "short")])  # an assignment sets no length
+    def test_refuses_what_is_not_a_class_index(self, reader, labels):
+        with pytest.raises(InvalidSpec, match="labels must be class indices >= 0"):
+            LABEL_READERS[reader](labels)
+
+    @pytest.mark.parametrize("reader", LABEL_READERS)
+    def test_integral_floats_read_as_integers(self, reader):
+        got, want = LABEL_READERS[reader]([0.0, 1.0, 0.0, 1.0]), LABEL_READERS[reader]([0, 1, 0, 1])
+        assert repr(got) == repr(want)
+
+    def test_fractional_labels_are_not_truncated(self):
+        """Truncated, the visual labels would read [0, 1] and the surrogate
+        labeling error 0.444."""
+        with pytest.raises(InvalidSpec):
+            LabelAssignment([0.5, 1.7], [0.2], 2)
+        uniform = JointDistribution(np.full((3, 3), 1.0 / 9.0))
+        with pytest.raises(InvalidSpec):
+            surrogate_labeling_error(text_induced(uniform), [0.3, 1.9, 1.2])
 
 
 class TestLabelingError:

@@ -131,6 +131,22 @@ class TestExperimentConfigBuild:
         with pytest.raises(ConfigParseError):
             ExperimentConfig(kind="estimators", params={}, seeds=(), out="x")
 
+    @pytest.mark.parametrize("payload,flags,key", [
+        ({"seeds": [3], "num_seeds": -4}, {}, "num_seeds"),
+        ({"seeds": [3], "seed": "x"}, {}, "seed"),
+        ({"seed": -1}, {"seed": 2}, "seed"),
+        ({"out": None}, {"out": "x"}, "out"),
+        ({"tolerance": "x"}, {"tolerance": 0.5}, "harm_limit"),
+    ], ids=["count-beside-list", "seed-beside-list", "seed-beside-flag", "out-beside-flag",
+            "tolerance-beside-flag"])
+    def test_overridden_meta_keys_are_checked(self, tmp_path, payload, flags, key):
+        """A meta key the file gives is checked also where ``seeds`` or a
+        flag takes its place."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigParseError, match=f"bad value for '{key}'"):
+            ExperimentConfig.build("resample-compare", config_path=path, **flags)
+
     def test_tolerance_flag_maps_per_kind(self):
         """Each kind names its headline tolerance differently; the flag
         lands on the right parameter."""
