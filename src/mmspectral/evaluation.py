@@ -36,13 +36,11 @@ class LinearProbe:
     """
 
     weights: np.ndarray
-    feature_dim: int
-    num_classes: int
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.feature_dim, self.num_classes):
-            raise InvalidSpec("probe weights must have shape (feature_dim, num_classes)")
+        if w.ndim != 2:
+            raise InvalidSpec("probe weights must be 2-d, (feature_dim, num_classes)")
         if not np.all(np.isfinite(w)):
             raise InvalidSpec("probe weights must be finite")
         frozen = w.copy()
@@ -92,7 +90,7 @@ def fit_probe(features, labels, weights=None) -> LinearProbe:
     if eigs[-1] <= 0.0 or eigs[0] < eigs[-1] * 1e-12:
         warnings.warn("probe Gram matrix is numerically singular", RankDeficient)
     b = np.linalg.solve(gram + PROBE_RIDGE * np.eye(x.shape[1]), xw.T @ onehot)
-    return LinearProbe(weights=b, feature_dim=x.shape[1], num_classes=r)
+    return LinearProbe(weights=b)
 
 
 def probe_error(probe: LinearProbe, features, labels, weights=None) -> float:

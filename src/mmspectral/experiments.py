@@ -372,37 +372,17 @@ def _equivalence_case(params, seed):
     return nv, nl, k, residual, scl, amf
 
 
-def _empirical_instance(seed: int):
+def _empirical_case(params, seed, count, stream):
+    """The Monte-Carlo work unit: the population loss of the seed's random
+    instance and the sampled losses of ``count`` batches drawn from it
+    with the generator ``[seed, *stream]``."""
     rng = default_rng([seed, 70])
     joint = _random_joint(rng, 6, 8)
     k = 3
     fv = rng.standard_normal((6, k)) / math.sqrt(k)
     fl = rng.standard_normal((8, k)) / math.sqrt(k)
-    return joint, fv, fl
-
-
-def _empirical_mean_case(params, seed):
-    batches = params["mean_batches"]
-    joint, fv, fl = _empirical_instance(seed)
-    population = scl_loss(fv, fl, joint)
     sampler = BatchSampler(joint, params["batch_size"])
-    values = empirical_scl_batches(fv, fl, sampler, default_rng([seed, 71]), batches)
-    stderr = float(values.std(ddof=1)) / math.sqrt(batches)
-    return float(values.mean()), population, stderr
-
-
-def _rate_counts(params) -> tuple:
-    return tuple(sorted(params["rate_batch_counts"]))
-
-
-def _empirical_rate_case(params, seed, rep):
-    counts = _rate_counts(params)
-    joint, fv, fl = _empirical_instance(seed)
-    population = scl_loss(fv, fl, joint)
-    sampler = BatchSampler(joint, params["batch_size"])
-    values = empirical_scl_batches(fv, fl, sampler, default_rng([seed, 72, rep]), max(counts))
-    running = np.cumsum(values)  # sequential, as a running sum is
-    return [float(running[c - 1] / c - population) for c in counts]
+    return scl_loss(fv, fl, joint), empirical_scl_batches(fv, fl, sampler, default_rng([seed, *stream]), count)
 
 
 def _run_verify_equivalence(params, seeds, workers: int):
@@ -414,13 +394,16 @@ def _run_verify_equivalence(params, seeds, workers: int):
         rows.append((i + 1, nv, nl, k, float(residual)))
         log += [(f"instance-{i + 1:02d}", "scl", scl, seed), (f"instance-{i + 1:02d}", "amf", amf, seed)]
 
-    mean, population, stderr = _empirical_mean_case(params, seeds[0])
+    batches, counts = params["mean_batches"], sorted(params["rate_batch_counts"])
+    ((population, values),) = _map_tasks(partial(_empirical_case, params, seeds[0], batches), [(71,)], workers)
+    mean, stderr = float(values.mean()), float(values.std(ddof=1)) / math.sqrt(batches)
     checks.append(_check("empirical-mean-z", abs(mean - population) / stderr, params["z_limit"],
                          f"mean={mean!r} population={population!r} stderr={stderr!r}"))
 
-    counts = _rate_counts(params)
-    deviations = np.asarray(_map_tasks(partial(_empirical_rate_case, params, seeds[0]),
-                                       range(params["rate_repeats"]), workers))
+    runs = _map_tasks(partial(_empirical_case, params, seeds[0], max(counts)),
+                      [(72, rep) for rep in range(params["rate_repeats"])], workers)
+    running = (np.cumsum(values) for _, values in runs)  # sequential, as a running sum is
+    deviations = np.array([[float(run[c - 1] / c - population) for c in counts] for run in running])
     rmse = np.sqrt(np.mean(deviations**2, axis=0))
     slope = float(np.polyfit(np.log(counts), np.log(rmse), 1)[0])
     checks.append(_check("empirical-rate-slope", slope, params["slope_limit"],
@@ -536,7 +519,7 @@ def _hrg_case(params, pair):
         spec = HierarchicalGraphSpec.from_separation(s_l, s_h, sep)
         closed_raw = hierarchical_eigenvalues(spec)
         induced = build_hierarchical_matrix(spec)
-        numeric_raw = np.sort(np.linalg.eigvalsh(induced.matrix))[::-1]
+        numeric_raw = np.linalg.eigvalsh(induced.matrix)[::-1]
         worst = max(worst, float(np.max(np.abs(closed_raw - numeric_raw))))
         norm = normalize_cooccurrence(induced)
         numeric_norm = decompose(norm).singular_values

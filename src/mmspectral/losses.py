@@ -11,15 +11,17 @@ exactly the population loss.
 Every sampled path draws with ``BatchSampler.draw_chunk``, lays batches
 out as ``_Plan`` rows (a ``Batch`` is one row) and scores them with
 ``_Plan.losses`` within one ``_CHUNK_ENTRIES`` budget, so the single-batch
-loss, its gradient form and the many-batch loss agree bit for bit.
-Gradients (``_PlanGrads``) work on one stacked table, the language rows
-after the visual rows or one table shared by both sides: a batch is one
-gather and one ``np.bincount`` scatter, and keeps its scores, so that a
-chunk is scored once per distinct caption/image split.
+loss, its gradient form and the many-batch loss agree bit for bit. A plan
+scores itself from its own splits, weights and batch size, once per
+distinct caption/image split. Gradients (``_PlanGrads``) work on one
+stacked table, the language rows after the visual rows or one table
+shared by both sides: a batch is one gather and one ``np.bincount``
+scatter, and keeps its scores for ``_Plan.losses``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -181,8 +183,8 @@ class BatchSampler:
     """
 
     def __init__(self, joint: JointDistribution, n: int):
-        if n <= 0 or n % 3 != 0:
-            raise InvalidBatchSize(f"batch size must be a positive multiple of 3, got {n}")
+        if not isinstance(n, Integral) or n <= 0 or n % 3 != 0:
+            raise InvalidBatchSize(f"batch size must be a positive multiple of 3, got {n!r}")
         cdf = joint.matrix.ravel().cumsum()
         cdf /= cdf[-1]
         self.n = n
@@ -192,7 +194,7 @@ class BatchSampler:
 
     def draw(self, rng) -> Batch:
         """One batch: the one-row case of :meth:`draw_chunk`."""
-        return _Plan.of_triples(*self.draw_chunk(rng, 1), self.n).as_batch()
+        return _Plan.of_triples(*self.draw_chunk(rng, 1)).as_batch()
 
     def draw_chunk(self, rng, count: int):
         """The (pos_visual, pos_language, neg_language, neg_visual) lists of
@@ -239,14 +241,6 @@ def _row_dots(a, b, out=None):
     return np.add.reduce(a * b, axis=-1, out=out)
 
 
-def _spectral_terms(s_pos, s_neg_language, s_neg_visual, triples: int):
-    """Positive and negative terms of the sampled loss from the three score
-    lists, reduced along the last axis: one value per batch."""
-    loss = -2.0 * s_pos.sum(axis=-1) / triples
-    loss = loss + 0.5 * (s_neg_language**2).sum(axis=-1) / triples
-    return loss + 0.5 * (s_neg_visual**2).sum(axis=-1) / triples
-
-
 class _Plan(NamedTuple):
     """Consecutive batches as rectangular arrays, one row per batch.
 
@@ -280,23 +274,23 @@ class _Plan(NamedTuple):
                    batch.pos_visual.size, np.array([split]), split + batch.neg_visual.size, batch.n)
 
     @classmethod
-    def of_triples(cls, pos_visual, pos_language, neg_language, neg_visual, n: int) -> "_Plan":
+    def of_triples(cls, pos_visual, pos_language, neg_language, neg_visual) -> "_Plan":
         """The plan of freshly drawn batches, from their ``(rows, n/3)``
         triple lists as :meth:`BatchSampler.draw_chunk` returns them."""
         rows, triples = pos_visual.shape
         return cls(np.concatenate([pos_visual, pos_visual, neg_visual], axis=1, dtype=int),
                    np.concatenate([pos_language, neg_language, pos_language], axis=1, dtype=int),
-                   np.zeros((rows, 0)), triples, np.full(rows, 2 * triples), 3 * triples, n)
+                   np.zeros((rows, 0)), triples, np.full(rows, 2 * triples), 3 * triples, 3 * triples)
 
     @classmethod
-    def chunks(cls, draws, n: int, k: int):
+    def chunks(cls, draws, k: int):
         """Yield ``(batches, plan)``, a slice of the batches ``draws`` holds
-        and its plan, ``_CHUNK_ENTRIES // (n * k)`` batches at a time: the
-        chunk rule of every sampled run on ``k`` features."""
-        chunk = max(1, _CHUNK_ENTRIES // (n * max(k, 1)))
+        and its plan, ``_CHUNK_ENTRIES // (n * k)`` batches of ``n`` draws at
+        a time: the chunk rule of every sampled run on ``k`` features."""
+        chunk = max(1, _CHUNK_ENTRIES // (3 * draws[0].shape[1] * max(k, 1)))
         for start in range(0, draws[0].shape[0], chunk):
             batches = slice(start, start + chunk)
-            yield batches, cls.of_triples(*(d[batches] for d in draws), n)
+            yield batches, cls.of_triples(*(d[batches] for d in draws))
 
     def as_batch(self) -> Batch:
         """The batch of row 0: the inverse of :meth:`of_batch`."""
@@ -310,15 +304,23 @@ class _Plan(NamedTuple):
             extra_pos_weight=self.weight[0],
         )
 
-    def losses(self, scores, split, weight):
-        """:func:`empirical_scl` of batches from their pairs' ``scores``, one
-        row per batch, their common caption/image ``split`` and their extra
-        positives' ``weight``; leading axes carry through."""
-        p, q, width = self.positives, self.negatives_end, scores.shape[-1]
-        loss = _spectral_terms(scores[..., :p], scores[..., p:split], scores[..., split:q], self.n // 3)
-        if width > q:
-            loss = loss - 2.0 * (weight * scores[..., q:]).sum(axis=-1) / (width - q)
-        return loss
+    def losses(self, scores) -> np.ndarray:
+        """:func:`empirical_scl` of every batch from its pairs' ``scores``,
+        one row per plan row: evaluated once per distinct caption/image
+        split, on the whole array when all rows share one."""
+        p, q, triples, width = self.positives, self.negatives_end, self.n // 3, scores.shape[1]
+        out = np.empty(scores.shape[0])
+        splits = set(self.split.tolist())
+        for split in splits:
+            rows = self.split == split if len(splits) > 1 else slice(None)
+            s = scores[rows]
+            loss = -2.0 * s[:, :p].sum(axis=-1) / triples
+            loss = loss + 0.5 * (s[:, p:split]**2).sum(axis=-1) / triples
+            loss = loss + 0.5 * (s[:, split:q]**2).sum(axis=-1) / triples
+            if width > q:
+                loss = loss - 2.0 * (self.weight[rows] * s[:, q:]).sum(axis=-1) / (width - q)
+            out[rows] = loss
+        return out
 
 
 class _PlanGrads:
@@ -335,8 +337,7 @@ class _PlanGrads:
     over flat entry indices, gathered out of an ``arange`` table. The
     bincount adds each entry's moves to zero one at a time in pair order;
     its output holds the visual gradient, then the language gradient.
-    Each batch keeps its scores, and :meth:`losses` scores them all at
-    once.
+    Each batch keeps its scores in ``scores``, for :meth:`_Plan.losses`.
     """
 
     def __init__(self, plan: _Plan, k: int, num_visual: int, num_language: int, shared: bool = False):
@@ -378,16 +379,6 @@ class _PlanGrads:
         grad *= rate
         table -= grad.reshape(table.shape)
 
-    def losses(self) -> np.ndarray:
-        """:func:`empirical_scl` of every batch, from the scores kept when
-        its gradient was taken: one :meth:`_Plan.losses` call per distinct
-        caption/image split."""
-        plan, out = self.plan, np.empty(self.scores.shape[0])
-        for split in np.unique(plan.split):
-            rows = plan.split == split
-            out[rows] = plan.losses(self.scores[rows], split, plan.weight[rows])
-        return out
-
 
 def empirical_scl(f_visual, f_language, batch: Batch) -> float:
     """Sampled spectral contrastive loss on one batch.
@@ -402,8 +393,7 @@ def empirical_scl(f_visual, f_language, batch: Batch) -> float:
     """
     fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
     plan = _Plan.of_batch(batch)
-    scores = _row_dots(fv[plan.visual[0]], fl[plan.language[0]])
-    return float(plan.losses(scores, plan.split[0], plan.weight[0]))
+    return float(plan.losses(_row_dots(fv[plan.visual], fl[plan.language]))[0])
 
 
 def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, count: int) -> np.ndarray:
@@ -412,9 +402,8 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     batches at a time without building any ``Batch``."""
     fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
     losses = np.empty(count)
-    for batches, plan in _Plan.chunks(sampler.draw_chunk(rng, count), sampler.n, fv.shape[1]):
-        scores = _row_dots(fv[plan.visual], fl[plan.language])
-        losses[batches] = plan.losses(scores, plan.split[0], plan.weight)
+    for batches, plan in _Plan.chunks(sampler.draw_chunk(rng, count), fv.shape[1]):
+        losses[batches] = plan.losses(_row_dots(fv[plan.visual], fl[plan.language]))
     return losses
 
 
@@ -425,8 +414,7 @@ def empirical_scl_grad(f_visual, f_language, batch: Batch):
     plan = _Plan.of_batch(batch)
     grads = _PlanGrads(plan, fv.shape[1], fv.shape[0], fl.shape[0])
     flat = grads(0, np.concatenate([fv, fl]))
-    loss = plan.losses(grads.scores[0], plan.split[0], plan.weight[0])
-    return float(loss), flat[:fv.size].reshape(fv.shape), flat[fv.size:].reshape(fl.shape)
+    return float(plan.losses(grads.scores)[0]), flat[:fv.size].reshape(fv.shape), flat[fv.size:].reshape(fl.shape)
 
 
 def scl_grad(f_visual, f_language, joint: JointDistribution):

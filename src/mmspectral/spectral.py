@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -75,8 +76,8 @@ def decompose(norm: NormalizedCooccurrence) -> SpectralDecomposition:
 def _check_top_k(dec: SpectralDecomposition, k: int) -> None:
     """Refuse k past the rank bound; warn when the top-k subspace is ill-defined."""
     s = dec.singular_values
-    if k < 1:
-        raise InvalidSpec("embedding dimension must be >= 1")
+    if not isinstance(k, Integral) or k < 1:
+        raise InvalidSpec(f"embedding dimension must be >= 1 and integral, got {k!r}")
     if k > s.size:
         raise InvalidSpec(f"k={k} exceeds the rank bound {s.size}")
     # only an interior gap can be degenerate; k == rank bound has none
@@ -138,7 +139,6 @@ class BoundReport:
     sigma_gap: float
     kappa: float
     constant_proxy: float
-    dim: int
     gap_zero: bool = False
 
     def __post_init__(self):
@@ -158,8 +158,8 @@ def bound_report(joint: JointDistribution, labels: LabelAssignment, k: int) -> B
     """
     norm = normalize_cooccurrence(joint)
     dec = decompose(norm)
-    if k < 1 or k + 1 > dec.rank_bound:
-        raise InvalidSpec(f"need 1 <= k and k+1 <= {dec.rank_bound}")
+    if not isinstance(k, Integral) or k < 1 or k + 1 > dec.rank_bound:
+        raise InvalidSpec(f"need an integer k with 1 <= k and k+1 <= {dec.rank_bound}, got {k!r}")
     alpha = labeling_error(joint, labels)
     s = dec.singular_values
     sigma_next = float(s[k])
@@ -182,6 +182,5 @@ def bound_report(joint: JointDistribution, labels: LabelAssignment, k: int) -> B
     constant = (k * kappa + 2.0 * k * kappa**2 + 1.0) ** 2
     return BoundReport(
         alpha=alpha, sigma_next=sigma_next, dominant_term=dominant,
-        sigma_gap=sigma_gap, kappa=kappa, constant_proxy=constant,
-        dim=k, gap_zero=gap_zero,
+        sigma_gap=sigma_gap, kappa=kappa, constant_proxy=constant, gap_zero=gap_zero,
     )

@@ -16,8 +16,9 @@ plan (``losses._Plan``) a chunk of ``_CHUNK_ENTRIES // (n * k)`` steps at
 a time, on one stacked table (``losses._PlanGrads``): the strategy
 rewrites every batch of the chunk at once from teacher similarities
 cached for the run, each step is one gather, one ``np.bincount`` scatter
-and an in-place update, and the chunk's losses are scored after its last
-step. :func:`apply_strategy` and :func:`empirical_scl_grad` are the
+and an in-place update, and after its last step the chunk's plan scores
+its losses from the scores the steps kept (``_Plan.losses``).
+:func:`apply_strategy` and :func:`empirical_scl_grad` are the
 one-row case of the same code, so a run equals the loop over single
 batches bit for bit.
 """
@@ -27,6 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.random import default_rng
@@ -62,6 +64,7 @@ class TrainConfig:
     mode the optimum of the loss is known in closed form, and ``tolerance``
     is the accepted gap to it: training stops converged once
     loss <= optimum + tolerance. Sampled mode always runs ``max_steps``.
+    Counts and the seed are integers, the rate and tolerance real numbers.
     """
 
     dim: int
@@ -73,8 +76,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, kind in (("dim", Integral), ("max_steps", Integral), ("batch_size", Integral),
+                           ("seed", Integral), ("learning_rate", Real), ("tolerance", Real)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidSpec(f"{name} must be {kind.__name__.lower()}, got {getattr(self, name)!r}")
         if self.dim < 1:
             raise InvalidSpec("embedding dimension must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise InvalidSpec(f"learning rate must be finite and positive, got {self.learning_rate!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
@@ -217,13 +226,13 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
     draws = _run_draws(pruned, cfg.batch_size, batch_seed, cfg.max_steps)
     num_visual, num_language = target.shape
     history = np.empty(cfg.max_steps)
-    for steps, plan in _Plan.chunks(draws, cfg.batch_size, k):
+    for steps, plan in _Plan.chunks(draws, k):
         if teacher_tables is not None:
             plan = _resample(plan, teacher_tables, resample)
         grads = _PlanGrads(plan, k, num_visual, num_language, shared=tables == 1)
         for row in range(plan.visual.shape[0]):
             grads.step(row, table, cfg.learning_rate)
-        history[steps] = grads.losses()
+        history[steps] = plan.losses(grads.scores)
     converged = bool(np.all(np.isfinite(history)))
     if not converged:
         warnings.warn("sampled-mode training produced non-finite losses", DidNotConverge)

@@ -32,6 +32,8 @@ for name, fn in cases:
     fn()
 induced, teacher, cfg, weight = microbench.resample_compare_instance()
 assert teacher.num_samples == induced.num_samples and cfg.batch_mode == "sampled"
+batches, count = microbench.mc_loss_case()
+assert batches().shape == (count,)
 print(len(cases))
 """
     done = run_python("-c", code, str(TOOLS / "microbench.py"))

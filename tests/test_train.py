@@ -13,18 +13,23 @@ from mmspectral import (
     EmptyCandidates,
     EncoderTable,
     InducedDistribution,
+    InvalidBatchSize,
     InvalidSpec,
     JointDistribution,
+    LabelAssignment,
     ResampleConfig,
     TeacherMissing,
     TrainConfig,
     amf_loss,
     apply_strategy,
     augmentation_joint,
+    bound_report,
+    decompose,
     fit_probe,
     nearest_neighbor_positive,
     normalize_cooccurrence,
     normalized_uni,
+    optimal_encoders,
     sample_batch,
     text_induced,
     train_mmcl,
@@ -74,6 +79,38 @@ class TestTrainConfig:
     def test_rejects_non_finite_or_zero_tolerance(self, tolerance):
         with pytest.raises(InvalidSpec, match="tolerance must be finite"):
             TrainConfig(dim=2, tolerance=tolerance)
+
+
+def closed_form_k(joint, k):
+    norm = normalize_cooccurrence(joint)
+    return optimal_encoders(norm, decompose(norm), k)
+
+
+#: calls that once raised a raw IndexError, TypeError or ValueError on a
+#: count that is not an integer, a rate that is not a number or a negative
+#: seed; each takes an induced and a 3 x 3 joint
+NUMBER_REPRODUCERS = {
+    "train-dim-2.5": (lambda ind, joint: train_sscl(ind, TrainConfig(dim=2.5)), InvalidSpec),
+    "dim-string": (lambda ind, joint: TrainConfig(dim="2"), InvalidSpec),
+    "rate-string": (lambda ind, joint: TrainConfig(dim=2, learning_rate="0.1"), InvalidSpec),
+    "tolerance-string": (lambda ind, joint: TrainConfig(dim=2, tolerance="1e-6"), InvalidSpec),
+    "train-seed-negative": (lambda ind, joint: train_sscl(ind, TrainConfig(dim=2, seed=-1)), InvalidSpec),
+    "seed-1.5": (lambda ind, joint: TrainConfig(dim=2, seed=1.5), InvalidSpec),
+    "max-steps-3.5": (lambda ind, joint: TrainConfig(dim=2, batch_mode="sampled", max_steps=3.5), InvalidSpec),
+    "batch-size-6.0": (lambda ind, joint: TrainConfig(dim=2, batch_mode="sampled", batch_size=6.0), InvalidSpec),
+    "optimal-encoders-k-2.0": (lambda ind, joint: closed_form_k(joint, 2.0), InvalidSpec),
+    "bound-report-k-1.5": (lambda ind, joint: bound_report(joint, LabelAssignment([0, 1, 1], [0, 1, 0], 2), 1.5),
+                           InvalidSpec),
+    "sample-batch-6.0": (lambda ind, joint: sample_batch(joint, 6.0), InvalidBatchSize),
+}
+
+
+@pytest.mark.parametrize("call,error", NUMBER_REPRODUCERS.values(), ids=NUMBER_REPRODUCERS)
+def test_numbers_of_the_wrong_kind_raise_lab_errors(call, error):
+    induced, _ = augmentation_instance(np.random.default_rng(0))
+    joint = JointDistribution.from_counts(np.random.default_rng(1).gamma(1.0, size=(3, 3)))
+    with pytest.raises(error):
+        call(induced, joint)
 
 
 class TestResampleConfig:
@@ -325,7 +362,7 @@ class TestTeacherTables:
         single = np.random.default_rng(draw_seed)
         batches = [sampler.draw(single) for _ in range(count)]
         drawn = sampler.draw_chunk(np.random.default_rng(draw_seed), count)
-        plan = _resample(_Plan.of_triples(*drawn, sampler.n), _TeacherTables(teacher.matrix), cfg)
+        plan = _resample(_Plan.of_triples(*drawn), _TeacherTables(teacher.matrix), cfg)
         for row, batch in enumerate(batches):
             want = _Plan.of_batch(apply_strategy(batch, teacher, cfg))
             assert (plan.positives, plan.split[row], plan.negatives_end) == (
@@ -538,7 +575,7 @@ class TestStackedSteps:
         nl = nv if shared else nv + int(rng.integers(1, 4))  # the teacher's rows cover both sides
         joint = JointDistribution.from_counts(rng.gamma(1.0, size=(nv, nl)))
         sampler = BatchSampler(joint, 3 * int(rng.integers(2, 12)))
-        plan = _Plan.of_triples(*sampler.draw_chunk(rng, int(rng.integers(1, 9))), sampler.n)
+        plan = _Plan.of_triples(*sampler.draw_chunk(rng, int(rng.integers(1, 9))))
         if strategy is not None:
             cfg = ResampleConfig(strategy, ratio=ratio, mixing_weight=float(rng.uniform(0.0, 2.0)))
             plan = _resample(plan, _TeacherTables(rng.standard_normal((nl, 2))), cfg)
@@ -560,10 +597,35 @@ class TestStackedSteps:
             grads.step(row, stepped, rate)
             want = fv - rate * (gv + gl) if shared else np.concatenate([fv - rate * gv, fl - rate * gl])
             assert stepped.tobytes() == want.tobytes()
-        losses = grads.losses()
+        losses = plan.losses(grads.scores)
         assert losses.tobytes() == np.array(want_losses).tobytes()
         singles = [empirical_scl(fv, fl, plan_row_batch(plan, row)) for row in range(rows)]
         assert losses.tobytes() == np.array(singles).tobytes()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([None, "DropFalseNegative", "DropEasyNegative"]),
+           st.floats(0.0, 1.0), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_losses_group_rows_by_split(self, seed, strategy, ratio, k):
+        """A plan scores each row as empirical_scl scores its batch, bit for
+        bit, when the negative drops leave its rows with different splits;
+        and permuting the rows with their scores permutes the losses."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        joint = JointDistribution.from_counts(rng.gamma(1.0, size=(n, n)))
+        sampler = BatchSampler(joint, 3 * int(rng.integers(2, 12)))
+        plan = _Plan.of_triples(*sampler.draw_chunk(rng, int(rng.integers(1, 12))))
+        if strategy is not None:
+            plan = _resample(plan, _TeacherTables(rng.standard_normal((n, 2))), ResampleConfig(strategy, ratio=ratio))
+        fv, fl = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+        scores = np.sum(fv[plan.visual] * fl[plan.language], axis=-1)
+        losses = plan.losses(scores)
+        rows = plan.visual.shape[0]
+        singles = [empirical_scl(fv, fl, plan_row_batch(plan, row)) for row in range(rows)]
+        assert losses.tobytes() == np.array(singles).tobytes()
+        order = rng.permutation(rows)
+        shuffled = plan._replace(visual=plan.visual[order], language=plan.language[order],
+                                 weight=plan.weight[order], split=plan.split[order])
+        assert shuffled.losses(scores[order]).tobytes() == losses[order].tobytes()
 
 
 class TestApplyStrategy:
