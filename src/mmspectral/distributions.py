@@ -13,6 +13,7 @@ functions, so everything is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -115,8 +116,8 @@ class JointDistribution:
 class LabelAssignment:
     """Ground-truth class labels for both sides of a joint distribution.
 
-    Labels are integers in ``[0, num_classes)``; every class must appear at
-    least once on the visual side.
+    Labels are integers in ``[0, num_classes)``, ``num_classes`` is an
+    integer, and every class must appear at least once on the visual side.
     """
 
     visual: np.ndarray
@@ -126,7 +127,9 @@ class LabelAssignment:
     def __post_init__(self):
         v = _class_indices(self.visual)
         l = _class_indices(self.language)
-        r = int(self.num_classes)
+        r = self.num_classes
+        if not isinstance(r, Integral):
+            raise InvalidSpec(f"num_classes must be integral, got {r!r}")
         if r < 1:
             raise InvalidSpec("need at least one class")
         for name, arr in (("visual", v), ("language", l)):
@@ -136,7 +139,7 @@ class LabelAssignment:
             raise InvalidSpec("every class must appear at least once on the visual side")
         object.__setattr__(self, "visual", _readonly(v, dtype=int))
         object.__setattr__(self, "language", _readonly(l, dtype=int))
-        object.__setattr__(self, "num_classes", r)
+        object.__setattr__(self, "num_classes", int(r))
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,10 @@ class BatchSampler:
         """The (pos_visual, pos_language, neg_language, neg_visual) lists of
         ``count`` consecutive batches, in read-only ``(count, n/3)`` arrays
         of the smallest index dtype; drawn ``_CHUNK_ENTRIES // n`` at a
-        time. The slot rule is :func:`sample_batch`'s."""
+        time. The slot rule is :func:`sample_batch`'s. ``count`` is an
+        integer >= 0."""
+        if not isinstance(count, Integral) or count < 0:
+            raise InvalidSpec(f"batch count must be an integer >= 0, got {count!r}")
         nl = self._num_language
         draws = tuple(np.empty((count, self.n // 3), dtype=self._dtype) for _ in range(4))
         block = max(1, _CHUNK_ENTRIES // self.n)
@@ -401,8 +404,9 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     ``sampler`` with ``rng``, bit for bit, evaluated a plan chunk of
     batches at a time without building any ``Batch``."""
     fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
+    draws = sampler.draw_chunk(rng, count)
     losses = np.empty(count)
-    for batches, plan in _Plan.chunks(sampler.draw_chunk(rng, count), fv.shape[1]):
+    for batches, plan in _Plan.chunks(draws, fv.shape[1]):
         losses[batches] = plan.losses(_row_dots(fv[plan.visual], fl[plan.language]))
     return losses
 

@@ -9,6 +9,7 @@ identical seeds give bit-identical outputs across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.random import default_rng
@@ -98,6 +99,7 @@ class MultiModalGenConfig:
     ``target_alpha`` is the requested labeling error, the probability that
     a positive pair straddles two classes. It must stay below the
     uninformative ceiling (r-1)/r; for a single class it must be 0.
+    Counts and the seed are integers, the seed >= 0.
     """
 
     num_classes: int
@@ -108,8 +110,15 @@ class MultiModalGenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.visual_per_class < 1 or self.language_per_class < 1:
+        for name, kind in (("num_classes", Integral), ("visual_per_class", Integral),
+                           ("language_per_class", Integral), ("seed", Integral),
+                           ("target_alpha", Real), ("concentration", Real)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidSpec(f"{name} must be {kind.__name__.lower()}, got {getattr(self, name)!r}")
+        if min(self.num_classes, self.visual_per_class, self.language_per_class) < 1:
             raise InvalidSpec("all counts must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 <= self.target_alpha < 1.0:
             raise InvalidSpec("target_alpha must lie in [0, 1)")
         r = self.num_classes
@@ -202,10 +211,16 @@ def generate_augmentation_model(num_visual: int, augs_per_sample: int, leak: flo
     own augmented copies (seeded Dirichlet split), plus a uniform leak over
     all augmented samples. leak=0 keeps every column on its own block;
     leak=1 is the fully uniform conditional. The leak is class-agnostic
-    by construction.
+    by construction. Counts and the seed are integers, the seed >= 0.
     """
+    for name, value, kind in (("num_visual", num_visual, Integral), ("augs_per_sample", augs_per_sample, Integral),
+                              ("seed", seed, Integral), ("leak", leak, Real)):
+        if not isinstance(value, kind):
+            raise InvalidSpec(f"{name} must be {kind.__name__.lower()}, got {value!r}")
     if num_visual < 1 or augs_per_sample < 1:
         raise InvalidSpec("need num_visual >= 1 and augs_per_sample >= 1")
+    if seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed!r}")
     if not 0.0 <= leak <= 1.0:
         raise InvalidSpec("leak must lie in [0, 1]")
     rng = default_rng(seed)

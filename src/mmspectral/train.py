@@ -100,7 +100,7 @@ class ResampleConfig:
 
     ``ratio`` is the dropped fraction for the three drop strategies
     (defaults follow DEFAULT_RATIOS); ``mixing_weight`` scales the loss
-    term of positives appended by AddNewPositive.
+    term of positives appended by AddNewPositive. Both are real numbers.
     """
 
     strategy: str
@@ -110,7 +110,11 @@ class ResampleConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise InvalidSpec(f"strategy must be one of {STRATEGIES}")
-        ratio = DEFAULT_RATIOS[self.strategy] if self.ratio is None else float(self.ratio)
+        ratio = DEFAULT_RATIOS[self.strategy] if self.ratio is None else self.ratio
+        for name, value in (("ratio", ratio), ("mixing_weight", self.mixing_weight)):
+            if not isinstance(value, Real):
+                raise InvalidSpec(f"{name} must be real, got {value!r}")
+        ratio = float(ratio)
         if not 0.0 <= ratio <= 1.0:
             raise InvalidSpec("ratio must lie in [0, 1]")
         if not (math.isfinite(self.mixing_weight) and self.mixing_weight >= 0.0):
@@ -299,6 +303,8 @@ def nearest_neighbor_positive(index: int, candidates, teacher: EncoderTable) -> 
     itself is excluded; exact ties break to the smallest sample index.
     The anchor and every candidate must index a row of the teacher.
     """
+    if not isinstance(index, Integral):
+        raise InvalidSpec(f"anchor index must be integral, got {index!r}")
     cand = np.unique(np.asarray(candidates, dtype=int))
     _check_rows(np.append(cand, index), teacher)
     cand = cand[cand != index]

@@ -3,14 +3,17 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tomllib
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import subspace_angles
 
 from mmspectral import (
     SUITES,
@@ -377,9 +380,92 @@ class TestRankCorrelation:
         assert _rank_correlation([0.1, 0.5, 0.3], [1.0, 9.0, 2.0]) == 1.0
 
 
+class TestMaxPrincipalAngle:
+    """The numpy port against the oracle it follows step for step. numpy
+    and scipy bundle different LAPACK builds, so a tolerance, not bits;
+    bit identity on the suite's own instances is what ``tools/identity.py``
+    compares."""
+
+    @staticmethod
+    def pair(rng, rows, width, angles):
+        """Orthonormal bases of two width-``width`` subspaces of R^rows at
+        the given principal angles, each basis mixed by a random rotation."""
+        q = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        a = q[:, :width]
+        b = a * np.cos(angles) + q[:, width:2 * width] * np.sin(angles)
+        mix = [np.linalg.qr(rng.standard_normal((width, width)))[0] for _ in range(2)]
+        return a @ mix[0], b @ mix[1]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(6, 40),
+           st.sampled_from(["near", "far", "mixed"]))
+    @settings(max_examples=90, deadline=None)
+    def test_matches_scipy(self, seed, width, rows, regime):
+        """Small rotations (1e-9 to 1e-3 rad, where an arccos would lose
+        digits) take the arcsine path; angles between pi/4 and up to 1e-8
+        rad short of pi/2 (where an arcsine would) leave every squared
+        cosine below 1/2, so the arccos path runs; mixed angles take both."""
+        rng = np.random.default_rng(seed)
+        rows = max(rows, 2 * width)
+        angles = {"near": lambda: 10.0 ** rng.uniform(-9, -3, width),
+                  "far": lambda: np.pi / 2 - (np.pi / 4 - 1e-3) * 10.0 ** rng.uniform(-8, 0, width),
+                  "mixed": lambda: rng.uniform(0.0, np.pi / 2, width)}[regime]()
+        a, b = self.pair(rng, rows, width, angles)
+        if regime != "mixed":
+            arcsine_path = np.any(np.linalg.svd(a.T @ b, compute_uv=False)**2 >= 0.5)
+            assert arcsine_path == (regime == "near")
+        got = experiments._max_principal_angle(a, b)
+        assert got == pytest.approx(np.max(subspace_angles(a, b)), abs=1e-12)
+        assert got == pytest.approx(np.max(angles), abs=1e-9)
+
+
+#: the directory ``import mmspectral`` finds the package in
+SRC = str(Path(experiments.__file__).resolve().parents[1])
+
+
 def test_package_import_leaves_out_slow_scipy_modules():
-    src = str(Path(experiments.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import mmspectral; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))")
-    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+#: small configurations of every kind, for runs that only need to finish
+SMALL_CONFIGS = {
+    "verify-equivalence": {"num_seeds": 3, "mean_batches": 300, "rate_repeats": 4,
+                           "rate_batch_counts": [5, 20]},
+    "resample-compare": {"num_seeds": 2, "steps": 15},
+    "verify-optimum": {"num_seeds": 2},
+    "hrg-spectrum": {"s_low": [2, 3], "s_high": [1, 2]},
+    "bound-sweep": {"num_seeds": 2},
+    "uni-equivalence": {"num_seeds": 2},
+    "estimators": {"num_seeds": 2, "bound_instances": 5},
+}
+
+
+def test_every_kind_runs_without_scipy(tmp_path):
+    """The command line of every kind, in an interpreter where importing
+    scipy fails."""
+    assert set(SMALL_CONFIGS) == set(SUITES)
+    for kind, overrides in SMALL_CONFIGS.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps(overrides))
+    code = ("import json, sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]); "
+            "from mmspectral.cli import main; "
+            "codes = {k: main([k, '--config', f'{sys.argv[2]}/{k}.json', '--out', f'{sys.argv[2]}/{k}']) "
+            "for k in sys.argv[3:]}; print(json.dumps(codes))")
+    done = subprocess.run([sys.executable, "-c", code, SRC, str(tmp_path), *SMALL_CONFIGS],
+                          capture_output=True, text=True, check=True)
+    codes = json.loads(done.stdout.splitlines()[-1])
+    assert set(codes) == set(SMALL_CONFIGS) and 2 not in codes.values(), done.stdout
+    for kind in SMALL_CONFIGS:
+        assert json.loads((tmp_path / kind / f"{kind}-report.json").read_text())["experiment"] == kind
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    """scipy is a test oracle only."""
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
+
+    def names(specs):
+        return sorted(re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in specs)
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert names(project["optional-dependencies"]["test"]) == ["hypothesis", "pytest", "scipy"]

@@ -261,6 +261,12 @@ class TestBatchSampler:
         with pytest.raises(InvalidBatchSize):
             BatchSampler(UNIFORM_2X2, 0)
 
+    def test_zero_batches_draw_nothing(self):
+        sampler, rng = BatchSampler(UNIFORM_2X2, 6), np.random.default_rng(3)
+        assert all(d.shape == (0, 2) for d in sampler.draw_chunk(rng, 0))
+        assert empirical_scl_batches(np.eye(2), np.eye(2), sampler, rng, 0).shape == (0,)
+        assert rng.random() == np.random.default_rng(3).random()
+
 
 class TestEmpiricalScl:
     def test_zero_encoders_give_zero(self):

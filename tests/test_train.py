@@ -35,7 +35,8 @@ from mmspectral import (
     train_mmcl,
     train_sscl,
 )
-from mmspectral import BatchSampler, empirical_scl, empirical_scl_grad, generate_augmentation_model
+from mmspectral import BatchSampler, empirical_scl, empirical_scl_batches, empirical_scl_grad
+from mmspectral import MultiModalGenConfig, generate_augmentation_model, generate_multimodal
 from mmspectral import train
 from mmspectral.losses import _CHUNK_ENTRIES, _Plan, _PlanGrads
 from mmspectral.train import _LATEST_DRAWS, DEFAULT_RATIOS, STRATEGIES, _resample, _TeacherTables
@@ -86,9 +87,10 @@ def closed_form_k(joint, k):
     return optimal_encoders(norm, decompose(norm), k)
 
 
-#: calls that once raised a raw IndexError, TypeError or ValueError on a
-#: count that is not an integer, a rate that is not a number or a negative
-#: seed; each takes an induced and a 3 x 3 joint
+#: calls that once raised a raw IndexError, TypeError or ValueError, or
+#: truncated silently, on a count or index that is not an integer, a rate,
+#: ratio or weight that is not a number, or a negative seed or count; each
+#: takes an induced and a 3 x 3 joint
 NUMBER_REPRODUCERS = {
     "train-dim-2.5": (lambda ind, joint: train_sscl(ind, TrainConfig(dim=2.5)), InvalidSpec),
     "dim-string": (lambda ind, joint: TrainConfig(dim="2"), InvalidSpec),
@@ -102,6 +104,28 @@ NUMBER_REPRODUCERS = {
     "bound-report-k-1.5": (lambda ind, joint: bound_report(joint, LabelAssignment([0, 1, 1], [0, 1, 0], 2), 1.5),
                            InvalidSpec),
     "sample-batch-6.0": (lambda ind, joint: sample_batch(joint, 6.0), InvalidBatchSize),
+    "resample-weight-string": (lambda ind, joint: ResampleConfig("AddNewPositive", mixing_weight="1"), InvalidSpec),
+    "resample-ratio-string": (lambda ind, joint: ResampleConfig("DropEasyNegative", ratio="x"), InvalidSpec),
+    "draw-chunk-2.5": (lambda ind, joint: BatchSampler(joint, 6).draw_chunk(np.random.default_rng(0), 2.5),
+                       InvalidSpec),
+    "draw-chunk-string": (lambda ind, joint: BatchSampler(joint, 6).draw_chunk(np.random.default_rng(0), "3"),
+                          InvalidSpec),
+    "draw-chunk-negative": (lambda ind, joint: BatchSampler(joint, 6).draw_chunk(np.random.default_rng(0), -1),
+                            InvalidSpec),
+    "scl-batches-2.5": (lambda ind, joint: empirical_scl_batches(np.eye(3), np.eye(3), BatchSampler(joint, 6),
+                                                                 np.random.default_rng(0), 2.5), InvalidSpec),
+    "label-classes-2.5": (lambda ind, joint: LabelAssignment([0, 1], [0, 1], 2.5), InvalidSpec),
+    "label-classes-string": (lambda ind, joint: LabelAssignment([0, 1], [0, 1], "2"), InvalidSpec),
+    "multimodal-classes-2.5": (lambda ind, joint: generate_multimodal(MultiModalGenConfig(2.5, 2, 2)), InvalidSpec),
+    "multimodal-seed-1.5": (lambda ind, joint: generate_multimodal(MultiModalGenConfig(2, 2, 2, seed=1.5)),
+                            InvalidSpec),
+    "multimodal-alpha-string": (lambda ind, joint: MultiModalGenConfig(2, 2, 2, target_alpha="0.1"), InvalidSpec),
+    "augmentation-visual-2.5": (lambda ind, joint: generate_augmentation_model(2.5, 2, 0.1), InvalidSpec),
+    "augmentation-copies-2.0": (lambda ind, joint: generate_augmentation_model(2, 2.0, 0.1), InvalidSpec),
+    "augmentation-seed-negative": (lambda ind, joint: generate_augmentation_model(2, 2, 0.1, seed=-1), InvalidSpec),
+    "augmentation-leak-string": (lambda ind, joint: generate_augmentation_model(2, 2, "0.1"), InvalidSpec),
+    "nearest-anchor-1.5": (lambda ind, joint: nearest_neighbor_positive(1.5, [0, 2], EncoderTable(np.eye(3))),
+                           InvalidSpec),
 }
 
 
