@@ -6,14 +6,17 @@ two-side normalized form. A visual-visual distribution obtained by
 marginalizing over a shared text pivot or over an augmentation model is
 itself a joint distribution, a symmetric one over sample pairs
 (:class:`InducedDistribution`), so every function of a joint takes it
-as it is. Class labels are read by one function, :func:`_class_indices`.
+as it is. Numbers are read here, and only here: index arrays such as
+class labels by :func:`_class_indices`, scalar counts, seeds and indices
+by :func:`_integer`, and rates and ratios by :func:`_real`.
 Instances are immutable after construction and all operations are pure
 functions, so everything is safe to share across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,22 +46,41 @@ def _matrix_of(x) -> np.ndarray:
     return x.matrix if hasattr(x, "matrix") else np.asarray(x, dtype=float)
 
 
-def _class_indices(labels, size=None) -> np.ndarray:
-    """``labels`` as a 1-d int array of class indices >= 0, of ``size``
-    entries when given. Integral floats such as ``1.0`` pass; fractions,
+def _class_indices(name: str, values, size=None) -> np.ndarray:
+    """``values`` as a 1-d int array of indices >= 0, of ``size`` entries
+    when given. Integral floats such as ``1.0`` pass; bools, fractions,
     negatives, non-finite values and other shapes are refused, never
-    truncated."""
-    y = np.asarray(labels)
+    truncated, with an InvalidSpec naming ``name``."""
+    y = np.asarray(values)
     if y.ndim != 1 or (size is not None and y.size != size):
         want = "1-d" if size is None else f"{size} in a 1-d array"
-        raise InvalidSpec(f"labels must be class indices >= 0, {want}; got shape {y.shape}")
-    if np.can_cast(y.dtype, int):  # bools and integers that fit
+        raise InvalidSpec(f"{name} must be class indices >= 0, {want}; got shape {y.shape}")
+    if y.dtype.kind in "iu" and np.can_cast(y.dtype, int):  # integers that fit
         indices = not (y < 0).any()
-    else:  # floats, and unsigned integers that may not fit
+    else:  # floats, and unsigned integers that may not fit; bools are refused
         indices = y.dtype.kind in "uf" and np.all((y >= 0) & (y < 2.0**63) & (np.floor(y) == y))
     if not indices:
-        raise InvalidSpec(f"labels must be class indices >= 0, finite integral numbers; got {y!r}")
+        raise InvalidSpec(f"{name} must be class indices >= 0, finite integral numbers; got {y!r}")
     return y.astype(int, copy=False)
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int: an integral number, not a bool, of at least
+    ``least``; anything else is an InvalidSpec naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise InvalidSpec(f"{name} must be >= {least} and integral, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float: a finite real number, not a bool or a string;
+    anything else is an InvalidSpec naming ``name``."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise InvalidSpec(f"{name} must be finite and real, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,8 +138,8 @@ class JointDistribution:
 class LabelAssignment:
     """Ground-truth class labels for both sides of a joint distribution.
 
-    Labels are integers in ``[0, num_classes)``, ``num_classes`` is an
-    integer, and every class must appear at least once on the visual side.
+    Labels lie in ``[0, num_classes)``, and every class must appear at
+    least once on the visual side.
     """
 
     visual: np.ndarray
@@ -125,13 +147,9 @@ class LabelAssignment:
     num_classes: int
 
     def __post_init__(self):
-        v = _class_indices(self.visual)
-        l = _class_indices(self.language)
-        r = self.num_classes
-        if not isinstance(r, Integral):
-            raise InvalidSpec(f"num_classes must be integral, got {r!r}")
-        if r < 1:
-            raise InvalidSpec("need at least one class")
+        v = _class_indices("labels", self.visual)
+        l = _class_indices("labels", self.language)
+        r = _integer("num_classes", self.num_classes, 1)
         for name, arr in (("visual", v), ("language", l)):
             if arr.size and arr.max() >= r:
                 raise InvalidSpec(f"{name} labels must lie in [0, {r})")
@@ -139,7 +157,7 @@ class LabelAssignment:
             raise InvalidSpec("every class must appear at least once on the visual side")
         object.__setattr__(self, "visual", _readonly(v, dtype=int))
         object.__setattr__(self, "language", _readonly(l, dtype=int))
-        object.__setattr__(self, "num_classes", int(r))
+        object.__setattr__(self, "num_classes", r)
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ def _labels_and_weights(labels, rows: int, weights):
     """(labels, weights of mass 1) for ``rows`` feature rows: one class
     index >= 0 per row, and weights that are uniform when None, else
     finite and non-negative with a positive total."""
-    y = _class_indices(labels, rows)
+    y = _class_indices("labels", labels, rows)
     if rows == 0:
         raise InvalidSpec("features and labels must align, one label per feature row")
     w = np.full(rows, 1.0 / rows) if weights is None else np.asarray(weights, dtype=float)
@@ -118,7 +118,7 @@ def surrogate_labeling_error(induced, labels_visual) -> float:
     m = _matrix_of(induced)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidSpec("surrogate labeling error needs a square induced matrix")
-    y = _class_indices(labels_visual, m.shape[0])
+    y = _class_indices("labels", labels_visual, m.shape[0])
     if abs(float(m.sum()) - 1.0) > 1e-9:
         raise InvalidSpec("induced matrix must be mass-normalized")
     mismatch = y[:, None] != y[None, :]
@@ -148,7 +148,7 @@ def intra_class_connectivity(features, labels):
     per-class beta array, one per class in label order).
     """
     x = _matrix_of(features)
-    y = _class_indices(labels, x.shape[0])
+    y = _class_indices("labels", labels, x.shape[0])
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2 or np.any(counts < 2):
         raise ClassTooSmall("need >= 2 classes with >= 2 samples each")

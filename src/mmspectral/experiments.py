@@ -14,7 +14,6 @@ order.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import os
 import time
@@ -31,6 +30,8 @@ from numpy.random import default_rng
 from .distributions import (
     JointDistribution,
     LabelAssignment,
+    _integer,
+    _real,
     augmentation_joint,
     normalize_cooccurrence,
     normalized_uni,
@@ -73,25 +74,12 @@ from .train import STRATEGIES, ResampleConfig, TrainConfig, train_mmcl, train_ss
 _PAIR_KEYS = ("s_low", "s_high", "csv_pair")
 
 
-def _number(value, kind):
-    """``value`` as a ``kind`` (int or float): a finite real that is neither
-    a bool nor a string, and integral if ``kind`` is int."""
-    if isinstance(value, (bool, str)) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{value!r} is not a number")
-    if not math.isfinite(value):
-        raise ValueError(f"{value!r} is not finite")
-    if kind is int and value != int(value):
-        raise ValueError(f"{value!r} is not an integer")
-    return kind(value)
-
-
 def _count(value, least: int = 1) -> int:
     """An integer of at least ``least``: every integer parameter is a
-    count, so at least 1; a seed (:data:`_seed`) is at least 0."""
-    count = _number(value, int)
-    if count < least:
-        raise ValueError(f"{value!r} is not >= {least}")
-    return count
+    count, so at least 1; a seed (:data:`_seed`) is at least 0. A JSON
+    number with an integral value such as ``3.0`` reads as ``3``, so it
+    hashes as ``3`` does."""
+    return _integer("value", int(value) if isinstance(value, float) and value.is_integer() else value, least)
 
 
 _seed = partial(_count, least=0)
@@ -115,7 +103,7 @@ def _typed(default, value, length=None):
     tuple (of ``length`` entries, if given) of such entries where it is a
     tuple; the entries of a nested tuple have the length of the default's."""
     if not isinstance(default, tuple):
-        return _count(value) if isinstance(default, int) else _number(value, float)
+        return _count(value) if isinstance(default, int) else _real("value", value)
     value = tuple(value)
     if not value:
         raise ValueError("must not be empty")
@@ -130,7 +118,7 @@ def _parsed(key: str, convert, value):
     ConfigParseError naming its key."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidSpec) as exc:
         raise ConfigParseError(f"bad value for {key!r}: {value!r} ({exc})") from exc
 
 
@@ -923,8 +911,9 @@ def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
     artifacts and the JSON report written under the output directory.
     This is the only code that writes there, and only after the runner
     succeeds: a failed run leaves no directory behind."""
+    workers = _integer("workers", workers, 1)
     start = time.perf_counter()
-    checks, tables = SUITES[config.kind].runner(config.params, list(config.seeds), max(1, int(workers)))
+    checks, tables = SUITES[config.kind].runner(config.params, list(config.seeds), workers)
     if not checks:
         raise ConfigParseError(f"the {config.kind} configuration selects nothing to check")
     out = Path(config.out)

@@ -21,13 +21,12 @@ scatter, and keeps its scores for ``_Plan.losses``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import JointDistribution, _matrix_of
+from .distributions import JointDistribution, _class_indices, _integer, _matrix_of
 from .errors import InvalidBatchSize, InvalidSpec
 
 ENCODER_SIDES = ("visual", "language", "augmented")
@@ -133,9 +132,7 @@ class Batch:
 
     def __post_init__(self):
         def intarr(name, value):
-            a = np.asarray(value if value is not None else [], dtype=int)
-            if a.ndim != 1 or (a.size and a.min() < 0):
-                raise InvalidSpec(f"{name} must be a 1-d array of non-negative indices")
+            a = _class_indices(name, value if value is not None else [])
             object.__setattr__(self, name, a)
             return a
 
@@ -152,8 +149,7 @@ class Batch:
             raise InvalidSpec("paired batch arrays must have equal lengths")
         if ev.size != el.size or ev.size != ew.size or (ew.size and ew.min() < 0.0):
             raise InvalidSpec("extra positives need matching indices and non-negative weights")
-        if self.n <= 0 or self.n % 3 != 0:
-            raise InvalidBatchSize(f"batch size must be a positive multiple of 3, got {self.n}")
+        object.__setattr__(self, "n", _batch_size(self.n))
         if max(pv.size, nl.size, nv.size) > self.n // 3:
             raise InvalidSpec("batch lists cannot exceed the n/3 sampled triples")
         object.__setattr__(self, "extra_pos_weight", ew)
@@ -165,6 +161,17 @@ class Batch:
     @property
     def num_negatives(self) -> int:
         return self.neg_language.size + self.neg_visual.size
+
+
+def _batch_size(n) -> int:
+    """``n`` as an int under the one batch-size rule: a positive multiple
+    of 3; anything else is an InvalidBatchSize."""
+    try:
+        if (size := _integer("batch size", n, 1)) % 3 == 0:
+            return size
+    except InvalidSpec:
+        pass
+    raise InvalidBatchSize(f"batch size must be a positive multiple of 3, got {n!r}")
 
 
 #: largest number of entries one array of a draw block (``// n`` batches)
@@ -183,11 +190,9 @@ class BatchSampler:
     """
 
     def __init__(self, joint: JointDistribution, n: int):
-        if not isinstance(n, Integral) or n <= 0 or n % 3 != 0:
-            raise InvalidBatchSize(f"batch size must be a positive multiple of 3, got {n!r}")
+        self.n = _batch_size(n)
         cdf = joint.matrix.ravel().cumsum()
         cdf /= cdf[-1]
-        self.n = n
         self._cdf = cdf
         self._num_language = joint.num_language
         self._dtype = np.min_scalar_type(max(joint.matrix.shape))  # small: a run holds them all
@@ -200,10 +205,8 @@ class BatchSampler:
         """The (pos_visual, pos_language, neg_language, neg_visual) lists of
         ``count`` consecutive batches, in read-only ``(count, n/3)`` arrays
         of the smallest index dtype; drawn ``_CHUNK_ENTRIES // n`` at a
-        time. The slot rule is :func:`sample_batch`'s. ``count`` is an
-        integer >= 0."""
-        if not isinstance(count, Integral) or count < 0:
-            raise InvalidSpec(f"batch count must be an integer >= 0, got {count!r}")
+        time. The slot rule is :func:`sample_batch`'s."""
+        count = _integer("batch count", count, 0)
         nl = self._num_language
         draws = tuple(np.empty((count, self.n // 3), dtype=self._dtype) for _ in range(4))
         block = max(1, _CHUNK_ENTRIES // self.n)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .distributions import JointDistribution, LabelAssignment, NormalizedCooccurrence, normalize_cooccurrence
+from .distributions import (JointDistribution, LabelAssignment, NormalizedCooccurrence, _integer,
+                            normalize_cooccurrence)
 from .errors import DegenerateGap, InvalidSpec, NumericalFailure, SpectralGapZero
 from .evaluation import labeling_error
 from .losses import EncoderTable
@@ -76,8 +76,7 @@ def decompose(norm: NormalizedCooccurrence) -> SpectralDecomposition:
 def _check_top_k(dec: SpectralDecomposition, k: int) -> None:
     """Refuse k past the rank bound; warn when the top-k subspace is ill-defined."""
     s = dec.singular_values
-    if not isinstance(k, Integral) or k < 1:
-        raise InvalidSpec(f"embedding dimension must be >= 1 and integral, got {k!r}")
+    k = _integer("k", k, 1)
     if k > s.size:
         raise InvalidSpec(f"k={k} exceeds the rank bound {s.size}")
     # only an interior gap can be degenerate; k == rank bound has none
@@ -156,10 +155,11 @@ def bound_report(joint: JointDistribution, labels: LabelAssignment, k: int) -> B
     Needs k + 1 <= min(N_V, N_L) so that sigma_{k+1} exists. Warns
     SpectralGapZero (non-fatal) on disconnected instances.
     """
+    k = _integer("k", k, 1)
     norm = normalize_cooccurrence(joint)
     dec = decompose(norm)
-    if not isinstance(k, Integral) or k < 1 or k + 1 > dec.rank_bound:
-        raise InvalidSpec(f"need an integer k with 1 <= k and k+1 <= {dec.rank_bound}, got {k!r}")
+    if k + 1 > dec.rank_bound:
+        raise InvalidSpec(f"need k+1 <= {dec.rank_bound}, got k={k}")
     alpha = labeling_error(joint, labels)
     s = dec.singular_values
     sigma_next = float(s[k])

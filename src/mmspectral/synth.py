@@ -9,12 +9,12 @@ identical seeds give bit-identical outputs across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import InducedDistribution, JointDistribution, LabelAssignment, _class_indices, _readonly
+from .distributions import (InducedDistribution, JointDistribution, LabelAssignment, _class_indices, _integer,
+                            _readonly, _real)
 from .errors import InvalidSpec
 
 CONSTRAINT_TOL = 1e-12
@@ -37,18 +37,16 @@ class HierarchicalGraphSpec:
     p_h: float
 
     def __post_init__(self):
-        if int(self.s_l) != self.s_l or int(self.s_h) != self.s_h:
-            raise InvalidSpec("branch counts must be integers")
-        if self.s_l < 1 or self.s_h < 1:
-            raise InvalidSpec("branch counts must be positive")
+        for name in ("s_l", "s_h"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
+        for name in ("p_l", "p_h"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not (self.p_h >= self.p_l >= 0.0):
             raise InvalidSpec("need p_h >= p_l >= 0")
         n = self.s_l * self.s_h
         resid = self.s_h * self.p_h + (self.s_l - 1) * self.s_h * self.p_l - 1.0 / n
         if abs(resid) > CONSTRAINT_TOL:
             raise InvalidSpec(f"normalization constraint violated by {resid!r}")
-        object.__setattr__(self, "s_l", int(self.s_l))
-        object.__setattr__(self, "s_h", int(self.s_h))
 
     @property
     def num_samples(self) -> int:
@@ -71,7 +69,8 @@ def hierarchical_probabilities(s_l: int, s_h: int, separation: float) -> tuple[f
     increasing in the separation. The p_h form is chosen so that
     p_h >= p_l holds exactly in floats, without cancellation.
     """
-    if s_l < 2 or s_h < 1:
+    s_l, s_h, separation = _integer("s_l", s_l, 1), _integer("s_h", s_h, 1), _real("separation", separation)
+    if s_l < 2:
         raise InvalidSpec("need s_l >= 2 and s_h >= 1")
     if not 0.0 <= separation <= 1.0:
         raise InvalidSpec("separation must lie in [0, 1]")
@@ -99,7 +98,6 @@ class MultiModalGenConfig:
     ``target_alpha`` is the requested labeling error, the probability that
     a positive pair straddles two classes. It must stay below the
     uninformative ceiling (r-1)/r; for a single class it must be 0.
-    Counts and the seed are integers, the seed >= 0.
     """
 
     num_classes: int
@@ -110,15 +108,10 @@ class MultiModalGenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, kind in (("num_classes", Integral), ("visual_per_class", Integral),
-                           ("language_per_class", Integral), ("seed", Integral),
-                           ("target_alpha", Real), ("concentration", Real)):
-            if not isinstance(getattr(self, name), kind):
-                raise InvalidSpec(f"{name} must be {kind.__name__.lower()}, got {getattr(self, name)!r}")
-        if min(self.num_classes, self.visual_per_class, self.language_per_class) < 1:
-            raise InvalidSpec("all counts must be >= 1")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed!r}")
+        for name, least in (("num_classes", 1), ("visual_per_class", 1), ("language_per_class", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        for name in ("target_alpha", "concentration"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not 0.0 <= self.target_alpha < 1.0:
             raise InvalidSpec("target_alpha must lie in [0, 1)")
         r = self.num_classes
@@ -180,8 +173,7 @@ class AugmentationModel:
         a = np.asarray(self.matrix, dtype=float)
         if a.ndim != 2:
             raise InvalidSpec("conditional matrix must be 2-d")
-        if self.augs_per_sample < 1:
-            raise InvalidSpec("need augs_per_sample >= 1")
+        object.__setattr__(self, "augs_per_sample", _integer("augs_per_sample", self.augs_per_sample, 1))
         if a.shape[0] != self.augs_per_sample * a.shape[1]:
             raise InvalidSpec("expected N_A == augs_per_sample * N_V")
         if not np.all(np.isfinite(a)) or np.any(a < 0.0):
@@ -202,7 +194,7 @@ class AugmentationModel:
 
     def labels_for_augmented(self, labels_visual) -> np.ndarray:
         """Lift natural-sample labels to the augmented samples."""
-        return _class_indices(labels_visual, self.num_visual)[self.parent]
+        return _class_indices("labels", labels_visual, self.num_visual)[self.parent]
 
 
 def generate_augmentation_model(num_visual: int, augs_per_sample: int, leak: float,
@@ -211,16 +203,11 @@ def generate_augmentation_model(num_visual: int, augs_per_sample: int, leak: flo
     own augmented copies (seeded Dirichlet split), plus a uniform leak over
     all augmented samples. leak=0 keeps every column on its own block;
     leak=1 is the fully uniform conditional. The leak is class-agnostic
-    by construction. Counts and the seed are integers, the seed >= 0.
+    by construction.
     """
-    for name, value, kind in (("num_visual", num_visual, Integral), ("augs_per_sample", augs_per_sample, Integral),
-                              ("seed", seed, Integral), ("leak", leak, Real)):
-        if not isinstance(value, kind):
-            raise InvalidSpec(f"{name} must be {kind.__name__.lower()}, got {value!r}")
-    if num_visual < 1 or augs_per_sample < 1:
-        raise InvalidSpec("need num_visual >= 1 and augs_per_sample >= 1")
-    if seed < 0:
-        raise InvalidSpec(f"seed must be >= 0, got {seed!r}")
+    num_visual = _integer("num_visual", num_visual, 1)
+    augs_per_sample = _integer("augs_per_sample", augs_per_sample, 1)
+    seed, leak = _integer("seed", seed, 0), _real("leak", leak)
     if not 0.0 <= leak <= 1.0:
         raise InvalidSpec("leak must lie in [0, 1]")
     rng = default_rng(seed)

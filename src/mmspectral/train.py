@@ -24,16 +24,15 @@ batches bit for bit.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral, Real
 
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import InducedDistribution, JointDistribution, normalize_cooccurrence
+from .distributions import (InducedDistribution, JointDistribution, _class_indices, _integer, _real,
+                            normalize_cooccurrence)
 from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
 from .losses import _CHUNK_ENTRIES, Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads, equivalence_constant
@@ -64,7 +63,6 @@ class TrainConfig:
     mode the optimum of the loss is known in closed form, and ``tolerance``
     is the accepted gap to it: training stops converged once
     loss <= optimum + tolerance. Sampled mode always runs ``max_steps``.
-    Counts and the seed are integers, the rate and tolerance real numbers.
     """
 
     dim: int
@@ -76,20 +74,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, kind in (("dim", Integral), ("max_steps", Integral), ("batch_size", Integral),
-                           ("seed", Integral), ("learning_rate", Real), ("tolerance", Real)):
-            if not isinstance(getattr(self, name), kind):
-                raise InvalidSpec(f"{name} must be {kind.__name__.lower()}, got {getattr(self, name)!r}")
-        if self.dim < 1:
-            raise InvalidSpec("embedding dimension must be >= 1")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be >= 0, got {self.seed!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+        for name, least in (("dim", 1), ("max_steps", 1), ("batch_size", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        object.__setattr__(self, "learning_rate", _real("learning rate", self.learning_rate))
+        object.__setattr__(self, "tolerance", _real("tolerance", self.tolerance))
+        if self.learning_rate <= 0.0:
             raise InvalidSpec(f"learning rate must be finite and positive, got {self.learning_rate!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+        if self.tolerance <= 0.0:
             raise InvalidSpec(f"tolerance must be finite and positive, got {self.tolerance!r}")
-        if self.max_steps < 1:
-            raise InvalidSpec("max_steps must be >= 1")
         if self.batch_mode not in ("population", "sampled"):
             raise InvalidSpec('batch_mode must be "population" or "sampled"')
 
@@ -100,7 +92,7 @@ class ResampleConfig:
 
     ``ratio`` is the dropped fraction for the three drop strategies
     (defaults follow DEFAULT_RATIOS); ``mixing_weight`` scales the loss
-    term of positives appended by AddNewPositive. Both are real numbers.
+    term of positives appended by AddNewPositive.
     """
 
     strategy: str
@@ -110,16 +102,13 @@ class ResampleConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise InvalidSpec(f"strategy must be one of {STRATEGIES}")
-        ratio = DEFAULT_RATIOS[self.strategy] if self.ratio is None else self.ratio
-        for name, value in (("ratio", ratio), ("mixing_weight", self.mixing_weight)):
-            if not isinstance(value, Real):
-                raise InvalidSpec(f"{name} must be real, got {value!r}")
-        ratio = float(ratio)
+        ratio = _real("ratio", DEFAULT_RATIOS[self.strategy] if self.ratio is None else self.ratio)
         if not 0.0 <= ratio <= 1.0:
             raise InvalidSpec("ratio must lie in [0, 1]")
-        if not (math.isfinite(self.mixing_weight) and self.mixing_weight >= 0.0):
-            raise InvalidSpec(f"mixing weight must be finite and >= 0, got {self.mixing_weight!r}")
         object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "mixing_weight", _real("mixing weight", self.mixing_weight))
+        if self.mixing_weight < 0.0:
+            raise InvalidSpec(f"mixing weight must be finite and >= 0, got {self.mixing_weight!r}")
 
 
 @dataclass(frozen=True)
@@ -303,9 +292,8 @@ def nearest_neighbor_positive(index: int, candidates, teacher: EncoderTable) -> 
     itself is excluded; exact ties break to the smallest sample index.
     The anchor and every candidate must index a row of the teacher.
     """
-    if not isinstance(index, Integral):
-        raise InvalidSpec(f"anchor index must be integral, got {index!r}")
-    cand = np.unique(np.asarray(candidates, dtype=int))
+    index = _integer("anchor index", index, 0)
+    cand = np.unique(_class_indices("candidates", candidates))
     _check_rows(np.append(cand, index), teacher)
     cand = cand[cand != index]
     if cand.size == 0:

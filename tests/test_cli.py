@@ -140,6 +140,14 @@ class TestExperimentCommands:
         out = tmp_path / "est"
         assert main(["estimators", "--out", str(out), "--parallel", "2"]) == 0
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_parallel_below_one_exits_two(self, tmp_path, capsys, workers):
+        assert main(["hrg-spectrum", "--out", str(tmp_path / "o"), "--parallel", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: workers must be >= 1") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestReportCommand:
     def test_explicit_paths(self, tmp_path, capsys):

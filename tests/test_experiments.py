@@ -1,4 +1,5 @@
 """Experiment harness: config resolution, reports, and reproducible runs."""
+import ast
 import csv
 import json
 import math
@@ -232,6 +233,12 @@ class TestRun:
             assert (tmp_path / "hrg" / name).is_file()
         on_disk = json.loads((tmp_path / "hrg" / "hrg-spectrum-report.json").read_text())
         assert on_disk["all_passed"] is True
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
+    def test_workers_below_one_or_not_integers_are_refused_before_running(self, tmp_path, workers):
+        with pytest.raises(InvalidSpec, match="workers must be >= 1"):
+            run(ExperimentConfig.build("hrg-spectrum", out=tmp_path / "hrg"), workers)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bound_sweep_gives_a_repeated_seed_its_own_column(self, tmp_path):
         """Each entry of the seed list fills its own column of the probe
@@ -469,3 +476,17 @@ def test_runtime_dependencies_are_numpy_alone():
 
     assert names(project["dependencies"]) == ["numpy"]
     assert names(project["optional-dependencies"]["test"]) == ["hypothesis", "pytest", "scipy"]
+
+
+def test_only_the_readers_module_imports_numbers():
+    """Every count, seed, index, rate and ratio is read by the readers in
+    ``distributions``; no other module decides what a number is."""
+    def imported(path):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                yield node.module
+
+    modules = sorted(Path(SRC, "mmspectral").glob("*.py"))
+    assert modules and [path.name for path in modules if "numbers" in set(imported(path))] == ["distributions.py"]

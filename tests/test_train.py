@@ -16,6 +16,7 @@ from mmspectral import (
     InvalidBatchSize,
     InvalidSpec,
     JointDistribution,
+    LabError,
     LabelAssignment,
     ResampleConfig,
     TeacherMissing,
@@ -36,6 +37,7 @@ from mmspectral import (
     train_sscl,
 )
 from mmspectral import BatchSampler, empirical_scl, empirical_scl_batches, empirical_scl_grad
+from mmspectral import HierarchicalGraphSpec, hierarchical_probabilities
 from mmspectral import MultiModalGenConfig, generate_augmentation_model, generate_multimodal
 from mmspectral import train
 from mmspectral.losses import _CHUNK_ENTRIES, _Plan, _PlanGrads
@@ -126,6 +128,28 @@ NUMBER_REPRODUCERS = {
     "augmentation-leak-string": (lambda ind, joint: generate_augmentation_model(2, 2, "0.1"), InvalidSpec),
     "nearest-anchor-1.5": (lambda ind, joint: nearest_neighbor_positive(1.5, [0, 2], EncoderTable(np.eye(3))),
                            InvalidSpec),
+    "hierarchical-branches-nan": (lambda ind, joint: HierarchicalGraphSpec(math.nan, 2, 0.1, 0.2), InvalidSpec),
+    "hierarchical-p-string": (lambda ind, joint: HierarchicalGraphSpec(2, 2, "0.1", 0.2), InvalidSpec),
+    "probabilities-branches-string": (lambda ind, joint: hierarchical_probabilities("2", 2, 0.5), InvalidSpec),
+    "probabilities-separation-string": (lambda ind, joint: hierarchical_probabilities(2, 2, "0.5"), InvalidSpec),
+    "probabilities-branches-2.5": (lambda ind, joint: hierarchical_probabilities(2.5, 2, 0.5), InvalidSpec),
+    "augmentation-model-copies-string": (lambda ind, joint: AugmentationModel(np.full((4, 2), 0.25), "2"),
+                                         InvalidSpec),
+    "bound-report-k-true": (lambda ind, joint: bound_report(joint, LabelAssignment([0, 1, 1], [0, 1, 0], 2), True),
+                            InvalidSpec),
+    "nearest-anchor-true": (lambda ind, joint: nearest_neighbor_positive(True, [0, 2], EncoderTable(np.eye(3))),
+                            InvalidSpec),
+    "nearest-candidates-fractions": (
+        lambda ind, joint: nearest_neighbor_positive(0, [1.5, 2.7], EncoderTable(np.eye(3))), InvalidSpec),
+    "nearest-candidates-nan": (
+        lambda ind, joint: nearest_neighbor_positive(0, [math.nan, 1], EncoderTable(np.eye(3))), InvalidSpec),
+    "multimodal-concentration-inf": (
+        lambda ind, joint: generate_multimodal(MultiModalGenConfig(2, 2, 2, concentration=math.inf)), InvalidSpec),
+    "dim-true": (lambda ind, joint: TrainConfig(dim=True), InvalidSpec),
+    "label-classes-true": (lambda ind, joint: LabelAssignment([0], [0], True), InvalidSpec),
+    "batch-size-field-6.0": (lambda ind, joint: Batch([], [], [], [], [], [], n=6.0), InvalidBatchSize),
+    "batch-indices-fractions": (lambda ind, joint: Batch([0.7, 1.9], [1.2, 0.5], [], [], [], [], n=6), InvalidSpec),
+    "label-bools": (lambda ind, joint: LabelAssignment(np.array([False, True]), [0, 1], 2), InvalidSpec),
 }
 
 
@@ -135,6 +159,93 @@ def test_numbers_of_the_wrong_kind_raise_lab_errors(call, error):
     joint = JointDistribution.from_counts(np.random.default_rng(1).gamma(1.0, size=(3, 3)))
     with pytest.raises(error):
         call(induced, joint)
+
+
+JOINT3 = JointDistribution.from_counts(np.random.default_rng(1).gamma(1.0, size=(3, 3)))
+LABELS3 = LabelAssignment([0, 1, 1], [0, 1, 0], 2)
+P_L, P_H = hierarchical_probabilities(2, 2, 0.5)
+
+#: one integer argument of every public constructor or function that reads
+#: one, called with the given value and every other argument valid
+INTEGER_SLOTS = {
+    "TrainConfig.dim": lambda v: TrainConfig(dim=v),
+    "TrainConfig.max_steps": lambda v: TrainConfig(dim=2, max_steps=v),
+    "TrainConfig.batch_size": lambda v: TrainConfig(dim=2, batch_size=v),
+    "TrainConfig.seed": lambda v: TrainConfig(dim=2, seed=v),
+    "nearest_neighbor_positive.index": lambda v: nearest_neighbor_positive(v, [0, 1, 2], EncoderTable(np.eye(3))),
+    "MultiModalGenConfig.num_classes": lambda v: MultiModalGenConfig(v, 2, 2),
+    "MultiModalGenConfig.visual_per_class": lambda v: MultiModalGenConfig(2, v, 2),
+    "MultiModalGenConfig.language_per_class": lambda v: MultiModalGenConfig(2, 2, v),
+    "MultiModalGenConfig.seed": lambda v: MultiModalGenConfig(2, 2, 2, seed=v),
+    "generate_augmentation_model.num_visual": lambda v: generate_augmentation_model(v, 2, 0.1),
+    "generate_augmentation_model.augs_per_sample": lambda v: generate_augmentation_model(2, v, 0.1),
+    "generate_augmentation_model.seed": lambda v: generate_augmentation_model(2, 2, 0.1, seed=v),
+    "HierarchicalGraphSpec.s_l": lambda v: HierarchicalGraphSpec(v, 2, P_L, P_H),
+    "HierarchicalGraphSpec.s_h": lambda v: HierarchicalGraphSpec(2, v, P_L, P_H),
+    "hierarchical_probabilities.s_l": lambda v: hierarchical_probabilities(v, 2, 0.5),
+    "hierarchical_probabilities.s_h": lambda v: hierarchical_probabilities(2, v, 0.5),
+    "AugmentationModel.augs_per_sample": lambda v: AugmentationModel(np.full((4, 2), 0.25), v),
+    "LabelAssignment.num_classes": lambda v: LabelAssignment([0, 1], [0, 1], v),
+    "Batch.n": lambda v: Batch([], [], [], [], [], [], n=v),
+    "BatchSampler.n": lambda v: BatchSampler(JOINT3, v),
+    "BatchSampler.draw_chunk.count": lambda v: BatchSampler(JOINT3, 6).draw_chunk(np.random.default_rng(0), v),
+    "optimal_encoders.k": lambda v: closed_form_k(JOINT3, v),
+    "bound_report.k": lambda v: bound_report(JOINT3, LABELS3, v),
+}
+
+#: the same for every rate, ratio, weight or probability argument
+REAL_SLOTS = {
+    "TrainConfig.learning_rate": lambda v: TrainConfig(dim=2, learning_rate=v),
+    "TrainConfig.tolerance": lambda v: TrainConfig(dim=2, tolerance=v),
+    "ResampleConfig.ratio": lambda v: ResampleConfig("DropEasyNegative", ratio=v),
+    "ResampleConfig.mixing_weight": lambda v: ResampleConfig("AddNewPositive", mixing_weight=v),
+    "MultiModalGenConfig.target_alpha": lambda v: generate_multimodal(MultiModalGenConfig(2, 2, 2, target_alpha=v)),
+    "MultiModalGenConfig.concentration": lambda v: generate_multimodal(MultiModalGenConfig(2, 2, 2, concentration=v)),
+    "generate_augmentation_model.leak": lambda v: generate_augmentation_model(2, 2, v),
+    "HierarchicalGraphSpec.p_l": lambda v: HierarchicalGraphSpec(2, 2, v, P_H),
+    "HierarchicalGraphSpec.p_h": lambda v: HierarchicalGraphSpec(2, 2, P_L, v),
+    "hierarchical_probabilities.separation": lambda v: hierarchical_probabilities(2, 2, v),
+}
+
+NEGATIVE = st.one_of(st.integers(max_value=-1), st.floats(max_value=-1e-9))
+NON_NUMBERS = st.one_of(st.booleans(), st.text(max_size=3), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@given(slot=st.sampled_from(sorted(INTEGER_SLOTS)), value=st.one_of(NON_NUMBERS, NEGATIVE, st.floats()))
+@settings(max_examples=300, deadline=None)
+def test_integer_arguments_refuse_bools_strings_floats_and_negatives(slot, value):
+    """Integral floats too: the library takes integral types only."""
+    with pytest.raises(LabError):
+        INTEGER_SLOTS[slot](value)
+
+
+@given(slot=st.sampled_from(sorted(REAL_SLOTS)), value=st.one_of(NON_NUMBERS, NEGATIVE))
+@settings(max_examples=200, deadline=None)
+def test_real_arguments_refuse_bools_strings_non_finite_and_negatives(slot, value):
+    with pytest.raises(LabError):
+        REAL_SLOTS[slot](value)
+
+
+@given(slot=st.sampled_from(sorted(REAL_SLOTS)), value=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=200, deadline=None)
+def test_real_arguments_take_fractions_or_raise_lab_errors(slot, value):
+    try:
+        REAL_SLOTS[slot](value)
+    except LabError:
+        pass
+
+
+def test_numpy_scalars_are_read_as_python_numbers():
+    six, two = np.int64(6), np.int32(2)
+    cfg = TrainConfig(dim=two, max_steps=six, batch_size=six, seed=np.uint8(0), learning_rate=np.float32(0.5))
+    read = (cfg.dim, cfg.max_steps, cfg.batch_size, cfg.seed, cfg.learning_rate)
+    assert read == (2, 6, 6, 0, 0.5) and [type(v) for v in read] == [int] * 4 + [float]
+    assert sample_batch(JOINT3, six, seed=0).n == 6 and type(Batch([], [], [], [], [], [], n=six).n) is int
+    assert type(LabelAssignment([0, 1], [0, 1], two).num_classes) is int
+    assert bound_report(JOINT3, LABELS3, np.int64(2)) == bound_report(JOINT3, LABELS3, 2)
+    assert hierarchical_probabilities(two, two, np.float64(0.5)) == (P_L, P_H)
+    np.testing.assert_array_equal(generate_augmentation_model(two, two, np.float64(0.1), seed=np.int64(3)).matrix,
+                                  generate_augmentation_model(2, 2, 0.1, seed=3).matrix)
 
 
 class TestResampleConfig:
