@@ -6,9 +6,9 @@ two-side normalized form. A visual-visual distribution obtained by
 marginalizing over a shared text pivot or over an augmentation model is
 itself a joint distribution, a symmetric one over sample pairs
 (:class:`InducedDistribution`), so every function of a joint takes it
-as it is. Numbers are read here, and only here: index arrays such as
-class labels by :func:`_class_indices`, scalar counts, seeds and indices
-by :func:`_integer`, and rates and ratios by :func:`_real`.
+as it is. Numbers are read here, and only here: index arrays by
+:func:`_class_indices`, counts, seeds and indices by :func:`_integer`,
+rates and ratios by :func:`_real`, and float arrays by :func:`_reals`.
 Instances are immutable after construction and all operations are pure
 functions, so everything is safe to share across threads.
 """
@@ -35,33 +35,46 @@ SYMMETRY_TOL = 1e-12
 INDUCED_KINDS = ("text", "augmentation", "estimated", "hierarchical")
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+def _readonly(a) -> np.ndarray:
+    out = np.array(a)
     out.setflags(write=False)
     return out
 
 
-def _matrix_of(x) -> np.ndarray:
-    """Accept either a wrapper type with a .matrix field or a bare array."""
-    return x.matrix if hasattr(x, "matrix") else np.asarray(x, dtype=float)
+def _matrix_of(name: str, x) -> np.ndarray:
+    """``x.matrix`` of a wrapper type, or the bare array ``x`` read as the matrix ``name``."""
+    return x.matrix if hasattr(x, "matrix") else _reals(name, x, 2)
+
+
+def _array(value, ndim: int, rule: str) -> np.ndarray:
+    """``np.asarray(value)`` if it is an ``ndim``-d array of an integer or
+    float dtype; bools, strings, objects, complex numbers, ragged nesting
+    and other shapes raise InvalidSpec(``rule``)."""
+    try:
+        a = np.asarray(value)
+    except ValueError:
+        raise InvalidSpec(f"{rule}, got ragged nesting") from None
+    if a.dtype.kind not in "iuf" or a.ndim != ndim:
+        raise InvalidSpec(f"{rule}, got dtype {a.dtype} and shape {a.shape}")
+    return a
 
 
 def _class_indices(name: str, values, size=None) -> np.ndarray:
-    """``values`` as a 1-d int array of indices >= 0, of ``size`` entries
-    when given. Integral floats such as ``1.0`` pass; bools, fractions,
-    negatives, non-finite values and other shapes are refused, never
-    truncated, with an InvalidSpec naming ``name``."""
-    y = np.asarray(values)
-    if y.ndim != 1 or (size is not None and y.size != size):
-        want = "1-d" if size is None else f"{size} in a 1-d array"
-        raise InvalidSpec(f"{name} must be class indices >= 0, {want}; got shape {y.shape}")
+    """``values`` as a read-only 1-d int copy of indices >= 0, of ``size``
+    entries when given. Integral floats such as ``1.0`` pass; bools,
+    fractions, negatives, non-finite values and other shapes are refused,
+    never truncated, with an InvalidSpec naming ``name``."""
+    rule = f"{name} must be class indices >= 0"
+    y = _array(values, 1, rule)
+    if size is not None and y.size != size:
+        raise InvalidSpec(f"{rule}, {size} in a 1-d array; got shape {y.shape}")
     if y.dtype.kind in "iu" and np.can_cast(y.dtype, int):  # integers that fit
         indices = not (y < 0).any()
-    else:  # floats, and unsigned integers that may not fit; bools are refused
-        indices = y.dtype.kind in "uf" and np.all((y >= 0) & (y < 2.0**63) & (np.floor(y) == y))
+    else:  # floats, and unsigned integers that may not fit
+        indices = np.all((y >= 0) & (y < 2.0**63) & (np.floor(y) == y))
     if not indices:
-        raise InvalidSpec(f"{name} must be class indices >= 0, finite integral numbers; got {y!r}")
-    return y.astype(int, copy=False)
+        raise InvalidSpec(f"{rule}, finite integral numbers; got {y!r}")
+    return _readonly(y.astype(int, copy=False))
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -83,6 +96,16 @@ def _real(name: str, value) -> float:
     raise InvalidSpec(f"{name} must be finite and real, got {value!r}")
 
 
+def _reals(name: str, value, ndim: int) -> np.ndarray:
+    """``value`` as a read-only float64 copy of an :func:`_array` with
+    finite entries; anything else is an InvalidSpec naming ``name``."""
+    rule = f"{name} must be a {ndim}-d array of finite real numbers"
+    a = _array(value, ndim, rule)
+    if not np.isfinite(a).all():
+        raise InvalidSpec(f"{rule}, got non-finite entries")
+    return _readonly(np.asarray(a, dtype=float))
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Explicit co-occurrence mass over all visual-language sample pairs.
@@ -94,26 +117,22 @@ class JointDistribution:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise InvalidSpec(f"joint distribution must be a 2-d matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidSpec("joint distribution entries must be finite")
+        m = _reals("joint distribution", self.matrix, 2)
         if np.any(m < 0.0):
             raise InvalidSpec("joint distribution entries must be non-negative")
         total = float(m.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise InvalidSpec(f"joint distribution mass must be 1, got {total!r}")
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", m)
 
     @classmethod
     def from_counts(cls, counts, **fields) -> "JointDistribution":
         """Build a joint distribution from non-negative weights, renormalized
         exactly so the sum-to-1 invariant holds by construction; ``fields``
         are a subclass's other fields, such as an induced ``kind``."""
-        c = np.asarray(counts, dtype=float)
-        total = c.sum()
-        if not np.isfinite(total) or total <= 0.0:
+        c = _reals("counts", counts, 2)
+        total = c.sum()  # inf if the sum overflows
+        if not 0.0 < total < np.inf:
             raise InvalidSpec("counts must have positive finite total mass")
         return cls(c / total, **fields)
 
@@ -155,8 +174,8 @@ class LabelAssignment:
                 raise InvalidSpec(f"{name} labels must lie in [0, {r})")
         if not np.array_equal(np.unique(v), np.arange(r)):
             raise InvalidSpec("every class must appear at least once on the visual side")
-        object.__setattr__(self, "visual", _readonly(v, dtype=int))
-        object.__setattr__(self, "language", _readonly(l, dtype=int))
+        object.__setattr__(self, "visual", v)
+        object.__setattr__(self, "language", l)
         object.__setattr__(self, "num_classes", r)
 
 
@@ -177,24 +196,20 @@ class NormalizedCooccurrence:
     language_index: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        pv = np.asarray(self.marginal_visual, dtype=float)
-        pl = np.asarray(self.marginal_language, dtype=float)
-        vi = np.asarray(self.visual_index, dtype=int)
-        li = np.asarray(self.language_index, dtype=int)
-        if m.ndim != 2 or m.shape != (pv.size, pl.size):
+        m = _reals("normalized matrix", self.matrix, 2)
+        pv = _reals("marginal_visual", self.marginal_visual, 1)
+        pl = _reals("marginal_language", self.marginal_language, 1)
+        if m.shape != (pv.size, pl.size):
             raise InvalidSpec("normalized matrix and marginals have mismatched shapes")
-        if vi.size != pv.size or li.size != pl.size:
-            raise InvalidSpec("index maps must match the pruned axes")
-        if not np.all(np.isfinite(m)) or np.any(m < 0.0):
-            raise InvalidSpec("normalized entries must be finite and non-negative")
+        vi = _class_indices("visual_index", self.visual_index, pv.size)
+        li = _class_indices("language_index", self.language_index, pl.size)
+        if np.any(m < 0.0):
+            raise InvalidSpec("normalized entries must be non-negative")
         if np.any(pv <= 0.0) or np.any(pl <= 0.0):
             raise InvalidSpec("marginals must be strictly positive after pruning")
-        object.__setattr__(self, "matrix", _readonly(m))
-        object.__setattr__(self, "marginal_visual", _readonly(pv))
-        object.__setattr__(self, "marginal_language", _readonly(pl))
-        object.__setattr__(self, "visual_index", _readonly(vi, dtype=int))
-        object.__setattr__(self, "language_index", _readonly(li, dtype=int))
+        for name, value in (("matrix", m), ("marginal_visual", pv), ("marginal_language", pl),
+                            ("visual_index", vi), ("language_index", li)):
+            object.__setattr__(self, name, value)
 
     @property
     def num_visual(self) -> int:
@@ -223,17 +238,16 @@ class InducedDistribution(JointDistribution):
     def __post_init__(self):
         if self.kind not in INDUCED_KINDS:
             raise InvalidSpec(f"unknown induced kind {self.kind!r}, expected one of {INDUCED_KINDS}")
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        m = _reals("induced distribution", self.matrix, 2)
+        if m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidSpec("induced distribution must be a square matrix")
-        with np.errstate(invalid="ignore"):  # inf - inf; non-finite entries fail below
-            asym = float(np.max(np.abs(m - m.T)))
+        asym = float(np.max(np.abs(m - m.T)))
         if asym > SYMMETRY_TOL:
             raise InvalidSpec(f"induced matrix asymmetry {asym!r} exceeds {SYMMETRY_TOL}")
         m = (m + m.T) / 2.0  # keep eigendecompositions exactly real
         np.maximum(m, 0.0, out=m, where=m >= -1e-15)  # larger negatives fail below
         object.__setattr__(self, "matrix", m)
-        super().__post_init__()  # finite, non-negative, mass 1 within MASS_TOL
+        super().__post_init__()  # non-negative, mass 1 within MASS_TOL
         object.__setattr__(self, "matrix", _readonly(self.matrix / self.matrix.sum()))
 
     @property
@@ -301,9 +315,9 @@ def augmentation_joint(model: "AugmentationModel | np.ndarray", marginal_visual)
     ``model`` is an AugmentationModel or a bare conditional matrix whose
     columns A(.|v) each sum to 1.
     """
-    a = _matrix_of(model)
-    pv = np.asarray(marginal_visual, dtype=float)
-    if a.ndim != 2 or a.shape[1] != pv.size:
+    a = _matrix_of("conditional matrix", model)
+    pv = _reals("marginal_visual", marginal_visual, 1)
+    if a.shape[1] != pv.size:
         raise InvalidSpec("conditional matrix columns must match the visual marginal")
     if np.any(pv < 0.0) or abs(float(pv.sum()) - 1.0) > MASS_TOL:
         raise InvalidSpec("visual marginal must be a probability vector")

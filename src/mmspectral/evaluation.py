@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (InducedDistribution, JointDistribution, LabelAssignment, NormalizedCooccurrence,
-                            _class_indices, _matrix_of)
+                            _class_indices, _matrix_of, _reals)
 from .errors import ClassTooSmall, DegenerateDistribution, InvalidSpec, RankDeficient
 
 PROBE_RIDGE = 1e-10
@@ -38,17 +38,10 @@ class LinearProbe:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2:
-            raise InvalidSpec("probe weights must be 2-d, (feature_dim, num_classes)")
-        if not np.all(np.isfinite(w)):
-            raise InvalidSpec("probe weights must be finite")
-        frozen = w.copy()
-        frozen.setflags(write=False)
-        object.__setattr__(self, "weights", frozen)
+        object.__setattr__(self, "weights", _reals("probe weights", self.weights, 2))
 
     def scores(self, features) -> np.ndarray:
-        return _matrix_of(features) @ self.weights
+        return _matrix_of("features", features) @ self.weights
 
     def predict(self, features) -> np.ndarray:
         # np.argmax returns the first maximal index, which is the tie rule
@@ -62,8 +55,8 @@ def _labels_and_weights(labels, rows: int, weights):
     y = _class_indices("labels", labels, rows)
     if rows == 0:
         raise InvalidSpec("features and labels must align, one label per feature row")
-    w = np.full(rows, 1.0 / rows) if weights is None else np.asarray(weights, dtype=float)
-    total = w.sum()  # nan or inf if an entry is
+    w = np.full(rows, 1.0 / rows) if weights is None else _reals("weights", weights, 1)
+    total = w.sum()  # inf if the sum overflows
     if w.shape != y.shape or not (w >= 0.0).all() or not 0.0 < total < np.inf:
         raise InvalidSpec("weights must be finite and non-negative with positive total")
     return y, w / total
@@ -76,7 +69,7 @@ def fit_probe(features, labels, weights=None) -> LinearProbe:
     warns RankDeficient when the Gram matrix is singular beyond what the
     ridge repairs.
     """
-    x = _matrix_of(features)
+    x = _matrix_of("features", features)
     y, w = _labels_and_weights(labels, x.shape[0], weights)
     r = int(y.max()) + 1
     if r < 2:
@@ -95,7 +88,7 @@ def fit_probe(features, labels, weights=None) -> LinearProbe:
 
 def probe_error(probe: LinearProbe, features, labels, weights=None) -> float:
     """Weighted 0-1 error of the probe's argmax predictions."""
-    x = _matrix_of(features)
+    x = _matrix_of("features", features)
     y, w = _labels_and_weights(labels, x.shape[0], weights)
     wrong = probe.predict(x) != y
     return float(np.sum(w[wrong]))
@@ -115,8 +108,8 @@ def surrogate_labeling_error(induced, labels_visual) -> float:
     ``sum_{v,v'} P(v,v') 1[y(v) != y(v')]``."""
     if isinstance(induced, NormalizedCooccurrence):
         raise InvalidSpec("surrogate labeling error needs a mass-1 matrix, not a normalized one")
-    m = _matrix_of(induced)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = _matrix_of("induced", induced)
+    if m.shape[0] != m.shape[1]:
         raise InvalidSpec("surrogate labeling error needs a square induced matrix")
     y = _class_indices("labels", labels_visual, m.shape[0])
     if abs(float(m.sum()) - 1.0) > 1e-9:
@@ -130,7 +123,7 @@ def estimate_cooccurrence(features) -> InducedDistribution:
     row-normalize features to unit norm, take the Gram matrix, clamp
     negatives at 0, and scale to total mass 1.
     """
-    gram = _unit_rows(_matrix_of(features))
+    gram = _unit_rows(_matrix_of("features", features))
     gram = gram @ gram.T
     gram = np.maximum((gram + gram.T) / 2.0, 0.0)
     total = float(gram.sum())
@@ -147,7 +140,7 @@ def intra_class_connectivity(features, labels):
     :func:`estimate_cooccurrence`), diagonals included. Returns (beta,
     per-class beta array, one per class in label order).
     """
-    x = _matrix_of(features)
+    x = _matrix_of("features", features)
     y = _class_indices("labels", labels, x.shape[0])
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2 or np.any(counts < 2):

@@ -275,7 +275,7 @@ def _rank_correlation(a, b) -> float:
     Exact: on twice the ranks, integers, rho = C / sqrt(V_a V_b) in Python
     integers, rounded once. Without ties V_a = V_b and the root is exact;
     otherwise ``math.isqrt`` takes it 64 bits past the point."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)  # not _reals: nan is documented input
     if a.size < 2 or np.all(a == a[0]) or np.all(b == b[0]) or np.isnan(a).any() or np.isnan(b).any():
         return math.nan
     twice = []
@@ -426,10 +426,10 @@ def _optimum_case(params, seed):
 
 
 def _central_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    grad = np.zeros_like(x, dtype=float)
+    grad = np.zeros(x.shape)
     flat = grad.ravel()
     for i in range(x.size):
-        bump = np.zeros_like(x, dtype=float)
+        bump = np.zeros(x.shape)
         bump.ravel()[i] = h
         flat[i] = (fn(x + bump) - fn(x - bump)) / (2.0 * h)
     return grad

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import JointDistribution, _class_indices, _integer, _matrix_of
+from .distributions import JointDistribution, _class_indices, _integer, _matrix_of, _reals
 from .errors import InvalidBatchSize, InvalidSpec
 
 ENCODER_SIDES = ("visual", "language", "augmented")
@@ -45,16 +45,12 @@ class EncoderTable:
     side: str = "visual"
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[1] < 1:
+        m = _reals("encoder table", self.matrix, 2)
+        if m.shape[1] < 1:
             raise InvalidSpec("encoder table must be 2-d with k >= 1")
-        if not np.all(np.isfinite(m)):
-            raise InvalidSpec("encoder entries must be finite")
         if self.side not in ENCODER_SIDES:
             raise InvalidSpec(f"side must be one of {ENCODER_SIDES}")
-        frozen = m.copy()
-        frozen.setflags(write=False)
-        object.__setattr__(self, "matrix", frozen)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def num_samples(self) -> int:
@@ -66,8 +62,8 @@ class EncoderTable:
 
     def factor(self, marginal) -> np.ndarray:
         """Rows scaled by sqrt(marginal): F(x) = sqrt(p(x)) * f(x)."""
-        p = np.asarray(marginal, dtype=float)
-        if p.shape != (self.num_samples,) or not np.all(np.isfinite(p) & (p >= 0.0)):
+        p = _reals("marginal", marginal, 1)
+        if p.shape != (self.num_samples,) or np.any(p < 0.0):
             raise InvalidSpec("marginal must be a finite non-negative vector matching the table")
         return self.matrix * np.sqrt(p)[:, None]
 
@@ -79,7 +75,7 @@ def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
     With one table on both sides of a symmetric joint, such as an
     :class:`~mmspectral.distributions.InducedDistribution`, this is the
     uni-modal spectral contrastive loss."""
-    fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
+    fv, fl = _matrix_of("f_visual", f_visual), _matrix_of("f_language", f_language)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
     scores = fv @ fl.T
@@ -91,7 +87,8 @@ def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
 def amf_loss(factor_visual, factor_language, normalized) -> float:
     """Squared Frobenius residual of the asymmetric factorization:
     ``|| P_norm - F_V F_L^T ||_F^2``."""
-    resid = _matrix_of(normalized) - _matrix_of(factor_visual) @ _matrix_of(factor_language).T
+    resid = (_matrix_of("normalized", normalized)
+             - _matrix_of("factor_visual", factor_visual) @ _matrix_of("factor_language", factor_language).T)
     return float(np.sum(resid * resid))
 
 
@@ -99,7 +96,7 @@ def equivalence_constant(normalized) -> float:
     """Squared Frobenius norm of the normalized co-occurrence matrix: the
     constant separating the factorization residual from the contrastive
     loss. Equals the sum of squared singular values."""
-    target = _matrix_of(normalized)
+    target = _matrix_of("normalized", normalized)
     return float(np.sum(target * target))
 
 
@@ -144,7 +141,7 @@ class Batch:
         nva = intarr("neg_visual_anchor", self.neg_visual_anchor)
         ev = intarr("extra_pos_visual", self.extra_pos_visual)
         el = intarr("extra_pos_language", self.extra_pos_language)
-        ew = np.asarray(self.extra_pos_weight if self.extra_pos_weight is not None else [], dtype=float)
+        ew = _reals("extra_pos_weight", self.extra_pos_weight if self.extra_pos_weight is not None else [], 1)
         if pv.size != pl.size or nl.size != nla.size or nv.size != nva.size:
             raise InvalidSpec("paired batch arrays must have equal lengths")
         if ev.size != el.size or ev.size != ew.size or (ew.size and ew.min() < 0.0):
@@ -397,7 +394,7 @@ def empirical_scl(f_visual, f_language, batch: Batch) -> float:
     Appended extra positives contribute their own weighted
     -2 * mean(score) term.
     """
-    fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
+    fv, fl = _matrix_of("f_visual", f_visual), _matrix_of("f_language", f_language)
     plan = _Plan.of_batch(batch)
     return float(plan.losses(_row_dots(fv[plan.visual], fl[plan.language]))[0])
 
@@ -406,7 +403,7 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     """:func:`empirical_scl` of ``count`` consecutive batches drawn from
     ``sampler`` with ``rng``, bit for bit, evaluated a plan chunk of
     batches at a time without building any ``Batch``."""
-    fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
+    fv, fl = _matrix_of("f_visual", f_visual), _matrix_of("f_language", f_language)
     draws = sampler.draw_chunk(rng, count)
     losses = np.empty(count)
     for batches, plan in _Plan.chunks(draws, fv.shape[1]):
@@ -417,7 +414,7 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
 def empirical_scl_grad(f_visual, f_language, batch: Batch):
     """Value and analytic gradients of :func:`empirical_scl` with respect
     to both feature tables. Returns (loss, grad_visual, grad_language)."""
-    fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
+    fv, fl = _matrix_of("f_visual", f_visual), _matrix_of("f_language", f_language)
     plan = _Plan.of_batch(batch)
     grads = _PlanGrads(plan, fv.shape[1], fv.shape[0], fl.shape[0])
     flat = grads(0, np.concatenate([fv, fl]))
@@ -428,7 +425,7 @@ def scl_grad(f_visual, f_language, joint: JointDistribution):
     """Analytic gradients of :func:`scl_loss` with respect to both feature
     tables. Returns (loss, grad_visual, grad_language). For one table
     shared by both sides, its gradient is ``grad_visual + grad_language``."""
-    fv, fl = _matrix_of(f_visual), _matrix_of(f_language)
+    fv, fl = _matrix_of("f_visual", f_visual), _matrix_of("f_language", f_language)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
     scores = fv @ fl.T

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (JointDistribution, LabelAssignment, NormalizedCooccurrence, _integer,
+from .distributions import (JointDistribution, LabelAssignment, NormalizedCooccurrence, _integer, _reals,
                             normalize_cooccurrence)
 from .errors import DegenerateGap, InvalidSpec, NumericalFailure, SpectralGapZero
 from .evaluation import labeling_error
@@ -39,11 +39,11 @@ class SpectralDecomposition:
     right: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.left, dtype=float)
-        s = np.asarray(self.singular_values, dtype=float)
-        v = np.asarray(self.right, dtype=float)
+        for name, ndim in (("left", 2), ("singular_values", 1), ("right", 2)):
+            object.__setattr__(self, name, _reals(name, getattr(self, name), ndim))
+        u, s, v = self.left, self.singular_values, self.right
         r = s.size
-        if u.ndim != 2 or v.ndim != 2 or u.shape[1] != r or v.shape[1] != r:
+        if u.shape[1] != r or v.shape[1] != r:
             raise InvalidSpec("factor shapes must agree with the singular values")
         if np.any(s < -GAP_TOL) or np.any(np.diff(s) > GAP_TOL):
             raise InvalidSpec("singular values must be non-negative and sorted descending")
@@ -51,9 +51,6 @@ class SpectralDecomposition:
             gram = mat.T @ mat
             if np.max(np.abs(gram - np.eye(r))) > 1e-9:
                 raise InvalidSpec(f"{name} factor columns must be orthonormal")
-        object.__setattr__(self, "left", u)
-        object.__setattr__(self, "singular_values", s)
-        object.__setattr__(self, "right", v)
 
     @property
     def rank_bound(self) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .distributions import (InducedDistribution, JointDistribution, LabelAssignment, _class_indices, _integer,
-                            _readonly, _real)
+                            _real, _reals)
 from .errors import InvalidSpec
 
 CONSTRAINT_TOL = 1e-12
@@ -170,18 +170,16 @@ class AugmentationModel:
     augs_per_sample: int
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
-        if a.ndim != 2:
-            raise InvalidSpec("conditional matrix must be 2-d")
+        a = _reals("conditional matrix", self.matrix, 2)
         object.__setattr__(self, "augs_per_sample", _integer("augs_per_sample", self.augs_per_sample, 1))
         if a.shape[0] != self.augs_per_sample * a.shape[1]:
             raise InvalidSpec("expected N_A == augs_per_sample * N_V")
-        if not np.all(np.isfinite(a)) or np.any(a < 0.0):
-            raise InvalidSpec("conditional entries must be finite and non-negative")
+        if np.any(a < 0.0):
+            raise InvalidSpec("conditional entries must be non-negative")
         col = a.sum(axis=0)
         if np.max(np.abs(col - 1.0)) > 1e-9:
             raise InvalidSpec("each column A(.|v) must sum to 1")
-        object.__setattr__(self, "matrix", _readonly(a))
+        object.__setattr__(self, "matrix", a)
 
     @property
     def num_visual(self) -> int:

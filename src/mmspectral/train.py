@@ -119,7 +119,7 @@ class LossHistory:
     converged: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "losses", np.asarray(self.losses, dtype=float))
+        object.__setattr__(self, "losses", np.asarray(self.losses, dtype=float))  # not _reals: diverged runs log nan
 
     @property
     def final(self) -> float:

@@ -290,7 +290,12 @@ class TestEncoderTableFactor:
         factor = table.factor(np.array([0.25, 0.81]))
         np.testing.assert_allclose(factor, [[0.5, 1.0], [2.7, 3.6]], atol=1e-12)
 
-    @pytest.mark.parametrize("marginal", [[np.nan, 1.0], [np.inf, 1.0], [-0.5, 1.5], [1.0]])
+    @pytest.mark.parametrize("marginal", [[np.nan, 1.0], [np.inf, 1.0]])
+    def test_factor_refuses_a_non_finite_marginal(self, marginal):
+        with pytest.raises(InvalidSpec, match="^marginal must be a 1-d array of finite real numbers"):
+            EncoderTable(np.ones((2, 2))).factor(marginal)
+
+    @pytest.mark.parametrize("marginal", [[-0.5, 1.5], [1.0]])
     def test_factor_refuses_a_bad_marginal(self, marginal):
         with pytest.raises(InvalidSpec, match="marginal must be a finite non-negative vector"):
             EncoderTable(np.ones((2, 2))).factor(marginal)

@@ -56,6 +56,12 @@ class TestDecompose:
         recon = dec.left @ np.diag(dec.singular_values) @ dec.right.T
         assert np.linalg.norm(recon - norm.matrix) < 1e-9
 
+    def test_factors_cannot_be_written(self):
+        dec = decompose(normalize_cooccurrence(TILTED))
+        for array in (dec.left, dec.singular_values, dec.right):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_left_factor_spans_top_eigenvectors_of_the_square(self):
         rng = np.random.default_rng(11)
         norm = normalize_cooccurrence(JointDistribution(random_joint(rng, 10, 8)))

@@ -1,10 +1,13 @@
 """Training loops and teacher-guided batch resampling."""
 import math
+import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmspectral import (
     AugmentationModel,
@@ -18,7 +21,10 @@ from mmspectral import (
     JointDistribution,
     LabError,
     LabelAssignment,
+    LinearProbe,
+    NormalizedCooccurrence,
     ResampleConfig,
+    SpectralDecomposition,
     TeacherMissing,
     TrainConfig,
     amf_loss,
@@ -26,12 +32,19 @@ from mmspectral import (
     augmentation_joint,
     bound_report,
     decompose,
+    equivalence_constant,
+    estimate_cooccurrence,
     fit_probe,
+    intra_class_connectivity,
     nearest_neighbor_positive,
     normalize_cooccurrence,
     normalized_uni,
     optimal_encoders,
+    probe_error,
     sample_batch,
+    scl_grad,
+    scl_loss,
+    surrogate_labeling_error,
     text_induced,
     train_mmcl,
     train_sscl,
@@ -150,6 +163,35 @@ NUMBER_REPRODUCERS = {
     "batch-size-field-6.0": (lambda ind, joint: Batch([], [], [], [], [], [], n=6.0), InvalidBatchSize),
     "batch-indices-fractions": (lambda ind, joint: Batch([0.7, 1.9], [1.2, 0.5], [], [], [], [], n=6), InvalidSpec),
     "label-bools": (lambda ind, joint: LabelAssignment(np.array([False, True]), [0, 1], 2), InvalidSpec),
+    "joint-strings": (lambda ind, joint: JointDistribution([["0.25"] * 2] * 2), InvalidSpec),
+    "counts-strings": (lambda ind, joint: JointDistribution.from_counts([["1"] * 2] * 2), InvalidSpec),
+    "encoder-bools": (lambda ind, joint: EncoderTable([[True, False]]), InvalidSpec),
+    "augmentation-model-strings": (lambda ind, joint: AugmentationModel([["1"]], 1), InvalidSpec),
+    "probe-strings": (lambda ind, joint: LinearProbe([["1"]]), InvalidSpec),
+    "probe-weights-strings": (lambda ind, joint: fit_probe(np.eye(3), [0, 1, 1], ["1", "1", "1"]), InvalidSpec),
+    "probe-weights-bools": (lambda ind, joint: fit_probe(np.eye(3), [0, 1, 1], [True] * 3), InvalidSpec),
+    "factor-strings": (lambda ind, joint: EncoderTable(np.eye(2)).factor(["0.5", "0.5"]), InvalidSpec),
+    "augmentation-marginal-strings": (lambda ind, joint: augmentation_joint(np.eye(2), ["0.5", "0.5"]), InvalidSpec),
+    "extra-weight-nan": (lambda ind, joint: Batch([], [], [], [], [], [], n=3, extra_pos_visual=[0],
+                                                  extra_pos_language=[0], extra_pos_weight=[math.nan]), InvalidSpec),
+    "extra-weight-inf": (lambda ind, joint: Batch([], [], [], [], [], [], n=3, extra_pos_visual=[0],
+                                                  extra_pos_language=[0], extra_pos_weight=[math.inf]), InvalidSpec),
+    "singular-values-nan": (lambda ind, joint: SpectralDecomposition([[1.0]], [math.nan], [[1.0]]), InvalidSpec),
+    "scl-loss-nan-features": (lambda ind, joint: scl_loss(np.full((3, 2), math.nan), np.ones((3, 2)), joint),
+                              InvalidSpec),
+    "empirical-scl-nan-features": (lambda ind, joint: empirical_scl(np.full((3, 2), math.nan), np.ones((3, 2)),
+                                                                    sample_batch(joint, 6, seed=0)), InvalidSpec),
+    "joint-complex": (lambda ind, joint: JointDistribution(np.full((2, 2), 0.25 + 0j)), InvalidSpec),
+    "joint-ragged": (lambda ind, joint: JointDistribution([[0.5, 0.25], [0.25]]), InvalidSpec),
+    "encoder-ragged": (lambda ind, joint: EncoderTable([[1.0, 2.0], [3.0]]), InvalidSpec),
+    "index-map-fraction": (lambda ind, joint: NormalizedCooccurrence([[1.0]], [1.0], [1.0], [0.7], [0]), InvalidSpec),
+    "index-map-negative": (lambda ind, joint: NormalizedCooccurrence([[1.0]], [1.0], [1.0], [-3], [0]), InvalidSpec),
+    "index-map-bool": (lambda ind, joint: NormalizedCooccurrence([[1.0]], [1.0], [1.0], [True], [0]), InvalidSpec),
+    "index-map-ragged": (lambda ind, joint: NormalizedCooccurrence([[1.0]], [1.0], [1.0], [[0], 1], [0]), InvalidSpec),
+    "labels-ragged": (lambda ind, joint: LabelAssignment([[0], 1], [0, 0], 2), InvalidSpec),
+    "batch-indices-ragged": (lambda ind, joint: Batch([[0], 1], [0, 0], [], [], [], [], n=6), InvalidSpec),
+    "candidates-ragged": (lambda ind, joint: nearest_neighbor_positive(0, [[1], 2], EncoderTable(np.eye(3))),
+                          InvalidSpec),
 }
 
 
@@ -207,6 +249,72 @@ REAL_SLOTS = {
     "hierarchical_probabilities.separation": lambda v: hierarchical_probabilities(2, 2, v),
 }
 
+EYE3 = np.eye(3)
+FEATURES4 = np.random.default_rng(2).standard_normal((4, 3))
+LABELS4 = [0, 0, 1, 1]
+NORM3 = normalize_cooccurrence(JOINT3)
+DEC3 = decompose(NORM3)
+AUGMENT = generate_augmentation_model(2, 2, 0.1)
+PROBE = LinearProbe(np.ones((3, 2)))
+BATCH3 = sample_batch(JOINT3, 6, seed=0)
+
+
+def extra_positives(weights):
+    return Batch([], [], [], [], [], [], n=3, extra_pos_visual=[0, 1], extra_pos_language=[0, 1],
+                 extra_pos_weight=weights)
+
+
+#: one float-array argument of every public constructor or function that
+#: reads one: (the name its InvalidSpec gives, a valid value, the call
+#: with that value and every other argument valid)
+ARRAY_SLOTS = {
+    "JointDistribution.matrix": ("joint distribution", JOINT3.matrix, JointDistribution),
+    "JointDistribution.from_counts": ("counts", [[1, 2], [3, 4]], JointDistribution.from_counts),
+    "InducedDistribution.matrix": ("induced distribution", [[0.25, 0.25], [0.25, 0.25]],
+                                   lambda v: InducedDistribution(v, kind="text")),
+    "NormalizedCooccurrence.matrix": ("normalized matrix", NORM3.matrix, lambda v: replace(NORM3, matrix=v)),
+    "NormalizedCooccurrence.marginal_visual": ("marginal_visual", NORM3.marginal_visual,
+                                               lambda v: replace(NORM3, marginal_visual=v)),
+    "NormalizedCooccurrence.marginal_language": ("marginal_language", NORM3.marginal_language,
+                                                 lambda v: replace(NORM3, marginal_language=v)),
+    "augmentation_joint.model": ("conditional matrix", AUGMENT.matrix, lambda v: augmentation_joint(v, [0.5, 0.5])),
+    "augmentation_joint.marginal_visual": ("marginal_visual", [0.5, 0.5], lambda v: augmentation_joint(AUGMENT, v)),
+    "EncoderTable.matrix": ("encoder table", EYE3, EncoderTable),
+    "EncoderTable.factor": ("marginal", [0.2, 0.3, 0.5], lambda v: EncoderTable(EYE3).factor(v)),
+    "Batch.extra_pos_weight": ("extra_pos_weight", [0.5, 0.25], extra_positives),
+    "LinearProbe.weights": ("probe weights", np.ones((3, 2)), LinearProbe),
+    "LinearProbe.scores": ("features", EYE3, PROBE.scores),
+    "SpectralDecomposition.left": ("left", DEC3.left, lambda v: replace(DEC3, left=v)),
+    "SpectralDecomposition.singular_values": ("singular_values", DEC3.singular_values,
+                                              lambda v: replace(DEC3, singular_values=v)),
+    "SpectralDecomposition.right": ("right", DEC3.right, lambda v: replace(DEC3, right=v)),
+    "AugmentationModel.matrix": ("conditional matrix", AUGMENT.matrix, lambda v: AugmentationModel(v, 2)),
+    "scl_loss.f_visual": ("f_visual", EYE3, lambda v: scl_loss(v, EYE3, JOINT3)),
+    "scl_loss.f_language": ("f_language", EYE3, lambda v: scl_loss(EYE3, v, JOINT3)),
+    "scl_grad.f_visual": ("f_visual", EYE3, lambda v: scl_grad(v, EYE3, JOINT3)),
+    "scl_grad.f_language": ("f_language", EYE3, lambda v: scl_grad(EYE3, v, JOINT3)),
+    "amf_loss.factor_visual": ("factor_visual", EYE3, lambda v: amf_loss(v, EYE3, NORM3)),
+    "amf_loss.factor_language": ("factor_language", EYE3, lambda v: amf_loss(EYE3, v, NORM3)),
+    "amf_loss.normalized": ("normalized", NORM3.matrix, lambda v: amf_loss(EYE3, EYE3, v)),
+    "equivalence_constant.normalized": ("normalized", NORM3.matrix, equivalence_constant),
+    "empirical_scl.f_visual": ("f_visual", EYE3, lambda v: empirical_scl(v, EYE3, BATCH3)),
+    "empirical_scl.f_language": ("f_language", EYE3, lambda v: empirical_scl(EYE3, v, BATCH3)),
+    "empirical_scl_grad.f_visual": ("f_visual", EYE3, lambda v: empirical_scl_grad(v, EYE3, BATCH3)),
+    "empirical_scl_grad.f_language": ("f_language", EYE3, lambda v: empirical_scl_grad(EYE3, v, BATCH3)),
+    "empirical_scl_batches.f_visual": ("f_visual", EYE3, lambda v: empirical_scl_batches(
+        v, EYE3, BatchSampler(JOINT3, 6), np.random.default_rng(0), 2)),
+    "empirical_scl_batches.f_language": ("f_language", EYE3, lambda v: empirical_scl_batches(
+        EYE3, v, BatchSampler(JOINT3, 6), np.random.default_rng(0), 2)),
+    "fit_probe.features": ("features", FEATURES4, lambda v: fit_probe(v, LABELS4)),
+    "fit_probe.weights": ("weights", [1, 2, 3, 4], lambda v: fit_probe(FEATURES4, LABELS4, v)),
+    "probe_error.features": ("features", FEATURES4, lambda v: probe_error(PROBE, v, LABELS4)),
+    "probe_error.weights": ("weights", [1, 2, 3, 4], lambda v: probe_error(PROBE, FEATURES4, LABELS4, v)),
+    "surrogate_labeling_error.induced": ("induced", [[0.25, 0.25], [0.25, 0.25]],
+                                         lambda v: surrogate_labeling_error(v, [0, 1])),
+    "estimate_cooccurrence.features": ("features", FEATURES4, estimate_cooccurrence),
+    "intra_class_connectivity.features": ("features", FEATURES4, lambda v: intra_class_connectivity(v, LABELS4)),
+}
+
 NEGATIVE = st.one_of(st.integers(max_value=-1), st.floats(max_value=-1e-9))
 NON_NUMBERS = st.one_of(st.booleans(), st.text(max_size=3), st.sampled_from([math.nan, math.inf, -math.inf]))
 
@@ -233,6 +341,76 @@ def test_real_arguments_take_fractions_or_raise_lab_errors(slot, value):
         REAL_SLOTS[slot](value)
     except LabError:
         pass
+
+
+def test_array_slots_take_their_valid_value():
+    for name, valid, call in ARRAY_SLOTS.values():
+        call(valid)
+
+
+def corrupted(valid, kind: str, at: int):
+    """``valid`` as nested lists with one entry, or the whole array, made
+    into a value no float-array argument takes."""
+    array = np.asarray(valid)
+    if kind == "bools":
+        return array != 0
+    if kind == "fewer axes":
+        return array.tolist()[0]
+    if kind == "more axes":
+        return [array.tolist()]
+    nested = array.tolist()
+    index = np.unravel_index(at % array.size, array.shape)
+    row = nested
+    for i in index[:-1]:
+        row = row[i]
+    entry = row[index[-1]]
+    row[index[-1]] = {"string": str(entry), "complex": complex(entry), "ragged": [entry, entry],
+                      "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[kind]
+    return nested
+
+
+@given(slot=st.sampled_from(sorted(ARRAY_SLOTS)), at=st.integers(0, 100),
+       kind=st.sampled_from(["bools", "string", "complex", "nan", "inf", "-inf", "ragged", "fewer axes", "more axes"]))
+@settings(max_examples=300, deadline=None)
+def test_array_arguments_refuse_bools_strings_complex_non_finite_ragged_and_other_shapes(slot, at, kind):
+    name, valid, call = ARRAY_SLOTS[slot]
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(name)} must be a [12]-d array of finite real numbers"):
+        call(corrupted(valid, kind, at))
+
+
+#: where a float array is stored as it was given: each takes any finite 2-d array
+STORED_ARRAYS = {
+    "EncoderTable.matrix": lambda x: EncoderTable(x).matrix,
+    "LinearProbe.weights": lambda x: LinearProbe(x).weights,
+}
+SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, max_side=4)
+
+
+@given(slot=st.sampled_from(sorted(STORED_ARRAYS)),
+       x=st.one_of(hnp.arrays(st.sampled_from([np.int32, np.int64]), SHAPES),
+                   hnp.arrays(st.sampled_from([np.float32, np.float64]), SHAPES,
+                              elements=st.floats(allow_nan=False, allow_infinity=False, width=32))))
+@settings(max_examples=200, deadline=None)
+def test_valid_arrays_are_stored_as_read_only_float64_copies(slot, x):
+    stored = STORED_ARRAYS[slot](x)
+    assert stored.dtype == np.float64 and not stored.flags.writeable and x.flags.writeable
+    assert stored.tobytes() == np.array(x, dtype=float).tobytes()
+
+
+def test_index_arrays_are_stored_as_read_only_copies():
+    pos_visual = np.array([0, 1])
+    batch = Batch(pos_visual, [0, 1], [], [], [], [], n=6)
+    pos_visual[0] = 2
+    assert batch.pos_visual.tolist() == [0, 1] and not batch.pos_visual.flags.writeable
+
+
+@pytest.mark.parametrize("call", [lambda x: fit_probe(x, [0, 1, 1]), estimate_cooccurrence],
+                         ids=["fit_probe", "estimate_cooccurrence"])
+def test_non_finite_features_are_reported_as_features(call):
+    x = np.eye(3)
+    x[0, 1] = math.nan
+    with pytest.raises(InvalidSpec, match="^features must be a 2-d array of finite real numbers"):
+        call(x)
 
 
 def test_numpy_scalars_are_read_as_python_numbers():
