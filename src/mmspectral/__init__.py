@@ -3,6 +3,7 @@ learning: explicit finite distributions, exact losses, closed-form optima,
 and seeded experiment suites that verify the theory end to end."""
 
 from .distributions import (
+    AugmentationModel,
     InducedDistribution,
     JointDistribution,
     LabelAssignment,
@@ -73,7 +74,6 @@ from .spectral import (
     optimal_encoders,
 )
 from .synth import (
-    AugmentationModel,
     HierarchicalGraphSpec,
     MultiModalGenConfig,
     build_hierarchical_matrix,

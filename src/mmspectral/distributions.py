@@ -6,25 +6,24 @@ two-side normalized form. A visual-visual distribution obtained by
 marginalizing over a shared text pivot or over an augmentation model is
 itself a joint distribution, a symmetric one over sample pairs
 (:class:`InducedDistribution`), so every function of a joint takes it
-as it is. Numbers are read here, and only here: index arrays by
-:func:`_class_indices`, counts, seeds and indices by :func:`_integer`,
-rates and ratios by :func:`_real`, and float arrays by :func:`_reals`.
-Instances are immutable after construction and all operations are pure
-functions, so everything is safe to share across threads.
+as it is. The augmentation conditional behind one lives here too
+(:class:`AugmentationModel`; ``synth`` draws it). Numbers are read here,
+and only here: index arrays by :func:`_class_indices`, counts, seeds and
+indices by :func:`_integer`, rates and ratios by :func:`_real`, and float
+arrays by :func:`_reals`. A matrix argument takes its one wrapper type or
+a bare array, read once (:func:`_matrix_of`). Instances are immutable
+after construction and all operations are pure functions, so everything
+is safe to share across threads.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateDistribution, InvalidSpec
-
-if TYPE_CHECKING:  # import only for annotations, synth imports this module
-    from .synth import AugmentationModel
 
 #: tolerance on total-mass and marginal-sum checks
 MASS_TOL = 1e-12
@@ -41,21 +40,29 @@ def _readonly(a) -> np.ndarray:
     return out
 
 
-def _matrix_of(name: str, x) -> np.ndarray:
-    """``x.matrix`` of a wrapper type, or the bare array ``x`` read as the matrix ``name``."""
-    return x.matrix if hasattr(x, "matrix") else _reals(name, x, 2)
+def _matrix_of(name: str, x, kind: type, rule=None) -> np.ndarray:
+    """``x.matrix`` when ``x`` is a ``kind``, whose construction checked it;
+    anything else read once as the 2-d float array ``name``, so an object
+    of another type is refused, and held to the kind's ``rule``, if given."""
+    if isinstance(x, kind):
+        return x.matrix
+    m = _reals(name, x, 2)
+    return m if rule is None else rule(m)
 
 
 def _array(value, ndim: int, rule: str) -> np.ndarray:
     """``np.asarray(value)`` if it is an ``ndim``-d array of an integer or
-    float dtype; bools, strings, objects, complex numbers, ragged nesting
-    and other shapes raise InvalidSpec(``rule``)."""
+    float dtype; bools (one in a list of numbers too), strings, objects,
+    complex numbers, ragged nesting and other shapes raise InvalidSpec(``rule``)."""
     try:
         a = np.asarray(value)
     except ValueError:
         raise InvalidSpec(f"{rule}, got ragged nesting") from None
     if a.dtype.kind not in "iuf" or a.ndim != ndim:
         raise InvalidSpec(f"{rule}, got dtype {a.dtype} and shape {a.shape}")
+    if not isinstance(value, np.ndarray) and any(
+            isinstance(e, (bool, np.bool_)) for e in np.array(value, dtype=object).flat):
+        raise InvalidSpec(f"{rule}, got a bool among the numbers")
     return a
 
 
@@ -106,6 +113,26 @@ def _reals(name: str, value, ndim: int) -> np.ndarray:
     return _readonly(np.asarray(a, dtype=float))
 
 
+def _probabilities(name: str, m: np.ndarray) -> np.ndarray:
+    """``m``, a float array already read, if its entries are non-negative
+    and sum to 1 within ``MASS_TOL``; else an InvalidSpec naming ``name``."""
+    if np.any(m < 0.0):
+        raise InvalidSpec(f"{name} entries must be non-negative")
+    total = float(m.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        raise InvalidSpec(f"{name} mass must be 1, got {total!r}")
+    return m
+
+
+def _column_stochastic(a: np.ndarray) -> np.ndarray:
+    """``a``, a conditional already read, if non-negative with columns A(.|v) summing to 1 within 1e-9."""
+    if np.any(a < 0.0):
+        raise InvalidSpec("conditional entries must be non-negative")
+    if a.shape[1] < 1 or np.any(np.abs(a.sum(axis=0) - 1.0) > 1e-9):
+        raise InvalidSpec("conditional needs one or more columns A(.|v), each summing to 1")
+    return a
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """Explicit co-occurrence mass over all visual-language sample pairs.
@@ -117,13 +144,8 @@ class JointDistribution:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _reals("joint distribution", self.matrix, 2)
-        if np.any(m < 0.0):
-            raise InvalidSpec("joint distribution entries must be non-negative")
-        total = float(m.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise InvalidSpec(f"joint distribution mass must be 1, got {total!r}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix",
+                           _probabilities("joint distribution", _reals("joint distribution", self.matrix, 2)))
 
     @classmethod
     def from_counts(cls, counts, **fields) -> "JointDistribution":
@@ -246,9 +268,7 @@ class InducedDistribution(JointDistribution):
             raise InvalidSpec(f"induced matrix asymmetry {asym!r} exceeds {SYMMETRY_TOL}")
         m = (m + m.T) / 2.0  # keep eigendecompositions exactly real
         np.maximum(m, 0.0, out=m, where=m >= -1e-15)  # larger negatives fail below
-        object.__setattr__(self, "matrix", m)
-        super().__post_init__()  # non-negative, mass 1 within MASS_TOL
-        object.__setattr__(self, "matrix", _readonly(self.matrix / self.matrix.sum()))
+        object.__setattr__(self, "matrix", _readonly(_probabilities("induced distribution", m) / m.sum()))
 
     @property
     def num_samples(self) -> int:
@@ -308,20 +328,50 @@ def normalized_uni(norm: NormalizedCooccurrence) -> NormalizedCooccurrence:
                                   norm.visual_index, norm.visual_index)
 
 
-def augmentation_joint(model: "AugmentationModel | np.ndarray", marginal_visual) -> InducedDistribution:
+@dataclass(frozen=True)
+class AugmentationModel:
+    """Conditional distribution of augmented samples given naturals.
+
+    ``matrix`` has shape (N_A, N_V) and is read columnwise: column v is
+    A(.|v), non-negative and summing to 1. Augmented samples are laid out
+    in parent-major order, so augmented index ``v * augs_per_sample + j``
+    descends from natural sample v.
+    """
+
+    matrix: np.ndarray
+    augs_per_sample: int
+
+    def __post_init__(self):
+        a = _reals("conditional matrix", self.matrix, 2)
+        object.__setattr__(self, "augs_per_sample", _integer("augs_per_sample", self.augs_per_sample, 1))
+        if a.shape[0] != self.augs_per_sample * a.shape[1]:
+            raise InvalidSpec("expected N_A == augs_per_sample * N_V")
+        object.__setattr__(self, "matrix", _column_stochastic(a))
+
+    @property
+    def num_visual(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def parent(self) -> np.ndarray:
+        """Natural-sample index of each augmented sample."""
+        return np.repeat(np.arange(self.num_visual), self.augs_per_sample)
+
+    def labels_for_augmented(self, labels_visual) -> np.ndarray:
+        """Lift natural-sample labels to the augmented samples."""
+        return _class_indices("labels", labels_visual, self.num_visual)[self.parent]
+
+
+def augmentation_joint(model: AugmentationModel | np.ndarray, marginal_visual) -> InducedDistribution:
     """Joint distribution over augmented samples sharing a natural parent:
     ``P_A(a, a') = sum_v P_V(v) A(a|v) A(a'|v)``.
 
-    ``model`` is an AugmentationModel or a bare conditional matrix whose
-    columns A(.|v) each sum to 1.
+    ``model`` is an AugmentationModel or a bare conditional matrix held to
+    its rule: non-negative, each column A(.|v) summing to 1.
     """
-    a = _matrix_of("conditional matrix", model)
+    a = _matrix_of("conditional matrix", model, AugmentationModel, _column_stochastic)
     pv = _reals("marginal_visual", marginal_visual, 1)
     if a.shape[1] != pv.size:
         raise InvalidSpec("conditional matrix columns must match the visual marginal")
-    if np.any(pv < 0.0) or abs(float(pv.sum()) - 1.0) > MASS_TOL:
-        raise InvalidSpec("visual marginal must be a probability vector")
-    col_sums = a.sum(axis=0)
-    if np.max(np.abs(col_sums - 1.0)) > 1e-9:
-        raise InvalidSpec("each conditional column A(.|v) must sum to 1")
+    _probabilities("marginal_visual", pv)
     return InducedDistribution((a * pv[None, :]) @ a.T, kind="augmentation")

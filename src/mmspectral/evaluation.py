@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .distributions import (InducedDistribution, JointDistribution, LabelAssignment, NormalizedCooccurrence,
-                            _class_indices, _matrix_of, _reals)
+from .distributions import (InducedDistribution, JointDistribution, LabelAssignment, _class_indices, _matrix_of,
+                            _probabilities, _reals)
 from .errors import ClassTooSmall, DegenerateDistribution, InvalidSpec, RankDeficient
+from .losses import EncoderTable
 
 PROBE_RIDGE = 1e-10
 
@@ -41,7 +43,10 @@ class LinearProbe:
         object.__setattr__(self, "weights", _reals("probe weights", self.weights, 2))
 
     def scores(self, features) -> np.ndarray:
-        return _matrix_of("features", features) @ self.weights
+        x = _matrix_of("features", features, EncoderTable)
+        if x.shape[1] != self.weights.shape[0]:
+            raise InvalidSpec(f"features must have {self.weights.shape[0]} columns to match the probe, got {x.shape}")
+        return x @ self.weights
 
     def predict(self, features) -> np.ndarray:
         # np.argmax returns the first maximal index, which is the tie rule
@@ -69,7 +74,7 @@ def fit_probe(features, labels, weights=None) -> LinearProbe:
     warns RankDeficient when the Gram matrix is singular beyond what the
     ridge repairs.
     """
-    x = _matrix_of("features", features)
+    x = _matrix_of("features", features, EncoderTable)
     y, w = _labels_and_weights(labels, x.shape[0], weights)
     r = int(y.max()) + 1
     if r < 2:
@@ -88,10 +93,9 @@ def fit_probe(features, labels, weights=None) -> LinearProbe:
 
 def probe_error(probe: LinearProbe, features, labels, weights=None) -> float:
     """Weighted 0-1 error of the probe's argmax predictions."""
-    x = _matrix_of("features", features)
-    y, w = _labels_and_weights(labels, x.shape[0], weights)
-    wrong = probe.predict(x) != y
-    return float(np.sum(w[wrong]))
+    predicted = probe.predict(features)
+    y, w = _labels_and_weights(labels, predicted.size, weights)
+    return float(np.sum(w[predicted != y]))
 
 
 def labeling_error(joint: JointDistribution, labels: LabelAssignment) -> float:
@@ -105,15 +109,12 @@ def labeling_error(joint: JointDistribution, labels: LabelAssignment) -> float:
 
 def surrogate_labeling_error(induced, labels_visual) -> float:
     """Labeling error measured on a visual-visual induced distribution:
-    ``sum_{v,v'} P(v,v') 1[y(v) != y(v')]``."""
-    if isinstance(induced, NormalizedCooccurrence):
-        raise InvalidSpec("surrogate labeling error needs a mass-1 matrix, not a normalized one")
-    m = _matrix_of("induced", induced)
+    ``sum_{v,v'} P(v,v') 1[y(v) != y(v')]``. ``induced`` is a joint, or a
+    bare matrix held to the joint's rule."""
+    m = _matrix_of("induced", induced, JointDistribution, partial(_probabilities, "induced"))
     if m.shape[0] != m.shape[1]:
         raise InvalidSpec("surrogate labeling error needs a square induced matrix")
     y = _class_indices("labels", labels_visual, m.shape[0])
-    if abs(float(m.sum()) - 1.0) > 1e-9:
-        raise InvalidSpec("induced matrix must be mass-normalized")
     mismatch = y[:, None] != y[None, :]
     return float(m[mismatch].sum())
 
@@ -123,7 +124,7 @@ def estimate_cooccurrence(features) -> InducedDistribution:
     row-normalize features to unit norm, take the Gram matrix, clamp
     negatives at 0, and scale to total mass 1.
     """
-    gram = _unit_rows(_matrix_of("features", features))
+    gram = _unit_rows(_matrix_of("features", features, EncoderTable))
     gram = gram @ gram.T
     gram = np.maximum((gram + gram.T) / 2.0, 0.0)
     total = float(gram.sum())
@@ -140,7 +141,7 @@ def intra_class_connectivity(features, labels):
     :func:`estimate_cooccurrence`), diagonals included. Returns (beta,
     per-class beta array, one per class in label order).
     """
-    x = _matrix_of("features", features)
+    x = _matrix_of("features", features, EncoderTable)
     y = _class_indices("labels", labels, x.shape[0])
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2 or np.any(counts < 2):

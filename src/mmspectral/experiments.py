@@ -30,6 +30,7 @@ from numpy.random import default_rng
 from .distributions import (
     JointDistribution,
     LabelAssignment,
+    NormalizedCooccurrence,
     _integer,
     _real,
     augmentation_joint,
@@ -297,18 +298,32 @@ def _covering_labels(rng, n: int, r: int) -> np.ndarray:
     return labels[rng.permutation(n)]
 
 
-def _one_hot(labels: np.ndarray, r: int) -> np.ndarray:
-    out = np.zeros((labels.size, r))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+def _uni_encoder(norm: NormalizedCooccurrence, k: int):
+    """(top-k eigenvectors of the symmetric ``norm``; the uni-modal closed-form encoder they give)."""
+    _, vecs = np.linalg.eigh(norm.matrix)
+    top = vecs[:, ::-1][:, :k]
+    return top, EncoderTable(top / np.sqrt(norm.marginal_visual)[:, None])
 
 
-def _top_eigvecs(matrix: np.ndarray, k: int) -> np.ndarray:
-    """Top-k eigenvectors of a symmetric matrix, largest eigenvalue first.
-    Divided per row by sqrt of the marginal they are the uni-modal
-    closed-form encoder."""
-    _, vecs = np.linalg.eigh(matrix)
-    return vecs[:, ::-1][:, :k]
+def _in_sample_probe(features: EncoderTable, labels, weights):
+    """(predictions, weighted error) of the probe fitted to ``features``."""
+    probe = fit_probe(features, labels, weights)
+    return probe.predict(features), probe_error(probe, features, labels, weights)
+
+
+def _multimodal_instance(params, seed: int):
+    """(joint, labels, normalized joint) of a synthetic captioned instance."""
+    joint, labels = generate_multimodal(MultiModalGenConfig(
+        params["classes"], params["visual_per_class"], params["language_per_class"], params["target_alpha"],
+        params["concentration"], seed=seed))
+    return joint, labels, normalize_cooccurrence(joint)
+
+
+def _augmentation_instance(params, labels_visual: np.ndarray, seed: int):
+    """(induced joint, augmented labels) of a leaky augmentation of equally likely naturals."""
+    nv = labels_visual.size
+    model = generate_augmentation_model(nv, params["augmentations"], params["leak"], seed=seed)
+    return augmentation_joint(model, np.full(nv, 1.0 / nv)), model.labels_for_augmented(labels_visual)
 
 
 def _gapped_multimodal(params, seed: int):
@@ -321,17 +336,12 @@ def _gapped_multimodal(params, seed: int):
     """
     k, min_gap = params["dim"], params["min_gap"]
     for attempt in range(64):
-        cfg = MultiModalGenConfig(params["classes"], params["visual_per_class"],
-                                  params["language_per_class"], params["target_alpha"],
-                                  params["concentration"], seed=seed * 1009 + attempt)
-        joint, labels = generate_multimodal(cfg)
-        norm = normalize_cooccurrence(joint)
+        joint, labels, norm = _multimodal_instance(params, seed * 1009 + attempt)
         dec = decompose(norm)
         s = dec.singular_values
         if k >= s.size or s[k - 1] - s[k] >= min_gap:
             return joint, labels, norm, dec
-    raise NumericalFailure(
-        f"no instance with spectral gap >= {min_gap} in 64 draws for seed {seed}")
+    raise NumericalFailure(f"no instance with spectral gap >= {min_gap} in 64 draws for seed {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +428,8 @@ def _optimum_case(params, seed):
     fv, fl, history = train_mmcl(joint, cfg)
     final = scl_loss(fv, fl, joint)
     closed_v, _ = optimal_encoders(norm, dec, dim)
-    pv = joint.marginal_visual
-    trained_pred = fit_probe(fv.matrix, labels.visual, pv).predict(fv.matrix)
-    closed_pred = fit_probe(closed_v.matrix, labels.visual, pv).predict(closed_v.matrix)
+    trained_pred, _ = _in_sample_probe(fv, labels.visual, joint.marginal_visual)
+    closed_pred, _ = _in_sample_probe(closed_v, labels.visual, joint.marginal_visual)
     mismatches = int(np.sum(trained_pred != closed_pred))
     return final - target, mismatches, final, target, len(history)
 
@@ -446,20 +455,20 @@ def _grad_case(seed):
     nl = int(rng.integers(3, 8))
     k = int(rng.integers(1, 4))
     joint = _random_joint(rng, nv, nl)
-    fv = rng.standard_normal((nv, k))
-    fl = rng.standard_normal((nl, k))
+    fv = EncoderTable(rng.standard_normal((nv, k)))
+    fl = EncoderTable(rng.standard_normal((nl, k)), side="language")
 
     _, gv, gl = scl_grad(fv, fl, joint)
-    num_v = _central_difference(lambda m: scl_loss(m, fl, joint), fv)
-    num_l = _central_difference(lambda m: scl_loss(fv, m, joint), fl)
+    num_v = _central_difference(lambda m: scl_loss(m, fl, joint), fv.matrix)
+    num_l = _central_difference(lambda m: scl_loss(fv, m, joint), fl.matrix)
     population = _relative_error(np.concatenate([gv.ravel(), gl.ravel()]),
                                  np.concatenate([num_v.ravel(), num_l.ravel()]))
 
     # the uni-modal loss: one table on both sides of the text-induced joint
     induced = text_induced(joint)
-    f = rng.standard_normal((nv, k))
+    f = EncoderTable(rng.standard_normal((nv, k)))
     _, gv_uni, gl_uni = scl_grad(f, f, induced)
-    uni = _relative_error(gv_uni + gl_uni, _central_difference(lambda m: scl_loss(m, m, induced), f))
+    uni = _relative_error(gv_uni + gl_uni, _central_difference(lambda m: scl_loss(m, m, induced), f.matrix))
 
     batch = sample_batch(joint, 12, seed=rng)
     extras = int(rng.integers(1, 4))
@@ -470,8 +479,8 @@ def _grad_case(seed):
         extra_pos_weight=rng.uniform(0.2, 2.0, size=extras),
     )
     _, bv, bl = empirical_scl_grad(fv, fl, batch)
-    num_bv = _central_difference(lambda m: empirical_scl(m, fl, batch), fv)
-    num_bl = _central_difference(lambda m: empirical_scl(fv, m, batch), fl)
+    num_bv = _central_difference(lambda m: empirical_scl(m, fl, batch), fv.matrix)
+    num_bl = _central_difference(lambda m: empirical_scl(fv, m, batch), fl.matrix)
     empirical = _relative_error(np.concatenate([bv.ravel(), bl.ravel()]),
                                 np.concatenate([num_bv.ravel(), num_bl.ravel()]))
     return population, uni, empirical
@@ -586,18 +595,14 @@ def _sweep_case(params, task):
     """Probe error of top-k features fitted to a sampled estimate of one
     sweep point's clean joint ``matrix``."""
     matrix, point, seed = task
-    dim = params["dim"]
     labels = np.repeat(np.arange(params["classes"]), params["groups"] * params["group_size"])
     rng = default_rng([seed, 40, point])
     flat = matrix.ravel()
     counts = rng.multinomial(params["sample_pairs"], flat / flat.sum()).reshape(matrix.shape).astype(float)
     counts = (counts + counts.T) / 2.0
-    estimated = JointDistribution.from_counts(counts)
-    norm = normalize_cooccurrence(estimated)
-    features = _top_eigvecs(norm.matrix, dim) / np.sqrt(norm.marginal_visual)[:, None]
-    kept = labels[norm.visual_index]
-    probe = fit_probe(features, kept, norm.marginal_visual)
-    return float(probe_error(probe, features, kept, norm.marginal_visual))
+    norm = normalize_cooccurrence(JointDistribution.from_counts(counts))
+    _, features = _uni_encoder(norm, params["dim"])
+    return _in_sample_probe(features, labels[norm.visual_index], norm.marginal_visual)[1]
 
 
 def _run_bound_sweep(params, seeds, workers: int):
@@ -659,13 +664,9 @@ def _uni_case(params, seed):
     dim = params["dim"]
     joint, labels, norm, dec = _gapped_multimodal(params, seed)
     closed_v, _ = optimal_encoders(norm, dec, dim)
-
-    pv = norm.marginal_visual
-    top = _top_eigvecs(normalized_uni(norm).matrix, dim)
-    features = top / np.sqrt(pv)[:, None]
-
-    pred_multi = fit_probe(closed_v.matrix, labels.visual, pv).predict(closed_v.matrix)
-    pred_uni = fit_probe(features, labels.visual, pv).predict(features)
+    top, features = _uni_encoder(normalized_uni(norm), dim)
+    pred_multi, _ = _in_sample_probe(closed_v, labels.visual, norm.marginal_visual)
+    pred_uni, _ = _in_sample_probe(features, labels.visual, norm.marginal_visual)
     mismatches = int(np.sum(pred_multi != pred_uni))
     return mismatches, _max_principal_angle(dec.left[:, :dim], top)
 
@@ -721,23 +722,15 @@ def _alpha_case(seed):
 
 
 def _estimator_case(params, seed):
-    classes, vpc, dim = params["classes"], params["visual_per_class"], params["dim"]
-    cfg = MultiModalGenConfig(classes, vpc, params["language_per_class"], params["target_alpha"],
-                              params["concentration"], seed=seed)
-    joint, labels = generate_multimodal(cfg)
-    norm = normalize_cooccurrence(joint)
-    teacher_v, _ = optimal_encoders(norm, decompose(norm), dim)
-    estimated = estimate_cooccurrence(teacher_v.matrix)
-    alpha_teacher = surrogate_labeling_error(estimated, labels.visual)
-    beta_teacher, _ = intra_class_connectivity(teacher_v.matrix, labels.visual)
+    _, labels, norm = _multimodal_instance(params, seed)
+    teacher_v, _ = optimal_encoders(norm, decompose(norm), params["dim"])
+    alpha_teacher = surrogate_labeling_error(estimate_cooccurrence(teacher_v), labels.visual)
+    beta_teacher, _ = intra_class_connectivity(teacher_v, labels.visual)
 
-    nv = classes * vpc
-    model = generate_augmentation_model(nv, params["augmentations"], params["leak"], seed=seed)
-    induced = augmentation_joint(model, np.full(nv, 1.0 / nv))
-    labels_aug = model.labels_for_augmented(labels.visual)
+    induced, labels_aug = _augmentation_instance(params, labels.visual, seed)
     alpha_aug = surrogate_labeling_error(induced, labels_aug)
     norm = normalize_cooccurrence(induced)
-    features = _top_eigvecs(norm.matrix, dim) / np.sqrt(norm.marginal_visual)[:, None]
+    _, features = _uni_encoder(norm, params["dim"])
     beta_aug, _ = intra_class_connectivity(features, labels_aug[norm.visual_index])
     return alpha_teacher, beta_teacher, alpha_aug, beta_aug
 
@@ -756,10 +749,8 @@ def _run_estimators(params, seeds, workers: int):
         _check("beta-direction", float(beta_teacher - beta_aug), 0.0,
                f"mean beta: teacher={beta_teacher!r} augmentation={beta_aug!r}", ok=operator.gt),
     ]
-    rows = []
-    for case in results:
-        rows.append(("teacher", float(case[0]), float(case[1])))
-        rows.append(("augmentation", float(case[2]), float(case[3])))
+    rows = [row for a_t, b_t, a_a, b_a in results
+            for row in (("teacher", float(a_t), float(b_t)), ("augmentation", float(a_a), float(b_a)))]
     return checks, {"estimators.csv": (["graph", "alpha_T", "beta"], rows)}
 
 
@@ -769,14 +760,9 @@ def _run_estimators(params, seeds, workers: int):
 
 
 def _resample_case(params, seed):
-    classes, ppc = params["classes"], params["parents_per_class"]
-    nv = classes * ppc
-    labels_v = np.repeat(np.arange(classes), ppc)
-    model = generate_augmentation_model(nv, params["augmentations"], params["leak"], seed=seed)
-    induced = augmentation_joint(model, np.full(nv, 1.0 / nv))
-    labels_aug = model.labels_for_augmented(labels_v)
-    marginal = induced.marginal
-    teacher = EncoderTable(_one_hot(labels_aug, classes), side="augmented")
+    classes, parents = params["classes"], params["parents_per_class"]
+    induced, labels_aug = _augmentation_instance(params, np.repeat(np.arange(classes), parents), seed)
+    teacher = EncoderTable(np.eye(classes)[labels_aug], side="augmented")
 
     cfg = TrainConfig(dim=params["dim"], learning_rate=params["learning_rate"], max_steps=params["steps"],
                       batch_mode="sampled", batch_size=params["batch_size"], seed=seed)
@@ -784,16 +770,14 @@ def _resample_case(params, seed):
     accuracies = []
     for resample in resamples:  # the baseline, then each strategy
         encoder, _ = train_sscl(induced, cfg=cfg, resample=resample, teacher=teacher)
-        probe = fit_probe(encoder.matrix, labels_aug, marginal)
-        accuracies.append(1.0 - probe_error(probe, encoder.matrix, labels_aug, marginal))
+        accuracies.append(1.0 - _in_sample_probe(encoder, labels_aug, induced.marginal)[1])
     return accuracies
 
 
 def _run_resample_compare(params, seeds, workers: int):
     table = np.asarray(_map_tasks(partial(_resample_case, params), seeds, workers))
     baseline = table[:, 0]
-    margins = {name: float(np.mean(table[:, i + 1] - baseline))
-               for i, name in enumerate(STRATEGIES)}
+    margins = {name: float(np.mean(table[:, i + 1] - baseline)) for i, name in enumerate(STRATEGIES)}
 
     best_other = max(v for k, v in margins.items() if k != "AddNewPositive")
     checks = [_check("addnew-largest-margin", margins["AddNewPositive"] - best_other, 0.0,

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import JointDistribution, _class_indices, _integer, _matrix_of, _reals
+from .distributions import JointDistribution, NormalizedCooccurrence, _class_indices, _integer, _matrix_of, _reals
 from .errors import InvalidBatchSize, InvalidSpec
 
 ENCODER_SIDES = ("visual", "language", "augmented")
@@ -75,7 +75,7 @@ def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
     With one table on both sides of a symmetric joint, such as an
     :class:`~mmspectral.distributions.InducedDistribution`, this is the
     uni-modal spectral contrastive loss."""
-    fv, fl = _matrix_of("f_visual", f_visual), _matrix_of("f_language", f_language)
+    fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
     scores = fv @ fl.T
@@ -86,9 +86,9 @@ def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
 
 def amf_loss(factor_visual, factor_language, normalized) -> float:
     """Squared Frobenius residual of the asymmetric factorization:
-    ``|| P_norm - F_V F_L^T ||_F^2``."""
-    resid = (_matrix_of("normalized", normalized)
-             - _matrix_of("factor_visual", factor_visual) @ _matrix_of("factor_language", factor_language).T)
+    ``|| P_norm - F_V F_L^T ||_F^2``, on bare factors (:meth:`EncoderTable.factor`)."""
+    resid = (_matrix_of("normalized", normalized, NormalizedCooccurrence)
+             - _reals("factor_visual", factor_visual, 2) @ _reals("factor_language", factor_language, 2).T)
     return float(np.sum(resid * resid))
 
 
@@ -96,7 +96,7 @@ def equivalence_constant(normalized) -> float:
     """Squared Frobenius norm of the normalized co-occurrence matrix: the
     constant separating the factorization residual from the contrastive
     loss. Equals the sum of squared singular values."""
-    target = _matrix_of("normalized", normalized)
+    target = _matrix_of("normalized", normalized, NormalizedCooccurrence)
     return float(np.sum(target * target))
 
 
@@ -394,7 +394,7 @@ def empirical_scl(f_visual, f_language, batch: Batch) -> float:
     Appended extra positives contribute their own weighted
     -2 * mean(score) term.
     """
-    fv, fl = _matrix_of("f_visual", f_visual), _matrix_of("f_language", f_language)
+    fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     plan = _Plan.of_batch(batch)
     return float(plan.losses(_row_dots(fv[plan.visual], fl[plan.language]))[0])
 
@@ -403,7 +403,7 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     """:func:`empirical_scl` of ``count`` consecutive batches drawn from
     ``sampler`` with ``rng``, bit for bit, evaluated a plan chunk of
     batches at a time without building any ``Batch``."""
-    fv, fl = _matrix_of("f_visual", f_visual), _matrix_of("f_language", f_language)
+    fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     draws = sampler.draw_chunk(rng, count)
     losses = np.empty(count)
     for batches, plan in _Plan.chunks(draws, fv.shape[1]):
@@ -414,7 +414,7 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
 def empirical_scl_grad(f_visual, f_language, batch: Batch):
     """Value and analytic gradients of :func:`empirical_scl` with respect
     to both feature tables. Returns (loss, grad_visual, grad_language)."""
-    fv, fl = _matrix_of("f_visual", f_visual), _matrix_of("f_language", f_language)
+    fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     plan = _Plan.of_batch(batch)
     grads = _PlanGrads(plan, fv.shape[1], fv.shape[0], fl.shape[0])
     flat = grads(0, np.concatenate([fv, fl]))
@@ -425,14 +425,14 @@ def scl_grad(f_visual, f_language, joint: JointDistribution):
     """Analytic gradients of :func:`scl_loss` with respect to both feature
     tables. Returns (loss, grad_visual, grad_language). For one table
     shared by both sides, its gradient is ``grad_visual + grad_language``."""
-    fv, fl = _matrix_of("f_visual", f_visual), _matrix_of("f_language", f_language)
+    fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
     scores = fv @ fl.T
     weighted = pv[:, None] * scores * pl[None, :]
     gv = -2.0 * (p @ fl) + 2.0 * (weighted @ fl)
     gl = -2.0 * (p.T @ fv) + 2.0 * (weighted.T @ fv)
-    return scl_loss(fv, fl, joint), gv, gl
+    return scl_loss(f_visual, f_language, joint), gv, gl
 
 
 __all__ = [

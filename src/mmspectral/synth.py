@@ -3,8 +3,11 @@
 Three families: two-hidden-layer hierarchical random graphs with a single
 separation knob, bipartite multi-modal joints with a controllable labeling
 error, and augmentation models (mostly self-connections plus a uniform
-leak). All randomness goes through numpy's default_rng (PCG64), so
-identical seeds give bit-identical outputs across platforms.
+leak). An augmentation model is drawn as the conditional
+:class:`~mmspectral.distributions.AugmentationModel`, which lives in
+``distributions`` and is re-exported here. All randomness goes through
+numpy's default_rng (PCG64), so identical seeds give bit-identical
+outputs across platforms.
 """
 from __future__ import annotations
 
@@ -13,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import (InducedDistribution, JointDistribution, LabelAssignment, _class_indices, _integer,
-                            _real, _reals)
+from .distributions import AugmentationModel, InducedDistribution, JointDistribution, LabelAssignment, _integer, _real
 from .errors import InvalidSpec
 
 CONSTRAINT_TOL = 1e-12
@@ -154,45 +156,6 @@ def generate_multimodal(cfg: MultiModalGenConfig) -> tuple[JointDistribution, La
         p[off] = t / off.sum()
 
     return JointDistribution.from_counts(p), LabelAssignment(labels_v, labels_l, r)
-
-
-@dataclass(frozen=True)
-class AugmentationModel:
-    """Conditional distribution of augmented samples given naturals.
-
-    ``matrix`` has shape (N_A, N_V) and is read columnwise: column v is
-    A(.|v) and sums to 1. Augmented samples are laid out in parent-major
-    order, so augmented index ``v * augs_per_sample + j`` descends from
-    natural sample v.
-    """
-
-    matrix: np.ndarray
-    augs_per_sample: int
-
-    def __post_init__(self):
-        a = _reals("conditional matrix", self.matrix, 2)
-        object.__setattr__(self, "augs_per_sample", _integer("augs_per_sample", self.augs_per_sample, 1))
-        if a.shape[0] != self.augs_per_sample * a.shape[1]:
-            raise InvalidSpec("expected N_A == augs_per_sample * N_V")
-        if np.any(a < 0.0):
-            raise InvalidSpec("conditional entries must be non-negative")
-        col = a.sum(axis=0)
-        if np.max(np.abs(col - 1.0)) > 1e-9:
-            raise InvalidSpec("each column A(.|v) must sum to 1")
-        object.__setattr__(self, "matrix", a)
-
-    @property
-    def num_visual(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def parent(self) -> np.ndarray:
-        """Natural-sample index of each augmented sample."""
-        return np.repeat(np.arange(self.num_visual), self.augs_per_sample)
-
-    def labels_for_augmented(self, labels_visual) -> np.ndarray:
-        """Lift natural-sample labels to the augmented samples."""
-        return _class_indices("labels", labels_visual, self.num_visual)[self.parent]
 
 
 def generate_augmentation_model(num_visual: int, augs_per_sample: int, leak: float,

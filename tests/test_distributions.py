@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmspectral
 from mmspectral import (
     DegenerateDistribution,
     InducedDistribution,
@@ -272,6 +273,16 @@ class TestAugmentationJoint:
     def test_rejects_bad_column_sums(self):
         with pytest.raises(InvalidSpec):
             augmentation_joint(np.array([[0.5, 0.0], [0.4, 1.0]]), [0.5, 0.5])
+
+    def test_names_the_conditional_for_negative_entries(self):
+        """Columns that sum to 1 around a negative entry fail on the
+        conditional the caller passed, not on the joint it would give."""
+        with pytest.raises(InvalidSpec, match="^conditional entries must be non-negative$"):
+            augmentation_joint([[1.5, -0.2], [-0.5, 1.2]], [0.5, 0.5])
+
+    def test_the_model_is_defined_here_and_drawn_in_synth(self):
+        assert mmspectral.synth.AugmentationModel is mmspectral.AugmentationModel
+        assert mmspectral.AugmentationModel is mmspectral.distributions.AugmentationModel
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

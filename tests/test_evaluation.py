@@ -96,6 +96,12 @@ class TestFitProbeAndError:
         with pytest.raises(InvalidSpec):
             probe_error(probe, features, labels, weights)
 
+    def test_features_of_another_width_are_refused(self):
+        probe = fit_probe(np.eye(3), [0, 1, 1])
+        for call in (probe.predict, lambda x: probe_error(probe, x, [0, 1, 1])):
+            with pytest.raises(InvalidSpec, match=r"^features must have 3 columns to match the probe"):
+                call(np.ones((3, 2)))
+
 
 UNIFORM_4X4 = JointDistribution(np.full((4, 4), 1.0 / 16.0))
 
@@ -205,6 +211,16 @@ class TestSurrogateLabelingError:
         induced = text_induced(JointDistribution([[0.25, 0.25], [0.25, 0.25]]))
         with pytest.raises(InvalidSpec, match="labels must be class indices >= 0"):
             surrogate_labeling_error(induced, np.array([-1, 0]))
+
+    @pytest.mark.parametrize("matrix,message", [
+        ([[0.6, -0.1], [-0.1, 0.6]], "^induced entries must be non-negative$"),
+        ([[0.25, 0.25], [0.25, 0.25 + 1e-10]], "^induced mass must be 1"),
+    ], ids=["negative", "mass-off-by-1e-10"])
+    def test_a_bare_matrix_is_held_to_the_joint_rule(self, matrix, message):
+        """A bare induced matrix is no error rate unless it is a joint:
+        the negative one read -0.2 before it was checked."""
+        with pytest.raises(InvalidSpec, match=message):
+            surrogate_labeling_error(matrix, [0, 1])
 
 
 class TestEstimateCooccurrence:

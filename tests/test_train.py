@@ -1,4 +1,5 @@
 """Training loops and teacher-guided batch resampling."""
+import dataclasses
 import math
 import re
 from dataclasses import replace
@@ -192,6 +193,13 @@ NUMBER_REPRODUCERS = {
     "batch-indices-ragged": (lambda ind, joint: Batch([[0], 1], [0, 0], [], [], [], [], n=6), InvalidSpec),
     "candidates-ragged": (lambda ind, joint: nearest_neighbor_positive(0, [[1], 2], EncoderTable(np.eye(3))),
                           InvalidSpec),
+    "encoder-bool-among-floats": (lambda ind, joint: EncoderTable([[0.5, True]]), InvalidSpec),
+    "joint-bool-among-floats": (lambda ind, joint: JointDistribution([[0.5, False], [0.5, False]]), InvalidSpec),
+    "probe-bool-among-floats": (lambda ind, joint: LinearProbe([[1.0, True]]), InvalidSpec),
+    "probe-weights-bool-among-floats": (lambda ind, joint: fit_probe(np.eye(3), [0, 1, 1], [1.0, True, 1.0]),
+                                        InvalidSpec),
+    "labels-bool-among-integers": (lambda ind, joint: LabelAssignment([0, True], [0, 1], 2), InvalidSpec),
+    "augmentation-model-empty": (lambda ind, joint: AugmentationModel(np.zeros((0, 0)), 1), InvalidSpec),
 }
 
 
@@ -365,17 +373,131 @@ def corrupted(valid, kind: str, at: int):
         row = row[i]
     entry = row[index[-1]]
     row[index[-1]] = {"string": str(entry), "complex": complex(entry), "ragged": [entry, entry],
-                      "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[kind]
+                      "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "bool among floats": True}[kind]
     return nested
 
 
+#: the one wrapper type each matrix argument takes besides a bare array,
+#: ``()`` where it takes none; a float-array argument not listed takes none
+WRAPPED = {
+    **{slot: EncoderTable for slot in (
+        "LinearProbe.scores", "scl_loss.f_visual", "scl_loss.f_language", "scl_grad.f_visual",
+        "scl_grad.f_language", "empirical_scl.f_visual", "empirical_scl.f_language", "empirical_scl_grad.f_visual",
+        "empirical_scl_grad.f_language", "empirical_scl_batches.f_visual", "empirical_scl_batches.f_language",
+        "fit_probe.features", "probe_error.features", "estimate_cooccurrence.features",
+        "intra_class_connectivity.features")},
+    "amf_loss.normalized": NormalizedCooccurrence,
+    "equivalence_constant.normalized": NormalizedCooccurrence,
+    "surrogate_labeling_error.induced": JointDistribution,
+    "augmentation_joint.model": AugmentationModel,
+    "amf_loss.factor_visual": (),
+    "amf_loss.factor_language": (),
+}
+
+
+def wrappers_holding(valid) -> list:
+    """One object of each type with a ``matrix`` that can hold ``valid``
+    (as a 2-d array, of non-negative entries rescaled to mass 1 for a
+    joint), so that reading its ``matrix`` would take the call."""
+    m = np.atleast_2d(np.asarray(valid, dtype=float))
+    rows, cols = m.shape
+    builders = (
+        EncoderTable,
+        lambda m: JointDistribution.from_counts(np.abs(m)),
+        lambda m: NormalizedCooccurrence(np.abs(m), np.ones(rows), np.ones(cols), np.arange(rows), np.arange(cols)),
+        lambda m: AugmentationModel(m, rows // cols),
+    )
+    held = []
+    for build in builders:
+        try:
+            held.append(build(m))
+        except InvalidSpec:  # a conditional or joint that ``valid`` cannot be
+            pass
+    return held
+
+
+def wrong_wrappers(slot: str) -> list:
+    """The objects of :func:`wrappers_holding` of slot's valid value whose type the slot does not take."""
+    return [w for w in wrappers_holding(ARRAY_SLOTS[slot][1]) if not isinstance(w, WRAPPED.get(slot, ()))]
+
+
 @given(slot=st.sampled_from(sorted(ARRAY_SLOTS)), at=st.integers(0, 100),
-       kind=st.sampled_from(["bools", "string", "complex", "nan", "inf", "-inf", "ragged", "fewer axes", "more axes"]))
-@settings(max_examples=300, deadline=None)
+       kind=st.sampled_from(["bools", "string", "complex", "nan", "inf", "-inf", "ragged", "fewer axes", "more axes",
+                             "bool among floats", "wrong wrapper"]))
+@settings(max_examples=400, deadline=None)
 def test_array_arguments_refuse_bools_strings_complex_non_finite_ragged_and_other_shapes(slot, at, kind):
+    """Also a bool among the numbers of a list, and an object with a
+    ``matrix`` of a type the argument does not take."""
     name, valid, call = ARRAY_SLOTS[slot]
+    if kind == "wrong wrapper":
+        wrappers = wrong_wrappers(slot)
+        value = wrappers[at % len(wrappers)]
+    else:
+        value = corrupted(valid, kind, at)
     with pytest.raises(InvalidSpec, match=f"^{re.escape(name)} must be a [12]-d array of finite real numbers"):
-        call(corrupted(valid, kind, at))
+        call(value)
+
+
+@pytest.mark.parametrize("slot", sorted(WRAPPED))
+def test_matrix_arguments_refuse_a_wrapper_of_another_type(slot):
+    """A joint as features or as a normalized matrix, a normalized matrix
+    as an induced joint, a feature table as a conditional or as a factor:
+    none is read as the matrix it holds."""
+    name, _, call = ARRAY_SLOTS[slot]
+    wrappers = wrong_wrappers(slot)
+    assert len(wrappers) >= 2
+    for wrapper in wrappers:
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(name)} must be a 2-d array of finite real numbers"):
+            call(wrapper)
+
+
+def same(a, b) -> bool:
+    """Bit-identical: floats by repr, arrays by dtype, shape and bytes,
+    dataclasses and tuples field by field."""
+    if isinstance(a, tuple):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_a_wrapper_and_its_matrix_give_bit_identical_results(seed):
+    """Every function that takes a wrapper reads it as its bare ``matrix``."""
+    rng = np.random.default_rng(seed)
+    nv, nl, k = int(rng.integers(4, 9)), int(rng.integers(2, 9)), int(rng.integers(1, 4))
+    joint = JointDistribution.from_counts(rng.gamma(1.0, size=(nv, nl)))
+    norm = normalize_cooccurrence(joint)
+    fv = EncoderTable(rng.standard_normal((nv, k)))
+    fl = EncoderTable(rng.standard_normal((nl, k)), side="language")
+    labels = np.arange(nv) % 2
+    model = generate_augmentation_model(nv, 2, float(rng.uniform(0.0, 1.0)), seed=seed)
+    batch = sample_batch(joint, 12, seed=seed)
+    probe = fit_probe(fv, labels)
+    calls = {
+        "scl_loss": lambda w: scl_loss(w(fv), w(fl), joint),
+        "scl_grad": lambda w: scl_grad(w(fv), w(fl), joint),
+        "empirical_scl": lambda w: empirical_scl(w(fv), w(fl), batch),
+        "empirical_scl_grad": lambda w: empirical_scl_grad(w(fv), w(fl), batch),
+        "empirical_scl_batches": lambda w: empirical_scl_batches(
+            w(fv), w(fl), BatchSampler(joint, 6), np.random.default_rng(seed), 3),
+        "amf_loss": lambda w: amf_loss(fv.factor(norm.marginal_visual), fl.factor(norm.marginal_language), w(norm)),
+        "equivalence_constant": lambda w: equivalence_constant(w(norm)),
+        "LinearProbe.scores": lambda w: probe.scores(w(fv)),
+        "fit_probe": lambda w: fit_probe(w(fv), labels, joint.marginal_visual),
+        "probe_error": lambda w: probe_error(probe, w(fv), labels, joint.marginal_visual),
+        "estimate_cooccurrence": lambda w: estimate_cooccurrence(w(fv)),
+        "intra_class_connectivity": lambda w: intra_class_connectivity(w(fv), labels),
+        "surrogate_labeling_error": lambda w: surrogate_labeling_error(w(text_induced(joint)), labels),
+        "augmentation_joint": lambda w: augmentation_joint(w(model), joint.marginal_visual),
+    }
+    for name, call in calls.items():
+        assert same(call(lambda x: x), call(lambda x: x.matrix)), name
 
 
 #: where a float array is stored as it was given: each takes any finite 2-d array

@@ -36,11 +36,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from mmspectral import (  # noqa: E402
-    BatchSampler, EncoderTable, JointDistribution, ResampleConfig, TrainConfig, apply_strategy,
-    augmentation_joint, empirical_scl, empirical_scl_batches, empirical_scl_grad, generate_augmentation_model,
-    sample_batch, train_sscl,
+    BatchSampler, EncoderTable, JointDistribution, ResampleConfig, TrainConfig, apply_strategy, empirical_scl,
+    empirical_scl_batches, empirical_scl_grad, sample_batch, train_sscl,
 )
-from mmspectral.experiments import SUITES  # noqa: E402
+from mmspectral.experiments import SUITES, _augmentation_instance  # noqa: E402
 from mmspectral.train import STRATEGIES  # noqa: E402
 
 REPEATS = 7
@@ -78,12 +77,11 @@ def mc_loss_case():
 
 
 def resample_compare_instance():
-    """The first seed's induced joint, teacher and training config."""
+    """The first seed's induced joint (by the suite's own augmentation
+    recipe), teacher and training config."""
     params = SUITES["resample-compare"].defaults
-    classes, parents = params["classes"], params["parents_per_class"]
-    model = generate_augmentation_model(classes * parents, params["augmentations"], params["leak"], seed=0)
-    induced = augmentation_joint(model, np.full(classes * parents, 1.0 / (classes * parents)))
-    labels = model.labels_for_augmented(np.repeat(np.arange(classes), parents))
+    classes = params["classes"]
+    induced, labels = _augmentation_instance(params, np.repeat(np.arange(classes), params["parents_per_class"]), 0)
     teacher = EncoderTable(np.eye(classes)[labels], side="augmented")
     cfg = TrainConfig(dim=params["dim"], learning_rate=params["learning_rate"], max_steps=params["steps"],
                       batch_mode="sampled", batch_size=params["batch_size"], seed=0)
