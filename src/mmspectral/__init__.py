@@ -79,7 +79,6 @@ from .synth import (
     build_hierarchical_matrix,
     generate_augmentation_model,
     generate_multimodal,
-    hierarchical_probabilities,
 )
 from .train import (
     LossHistory,

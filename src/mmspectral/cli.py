@@ -25,7 +25,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for kind in SUITES:
+        p = sub.add_parser(kind, help=f"run the {kind} suite")
         p.add_argument("--config", default=None, help="JSON config file with parameter overrides")
         p.add_argument("--seed", type=int, default=None, help="base seed for the seed sweep")
         p.add_argument("--out", default=None, help="output directory for artifacts and the report")
@@ -34,12 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parallel", type=int, default=1, metavar="N",
                        help="fan independent work units over N worker processes")
 
-    for kind in SUITES:
-        add_common(sub.add_parser(kind, help=f"run the {kind} suite"))
-
     rep = sub.add_parser("report", help="summarize previously written run reports")
-    rep.add_argument("paths", nargs="*", help="report JSON files (default: <out>/*-report.json)")
-    add_common(rep)
+    rep.add_argument("paths", nargs="*", help="report JSON files (default: <out>/**/*-report.json)")
+    rep.add_argument("--out", default=None, help="directory globbed when no paths are given (default: runs)")
     return parser
 
 

@@ -41,6 +41,8 @@ class LinearProbe:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _reals("probe weights", self.weights, 2))
+        if self.weights.shape[1] == 0:
+            raise InvalidSpec("probe weights need at least one class column")
 
     def scores(self, features) -> np.ndarray:
         x = _matrix_of("features", features, EncoderTable)

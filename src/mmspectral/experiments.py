@@ -64,6 +64,7 @@ from .spectral import bound_report, decompose, hierarchical_eigenvalues, optimal
 from .synth import (
     HierarchicalGraphSpec,
     MultiModalGenConfig,
+    _block_matrix,
     build_hierarchical_matrix,
     generate_augmentation_model,
     generate_multimodal,
@@ -512,7 +513,7 @@ def _hrg_case(params, pair):
     s_l, s_h = pair
     worst = 0.0
     for sep in params["separations"]:
-        spec = HierarchicalGraphSpec.from_separation(s_l, s_h, sep)
+        spec = HierarchicalGraphSpec(s_l, s_h, sep)
         closed_raw = hierarchical_eigenvalues(spec)
         induced = build_hierarchical_matrix(spec)
         numeric_raw = np.linalg.eigvalsh(induced.matrix)[::-1]
@@ -535,7 +536,7 @@ def _run_hrg_spectrum(params, seeds, workers: int):
     s_l, s_h = params["csv_pair"]
     rows = []
     for sep in separations:
-        spec = HierarchicalGraphSpec.from_separation(s_l, s_h, sep)
+        spec = HierarchicalGraphSpec(s_l, s_h, sep)
         svals = spec.num_samples * hierarchical_eigenvalues(spec)
         rows.append((sep, *[float(v) for v in svals]))
     header = ["separation"] + [f"sigma_{t + 1}" for t in range(s_l * s_h)]
@@ -551,7 +552,7 @@ def _monotone_case(params, pair):
     s_l, s_h = pair
     spectra = []
     for sep in sorted(params["separations"]):
-        induced = build_hierarchical_matrix(HierarchicalGraphSpec.from_separation(s_l, s_h, sep))
+        induced = build_hierarchical_matrix(HierarchicalGraphSpec(s_l, s_h, sep))
         norm = normalize_cooccurrence(induced)
         spectra.append(decompose(norm).singular_values)
     worst = -math.inf
@@ -561,26 +562,12 @@ def _monotone_case(params, pair):
     return worst
 
 
-def _nested_block_matrix(classes: int, groups: int, group_size: int,
-                         within: float, mid: float, cross: float) -> np.ndarray:
-    """Three-tier block-constant symmetric joint: ``within`` inside a
-    group, ``mid`` across groups of one class, ``cross`` across classes."""
-    n = classes * groups * group_size
-    m = np.full((n, n), cross)
-    block = groups * group_size
-    for c in range(classes):
-        sl = slice(c * block, (c + 1) * block)
-        m[sl, sl] = mid
-    for g in range(classes * groups):
-        sl = slice(g * group_size, (g + 1) * group_size)
-        m[sl, sl] = within
-    return m
-
-
 def _sweep_masses(point: int, points: int, classes: int, groups: int,
                   group_size: int, cross_mass: float):
-    """Mass levels for sweep point ``point``: cross-class mass is pinned
-    (fixed labeling error), the mid level climbs from its degenerate floor
+    """Mass levels of sweep point ``point``'s three-tier joint, outermost
+    first: ``cross`` across classes, ``mid`` across groups of one class,
+    ``within`` inside a group. The cross-class mass is pinned (fixed
+    labeling error); the mid level climbs from its degenerate floor
     (mid = cross) toward the ceiling where the group tier vanishes."""
     n = classes * groups * group_size
     cross = cross_mass / (n * (classes - 1) * groups * group_size)
@@ -588,7 +575,7 @@ def _sweep_masses(point: int, points: int, classes: int, groups: int,
     tau = (point + 1) / (points + 1)
     mid = cross + tau * (mid_max - cross)
     within = (1.0 - cross_mass - n * (groups - 1) * group_size * mid) / (n * group_size)
-    return within, mid, cross
+    return cross, mid, within
 
 
 def _sweep_case(params, task):
@@ -618,7 +605,7 @@ def _run_bound_sweep(params, seeds, workers: int):
         labels = np.repeat(np.arange(s_l), s_h)
         assignment = LabelAssignment(labels, labels, s_l)
         for sep in separations:
-            induced = build_hierarchical_matrix(HierarchicalGraphSpec.from_separation(s_l, s_h, sep))
+            induced = build_hierarchical_matrix(HierarchicalGraphSpec(s_l, s_h, sep))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegenerateGap)  # sigma_k = sigma_{k+1} at separation 0
                 report = bound_report(induced, assignment, s_l)
@@ -634,7 +621,7 @@ def _run_bound_sweep(params, seeds, workers: int):
     matrices, sigma_next, alphas = [], np.zeros(points), np.zeros(points)
     for point in range(points):
         masses = _sweep_masses(point, points, classes, groups, group_size, params["cross_mass"])
-        clean = JointDistribution(_nested_block_matrix(classes, groups, group_size, *masses))
+        clean = JointDistribution(_block_matrix((classes, groups, group_size), masses))
         matrices.append(clean.matrix)
         alphas[point] = labeling_error(clean, LabelAssignment(labels, labels, classes))
         sigma_next[point] = decompose(normalize_cooccurrence(clean)).singular_values[params["dim"]]
@@ -759,13 +746,18 @@ def _run_estimators(params, seeds, workers: int):
 # plain SGD baseline on a leaky augmentation instance with an ideal teacher
 
 
-def _resample_case(params, seed):
+def _resample_instance(params, seed: int):
+    """(induced joint, augmented labels, one-hot class teacher, sampled training config) of one seed."""
     classes, parents = params["classes"], params["parents_per_class"]
     induced, labels_aug = _augmentation_instance(params, np.repeat(np.arange(classes), parents), seed)
     teacher = EncoderTable(np.eye(classes)[labels_aug], side="augmented")
-
     cfg = TrainConfig(dim=params["dim"], learning_rate=params["learning_rate"], max_steps=params["steps"],
                       batch_mode="sampled", batch_size=params["batch_size"], seed=seed)
+    return induced, labels_aug, teacher, cfg
+
+
+def _resample_case(params, seed):
+    induced, labels_aug, teacher, cfg = _resample_instance(params, seed)
     resamples = [None] + [ResampleConfig(name, mixing_weight=params["mixing_weight"]) for name in STRATEGIES]
     accuracies = []
     for resample in resamples:  # the baseline, then each strategy

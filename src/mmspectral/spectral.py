@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (JointDistribution, LabelAssignment, NormalizedCooccurrence, _integer, _reals,
-                            normalize_cooccurrence)
+from .distributions import (JointDistribution, LabelAssignment, NormalizedCooccurrence, _integer, _matrix_of,
+                            _reals, normalize_cooccurrence)
 from .errors import DegenerateGap, InvalidSpec, NumericalFailure, SpectralGapZero
 from .evaluation import labeling_error
 from .losses import EncoderTable
@@ -63,8 +63,9 @@ def decompose(norm: NormalizedCooccurrence) -> SpectralDecomposition:
     Raises NumericalFailure if the Frobenius reconstruction residual
     exceeds RECONSTRUCTION_TOL.
     """
-    u, s, vt = np.linalg.svd(norm.matrix, full_matrices=False)
-    resid = float(np.linalg.norm(norm.matrix - (u * s) @ vt))
+    m = _matrix_of("norm", norm, NormalizedCooccurrence)
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    resid = float(np.linalg.norm(m - (u * s) @ vt))
     if resid > RECONSTRUCTION_TOL:
         raise NumericalFailure(f"SVD reconstruction residual {resid!r} exceeds {RECONSTRUCTION_TOL}")
     return SpectralDecomposition(left=u, singular_values=s, right=vt.T)
@@ -96,6 +97,9 @@ def optimal_encoders(norm: NormalizedCooccurrence, dec: SpectralDecomposition,
     them into the loss gives -(sigma_1^2 + ... + sigma_k^2), the best any
     rank-k factorization can do.
     """
+    if not (isinstance(norm, NormalizedCooccurrence) and isinstance(dec, SpectralDecomposition)):
+        raise InvalidSpec("optimal encoders need a NormalizedCooccurrence and a SpectralDecomposition, "
+                          f"got {type(norm).__name__} and {type(dec).__name__}")
     rows = (dec.left.shape[0], dec.right.shape[0])
     if rows != norm.matrix.shape:
         raise InvalidSpec(f"decomposition factor rows {rows} do not match the normalized joint {norm.matrix.shape}")

@@ -1,9 +1,10 @@
 """Seeded generators for synthetic instances.
 
-Three families: two-hidden-layer hierarchical random graphs with a single
-separation knob, bipartite multi-modal joints with a controllable labeling
-error, and augmentation models (mostly self-connections plus a uniform
-leak). An augmentation model is drawn as the conditional
+Three families: two-hidden-layer hierarchical random graphs given by
+their separation (one nested block generator fills every block-constant
+graph), bipartite multi-modal joints with a controllable labeling error,
+and augmentation models (mostly self-connections plus a uniform leak).
+An augmentation model is drawn as the conditional
 :class:`~mmspectral.distributions.AugmentationModel`, which lives in
 ``distributions`` and is re-exported here. All randomness goes through
 numpy's default_rng (PCG64), so identical seeds give bit-identical
@@ -11,6 +12,7 @@ outputs across platforms.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,78 +21,66 @@ from numpy.random import default_rng
 from .distributions import AugmentationModel, InducedDistribution, JointDistribution, LabelAssignment, _integer, _real
 from .errors import InvalidSpec
 
-CONSTRAINT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class HierarchicalGraphSpec:
-    """Two-hidden-layer random graph over ``s_l * s_h`` visual samples.
+    """Two-hidden-layer random graph over ``n = s_l * s_h`` visual samples:
+    ``s_l >= 2`` first-layer branches of ``s_h`` leaves each. Pairs sharing
+    a branch co-occur with probability ``p_h``, all other pairs with ``p_l``.
 
-    The first layer has ``s_l`` branches; each branch has ``s_h`` leaves.
-    Pairs sharing a first-layer branch co-occur with probability ``p_h``,
-    all other pairs with ``p_l``. The normalization constraint
-    ``s_h*p_h + (s_l-1)*s_h*p_l = 1/(s_l*s_h)`` makes total mass 1.
-    ``p_h == p_l`` is allowed: it is the zero-separation uniform graph.
+    The separation in [0, 1] interpolates linearly between the uniform
+    graph (0: p_h = p_l) and the disconnected graph (1: p_l = 0):
+    ``p_l = (1 - separation) / n^2``, and ``p_h = (1 + (s_l - 1)*separation)
+    / n^2`` is the value the mass constraint ``s_h*p_h + (s_l-1)*s_h*p_l =
+    1/n`` forces. ``p_h - p_l = s_l * separation / n^2`` is strictly
+    increasing in the separation; the p_h form keeps p_h >= p_l exact in
+    floats, without cancellation.
     """
 
     s_l: int
     s_h: int
-    p_l: float
-    p_h: float
+    separation: float
 
     def __post_init__(self):
         for name in ("s_l", "s_h"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
-        for name in ("p_l", "p_h"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not (self.p_h >= self.p_l >= 0.0):
-            raise InvalidSpec("need p_h >= p_l >= 0")
-        n = self.s_l * self.s_h
-        resid = self.s_h * self.p_h + (self.s_l - 1) * self.s_h * self.p_l - 1.0 / n
-        if abs(resid) > CONSTRAINT_TOL:
-            raise InvalidSpec(f"normalization constraint violated by {resid!r}")
+        object.__setattr__(self, "separation", _real("separation", self.separation))
+        if self.s_l < 2:
+            raise InvalidSpec("need s_l >= 2 and s_h >= 1")
+        if not 0.0 <= self.separation <= 1.0:
+            raise InvalidSpec("separation must lie in [0, 1]")
 
     @property
     def num_samples(self) -> int:
         return self.s_l * self.s_h
 
-    @classmethod
-    def from_separation(cls, s_l: int, s_h: int, separation: float) -> "HierarchicalGraphSpec":
-        p_l, p_h = hierarchical_probabilities(s_l, s_h, separation)
-        return cls(s_l=s_l, s_h=s_h, p_l=p_l, p_h=p_h)
+    @property
+    def p_l(self) -> float:
+        return (1.0 - self.separation) / self.num_samples**2
+
+    @property
+    def p_h(self) -> float:
+        return (1.0 + (self.s_l - 1) * self.separation) / self.num_samples**2
 
 
-def hierarchical_probabilities(s_l: int, s_h: int, separation: float) -> tuple[float, float]:
-    """Map a separation knob in [0, 1] to (p_l, p_h) under the mass constraint.
-
-    Linear interpolation between the uniform graph (separation 0, p_h = p_l)
-    and the disconnected graph (separation 1, p_l = 0):
-    ``p_l = (1 - separation) / n^2`` with ``n = s_l*s_h``, and
-    ``p_h = (1 + (s_l - 1)*separation) / n^2``, the value the mass
-    constraint forces. ``p_h - p_l = s_l * separation / n^2`` is strictly
-    increasing in the separation. The p_h form is chosen so that
-    p_h >= p_l holds exactly in floats, without cancellation.
-    """
-    s_l, s_h, separation = _integer("s_l", s_l, 1), _integer("s_h", s_h, 1), _real("separation", separation)
-    if s_l < 2:
-        raise InvalidSpec("need s_l >= 2 and s_h >= 1")
-    if not 0.0 <= separation <= 1.0:
-        raise InvalidSpec("separation must lie in [0, 1]")
-    n = s_l * s_h
-    p_l = (1.0 - separation) / n**2
-    p_h = (1.0 + (s_l - 1) * separation) / n**2
-    return p_l, p_h
+def _block_matrix(sizes, levels) -> np.ndarray:
+    """Symmetric matrix over ``prod(sizes)`` samples split into ``sizes[0]``
+    blocks, each split into ``sizes[1]``, and so on down to single samples:
+    entry ``levels[d]`` where two samples share their blocks down to depth
+    ``d`` (depth 0: every pair)."""
+    n = math.prod(sizes)
+    m = np.full((n, n), levels[0])
+    for depth in range(1, len(sizes)):
+        size = math.prod(sizes[depth:])
+        for lo in range(0, n, size):
+            m[lo:lo + size, lo:lo + size] = levels[depth]
+    return m
 
 
 def build_hierarchical_matrix(spec: HierarchicalGraphSpec) -> InducedDistribution:
     """Materialize the explicit co-occurrence matrix of the graph: entry
     p_h when the two samples share a first-layer branch, else p_l."""
-    n = spec.num_samples
-    m = np.full((n, n), spec.p_l)
-    for b in range(spec.s_l):
-        lo, hi = b * spec.s_h, (b + 1) * spec.s_h
-        m[lo:hi, lo:hi] = spec.p_h
-    return InducedDistribution(m, kind="hierarchical")
+    return InducedDistribution(_block_matrix((spec.s_l, spec.s_h), (spec.p_l, spec.p_h)), kind="hierarchical")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import (InducedDistribution, JointDistribution, _class_indices, _integer, _real,
+from .distributions import (InducedDistribution, JointDistribution, _class_indices, _integer, _matrix_of, _real,
                             normalize_cooccurrence)
 from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
@@ -169,15 +169,16 @@ def _population_descent(init_factors, loss_and_grads, cfg: TrainConfig, optimum:
 
 
 def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
-           resample: ResampleConfig = None, teacher: EncoderTable = None):
+           resample: ResampleConfig = None, teacher: np.ndarray = None):
     """The training core behind :func:`train_mmcl` (``tables=2``: a visual
     and a language table) and :func:`train_sscl` (``tables=1``: one table
     shared by both sides of a symmetric joint).
 
     Population mode descends on the factorization form of the loss (exact
     gradients); sampled mode runs plain SGD on three-way batches of the
-    pruned support, each rewritten by ``resample`` with ``teacher`` when
-    given. Returns (feature matrices on the pruned support, LossHistory).
+    pruned support, each rewritten by ``resample`` with the ``teacher``
+    feature matrix when given. Returns (feature matrices on the pruned
+    support, LossHistory).
     """
     norm = normalize_cooccurrence(joint)
     target = norm.matrix
@@ -215,7 +216,7 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
     # one table: the language rows after the visual rows, or the shared table
     table = np.concatenate([f / scale for f, scale in zip(init, scales)])
     # batches index the pruned support, so the teacher must too
-    teacher_tables = None if resample is None else _TeacherTables(teacher.matrix[norm.visual_index])
+    teacher_tables = None if resample is None else _TeacherTables(teacher[norm.visual_index])
     draws = _run_draws(pruned, cfg.batch_size, batch_seed, cfg.max_steps)
     num_visual, num_language = target.shape
     history = np.empty(cfg.max_steps)
@@ -269,16 +270,23 @@ def train_sscl(induced: InducedDistribution, cfg: TrainConfig,
     the two-side normalized matrix. Sampled mode draws three-way batches
     from the induced joint; when ``resample`` is set, ``teacher`` features
     (one row per sample of the induced matrix) rewrite every batch before
-    its step. Returns (EncoderTable, LossHistory); the table covers the
-    pruned support, see the normalization index maps, and so does the
-    teacher as the strategies see it.
+    its step; population mode has no batches and takes no ``resample``.
+    Returns (EncoderTable, LossHistory); the table covers the pruned
+    support, see the normalization index maps, and so does the teacher as
+    the strategies see it.
     """
     if not isinstance(induced, InducedDistribution):
         raise InvalidSpec(f"training needs a mass-1 induced distribution, got {type(induced).__name__}")
-    if resample is not None and teacher is None:
-        raise TeacherMissing("resampling strategies need teacher features")
-    if resample is not None and teacher.num_samples != induced.num_samples:
-        raise InvalidSpec(f"teacher has {teacher.num_samples} rows for {induced.num_samples} samples")
+    if resample is not None:
+        if not isinstance(resample, ResampleConfig):
+            raise InvalidSpec(f"resample must be a ResampleConfig, got {type(resample).__name__}")
+        if teacher is None:
+            raise TeacherMissing("resampling strategies need teacher features")
+        if cfg.batch_mode != "sampled":
+            raise InvalidSpec('resampling strategies rewrite sampled batches; they need batch_mode="sampled"')
+        teacher = _matrix_of("teacher", teacher, EncoderTable)
+        if teacher.shape[0] != induced.num_samples:
+            raise InvalidSpec(f"teacher has {teacher.shape[0]} rows for {induced.num_samples} samples")
     side = "augmented" if induced.kind == "augmentation" else "visual"
 
     (features,), history = _train(induced, cfg, 1, resample, teacher)
@@ -294,11 +302,12 @@ def nearest_neighbor_positive(index: int, candidates, teacher: EncoderTable) -> 
     """
     index = _integer("anchor index", index, 0)
     cand = np.unique(_class_indices("candidates", candidates))
-    _check_rows(np.append(cand, index), teacher)
+    features = _matrix_of("teacher", teacher, EncoderTable)
+    _check_rows(np.append(cand, index), features.shape[0])
     cand = cand[cand != index]
     if cand.size == 0:
         raise EmptyCandidates("no candidates besides the anchor itself")
-    rows = _unit_rows(teacher.matrix)
+    rows = _unit_rows(features)
     # the arithmetic of _TeacherTables.similarities; argmax takes the first
     # maximum, which is the smallest index
     return int(cand[np.argmax(np.sum(rows[cand] * rows[index], axis=-1))])
@@ -345,13 +354,13 @@ def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> 
     index of the batch must index a row of the teacher.
     """
     plan = _Plan.of_batch(batch)
-    _check_rows(np.append(plan.visual, plan.language), teacher)
-    out = _resample(plan, _TeacherTables(teacher.matrix), cfg)
+    features = _matrix_of("teacher", teacher, EncoderTable)
+    _check_rows(np.append(plan.visual, plan.language), features.shape[0])
+    out = _resample(plan, _TeacherTables(features), cfg)
     return batch if out is plan else out.as_batch()
 
 
-def _check_rows(indices: np.ndarray, teacher: EncoderTable) -> None:
-    rows = teacher.num_samples
+def _check_rows(indices: np.ndarray, rows: int) -> None:
     if indices.size and (indices.min() < 0 or indices.max() >= rows):
         raise InvalidSpec(f"sample indices must lie in [0, {rows}) for a teacher with {rows} rows")
 

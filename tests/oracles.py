@@ -207,3 +207,30 @@ def random_joint(rng, max_visual=12, max_language=12):
     nl = int(rng.integers(2, max_language + 1))
     raw = rng.gamma(2.0, size=(nv, nl)) + 1e-9
     return raw / raw.sum()
+
+
+def hierarchical_oracle(s_l, s_h, separation):
+    """(p_l, p_h, matrix) of the hierarchical graph of a separation: the
+    two probabilities by their closed forms, and the matrix filled entry by
+    entry, p_h where two samples share a first-layer branch, else p_l."""
+    n = s_l * s_h
+    p_l = (1.0 - separation) / n**2
+    p_h = (1.0 + (s_l - 1) * separation) / n**2
+    m = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            m[i][j] = p_h if i // s_h == j // s_h else p_l
+    return p_l, p_h, m
+
+
+def block_matrix_oracle(sizes, levels):
+    """Nested block-constant matrix, entry by entry: entry (i, j) is
+    ``levels[d]`` for the deepest d at which i and j fall in one block of
+    ``prod(sizes[d:])`` samples (d = 0: every pair)."""
+    n = math.prod(sizes)
+    m = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            depth = max(d for d in range(len(sizes)) if i // math.prod(sizes[d:]) == j // math.prod(sizes[d:]))
+            m[i][j] = levels[depth]
+    return m

@@ -164,6 +164,17 @@ class TestReportCommand:
         assert code == 0
         assert "hrg-spectrum" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [["--config", "/nonexistent.json"], ["--seed", "5"], ["--tolerance", "0.1"],
+                                      ["--parallel", "3"]])
+    def test_experiment_flags_are_refused(self, tmp_path, capsys, flag):
+        """report reads only its paths and --out; the experiment flags would be ignored."""
+        run_hrg(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--out", str(tmp_path), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
     def test_no_reports_exits_two(self, tmp_path, capsys):
         code = main(["report", "--out", str(tmp_path)])
         assert code == 2

@@ -255,7 +255,7 @@ class TestEstimateCooccurrence:
         # Fully connected hierarchical instance with gap sigma_4 - sigma_5
         # = 0.5; uniform marginals keep the feature rows at equal norm, so
         # the estimate's top eigenspace matches exactly.
-        spec = HierarchicalGraphSpec.from_separation(4, 3, 0.5)
+        spec = HierarchicalGraphSpec(4, 3, 0.5)
         induced = build_hierarchical_matrix(spec)
         assert np.all(induced.matrix > 0)
         joint = JointDistribution(induced.matrix)

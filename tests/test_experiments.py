@@ -36,6 +36,23 @@ from mmspectral.experiments import _map_tasks, _rank_correlation
 from oracles import spearman_oracle
 
 
+PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+def three_tier_fill(classes, groups, group_size, within, mid, cross):
+    """bound-sweep's clean joint filled tier by tier: ``cross`` everywhere,
+    then ``mid`` on each class's diagonal block, then ``within`` on each
+    group's."""
+    n = classes * groups * group_size
+    m = np.full((n, n), cross)
+    block = groups * group_size
+    for c in range(classes):
+        m[c * block:(c + 1) * block, c * block:(c + 1) * block] = mid
+    for g in range(classes * groups):
+        m[g * group_size:(g + 1) * group_size, g * group_size:(g + 1) * group_size] = within
+    return m
+
+
 def check(name, passed=True, value=0.0, tolerance=1e-9, detail=""):
     return CheckResult(name=name, passed=passed, value=value, tolerance=tolerance, detail=detail)
 
@@ -253,6 +270,30 @@ class TestRun:
             means.append([row.split(",")[3] for row in rows])
         assert means[0] == means[1]
 
+    @pytest.mark.parametrize("config", [None, PERFBENCH_CONFIGS / "bound-sweep.json"], ids=["default", "perfbench"])
+    def test_bound_sweep_clean_joints_keep_the_three_tier_fill(self, config, monkeypatch):
+        """The clean joint of every sweep point, as the runner hands it to
+        its work units, holds the bytes of the explicit three-tier fill."""
+        cfg = ExperimentConfig.build("bound-sweep", config_path=config)
+        params = cfg.params
+        classes, groups, group_size, points = (params[key] for key in ("classes", "groups", "group_size",
+                                                                        "sweep_points"))
+        handed = {}
+
+        def record(params, task):
+            matrix, point, _ = task
+            handed[point] = matrix
+            return 0.0
+
+        monkeypatch.setattr(experiments, "_sweep_case", record)
+        experiments._run_bound_sweep(params, cfg.seeds, 1)
+        assert sorted(handed) == list(range(points))
+        for point, matrix in handed.items():
+            cross, mid, within = experiments._sweep_masses(point, points, classes, groups, group_size,
+                                                           params["cross_mass"])
+            fill = JointDistribution(three_tier_fill(classes, groups, group_size, within, mid, cross)).matrix
+            assert matrix.dtype == fill.dtype and matrix.tobytes() == fill.tobytes()
+
     def test_loss_log_lists_both_losses_per_instance_in_seed_order(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seeds": [7, 3, 5], "mean_batches": 50, "rate_repeats": 3,
@@ -306,7 +347,7 @@ class TestOneDecompositionPerMatrix:
         return calls
 
     def test_bound_report(self, shapes):
-        joint = JointDistribution(build_hierarchical_matrix(HierarchicalGraphSpec.from_separation(2, 2, 0.5)).matrix)
+        joint = JointDistribution(build_hierarchical_matrix(HierarchicalGraphSpec(2, 2, 0.5)).matrix)
         bound_report(joint, LabelAssignment([0, 0, 1, 1], [0, 0, 1, 1], 2), k=1)
         assert shapes == [(4, 4)]
 

@@ -62,6 +62,14 @@ class TestDecompose:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
+    def test_refuses_a_joint(self):
+        """A uniform 6 x 6 joint read as its own normalized matrix would
+        give sigma_1 = 1/6; its normalized matrix has sigma_1 = 1."""
+        joint = JointDistribution(np.full((6, 6), 1.0 / 36.0))
+        with pytest.raises(InvalidSpec, match="^norm must be a 2-d array of finite real numbers"):
+            decompose(joint)
+        assert decompose(normalize_cooccurrence(joint)).singular_values[0] == pytest.approx(1.0, abs=1e-12)
+
     def test_left_factor_spans_top_eigenvectors_of_the_square(self):
         rng = np.random.default_rng(11)
         norm = normalize_cooccurrence(JointDistribution(random_joint(rng, 10, 8)))
@@ -146,20 +154,32 @@ class TestOptimalEncoders:
             optimal_encoders(large, decompose(small), 2)
 
 
+    def test_refuses_a_joint_as_the_normalized_joint(self):
+        joint = JointDistribution(random_joint(np.random.default_rng(6), 5, 4))
+        with pytest.raises(InvalidSpec, match="got JointDistribution and SpectralDecomposition"):
+            optimal_encoders(joint, decompose(normalize_cooccurrence(joint)), 2)
+
+    def test_refuses_a_decomposition_of_another_type(self):
+        norm = normalize_cooccurrence(TILTED)
+        dec = decompose(norm)
+        with pytest.raises(InvalidSpec, match="got NormalizedCooccurrence and tuple"):
+            optimal_encoders(norm, (dec.left, dec.singular_values, dec.right), 1)
+
+
 class TestHierarchicalEigenvalues:
     def test_explicit_4x4_spectrum(self):
-        spec = HierarchicalGraphSpec(2, 2, p_l=0.025, p_h=0.1)
+        spec = HierarchicalGraphSpec(2, 2, separation=0.6)
         np.testing.assert_allclose(
             hierarchical_eigenvalues(spec), [0.25, 0.15, 0.0, 0.0], atol=1e-12
         )
 
     def test_zero_separation_is_rank_one(self):
-        spec = HierarchicalGraphSpec.from_separation(3, 2, 0.0)
+        spec = HierarchicalGraphSpec(3, 2, 0.0)
         eig = hierarchical_eigenvalues(spec)
         np.testing.assert_allclose(eig, [1 / 6, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_trivial_second_layer(self):
-        spec = HierarchicalGraphSpec.from_separation(3, 1, 0.4)
+        spec = HierarchicalGraphSpec(3, 1, 0.4)
         eig = hierarchical_eigenvalues(spec)
         gap = spec.p_h - spec.p_l
         np.testing.assert_allclose(eig, [1 / 3, gap, gap], atol=1e-12)
@@ -168,15 +188,15 @@ class TestHierarchicalEigenvalues:
         for s_l in range(2, 7):
             for s_h in range(1, 7):
                 for sep in (0.0, 0.25, 0.5, 0.75, 1.0):
-                    spec = HierarchicalGraphSpec.from_separation(s_l, s_h, sep)
+                    spec = HierarchicalGraphSpec(s_l, s_h, sep)
                     closed = hierarchical_eigenvalues(spec)
                     numeric = np.linalg.eigvalsh(build_hierarchical_matrix(spec).matrix)[::-1]
                     np.testing.assert_allclose(closed, numeric, atol=1e-10)
 
     def test_monotone_in_separation(self):
         for d_small, d_big in ((0.0, 0.3), (0.3, 0.8), (0.8, 1.0)):
-            a = hierarchical_eigenvalues(HierarchicalGraphSpec.from_separation(4, 3, d_small))
-            b = hierarchical_eigenvalues(HierarchicalGraphSpec.from_separation(4, 3, d_big))
+            a = hierarchical_eigenvalues(HierarchicalGraphSpec(4, 3, d_small))
+            b = hierarchical_eigenvalues(HierarchicalGraphSpec(4, 3, d_big))
             assert np.all(a <= b + 1e-12)
 
 
@@ -207,7 +227,7 @@ class TestBoundReport:
         assert rep.dominant_term == np.inf
 
     def test_hierarchical_alpha_and_sigma_compose(self):
-        spec = HierarchicalGraphSpec.from_separation(2, 2, 0.5)
+        spec = HierarchicalGraphSpec(2, 2, 0.5)
         induced = build_hierarchical_matrix(spec)
         joint = JointDistribution(induced.matrix)
         labels = LabelAssignment([0, 0, 1, 1], [0, 0, 1, 1], 2)

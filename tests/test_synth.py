@@ -1,72 +1,93 @@
 """Generators: hierarchical graphs, multi-modal joints, augmentation models."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmspectral import (
     AugmentationModel,
     HierarchicalGraphSpec,
+    InducedDistribution,
     InvalidSpec,
     MultiModalGenConfig,
     augmentation_joint,
     build_hierarchical_matrix,
     generate_augmentation_model,
     generate_multimodal,
-    hierarchical_probabilities,
     labeling_error,
     surrogate_labeling_error,
 )
+from mmspectral.synth import _block_matrix
+from oracles import block_matrix_oracle, hierarchical_oracle
 
 
 class TestHierarchicalProbabilities:
     def test_constraint_arithmetic_at_ph_tenth(self):
-        """s_l=2, s_h=2 with p_h=0.1 forces p_l=0.025: 2*0.1 + 2*0.025 = 1/4."""
-        p_l, p_h = hierarchical_probabilities(2, 2, separation=0.6)
-        assert abs(p_h - 0.1) < 1e-15
-        assert abs(p_l - 0.025) < 1e-15
-        assert abs(2 * p_h + 2 * p_l - 0.25) < 1e-15
+        """s_l=2, s_h=2 at separation 0.6 gives p_h=0.1 and p_l=0.025: 2*0.1 + 2*0.025 = 1/4."""
+        spec = HierarchicalGraphSpec(2, 2, separation=0.6)
+        assert abs(spec.p_h - 0.1) < 1e-15
+        assert abs(spec.p_l - 0.025) < 1e-15
+        assert abs(2 * spec.p_h + 2 * spec.p_l - 0.25) < 1e-15
 
     def test_zero_separation_is_uniform(self):
         for s_l, s_h in ((2, 1), (3, 2), (6, 6)):
-            p_l, p_h = hierarchical_probabilities(s_l, s_h, 0.0)
-            assert p_h == pytest.approx(p_l, abs=1e-15)
-            assert p_h == pytest.approx(1.0 / (s_l * s_h) ** 2, abs=1e-15)
+            spec = HierarchicalGraphSpec(s_l, s_h, 0.0)
+            assert spec.p_h == pytest.approx(spec.p_l, abs=1e-15)
+            assert spec.p_h == pytest.approx(1.0 / (s_l * s_h) ** 2, abs=1e-15)
 
     def test_full_separation_empties_cross_blocks(self):
         for s_l, s_h in ((2, 2), (4, 3)):
-            p_l, p_h = hierarchical_probabilities(s_l, s_h, 1.0)
-            assert p_l == 0.0
-            assert p_h == pytest.approx(1.0 / (s_l * s_h * s_h), abs=1e-15)
+            spec = HierarchicalGraphSpec(s_l, s_h, 1.0)
+            assert spec.p_l == 0.0
+            assert spec.p_h == pytest.approx(1.0 / (s_l * s_h * s_h), abs=1e-15)
 
     def test_gap_strictly_increasing_in_separation(self):
-        gaps = [
-            p_h - p_l
-            for p_l, p_h in (hierarchical_probabilities(3, 2, d) for d in np.linspace(0, 1, 9))
-        ]
+        gaps = [spec.p_h - spec.p_l for spec in (HierarchicalGraphSpec(3, 2, d) for d in np.linspace(0, 1, 9))]
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
     def test_rejects_degenerate_branching(self):
-        with pytest.raises(InvalidSpec):
-            hierarchical_probabilities(1, 2, 0.5)
+        with pytest.raises(InvalidSpec, match="need s_l >= 2"):
+            HierarchicalGraphSpec(1, 2, 0.5)
 
 
 class TestHierarchicalGraphSpec:
-    def test_rejects_inverted_probabilities(self):
-        with pytest.raises(InvalidSpec):
-            HierarchicalGraphSpec(2, 2, p_l=0.1, p_h=0.025)
+    def test_fields_are_the_sizes_and_the_separation(self):
+        assert [f.name for f in dataclasses.fields(HierarchicalGraphSpec)] == ["s_l", "s_h", "separation"]
 
-    def test_rejects_broken_normalization(self):
-        with pytest.raises(InvalidSpec):
-            HierarchicalGraphSpec(2, 2, p_l=0.05, p_h=0.2)
+    @pytest.mark.parametrize("separation", [-0.1, 1.5])
+    def test_rejects_separation_outside_the_unit_interval(self, separation):
+        with pytest.raises(InvalidSpec, match=r"separation must lie in \[0, 1\]"):
+            HierarchicalGraphSpec(2, 2, separation)
 
-    def test_from_separation_round_trip(self):
-        spec = HierarchicalGraphSpec.from_separation(2, 2, 0.6)
-        assert spec.p_h == pytest.approx(0.1, abs=1e-15)
-        assert spec.p_l == pytest.approx(0.025, abs=1e-15)
+    @given(s_l=st.integers(2, 8), s_h=st.integers(1, 8),
+           separation=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_probabilities_and_matrix_follow_the_separation(self, s_l, s_h, separation):
+        """Bit for bit the closed forms and the entry-by-entry fill, read
+        as an induced distribution (which rescales to mass 1); the mass
+        constraint and p_h >= p_l >= 0 hold by construction."""
+        spec = HierarchicalGraphSpec(s_l, s_h, separation)
+        p_l, p_h, m = hierarchical_oracle(s_l, s_h, separation)
+        assert (repr(spec.p_l), repr(spec.p_h)) == (repr(p_l), repr(p_h))
+        induced = InducedDistribution(m, "hierarchical")
+        assert build_hierarchical_matrix(spec).matrix.tobytes() == induced.matrix.tobytes()
+        n = s_l * s_h
+        assert abs(s_h * spec.p_h + (s_l - 1) * s_h * spec.p_l - 1.0 / n) <= 1e-12
+        assert spec.p_h >= spec.p_l >= 0.0
+
+
+@pytest.mark.parametrize("sizes", [(1,), (5,), (2, 3), (3, 1), (1, 4), (2, 2, 2), (2, 3, 2), (3, 1, 2)])
+def test_block_matrix_matches_the_entrywise_fill(sizes):
+    levels = np.random.default_rng(len(sizes)).uniform(size=len(sizes))
+    m = _block_matrix(sizes, tuple(levels))
+    expected = block_matrix_oracle(sizes, levels)
+    assert m.dtype == expected.dtype and m.tobytes() == expected.tobytes()
 
 
 class TestBuildHierarchicalMatrix:
     def test_explicit_4x4_construction(self):
-        spec = HierarchicalGraphSpec(2, 2, p_l=0.025, p_h=0.1)
+        spec = HierarchicalGraphSpec(2, 2, separation=0.6)
         expected = np.array([
             [0.100, 0.100, 0.025, 0.025],
             [0.100, 0.100, 0.025, 0.025],
@@ -76,18 +97,18 @@ class TestBuildHierarchicalMatrix:
         np.testing.assert_allclose(build_hierarchical_matrix(spec).matrix, expected, atol=1e-15)
 
     def test_zero_separation_is_constant(self):
-        spec = HierarchicalGraphSpec.from_separation(3, 2, 0.0)
+        spec = HierarchicalGraphSpec(3, 2, 0.0)
         m = build_hierarchical_matrix(spec).matrix
         np.testing.assert_allclose(m, m[0, 0], atol=1e-15)
 
     def test_unit_mass_for_all_shapes(self):
         for s_l in range(2, 7):
             for s_h in range(1, 7):
-                spec = HierarchicalGraphSpec.from_separation(s_l, s_h, 0.37)
+                spec = HierarchicalGraphSpec(s_l, s_h, 0.37)
                 assert build_hierarchical_matrix(spec).matrix.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_block_structure_survives_block_permutation(self):
-        spec = HierarchicalGraphSpec.from_separation(3, 2, 0.5)
+        spec = HierarchicalGraphSpec(3, 2, 0.5)
         m = build_hierarchical_matrix(spec).matrix
         # swap first-layer blocks 0 and 2
         perm = np.array([4, 5, 2, 3, 0, 1])

@@ -51,7 +51,7 @@ from mmspectral import (
     train_sscl,
 )
 from mmspectral import BatchSampler, empirical_scl, empirical_scl_batches, empirical_scl_grad
-from mmspectral import HierarchicalGraphSpec, hierarchical_probabilities
+from mmspectral import HierarchicalGraphSpec
 from mmspectral import MultiModalGenConfig, generate_augmentation_model, generate_multimodal
 from mmspectral import train
 from mmspectral.losses import _CHUNK_ENTRIES, _Plan, _PlanGrads
@@ -142,11 +142,10 @@ NUMBER_REPRODUCERS = {
     "augmentation-leak-string": (lambda ind, joint: generate_augmentation_model(2, 2, "0.1"), InvalidSpec),
     "nearest-anchor-1.5": (lambda ind, joint: nearest_neighbor_positive(1.5, [0, 2], EncoderTable(np.eye(3))),
                            InvalidSpec),
-    "hierarchical-branches-nan": (lambda ind, joint: HierarchicalGraphSpec(math.nan, 2, 0.1, 0.2), InvalidSpec),
-    "hierarchical-p-string": (lambda ind, joint: HierarchicalGraphSpec(2, 2, "0.1", 0.2), InvalidSpec),
-    "probabilities-branches-string": (lambda ind, joint: hierarchical_probabilities("2", 2, 0.5), InvalidSpec),
-    "probabilities-separation-string": (lambda ind, joint: hierarchical_probabilities(2, 2, "0.5"), InvalidSpec),
-    "probabilities-branches-2.5": (lambda ind, joint: hierarchical_probabilities(2.5, 2, 0.5), InvalidSpec),
+    "hierarchical-branches-nan": (lambda ind, joint: HierarchicalGraphSpec(math.nan, 2, 0.5), InvalidSpec),
+    "hierarchical-branches-string": (lambda ind, joint: HierarchicalGraphSpec("2", 2, 0.5), InvalidSpec),
+    "hierarchical-separation-string": (lambda ind, joint: HierarchicalGraphSpec(2, 2, "0.5"), InvalidSpec),
+    "hierarchical-branches-2.5": (lambda ind, joint: HierarchicalGraphSpec(2.5, 2, 0.5), InvalidSpec),
     "augmentation-model-copies-string": (lambda ind, joint: AugmentationModel(np.full((4, 2), 0.25), "2"),
                                          InvalidSpec),
     "bound-report-k-true": (lambda ind, joint: bound_report(joint, LabelAssignment([0, 1, 1], [0, 1, 0], 2), True),
@@ -200,6 +199,7 @@ NUMBER_REPRODUCERS = {
                                         InvalidSpec),
     "labels-bool-among-integers": (lambda ind, joint: LabelAssignment([0, True], [0, 1], 2), InvalidSpec),
     "augmentation-model-empty": (lambda ind, joint: AugmentationModel(np.zeros((0, 0)), 1), InvalidSpec),
+    "probe-no-class-column": (lambda ind, joint: LinearProbe(np.ones((3, 0))), InvalidSpec),
 }
 
 
@@ -213,7 +213,6 @@ def test_numbers_of_the_wrong_kind_raise_lab_errors(call, error):
 
 JOINT3 = JointDistribution.from_counts(np.random.default_rng(1).gamma(1.0, size=(3, 3)))
 LABELS3 = LabelAssignment([0, 1, 1], [0, 1, 0], 2)
-P_L, P_H = hierarchical_probabilities(2, 2, 0.5)
 
 #: one integer argument of every public constructor or function that reads
 #: one, called with the given value and every other argument valid
@@ -230,10 +229,8 @@ INTEGER_SLOTS = {
     "generate_augmentation_model.num_visual": lambda v: generate_augmentation_model(v, 2, 0.1),
     "generate_augmentation_model.augs_per_sample": lambda v: generate_augmentation_model(2, v, 0.1),
     "generate_augmentation_model.seed": lambda v: generate_augmentation_model(2, 2, 0.1, seed=v),
-    "HierarchicalGraphSpec.s_l": lambda v: HierarchicalGraphSpec(v, 2, P_L, P_H),
-    "HierarchicalGraphSpec.s_h": lambda v: HierarchicalGraphSpec(2, v, P_L, P_H),
-    "hierarchical_probabilities.s_l": lambda v: hierarchical_probabilities(v, 2, 0.5),
-    "hierarchical_probabilities.s_h": lambda v: hierarchical_probabilities(2, v, 0.5),
+    "HierarchicalGraphSpec.s_l": lambda v: HierarchicalGraphSpec(v, 2, 0.5),
+    "HierarchicalGraphSpec.s_h": lambda v: HierarchicalGraphSpec(2, v, 0.5),
     "AugmentationModel.augs_per_sample": lambda v: AugmentationModel(np.full((4, 2), 0.25), v),
     "LabelAssignment.num_classes": lambda v: LabelAssignment([0, 1], [0, 1], v),
     "Batch.n": lambda v: Batch([], [], [], [], [], [], n=v),
@@ -252,9 +249,7 @@ REAL_SLOTS = {
     "MultiModalGenConfig.target_alpha": lambda v: generate_multimodal(MultiModalGenConfig(2, 2, 2, target_alpha=v)),
     "MultiModalGenConfig.concentration": lambda v: generate_multimodal(MultiModalGenConfig(2, 2, 2, concentration=v)),
     "generate_augmentation_model.leak": lambda v: generate_augmentation_model(2, 2, v),
-    "HierarchicalGraphSpec.p_l": lambda v: HierarchicalGraphSpec(2, 2, v, P_H),
-    "HierarchicalGraphSpec.p_h": lambda v: HierarchicalGraphSpec(2, 2, P_L, v),
-    "hierarchical_probabilities.separation": lambda v: hierarchical_probabilities(2, 2, v),
+    "HierarchicalGraphSpec.separation": lambda v: HierarchicalGraphSpec(2, 2, v),
 }
 
 EYE3 = np.eye(3)
@@ -265,6 +260,8 @@ DEC3 = decompose(NORM3)
 AUGMENT = generate_augmentation_model(2, 2, 0.1)
 PROBE = LinearProbe(np.ones((3, 2)))
 BATCH3 = sample_batch(JOINT3, 6, seed=0)
+INDUCED3 = text_induced(JOINT3)
+SAMPLED = TrainConfig(dim=1, batch_mode="sampled", batch_size=6, max_steps=2)
 
 
 def extra_positives(weights):
@@ -321,6 +318,11 @@ ARRAY_SLOTS = {
                                          lambda v: surrogate_labeling_error(v, [0, 1])),
     "estimate_cooccurrence.features": ("features", FEATURES4, estimate_cooccurrence),
     "intra_class_connectivity.features": ("features", FEATURES4, lambda v: intra_class_connectivity(v, LABELS4)),
+    "decompose.norm": ("norm", NORM3.matrix, decompose),
+    "nearest_neighbor_positive.teacher": ("teacher", EYE3, lambda v: nearest_neighbor_positive(0, [1, 2], v)),
+    "apply_strategy.teacher": ("teacher", EYE3, lambda v: apply_strategy(BATCH3, v, ResampleConfig("AddNewPositive"))),
+    "train_sscl.teacher": ("teacher", EYE3,
+                           lambda v: train_sscl(INDUCED3, SAMPLED, ResampleConfig("AddNewPositive"), v)),
 }
 
 NEGATIVE = st.one_of(st.integers(max_value=-1), st.floats(max_value=-1e-9))
@@ -385,8 +387,10 @@ WRAPPED = {
         "scl_grad.f_language", "empirical_scl.f_visual", "empirical_scl.f_language", "empirical_scl_grad.f_visual",
         "empirical_scl_grad.f_language", "empirical_scl_batches.f_visual", "empirical_scl_batches.f_language",
         "fit_probe.features", "probe_error.features", "estimate_cooccurrence.features",
-        "intra_class_connectivity.features")},
+        "intra_class_connectivity.features", "nearest_neighbor_positive.teacher", "apply_strategy.teacher",
+        "train_sscl.teacher")},
     "amf_loss.normalized": NormalizedCooccurrence,
+    "decompose.norm": NormalizedCooccurrence,
     "equivalence_constant.normalized": NormalizedCooccurrence,
     "surrogate_labeling_error.induced": JointDistribution,
     "augmentation_joint.model": AugmentationModel,
@@ -479,6 +483,9 @@ def test_a_wrapper_and_its_matrix_give_bit_identical_results(seed):
     model = generate_augmentation_model(nv, 2, float(rng.uniform(0.0, 1.0)), seed=seed)
     batch = sample_batch(joint, 12, seed=seed)
     probe = fit_probe(fv, labels)
+    induced = text_induced(joint)
+    uni_batch = sample_batch(induced, 12, seed=seed)
+    sampled = TrainConfig(dim=1, batch_mode="sampled", batch_size=6, max_steps=3, seed=seed)
     calls = {
         "scl_loss": lambda w: scl_loss(w(fv), w(fl), joint),
         "scl_grad": lambda w: scl_grad(w(fv), w(fl), joint),
@@ -495,6 +502,10 @@ def test_a_wrapper_and_its_matrix_give_bit_identical_results(seed):
         "intra_class_connectivity": lambda w: intra_class_connectivity(w(fv), labels),
         "surrogate_labeling_error": lambda w: surrogate_labeling_error(w(text_induced(joint)), labels),
         "augmentation_joint": lambda w: augmentation_joint(w(model), joint.marginal_visual),
+        "decompose": lambda w: decompose(w(norm)),
+        "nearest_neighbor_positive": lambda w: nearest_neighbor_positive(0, range(1, nv), w(fv)),
+        "apply_strategy": lambda w: apply_strategy(uni_batch, w(fv), ResampleConfig("DropFalseNegative", ratio=0.5)),
+        "train_sscl": lambda w: train_sscl(induced, sampled, ResampleConfig("AddNewPositive"), w(fv)),
     }
     for name, call in calls.items():
         assert same(call(lambda x: x), call(lambda x: x.matrix)), name
@@ -543,7 +554,9 @@ def test_numpy_scalars_are_read_as_python_numbers():
     assert sample_batch(JOINT3, six, seed=0).n == 6 and type(Batch([], [], [], [], [], [], n=six).n) is int
     assert type(LabelAssignment([0, 1], [0, 1], two).num_classes) is int
     assert bound_report(JOINT3, LABELS3, np.int64(2)) == bound_report(JOINT3, LABELS3, 2)
-    assert hierarchical_probabilities(two, two, np.float64(0.5)) == (P_L, P_H)
+    spec = HierarchicalGraphSpec(two, two, np.float64(0.5))
+    read = (spec.s_l, spec.s_h, spec.separation)
+    assert read == (2, 2, 0.5) and [type(v) for v in read] == [int, int, float]
     np.testing.assert_array_equal(generate_augmentation_model(two, two, np.float64(0.1), seed=np.int64(3)).matrix,
                                   generate_augmentation_model(2, 2, 0.1, seed=3).matrix)
 
@@ -676,6 +689,27 @@ class TestTrainSSCL:
             train_sscl(text_induced(TILTED), cfg=TrainConfig(dim=2, batch_mode="sampled", batch_size=6),
                        resample=ResampleConfig("DropEasyNegative"), teacher=EncoderTable(np.eye(3)))
 
+    def test_resample_needs_sampled_batches(self):
+        """Population descent has no batches to rewrite, so it would train
+        as if no strategy were given."""
+        with pytest.raises(InvalidSpec, match='need batch_mode="sampled"'):
+            train_sscl(text_induced(TILTED), TrainConfig(dim=1), ResampleConfig("AddNewPositive"),
+                       EncoderTable(np.eye(2)))
+
+    @pytest.mark.parametrize("mode", ["population", "sampled"])
+    def test_resample_must_be_a_resample_config(self, mode):
+        cfg = TrainConfig(dim=1, batch_mode=mode, batch_size=6, max_steps=2)
+        with pytest.raises(InvalidSpec, match="resample must be a ResampleConfig, got str"):
+            train_sscl(text_induced(TILTED), cfg, "AddNewPositive", EncoderTable(np.eye(2)))
+
+    @pytest.mark.parametrize("mode", ["population", "sampled"])
+    def test_a_teacher_without_resample_trains_as_no_teacher(self, mode):
+        cfg = TrainConfig(dim=1, batch_mode=mode, batch_size=6, max_steps=5 if mode == "sampled" else 20000)
+        f, history = train_sscl(text_induced(TILTED), cfg, teacher=EncoderTable(np.eye(2)))
+        f_ref, history_ref = train_sscl(text_induced(TILTED), cfg)
+        assert f.matrix.tobytes() == f_ref.matrix.tobytes()
+        assert history.losses.tobytes() == history_ref.losses.tobytes()
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_pruned_sample_keeps_teacher_aligned(self, strategy):
         """Sample 2 has no mass, so batches index the four kept samples;
@@ -721,6 +755,9 @@ class TestNearestNeighborPositive:
     def test_candidate_past_teacher_rows_is_invalid(self):
         with pytest.raises(InvalidSpec):
             nearest_neighbor_positive(0, [1, 9], EncoderTable(np.eye(3)))
+
+    def test_teacher_may_be_a_bare_array(self):
+        assert nearest_neighbor_positive(0, [1, 2], np.eye(6)) == 1
 
     def test_anchor_outside_teacher_rows_is_invalid(self):
         for anchor in (-1, 3):

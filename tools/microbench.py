@@ -36,10 +36,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from mmspectral import (  # noqa: E402
-    BatchSampler, EncoderTable, JointDistribution, ResampleConfig, TrainConfig, apply_strategy, empirical_scl,
+    BatchSampler, EncoderTable, JointDistribution, ResampleConfig, apply_strategy, empirical_scl,
     empirical_scl_batches, empirical_scl_grad, sample_batch, train_sscl,
 )
-from mmspectral.experiments import SUITES, _augmentation_instance  # noqa: E402
+from mmspectral.experiments import SUITES, _resample_instance  # noqa: E402
 from mmspectral.train import STRATEGIES  # noqa: E402
 
 REPEATS = 7
@@ -77,14 +77,10 @@ def mc_loss_case():
 
 
 def resample_compare_instance():
-    """The first seed's induced joint (by the suite's own augmentation
-    recipe), teacher and training config."""
+    """The first seed's induced joint, teacher and training config, by
+    the suite's own recipe, and the suite's mixing weight."""
     params = SUITES["resample-compare"].defaults
-    classes = params["classes"]
-    induced, labels = _augmentation_instance(params, np.repeat(np.arange(classes), params["parents_per_class"]), 0)
-    teacher = EncoderTable(np.eye(classes)[labels], side="augmented")
-    cfg = TrainConfig(dim=params["dim"], learning_rate=params["learning_rate"], max_steps=params["steps"],
-                      batch_mode="sampled", batch_size=params["batch_size"], seed=0)
+    induced, _, teacher, cfg = _resample_instance(params, 0)
     return induced, teacher, cfg, params["mixing_weight"]
 
 
