@@ -1,15 +1,16 @@
 """Experiment harness: builds instances, runs the verification suites and
 sweeps, and emits machine-readable reports.
 
-Each experiment kind is a :class:`Suite` in ``SUITES``. Its runner is a
-pure function of (params, seeds) that returns the checks and the artifact
-tables; :func:`run` alone writes them, so the same configuration gives
+Each experiment kind is a :class:`Suite` in ``SUITES``, and its work is
+data. ``units(params, seeds)`` lists the work units of a run as
+``(fn, tasks)`` groups; every unit is a top-level ``fn(params, task)``, a
+pure function of its arguments. ``reduce(params, seeds, *results)`` turns
+each group's results, in task order, into the checks and the artifact
+tables. :func:`run` alone maps the units, in one map over all of them,
+sequentially or over one worker pool, so fanning out cannot change a
+result; and it alone writes the tables, so the same configuration gives
 byte-identical CSV artifacts and an identical report up to the wall-clock
-field. Work units are top-level functions of
-``(params, seed)`` (or of ``(params, task)`` where a kind sweeps more than
-seeds); runners map ``functools.partial(fn, params)`` over the tasks, so a
-worker pool fans them out without changing results; merging is by task
-order.
+field.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -259,9 +261,10 @@ class RunReport:
 
 
 def _map_tasks(fn, tasks, workers: int):
-    """Order-preserving map, optionally fanned over a process pool of at
-    most one worker per task and per CPU. ``fn`` must pickle: a top-level
-    function, or a ``functools.partial`` of one."""
+    """The one map of a run: order-preserving, optionally fanned over a
+    process pool of at most one worker per task and per CPU, joined before
+    it returns. ``fn`` must pickle: a top-level function, or a
+    ``functools.partial`` of one."""
     tasks = list(tasks)
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -370,10 +373,11 @@ def _equivalence_case(params, seed):
     return nv, nl, k, residual, scl, amf
 
 
-def _empirical_case(params, seed, count, stream):
-    """The Monte-Carlo work unit: the population loss of the seed's random
-    instance and the sampled losses of ``count`` batches drawn from it
-    with the generator ``[seed, *stream]``."""
+def _empirical_case(params, task):
+    """The Monte-Carlo work unit: for ``task = (seed, count, stream)``, the
+    population loss of the seed's random instance and the sampled losses
+    of ``count`` batches drawn from it with the generator ``[seed, *stream]``."""
+    seed, count, stream = task
     rng = default_rng([seed, 70])
     joint = _random_joint(rng, 6, 8)
     k = 3
@@ -383,24 +387,28 @@ def _empirical_case(params, seed, count, stream):
     return scl_loss(fv, fl, joint), empirical_scl_batches(fv, fl, sampler, default_rng([seed, *stream]), count)
 
 
-def _run_verify_equivalence(params, seeds, workers: int):
+def _verify_equivalence_units(params, seeds):
+    return [(_equivalence_case, seeds),
+            (_empirical_case, [(seeds[0], params["mean_batches"], (71,))]),
+            (_empirical_case, [(seeds[0], max(params["rate_batch_counts"]), (72, rep))
+                               for rep in range(params["rate_repeats"])])]
+
+
+def _verify_equivalence_reduce(params, seeds, cases, mean_run, rate_runs):
     checks, rows, log = [], [], []
-    results = _map_tasks(partial(_equivalence_case, params), seeds, workers)
-    for i, (seed, (nv, nl, k, residual, scl, amf)) in enumerate(zip(seeds, results)):
+    for i, (seed, (nv, nl, k, residual, scl, amf)) in enumerate(zip(seeds, cases)):
         checks.append(_check(f"equivalence-{i + 1:02d}", residual, params["tolerance"],
                              f"N_V={nv} N_L={nl} k={k}"))
         rows.append((i + 1, nv, nl, k, float(residual)))
         log += [(f"instance-{i + 1:02d}", "scl", scl, seed), (f"instance-{i + 1:02d}", "amf", amf, seed)]
 
     batches, counts = params["mean_batches"], sorted(params["rate_batch_counts"])
-    ((population, values),) = _map_tasks(partial(_empirical_case, params, seeds[0], batches), [(71,)], workers)
+    ((population, values),) = mean_run
     mean, stderr = float(values.mean()), float(values.std(ddof=1)) / math.sqrt(batches)
     checks.append(_check("empirical-mean-z", abs(mean - population) / stderr, params["z_limit"],
                          f"mean={mean!r} population={population!r} stderr={stderr!r}"))
 
-    runs = _map_tasks(partial(_empirical_case, params, seeds[0], max(counts)),
-                      [(72, rep) for rep in range(params["rate_repeats"])], workers)
-    running = (np.cumsum(values) for _, values in runs)  # sequential, as a running sum is
+    running = (np.cumsum(values) for _, values in rate_runs)  # sequential, as a running sum is
     deviations = np.array([[float(run[c - 1] / c - population) for c in counts] for run in running])
     rmse = np.sqrt(np.mean(deviations**2, axis=0))
     slope = float(np.polyfit(np.log(counts), np.log(rmse), 1)[0])
@@ -450,7 +458,7 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
                  max(1.0, float(np.linalg.norm(analytic))))
 
 
-def _grad_case(seed):
+def _grad_case(params, seed):
     rng = default_rng([seed, 80])
     nv = int(rng.integers(3, 8))
     nl = int(rng.integers(3, 8))
@@ -487,10 +495,9 @@ def _grad_case(seed):
     return population, uni, empirical
 
 
-def _run_verify_optimum(params, seeds, workers: int):
+def _verify_optimum_reduce(params, seeds, optima, grads):
     checks, rows = [], []
-    results = _map_tasks(partial(_optimum_case, params), seeds, workers)
-    for index, (gap, mismatches, final, target, steps) in enumerate(results):
+    for index, (gap, mismatches, final, target, steps) in enumerate(optima):
         checks.append(_check(f"optimum-gap-{index + 1:02d}", gap, params["tolerance"],
                              f"final={final!r} optimum={target!r} accepted_steps={steps}",
                              ok=lambda v, t: abs(v) <= t))
@@ -498,7 +505,7 @@ def _run_verify_optimum(params, seeds, workers: int):
                              "trained vs closed-form probe predictions"))
         rows.append((index + 1, float(final), float(target), float(gap), mismatches))
 
-    grads = np.asarray(_map_tasks(_grad_case, seeds, workers))
+    grads = np.asarray(grads)
     for column, name in enumerate(("population", "uni", "empirical")):
         checks.append(_check(f"grad-{name}", float(grads[:, column].max()), params["grad_tolerance"],
                              f"max relative error over {len(seeds)} instances"))
@@ -525,13 +532,20 @@ def _hrg_case(params, pair):
     return worst
 
 
-def _run_hrg_spectrum(params, seeds, workers: int):
+def _hrg_pairs(params):
     (lo, lo_end), (hi, hi_end) = params["s_low"], params["s_high"]
+    return [(s_l, s_h) for s_l in range(lo, lo_end + 1) for s_h in range(hi, hi_end + 1)]
+
+
+def _hrg_spectrum_units(params, seeds):
+    return [(_hrg_case, _hrg_pairs(params))]
+
+
+def _hrg_spectrum_reduce(params, seeds, worsts):
     separations = params["separations"]
-    pairs = [(s_l, s_h) for s_l in range(lo, lo_end + 1) for s_h in range(hi, hi_end + 1)]
     checks = [_check(f"hrg-sl{s_l}-sh{s_h}", worst, params["tolerance"],
                      f"max |closed - numeric| over {len(separations)} separations")
-              for (s_l, s_h), worst in zip(pairs, _map_tasks(partial(_hrg_case, params), pairs, workers))]
+              for (s_l, s_h), worst in zip(_hrg_pairs(params), worsts)]
 
     s_l, s_h = params["csv_pair"]
     rows = []
@@ -579,8 +593,9 @@ def _sweep_masses(point: int, points: int, classes: int, groups: int,
 
 
 def _sweep_case(params, task):
-    """Probe error of top-k features fitted to a sampled estimate of one
-    sweep point's clean joint ``matrix``."""
+    """For ``task = (matrix, point, seed)``, the probe error of top-k
+    features fitted to a sampled estimate of one sweep point's clean joint
+    ``matrix``."""
     matrix, point, seed = task
     labels = np.repeat(np.arange(params["classes"]), params["groups"] * params["group_size"])
     rng = default_rng([seed, 40, point])
@@ -592,42 +607,51 @@ def _sweep_case(params, task):
     return _in_sample_probe(features, labels[norm.visual_index], norm.marginal_visual)[1]
 
 
-def _run_bound_sweep(params, seeds, workers: int):
-    separations, pairs = params["separations"], params["pairs"]
-    checks = [_check(f"monotone-sl{s_l}-sh{s_h}", worst, params["tolerance"],
-                     "max over t, d<d' of sigma_t(d) - sigma_t(d')")
-              for (s_l, s_h), worst in zip(pairs, _map_tasks(partial(_monotone_case, params), pairs, workers))]
+def _bound_case(params, sep):
+    """The bound-term row at separation ``sep`` of the first pair's graph."""
+    s_l, s_h = params["pairs"][0]
+    labels = np.repeat(np.arange(s_l), s_h)
+    induced = build_hierarchical_matrix(HierarchicalGraphSpec(s_l, s_h, sep))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateGap)  # sigma_k = sigma_{k+1} at separation 0
+        report = bound_report(induced, LabelAssignment(labels, labels, s_l), s_l)
+    return (sep, report.alpha, report.sigma_next, report.dominant_term, report.sigma_gap,
+            report.kappa, report.constant_proxy)
 
-    # bound terms along the separation sweep for the first pair
-    s_l, s_h = pairs[0]
-    bound_rows = []
-    if s_l * s_h >= s_l + 1:
-        labels = np.repeat(np.arange(s_l), s_h)
-        assignment = LabelAssignment(labels, labels, s_l)
-        for sep in separations:
-            induced = build_hierarchical_matrix(HierarchicalGraphSpec(s_l, s_h, sep))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateGap)  # sigma_k = sigma_{k+1} at separation 0
-                report = bound_report(induced, assignment, s_l)
-            bound_rows.append((sep, report.alpha, report.sigma_next,
-                               report.dominant_term, report.sigma_gap,
-                               report.kappa, report.constant_proxy))
 
-    # each sweep point's clean joint, labeling error and sigma_{k+1}, once;
-    # the seeds then only resample it
+def _clean_case(params, matrix):
+    """(labeling error, sigma_{k+1}) of a sweep point's clean joint ``matrix``."""
+    clean = JointDistribution(matrix)
+    labels = np.repeat(np.arange(params["classes"]), params["groups"] * params["group_size"])
+    return (labeling_error(clean, LabelAssignment(labels, labels, params["classes"])),
+            decompose(normalize_cooccurrence(clean)).singular_values[params["dim"]])
+
+
+def _bound_sweep_units(params, seeds):
+    """The monotonicity pairs; the bound terms along the separation sweep
+    for the first pair, where its graph has more blocks than classes; and
+    each sweep point's clean joint, built once, which the seeds then only
+    resample."""
+    s_l, s_h = params["pairs"][0]
     classes, groups, group_size = params["classes"], params["groups"], params["group_size"]
     points = params["sweep_points"]
-    labels = np.repeat(np.arange(classes), groups * group_size)
-    matrices, sigma_next, alphas = [], np.zeros(points), np.zeros(points)
+    matrices = []
     for point in range(points):
         masses = _sweep_masses(point, points, classes, groups, group_size, params["cross_mass"])
-        clean = JointDistribution(_block_matrix((classes, groups, group_size), masses))
-        matrices.append(clean.matrix)
-        alphas[point] = labeling_error(clean, LabelAssignment(labels, labels, classes))
-        sigma_next[point] = decompose(normalize_cooccurrence(clean)).singular_values[params["dim"]]
-    tasks = [(matrices[point], point, seed) for point in range(points) for seed in seeds]
-    errors = np.array(_map_tasks(partial(_sweep_case, params), tasks, workers)).reshape(points, len(seeds))
+        matrices.append(JointDistribution(_block_matrix((classes, groups, group_size), masses)).matrix)
+    return [(_monotone_case, params["pairs"]),
+            (_bound_case, params["separations"] if s_l * s_h >= s_l + 1 else ()),
+            (_clean_case, matrices),
+            (_sweep_case, [(matrices[point], point, seed) for point in range(points) for seed in seeds])]
 
+
+def _bound_sweep_reduce(params, seeds, worsts, bound_rows, clean, errors):
+    checks = [_check(f"monotone-sl{s_l}-sh{s_h}", worst, params["tolerance"],
+                     "max over t, d<d' of sigma_t(d) - sigma_t(d')")
+              for (s_l, s_h), worst in zip(params["pairs"], worsts)]
+    points = params["sweep_points"]
+    alphas, sigma_next = np.array(clean).T
+    errors = np.array(errors).reshape(points, len(seeds))
     checks.append(_check("alpha-fixed", float(np.max(np.abs(alphas - params["cross_mass"]))), 1e-12,
                          "labeling error is pinned by the cross-class mass across the sweep"))
     mean_errors = errors.mean(axis=1)
@@ -676,9 +700,8 @@ def _max_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(angles))
 
 
-def _run_uni_equivalence(params, seeds, workers: int):
+def _uni_equivalence_reduce(params, seeds, results):
     checks, rows = [], []
-    results = _map_tasks(partial(_uni_case, params), seeds, workers)
     for index, (mismatches, angle) in enumerate(results):
         checks.append(_check(f"probe-identical-{index + 1:02d}", float(mismatches), 0.0,
                              "multi-modal vs uni-modal probe predictions"))
@@ -694,7 +717,7 @@ def _run_uni_equivalence(params, seeds, workers: int):
 # teacher-feature estimate and a leaky augmentation model
 
 
-def _alpha_case(seed):
+def _alpha_case(params, seed):
     rng = default_rng([seed, 60])
     r = int(rng.integers(2, 5))
     nv = int(rng.integers(max(r, 4), 21))
@@ -722,10 +745,12 @@ def _estimator_case(params, seed):
     return alpha_teacher, beta_teacher, alpha_aug, beta_aug
 
 
-def _run_estimators(params, seeds, workers: int):
-    instance_seeds = [seeds[0] + i for i in range(params["bound_instances"])]
-    margins = np.asarray(_map_tasks(_alpha_case, instance_seeds, workers))
-    results = np.asarray(_map_tasks(partial(_estimator_case, params), seeds, workers))
+def _estimators_units(params, seeds):
+    return [(_alpha_case, [seeds[0] + i for i in range(params["bound_instances"])]), (_estimator_case, seeds)]
+
+
+def _estimators_reduce(params, seeds, margins, results):
+    margins, results = np.asarray(margins), np.asarray(results)
     alpha_teacher, beta_teacher, alpha_aug, beta_aug = (float(x) for x in results.mean(axis=0))
     checks = [
         _check("alpha-halves-bound", float(margins.min()), params["bound_tolerance"],
@@ -766,8 +791,8 @@ def _resample_case(params, seed):
     return accuracies
 
 
-def _run_resample_compare(params, seeds, workers: int):
-    table = np.asarray(_map_tasks(partial(_resample_case, params), seeds, workers))
+def _resample_compare_reduce(params, seeds, table):
+    table = np.asarray(table)
     baseline = table[:, 0]
     margins = {name: float(np.mean(table[:, i + 1] - baseline)) for i, name in enumerate(STRATEGIES)}
 
@@ -785,22 +810,30 @@ def _run_resample_compare(params, seeds, workers: int):
 
 @dataclass(frozen=True)
 class Suite:
-    """One experiment kind. ``runner(params, seeds, workers)`` returns the
-    checks and the artifact tables, ``{file name: (header, rows)}``;
-    ``defaults`` are the instance parameters a config file or CLI flags
-    override (the resolved values are recorded in the RunReport);
-    ``num_seeds`` is the seed count when none is configured; and
-    ``--tolerance`` sets ``params[tolerance_key]``."""
+    """One experiment kind. ``units(params, seeds)`` lists the run's work
+    as ``(fn, tasks)`` groups, each unit a top-level ``fn(params, task)``;
+    ``reduce(params, seeds, *results)`` gets each group's results in task
+    order and returns the checks and the artifact tables, ``{file name:
+    (header, rows)}``; ``defaults`` are the instance parameters a config
+    file or CLI flags override (the resolved values are recorded in the
+    RunReport); ``num_seeds`` is the seed count when none is configured;
+    and ``--tolerance`` sets ``params[tolerance_key]``."""
 
-    runner: Callable
+    units: Callable
+    reduce: Callable
     defaults: dict
     num_seeds: int
     tolerance_key: str = "tolerance"
 
 
+def _over_seeds(*fns):
+    """The ``units`` of a suite whose groups each map one ``fn(params, seed)`` over the seeds."""
+    return lambda params, seeds: [(fn, seeds) for fn in fns]
+
+
 #: every experiment kind, in CLI order
 SUITES = {
-    "verify-equivalence": Suite(_run_verify_equivalence, {
+    "verify-equivalence": Suite(_verify_equivalence_units, _verify_equivalence_reduce, {
         "max_visual": 40,
         "max_language": 60,
         "max_dim": 8,
@@ -812,7 +845,7 @@ SUITES = {
         "rate_repeats": 24,
         "slope_limit": 0.15,
     }, num_seeds=50),
-    "verify-optimum": Suite(_run_verify_optimum, {
+    "verify-optimum": Suite(_over_seeds(_optimum_case, _grad_case), _verify_optimum_reduce, {
         "classes": 3,
         "visual_per_class": 4,
         "language_per_class": 5,
@@ -825,14 +858,14 @@ SUITES = {
         "max_steps": 40000,
         "grad_tolerance": 1e-6,
     }, num_seeds=10),
-    "hrg-spectrum": Suite(_run_hrg_spectrum, {
+    "hrg-spectrum": Suite(_hrg_spectrum_units, _hrg_spectrum_reduce, {
         "s_low": (2, 6),
         "s_high": (1, 6),
         "separations": (0.0, 0.25, 0.5, 0.75, 1.0),
         "tolerance": 1e-10,
         "csv_pair": (2, 2),
     }, num_seeds=1),
-    "bound-sweep": Suite(_run_bound_sweep, {
+    "bound-sweep": Suite(_bound_sweep_units, _bound_sweep_reduce, {
         "pairs": ((2, 2), (3, 2), (4, 3)),
         "separations": (0.0, 0.25, 0.5, 0.75, 1.0),
         "tolerance": 1e-12,
@@ -845,7 +878,7 @@ SUITES = {
         "dim": 3,
         "spearman_min": 0.8,
     }, num_seeds=8),
-    "uni-equivalence": Suite(_run_uni_equivalence, {
+    "uni-equivalence": Suite(_over_seeds(_uni_case), _uni_equivalence_reduce, {
         "classes": 3,
         "visual_per_class": 4,
         "language_per_class": 5,
@@ -855,7 +888,7 @@ SUITES = {
         "min_gap": 0.05,
         "tolerance": 1e-8,
     }, num_seeds=10),
-    "resample-compare": Suite(_run_resample_compare, {
+    "resample-compare": Suite(_over_seeds(_resample_case), _resample_compare_reduce, {
         "classes": 5,
         "parents_per_class": 4,
         "augmentations": 3,
@@ -867,7 +900,7 @@ SUITES = {
         "mixing_weight": 1.0,
         "harm_limit": 0.005,
     }, num_seeds=10, tolerance_key="harm_limit"),
-    "estimators": Suite(_run_estimators, {
+    "estimators": Suite(_estimators_units, _estimators_reduce, {
         "bound_instances": 100,
         "bound_tolerance": 1e-12,
         "classes": 3,
@@ -882,14 +915,28 @@ SUITES = {
 }
 
 
+def _unit(params, unit):
+    """One work unit ``(fn, task)``, run as ``fn(params, task)``."""
+    fn, task = unit
+    return fn(params, task)
+
+
 def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
-    """Execute one experiment: all checks evaluated (no fail-fast), CSV
-    artifacts and the JSON report written under the output directory.
-    This is the only code that writes there, and only after the runner
+    """Execute one experiment: every work unit of the suite in one map,
+    over one pool of at most ``workers`` processes that is joined before
+    the suite reduces the results; all checks evaluated (no fail-fast),
+    CSV artifacts and the JSON report written under the output directory.
+    This is the only code that writes there, and only after the suite
     succeeds: a failed run leaves no directory behind."""
+    if not isinstance(config, ExperimentConfig):
+        raise InvalidSpec(f"config must be an ExperimentConfig, got {type(config).__name__}")
     workers = _integer("workers", workers, 1)
     start = time.perf_counter()
-    checks, tables = SUITES[config.kind].runner(config.params, list(config.seeds), workers)
+    suite, params, seeds = SUITES[config.kind], config.params, list(config.seeds)
+    groups = suite.units(params, seeds)
+    units = [(fn, task) for fn, tasks in groups for task in tasks]
+    results = iter(_map_tasks(partial(_unit, params), units, workers))
+    checks, tables = suite.reduce(params, seeds, *(list(islice(results, len(tasks))) for _, tasks in groups))
     if not checks:
         raise ConfigParseError(f"the {config.kind} configuration selects nothing to check")
     out = Path(config.out)

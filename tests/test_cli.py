@@ -120,7 +120,7 @@ class TestExperimentCommands:
         ("bound-sweep", {"separations": [2.0]}, "separation must lie in [0, 1]"),
     ], ids=["empty-range", "batch-size", "s-low", "separation"])
     def test_values_the_library_refuses_exit_two(self, tmp_path, capsys, kind, payload, message):
-        """These surface in the runner, before the output directory is
+        """These surface in the suite's work, before the output directory is
         made: one error line, exit code 2 and nothing written."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))

@@ -3,6 +3,7 @@ import ast
 import csv
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -33,7 +34,7 @@ from mmspectral import (
 )
 from mmspectral import experiments, spectral
 from mmspectral.experiments import _map_tasks, _rank_correlation
-from oracles import spearman_oracle
+from oracles import marginals_oracle, spearman_oracle
 
 
 PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -251,6 +252,12 @@ class TestRun:
         on_disk = json.loads((tmp_path / "hrg" / "hrg-spectrum-report.json").read_text())
         assert on_disk["all_passed"] is True
 
+    def test_a_config_of_another_type_is_refused_before_running(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(InvalidSpec, match="config must be an ExperimentConfig, got dict"):
+            run({"kind": "hrg-spectrum"})
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
     def test_workers_below_one_or_not_integers_are_refused_before_running(self, tmp_path, workers):
         with pytest.raises(InvalidSpec, match="workers must be >= 1"):
@@ -271,28 +278,51 @@ class TestRun:
         assert means[0] == means[1]
 
     @pytest.mark.parametrize("config", [None, PERFBENCH_CONFIGS / "bound-sweep.json"], ids=["default", "perfbench"])
-    def test_bound_sweep_clean_joints_keep_the_three_tier_fill(self, config, monkeypatch):
-        """The clean joint of every sweep point, as the runner hands it to
-        its work units, holds the bytes of the explicit three-tier fill."""
+    def test_bound_sweep_clean_joints_keep_the_three_tier_fill(self, config):
+        """The clean joint of every sweep point, as the suite hands it to
+        its sweep units, holds the bytes of the explicit three-tier fill."""
         cfg = ExperimentConfig.build("bound-sweep", config_path=config)
         params = cfg.params
         classes, groups, group_size, points = (params[key] for key in ("classes", "groups", "group_size",
                                                                         "sweep_points"))
-        handed = {}
-
-        def record(params, task):
-            matrix, point, _ = task
-            handed[point] = matrix
-            return 0.0
-
-        monkeypatch.setattr(experiments, "_sweep_case", record)
-        experiments._run_bound_sweep(params, cfg.seeds, 1)
+        tasks = dict(SUITES["bound-sweep"].units(params, list(cfg.seeds)))[experiments._sweep_case]
+        assert len(tasks) == points * len(cfg.seeds)
+        handed = {point: matrix for matrix, point, _ in tasks}
         assert sorted(handed) == list(range(points))
         for point, matrix in handed.items():
             cross, mid, within = experiments._sweep_masses(point, points, classes, groups, group_size,
                                                            params["cross_mass"])
             fill = JointDistribution(three_tier_fill(classes, groups, group_size, within, mid, cross)).matrix
             assert matrix.dtype == fill.dtype and matrix.tobytes() == fill.tobytes()
+
+    def test_bound_sweep_units_probe_the_labels_of_the_kept_samples(self, monkeypatch):
+        """At 60 sampled pairs a sweep unit's estimate leaves some visual
+        samples unseen, and normalization prunes them; the unit's probe
+        error is the one fitted to the labels of the rows it keeps, chosen
+        here by a loop over the estimate's row sums."""
+        params = dict(SUITES["bound-sweep"].defaults, sample_pairs=60)
+        block = params["groups"] * params["group_size"]
+        normalize, estimates = experiments.normalize_cooccurrence, []
+
+        def recording(joint):
+            estimates.append(joint)
+            return normalize(joint)
+
+        monkeypatch.setattr(experiments, "normalize_cooccurrence", recording)
+        tasks = dict(SUITES["bound-sweep"].units(params, list(range(8))))[experiments._sweep_case]
+        pruned = 0
+        for task in tasks:
+            estimates.clear()
+            error = experiments._sweep_case(params, task)
+            (joint,) = estimates
+            row_mass, _ = marginals_oracle(joint.matrix)
+            kept = [v for v in range(len(row_mass)) if row_mass[v] > 0]
+            pruned += len(kept) < len(row_mass)
+            norm = normalize(joint)
+            _, features = experiments._uni_encoder(norm, params["dim"])
+            labels = [v // block for v in kept]
+            assert error == experiments._in_sample_probe(features, labels, norm.marginal_visual)[1]
+        assert pruned
 
     def test_loss_log_lists_both_losses_per_instance_in_seed_order(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -310,10 +340,21 @@ class TestRun:
                        [f"instance-{i + 1:02d}", "amf", repr(amf), str(seed)]]
         assert rows[1:] == expect
 
-    def test_rerun_is_byte_identical_up_to_wall_clock(self, tmp_path):
+    def test_rerun_is_byte_identical_up_to_wall_clock(self, tmp_path, monkeypatch):
         """Same config, same bytes: only the wall-clock field may move, also
         between a sequential and a two-worker run. Every kind at its
-        defaults, except a shortened resample-compare."""
+        defaults, except a shortened resample-compare. A sequential run
+        opens no worker pool; a two-worker run opens one, of at most two
+        processes, on a machine with two CPUs or more, and joins it before
+        it returns."""
+        pools = []
+
+        class CountingPool(experiments.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
         reduced = tmp_path / "resample.json"
         reduced.write_text(json.dumps({"num_seeds": 3, "steps": 40}))
         for kind in SUITES:
@@ -321,7 +362,11 @@ class TestRun:
             cfg_a = ExperimentConfig.build(kind, config_path=path, out=tmp_path / kind / "a")
             cfg_b = ExperimentConfig.build(kind, config_path=path, out=tmp_path / kind / "b")
             rep_a = run(cfg_a, workers=1)
+            assert pools == [], kind
             rep_b = run(cfg_b, workers=2)
+            assert pools == ([2] if (os.cpu_count() or 1) >= 2 else []), kind
+            assert multiprocessing.active_children() == [], kind
+            pools.clear()
             for name in rep_a.artifacts:
                 assert (tmp_path / kind / "a" / name).read_bytes() == (tmp_path / kind / "b" / name).read_bytes()
             dict_a, dict_b = rep_a.to_json_dict(), rep_b.to_json_dict()
