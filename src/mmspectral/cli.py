@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigParseError, LabError
-from .experiments import SUITES, ExperimentConfig, report_summary, run
+from .experiments import SUITES, ExperimentConfig, _report_dict, report_summary, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,24 +41,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_check(data) -> bool:
-    return (isinstance(data, dict) and isinstance(data.get("name"), str)
-            and isinstance(data.get("passed"), bool) and isinstance(data.get("detail"), str)
-            and all(isinstance(data.get(k), (int, float)) for k in ("value", "tolerance")))
-
-
 def _load_report(path: Path) -> dict:
-    """One run report's JSON form; a file that is not one is a
-    ConfigParseError."""
+    """One run report's JSON form; a file that cannot be read, or is not
+    one, is a ConfigParseError."""
     try:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParseError(f"cannot read report {path}: {exc}") from exc
-    if not (isinstance(data, dict) and isinstance(data.get("experiment"), str)
-            and isinstance(data.get("all_passed"), bool) and isinstance(data.get("checks"), list)
-            and all(_is_check(c) for c in data["checks"])):
-        raise ConfigParseError(f"{path} is not a run report")
-    return data
+    return _report_dict(data, str(path))
 
 
 def _cmd_report(args) -> int:

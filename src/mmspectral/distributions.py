@@ -11,9 +11,11 @@ as it is. The augmentation conditional behind one lives here too
 and only here: index arrays by :func:`_class_indices`, counts, seeds and
 indices by :func:`_integer`, rates and ratios by :func:`_real`, and float
 arrays by :func:`_reals`. A matrix argument takes its one wrapper type or
-a bare array, read once (:func:`_matrix_of`). Instances are immutable
-after construction and all operations are pure functions, so everything
-is safe to share across threads.
+a bare array, read once (:func:`_matrix_of`); any other object argument
+takes its one documented type (:func:`_instance`), and a string naming
+one of a fixed set of options is read by :func:`_choice`. Instances are
+immutable after construction and all operations are pure functions, so
+everything is safe to share across threads.
 """
 from __future__ import annotations
 
@@ -38,6 +40,23 @@ def _readonly(a) -> np.ndarray:
     out = np.array(a)
     out.setflags(write=False)
     return out
+
+
+def _instance(name: str, x, kind: type):
+    """``x`` if it is a ``kind`` (a subclass is one); anything else is an
+    InvalidSpec naming ``name``, the type it must be and the type it has."""
+    if isinstance(x, kind):
+        return x
+    article = "an" if kind.__name__[0] in "AEIOU" else "a"
+    raise InvalidSpec(f"{name} must be {article} {kind.__name__}, got {type(x).__name__}")
+
+
+def _choice(name: str, value, options: tuple) -> str:
+    """``value`` if it is one of the strings ``options``; anything else is
+    an InvalidSpec naming ``name``."""
+    if isinstance(value, str) and value in options:
+        return value
+    raise InvalidSpec(f"{name} must be one of {options}, got {value!r}")
 
 
 def _matrix_of(name: str, x, kind: type, rule=None) -> np.ndarray:
@@ -258,8 +277,7 @@ class InducedDistribution(JointDistribution):
     kind: str
 
     def __post_init__(self):
-        if self.kind not in INDUCED_KINDS:
-            raise InvalidSpec(f"unknown induced kind {self.kind!r}, expected one of {INDUCED_KINDS}")
+        _choice("kind", self.kind, INDUCED_KINDS)
         m = _reals("induced distribution", self.matrix, 2)
         if m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise InvalidSpec("induced distribution must be a square matrix")
@@ -290,6 +308,7 @@ def normalize_cooccurrence(joint: JointDistribution) -> NormalizedCooccurrence:
     DegenerateDistribution
         if pruning leaves fewer than 2 samples on either side.
     """
+    joint = _instance("joint", joint, JointDistribution)
     pv, pl = joint.marginal_visual, joint.marginal_language
     keep_v = np.flatnonzero(pv > 0.0)
     keep_l = np.flatnonzero(pl > 0.0)
@@ -312,7 +331,7 @@ def text_induced(joint: JointDistribution) -> InducedDistribution:
     keeps the full visual axis (zero-marginal rows stay as zero rows), is
     exactly symmetric and sums to 1.
     """
-    pl = joint.marginal_language
+    pl = _instance("joint", joint, JointDistribution).marginal_language
     cols = np.flatnonzero(pl > 0.0)
     m = joint.matrix[:, cols]
     return InducedDistribution((m / pl[cols][None, :]) @ m.T, kind="text")
@@ -323,6 +342,7 @@ def normalized_uni(norm: NormalizedCooccurrence) -> NormalizedCooccurrence:
     co-occurrence matrix with its transpose, which is the two-side
     normalization of the text-induced distribution. Both axes carry the
     visual marginal and index map of ``norm``."""
+    norm = _instance("norm", norm, NormalizedCooccurrence)
     product = norm.matrix @ norm.matrix.T
     return NormalizedCooccurrence((product + product.T) / 2.0, norm.marginal_visual, norm.marginal_visual,
                                   norm.visual_index, norm.visual_index)

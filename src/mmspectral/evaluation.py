@@ -14,8 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .distributions import (InducedDistribution, JointDistribution, LabelAssignment, _class_indices, _matrix_of,
-                            _probabilities, _reals)
+from .distributions import (InducedDistribution, JointDistribution, LabelAssignment, _class_indices, _instance,
+                            _matrix_of, _probabilities, _reals)
 from .errors import ClassTooSmall, DegenerateDistribution, InvalidSpec, RankDeficient
 from .losses import EncoderTable
 
@@ -95,7 +95,7 @@ def fit_probe(features, labels, weights=None) -> LinearProbe:
 
 def probe_error(probe: LinearProbe, features, labels, weights=None) -> float:
     """Weighted 0-1 error of the probe's argmax predictions."""
-    predicted = probe.predict(features)
+    predicted = _instance("probe", probe, LinearProbe).predict(features)
     y, w = _labels_and_weights(labels, predicted.size, weights)
     return float(np.sum(w[predicted != y]))
 
@@ -103,6 +103,7 @@ def probe_error(probe: LinearProbe, features, labels, weights=None) -> float:
 def labeling_error(joint: JointDistribution, labels: LabelAssignment) -> float:
     """Probability that a positive pair straddles two classes:
     ``sum_{v,l} P(v,l) 1[y(v) != y(l)]``."""
+    joint, labels = _instance("joint", joint, JointDistribution), _instance("labels", labels, LabelAssignment)
     if labels.visual.size != joint.num_visual or labels.language.size != joint.num_language:
         raise InvalidSpec("labels must cover both sides of the joint")
     mismatch = labels.visual[:, None] != labels.language[None, :]

@@ -33,6 +33,8 @@ from .distributions import (
     JointDistribution,
     LabelAssignment,
     NormalizedCooccurrence,
+    _choice,
+    _instance,
     _integer,
     _real,
     augmentation_joint,
@@ -153,6 +155,15 @@ def _check(name: str, value, limit, detail: str, ok=operator.le) -> CheckResult:
     return CheckResult(name=name, passed=ok(value, limit), value=value, tolerance=limit, detail=detail)
 
 
+def _suite(kind) -> Suite:
+    """The suite of experiment ``kind``; anything but the name of one is a
+    ConfigParseError."""
+    try:
+        return SUITES[_choice("kind", kind, tuple(SUITES))]
+    except InvalidSpec:
+        raise ConfigParseError(f"unknown experiment kind {kind!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved configuration of one experiment run: the one place where
@@ -167,9 +178,8 @@ class ExperimentConfig:
     out: str
 
     def __post_init__(self):
-        if self.kind not in SUITES:
-            raise ConfigParseError(f"unknown experiment kind {self.kind!r}")
-        defaults = SUITES[self.kind].defaults
+        defaults = _suite(self.kind).defaults
+        _parsed("params", partial(_instance, "params", kind=dict), self.params)
         unknown = set(self.params) - set(defaults)
         if unknown:
             raise ConfigParseError(f"unknown parameters for {self.kind}: {sorted(unknown)}")
@@ -192,9 +202,7 @@ class ExperimentConfig:
         """Resolve defaults <- config file <- command-line overrides. A
         ``seed`` shifts the seed list to start at it. Every meta key the
         file gives is checked, also where ``seeds`` or a flag overrides it."""
-        if kind not in SUITES:
-            raise ConfigParseError(f"unknown experiment kind {kind!r}")
-        suite = SUITES[kind]
+        suite = _suite(kind)
         params = dict(suite.defaults)
         file_cfg = load_json_config(config_path) if config_path is not None else {}
         checks = {"seed": _seed, "num_seeds": _count, "seeds": _seeds, "out": _path,
@@ -928,8 +936,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
     CSV artifacts and the JSON report written under the output directory.
     This is the only code that writes there, and only after the suite
     succeeds: a failed run leaves no directory behind."""
-    if not isinstance(config, ExperimentConfig):
-        raise InvalidSpec(f"config must be an ExperimentConfig, got {type(config).__name__}")
+    config = _instance("config", config, ExperimentConfig)
     workers = _integer("workers", workers, 1)
     start = time.perf_counter()
     suite, params, seeds = SUITES[config.kind], config.params, list(config.seeds)
@@ -958,17 +965,35 @@ def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
     return report
 
 
+def _is_check(data) -> bool:
+    return (isinstance(data, dict) and isinstance(data.get("name"), str)
+            and isinstance(data.get("passed"), bool) and isinstance(data.get("detail"), str)
+            and all(isinstance(data.get(k), (int, float)) for k in ("value", "tolerance")))
+
+
+def _report_dict(data, name: str) -> dict:
+    """``data`` if it is the JSON form of a run report, as far as
+    :func:`report_summary` reads one: an experiment name, a pass flag and
+    a list of checks; anything else is a ConfigParseError naming ``name``."""
+    if not (isinstance(data, dict) and isinstance(data.get("experiment"), str)
+            and isinstance(data.get("all_passed"), bool) and isinstance(data.get("checks"), list)
+            and all(_is_check(c) for c in data["checks"])):
+        raise ConfigParseError(f"{name} is not a run report")
+    return data
+
+
 def report_summary(reports) -> str:
     """Fixed-width pass/fail table over run reports, failures first.
 
-    Accepts RunReport objects or their JSON dict form. The headline column
-    shows the first failing check, or the total check count when all pass.
+    Accepts RunReport objects or their JSON dict form (:func:`_report_dict`).
+    The headline column shows the first failing check, or the total check
+    count when all pass.
     """
     if not reports:
         raise ConfigParseError("report summary needs at least one report")
     entries = []
-    for report in reports:
-        data = report.to_json_dict() if isinstance(report, RunReport) else report
+    for index, report in enumerate(reports):
+        data = report.to_json_dict() if isinstance(report, RunReport) else _report_dict(report, f"reports[{index}]")
         checks = data["checks"]
         failed = [c for c in checks if not c["passed"]]
         status = "FAIL" if failed else "PASS"

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import default_rng
+from numpy.random import Generator, default_rng
 
-from .distributions import JointDistribution, NormalizedCooccurrence, _class_indices, _integer, _matrix_of, _reals
+from .distributions import (JointDistribution, NormalizedCooccurrence, _choice, _class_indices, _instance, _integer,
+                            _matrix_of, _reals)
 from .errors import InvalidBatchSize, InvalidSpec
 
 ENCODER_SIDES = ("visual", "language", "augmented")
@@ -48,8 +49,7 @@ class EncoderTable:
         m = _reals("encoder table", self.matrix, 2)
         if m.shape[1] < 1:
             raise InvalidSpec("encoder table must be 2-d with k >= 1")
-        if self.side not in ENCODER_SIDES:
-            raise InvalidSpec(f"side must be one of {ENCODER_SIDES}")
+        _choice("side", self.side, ENCODER_SIDES)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -76,6 +76,7 @@ def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
     :class:`~mmspectral.distributions.InducedDistribution`, this is the
     uni-modal spectral contrastive loss."""
     fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
+    joint = _instance("joint", joint, JointDistribution)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
     scores = fv @ fl.T
@@ -188,6 +189,7 @@ class BatchSampler:
 
     def __init__(self, joint: JointDistribution, n: int):
         self.n = _batch_size(n)
+        joint = _instance("joint", joint, JointDistribution)
         cdf = joint.matrix.ravel().cumsum()
         cdf /= cdf[-1]
         self._cdf = cdf
@@ -204,6 +206,7 @@ class BatchSampler:
         of the smallest index dtype; drawn ``_CHUNK_ENTRIES // n`` at a
         time. The slot rule is :func:`sample_batch`'s."""
         count = _integer("batch count", count, 0)
+        rng = _instance("rng", rng, Generator)
         nl = self._num_language
         draws = tuple(np.empty((count, self.n // 3), dtype=self._dtype) for _ in range(4))
         block = max(1, _CHUNK_ENTRIES // self.n)
@@ -233,8 +236,11 @@ def sample_batch(joint: JointDistribution, n: int, seed=None) -> Batch:
     negative language from 3j-1, negative visual from 3j, the permutation
     being drawn from the same seeded generator as the pairs. This is
     ``BatchSampler(joint, n).draw(default_rng(seed))``; loops over many
-    batches should build one :class:`BatchSampler` instead.
+    batches should build one :class:`BatchSampler` instead. ``seed`` is
+    None, an integer >= 0 or a ``Generator``, which the draw advances.
     """
+    if not (seed is None or isinstance(seed, Generator)):
+        seed = _integer("seed", seed, 0)
     return BatchSampler(joint, n).draw(default_rng(seed))
 
 
@@ -268,6 +274,7 @@ class _Plan(NamedTuple):
     @classmethod
     def of_batch(cls, batch: Batch) -> "_Plan":
         """The one-row plan of a batch."""
+        batch = _instance("batch", batch, Batch)
         split = batch.pos_visual.size + batch.neg_language.size
         visual = np.concatenate([batch.pos_visual, batch.neg_language_anchor,
                                  batch.neg_visual, batch.extra_pos_visual])
@@ -404,7 +411,7 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     ``sampler`` with ``rng``, bit for bit, evaluated a plan chunk of
     batches at a time without building any ``Batch``."""
     fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
-    draws = sampler.draw_chunk(rng, count)
+    draws = _instance("sampler", sampler, BatchSampler).draw_chunk(rng, count)
     losses = np.empty(count)
     for batches, plan in _Plan.chunks(draws, fv.shape[1]):
         losses[batches] = plan.losses(_row_dots(fv[plan.visual], fl[plan.language]))
@@ -426,6 +433,7 @@ def scl_grad(f_visual, f_language, joint: JointDistribution):
     tables. Returns (loss, grad_visual, grad_language). For one table
     shared by both sides, its gradient is ``grad_visual + grad_language``."""
     fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
+    joint = _instance("joint", joint, JointDistribution)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
     scores = fv @ fl.T

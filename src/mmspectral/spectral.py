@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (JointDistribution, LabelAssignment, NormalizedCooccurrence, _integer, _matrix_of,
-                            _reals, normalize_cooccurrence)
+from .distributions import (JointDistribution, LabelAssignment, NormalizedCooccurrence, _instance, _integer,
+                            _matrix_of, _reals, normalize_cooccurrence)
 from .errors import DegenerateGap, InvalidSpec, NumericalFailure, SpectralGapZero
 from .evaluation import labeling_error
 from .losses import EncoderTable
@@ -97,9 +97,8 @@ def optimal_encoders(norm: NormalizedCooccurrence, dec: SpectralDecomposition,
     them into the loss gives -(sigma_1^2 + ... + sigma_k^2), the best any
     rank-k factorization can do.
     """
-    if not (isinstance(norm, NormalizedCooccurrence) and isinstance(dec, SpectralDecomposition)):
-        raise InvalidSpec("optimal encoders need a NormalizedCooccurrence and a SpectralDecomposition, "
-                          f"got {type(norm).__name__} and {type(dec).__name__}")
+    norm = _instance("norm", norm, NormalizedCooccurrence)
+    dec = _instance("dec", dec, SpectralDecomposition)
     rows = (dec.left.shape[0], dec.right.shape[0])
     if rows != norm.matrix.shape:
         raise InvalidSpec(f"decomposition factor rows {rows} do not match the normalized joint {norm.matrix.shape}")
@@ -113,6 +112,7 @@ def hierarchical_eigenvalues(spec: HierarchicalGraphSpec) -> np.ndarray:
     """Closed-form spectrum of the hierarchical graph matrix, descending:
     1/(s_l*s_h) once, s_h*(p_h - p_l) with multiplicity s_l - 1, then
     zeros."""
+    spec = _instance("spec", spec, HierarchicalGraphSpec)
     n = spec.num_samples
     vals = np.zeros(n)
     vals[0] = 1.0 / n

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import AugmentationModel, InducedDistribution, JointDistribution, LabelAssignment, _integer, _real
+from .distributions import (AugmentationModel, InducedDistribution, JointDistribution, LabelAssignment, _instance,
+                            _integer, _real)
 from .errors import InvalidSpec
 
 
@@ -80,6 +81,7 @@ def _block_matrix(sizes, levels) -> np.ndarray:
 def build_hierarchical_matrix(spec: HierarchicalGraphSpec) -> InducedDistribution:
     """Materialize the explicit co-occurrence matrix of the graph: entry
     p_h when the two samples share a first-layer branch, else p_l."""
+    spec = _instance("spec", spec, HierarchicalGraphSpec)
     return InducedDistribution(_block_matrix((spec.s_l, spec.s_h), (spec.p_l, spec.p_h)), kind="hierarchical")
 
 
@@ -126,6 +128,7 @@ def generate_multimodal(cfg: MultiModalGenConfig) -> tuple[JointDistribution, La
     The realized labeling error is then exactly target_alpha, and the
     output is bit-for-bit reproducible from the seed.
     """
+    cfg = _instance("cfg", cfg, MultiModalGenConfig)
     rng = default_rng(cfg.seed)
     r, vpc, lpc = cfg.num_classes, cfg.visual_per_class, cfg.language_per_class
     nv, nl = r * vpc, r * lpc

@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 from numpy.random import default_rng
 
-from .distributions import (InducedDistribution, JointDistribution, _class_indices, _integer, _matrix_of, _real,
-                            normalize_cooccurrence)
+from .distributions import (InducedDistribution, JointDistribution, _choice, _class_indices, _instance, _integer,
+                            _matrix_of, _real, normalize_cooccurrence)
 from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
 from .losses import _CHUNK_ENTRIES, Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads, equivalence_constant
@@ -82,8 +82,7 @@ class TrainConfig:
             raise InvalidSpec(f"learning rate must be finite and positive, got {self.learning_rate!r}")
         if self.tolerance <= 0.0:
             raise InvalidSpec(f"tolerance must be finite and positive, got {self.tolerance!r}")
-        if self.batch_mode not in ("population", "sampled"):
-            raise InvalidSpec('batch_mode must be "population" or "sampled"')
+        _choice("batch_mode", self.batch_mode, ("population", "sampled"))
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,7 @@ class ResampleConfig:
     mixing_weight: float = 1.0
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise InvalidSpec(f"strategy must be one of {STRATEGIES}")
+        _choice("strategy", self.strategy, STRATEGIES)
         ratio = _real("ratio", DEFAULT_RATIOS[self.strategy] if self.ratio is None else self.ratio)
         if not 0.0 <= ratio <= 1.0:
             raise InvalidSpec("ratio must lie in [0, 1]")
@@ -120,6 +118,8 @@ class LossHistory:
 
     def __post_init__(self):
         object.__setattr__(self, "losses", np.asarray(self.losses, dtype=float))  # not _reals: diverged runs log nan
+        if self.losses.size == 0:
+            raise InvalidSpec("losses must hold at least one loss")
 
     @property
     def final(self) -> float:
@@ -256,7 +256,7 @@ def train_mmcl(joint: JointDistribution, cfg: TrainConfig):
     Returns (visual EncoderTable, language EncoderTable, LossHistory); the
     tables cover the pruned support, see the normalization index maps.
     """
-    (f_visual, f_language), history = _train(joint, cfg, 2)
+    (f_visual, f_language), history = _train(joint, _instance("cfg", cfg, TrainConfig), 2)
     return EncoderTable(f_visual, side="visual"), EncoderTable(f_language, side="language"), history
 
 
@@ -275,11 +275,9 @@ def train_sscl(induced: InducedDistribution, cfg: TrainConfig,
     support, see the normalization index maps, and so does the teacher as
     the strategies see it.
     """
-    if not isinstance(induced, InducedDistribution):
-        raise InvalidSpec(f"training needs a mass-1 induced distribution, got {type(induced).__name__}")
+    induced, cfg = _instance("induced", induced, InducedDistribution), _instance("cfg", cfg, TrainConfig)
     if resample is not None:
-        if not isinstance(resample, ResampleConfig):
-            raise InvalidSpec(f"resample must be a ResampleConfig, got {type(resample).__name__}")
+        resample = _instance("resample", resample, ResampleConfig)
         if teacher is None:
             raise TeacherMissing("resampling strategies need teacher features")
         if cfg.batch_mode != "sampled":
@@ -356,7 +354,7 @@ def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> 
     plan = _Plan.of_batch(batch)
     features = _matrix_of("teacher", teacher, EncoderTable)
     _check_rows(np.append(plan.visual, plan.language), features.shape[0])
-    out = _resample(plan, _TeacherTables(features), cfg)
+    out = _resample(plan, _TeacherTables(features), _instance("cfg", cfg, ResampleConfig))
     return batch if out is plan else out.as_batch()
 
 

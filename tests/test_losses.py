@@ -344,7 +344,7 @@ class TestEmpiricalScl:
         fv, fl = random_tables(rng, joint, 2)
         population = scl_loss(fv, fl, joint)
         values = [
-            empirical_scl(fv, fl, sample_batch(joint, 30, seed=[33, i]))
+            empirical_scl(fv, fl, sample_batch(joint, 30, seed=np.random.default_rng([33, i])))
             for i in range(2000)
         ]
         se = float(np.std(values, ddof=1)) / np.sqrt(len(values))

@@ -156,13 +156,13 @@ class TestOptimalEncoders:
 
     def test_refuses_a_joint_as_the_normalized_joint(self):
         joint = JointDistribution(random_joint(np.random.default_rng(6), 5, 4))
-        with pytest.raises(InvalidSpec, match="got JointDistribution and SpectralDecomposition"):
+        with pytest.raises(InvalidSpec, match="^norm must be a NormalizedCooccurrence, got JointDistribution$"):
             optimal_encoders(joint, decompose(normalize_cooccurrence(joint)), 2)
 
     def test_refuses_a_decomposition_of_another_type(self):
         norm = normalize_cooccurrence(TILTED)
         dec = decompose(norm)
-        with pytest.raises(InvalidSpec, match="got NormalizedCooccurrence and tuple"):
+        with pytest.raises(InvalidSpec, match="^dec must be a SpectralDecomposition, got tuple$"):
             optimal_encoders(norm, (dec.left, dec.singular_values, dec.right), 1)
 
 
