@@ -985,10 +985,12 @@ def _report_dict(data, name: str) -> dict:
 def report_summary(reports) -> str:
     """Fixed-width pass/fail table over run reports, failures first.
 
-    Accepts RunReport objects or their JSON dict form (:func:`_report_dict`).
-    The headline column shows the first failing check, or the total check
-    count when all pass.
+    Accepts a list or tuple of RunReport objects or their JSON dict form
+    (:func:`_report_dict`). The headline column shows the first failing
+    check, or the total check count when all pass.
     """
+    if not isinstance(reports, (list, tuple)):
+        raise ConfigParseError(f"reports must be a list or tuple of run reports, got {type(reports).__name__}")
     if not reports:
         raise ConfigParseError("report summary needs at least one report")
     entries = []

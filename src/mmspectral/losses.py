@@ -11,12 +11,18 @@ exactly the population loss.
 Every sampled path draws with ``BatchSampler.draw_chunk``, lays batches
 out as ``_Plan`` rows (a ``Batch`` is one row) and scores them with
 ``_Plan.losses`` within one ``_CHUNK_ENTRIES`` budget, so the single-batch
-loss, its gradient form and the many-batch loss agree bit for bit. A plan
+loss, its gradient form and the many-batch loss agree bit for bit. A
+batch's draw is its ``n`` uniforms, shuffled in place: the permutation
+``Generator.permutation(n)`` would draw, with no index array. A plan
 scores itself from its own splits, weights and batch size, once per
-distinct caption/image split. Gradients (``_PlanGrads``) work on one
-stacked table, the language rows after the visual rows or one table
-shared by both sides: a batch is one gather and one ``np.bincount``
-scatter, and keeps its scores for ``_Plan.losses``.
+distinct caption/image split. A many-batch loss that scores at least as
+many pairs as there are cells looks its pairs' scores up in one table of
+every cell's score (``_cell_scores``), built a block of rows at a time in
+the arithmetic of a batch's gather (``_row_dots``); the teacher
+similarity table of ``train`` is the same helper's. Gradients
+(``_PlanGrads``) work on one stacked table, the language rows after the
+visual rows or one table shared by both sides: a batch is one gather and
+one ``np.bincount`` scatter, and keeps its scores for ``_Plan.losses``.
 """
 from __future__ import annotations
 
@@ -181,8 +187,8 @@ class BatchSampler:
     """The three-way batch sampler of one joint distribution and batch size.
 
     The cumulative distribution over the joint's cells is built once. Each
-    batch then takes ``n`` uniforms and a permutation of ``range(n)`` from
-    the caller's generator: the same stream ``Generator.choice(size=n,
+    batch then takes ``n`` uniforms from the caller's generator and
+    shuffles them in place: the same stream ``Generator.choice(size=n,
     p=...)`` followed by ``Generator.permutation(n)`` consumes, so equal
     generator states give identical batches to :func:`sample_batch`.
     """
@@ -211,15 +217,13 @@ class BatchSampler:
         draws = tuple(np.empty((count, self.n // 3), dtype=self._dtype) for _ in range(4))
         block = max(1, _CHUNK_ENTRIES // self.n)
         uniforms = np.empty((min(block, count), self.n))
-        perms = np.empty(uniforms.shape, dtype=int)
+        random, shuffle = rng.random, rng.shuffle
         for start in range(0, count, block):
             rows = min(block, count - start)
-            perms[:] = np.arange(self.n)
-            for row in range(rows):
-                rng.random(out=uniforms[row])
-                rng.shuffle(perms[row])  # what Generator.permutation(n) does to arange(n)
-            cells = np.take_along_axis(self._cdf.searchsorted(uniforms[:rows], side="right"),
-                                       perms[:rows], axis=1)
+            for row in uniforms[:rows]:
+                random(out=row)
+                shuffle(row)  # swaps that depend on n and the stream alone
+            cells = self._cdf.searchsorted(uniforms[:rows], side="right")
             pos = cells[:, 0::3]
             for out, part in zip(draws, (pos // nl, pos % nl, cells[:, 1::3] % nl, cells[:, 2::3] // nl)):
                 out[start:start + rows] = part
@@ -248,6 +252,20 @@ def _row_dots(a, b, out=None):
     """Row-wise dot products, summed along the last axis so that leading
     batch axes leave each product's arithmetic unchanged."""
     return np.add.reduce(a * b, axis=-1, out=out)
+
+
+def _cell_scores(f_visual: np.ndarray, f_language: np.ndarray, budget: int) -> np.ndarray:
+    """The ``(num_visual, num_language)`` table of every cell's score,
+    ``_row_dots(f_visual[v], f_language[l])`` bit for bit, built a block
+    of visual rows at a time so that no product holds more than ``budget``
+    entries (one row's at least)."""
+    (num_visual, k), num_language = f_visual.shape, f_language.shape[0]
+    table = np.empty((num_visual, num_language))
+    block = max(1, budget // max(num_language * k, 1))
+    for start in range(0, num_visual, block):
+        rows = slice(start, start + block)
+        _row_dots(f_visual[rows, None], f_language, out=table[rows])
+    return table
 
 
 class _Plan(NamedTuple):
@@ -409,12 +427,20 @@ def empirical_scl(f_visual, f_language, batch: Batch) -> float:
 def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, count: int) -> np.ndarray:
     """:func:`empirical_scl` of ``count`` consecutive batches drawn from
     ``sampler`` with ``rng``, bit for bit, evaluated a plan chunk of
-    batches at a time without building any ``Batch``."""
+    batches at a time without building any ``Batch``. A run that scores
+    at least as many pairs as the joint has cells computes every cell's
+    score once (:func:`_cell_scores`) and looks its pairs' scores up;
+    a shorter run scores its pairs, in the same arithmetic."""
     fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     draws = _instance("sampler", sampler, BatchSampler).draw_chunk(rng, count)
+    table = _cell_scores(fv, fl, _CHUNK_ENTRIES) if count * sampler.n >= fv.shape[0] * fl.shape[0] else None
     losses = np.empty(count)
     for batches, plan in _Plan.chunks(draws, fv.shape[1]):
-        losses[batches] = plan.losses(_row_dots(fv[plan.visual], fl[plan.language]))
+        if table is None:
+            scores = _row_dots(fv[plan.visual], fl[plan.language])
+        else:
+            scores = table[plan.visual, plan.language]
+        losses[batches] = plan.losses(scores)
     return losses
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,10 @@ def config_hash(config: dict) -> str:
 
 
 def load_json_config(path) -> dict:
-    """Read a declarative config file (flat JSON object)."""
+    """Read a declarative config file (flat JSON object) at a ``str`` or
+    ``os.PathLike`` path."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigParseError(f"config path must be a str or os.PathLike, got {type(path).__name__}")
     try:
         text = Path(path).read_text()
     except OSError as exc:

@@ -167,7 +167,7 @@ def generate_augmentation_model(num_visual: int, augs_per_sample: int, leak: flo
     rng = default_rng(seed)
     n_a = num_visual * augs_per_sample
     a = np.full((n_a, num_visual), leak / n_a)
-    for v in range(num_visual):
-        split = rng.dirichlet(np.ones(augs_per_sample))
-        a[v * augs_per_sample:(v + 1) * augs_per_sample, v] += (1.0 - leak) * split
+    # one split per natural sample, row v drawn as the v-th single draw would be
+    splits = rng.dirichlet(np.ones(augs_per_sample), size=num_visual)
+    a[np.arange(n_a), np.arange(n_a) // augs_per_sample] += (1.0 - leak) * splits.ravel()
     return AugmentationModel(a, augs_per_sample)

@@ -35,7 +35,8 @@ from .distributions import (InducedDistribution, JointDistribution, _choice, _cl
                             _matrix_of, _real, normalize_cooccurrence)
 from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
-from .losses import _CHUNK_ENTRIES, Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads, equivalence_constant
+from .losses import (_CHUNK_ENTRIES, Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads, _cell_scores,
+                     equivalence_constant)
 from .losses import sample_batch  # noqa: F401  (perfbench's tracer test looks it up here)
 from .spectral import _check_top_k, decompose
 
@@ -332,14 +333,10 @@ class _TeacherTables:
 
     @cached_property
     def similarities(self) -> np.ndarray:
-        """The N x N table of cosine similarities, a block of rows at a
-        time in the arithmetic ``np.sum(rows[a] * rows[b], axis=-1)``."""
-        n, k = self.rows.shape
-        table = np.empty((n, n))
-        block = max(1, _CHUNK_ENTRIES // (n * k))
-        for start in range(0, n, block):
-            np.sum(self.rows[start:start + block, None] * self.rows, axis=-1, out=table[start:start + block])
-        return table
+        """The N x N table of cosine similarities, in the arithmetic
+        ``np.sum(rows[a] * rows[b], axis=-1)``: the cell scores of the
+        unit rows on both sides."""
+        return _cell_scores(self.rows, self.rows, _CHUNK_ENTRIES)
 
 
 def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> Batch:

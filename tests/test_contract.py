@@ -66,6 +66,7 @@ from mmspectral import (
     hierarchical_eigenvalues,
     intra_class_connectivity,
     labeling_error,
+    load_json_config,
     nearest_neighbor_positive,
     normalize_cooccurrence,
     normalized_uni,
@@ -97,6 +98,8 @@ SAMPLED = TrainConfig(dim=1, batch_mode="sampled", batch_size=6, max_steps=2)
 HRG_PARAMS = dict(SUITES["hrg-spectrum"].defaults)
 #: a run that every row refuses before it starts, so nothing is written
 HRG = ExperimentConfig.build("hrg-spectrum", out=Path(tempfile.gettempdir()) / "mmspectral-contract-unwritten")
+#: a config file that sets the base seed of any kind
+CONFIG_FILE = Path(__file__).with_name("contract-config.json")
 
 
 def induced_instance(rng):
@@ -761,17 +764,22 @@ HRG_REPORT = RunReport("hrg-spectrum", "", (0,), (CheckResult("a", True, 0.0, 1.
 #: one argument of every public constructor or function of the config and
 #: report layer: (a valid value, the call with that value and every other
 #: argument valid); each refuses a value of the wrong kind with a
-#: ConfigParseError. A report summary reads each entry of its list.
+#: ConfigParseError. A config path is a str or an os.PathLike. A report
+#: summary reads each entry of its list (a list or a tuple; anything else
+#: is refused as a whole, see VALUE_REPRODUCERS).
 CONFIG_SLOTS = {
     "ExperimentConfig.kind": ("hrg-spectrum", lambda v: ExperimentConfig(v, HRG_PARAMS, (0,), "o")),
     "ExperimentConfig.params": (HRG_PARAMS, lambda v: ExperimentConfig("hrg-spectrum", v, (0,), "o")),
     "ExperimentConfig.seeds": ((0, 5), lambda v: ExperimentConfig("hrg-spectrum", HRG_PARAMS, v, "o")),
     "ExperimentConfig.out": ("o", lambda v: ExperimentConfig("hrg-spectrum", HRG_PARAMS, (0,), v)),
     "ExperimentConfig.build.kind": ("hrg-spectrum", ExperimentConfig.build),
+    "ExperimentConfig.build.config_path": (CONFIG_FILE, lambda v: ExperimentConfig.build("hrg-spectrum",
+                                                                                         config_path=v)),
     "ExperimentConfig.build.seed": (3, lambda v: ExperimentConfig.build("hrg-spectrum", seed=v)),
     "ExperimentConfig.build.out": ("o", lambda v: ExperimentConfig.build("hrg-spectrum", out=v)),
     "ExperimentConfig.build.tolerance": (0.5, lambda v: ExperimentConfig.build("hrg-spectrum", tolerance=v)),
     "report_summary.reports": (HRG_REPORT, lambda v: report_summary([v])),
+    "load_json_config.path": (str(CONFIG_FILE), load_json_config),
 }
 
 
@@ -790,8 +798,9 @@ def test_config_arguments_refuse_values_of_the_wrong_kind(slot, value):
 
 
 #: calls that once raised a raw TypeError, ValueError or KeyError on a
-#: seed, an experiment kind, experiment parameters or a report entry of
-#: the wrong kind: (the call, its error, the start of its message)
+#: seed, an experiment kind, experiment parameters, a config path, a report
+#: list or a report entry of the wrong kind: (the call, its error, the
+#: start of its message)
 VALUE_REPRODUCERS = {
     "sample-batch-seed-negative": (lambda: sample_batch(JOINT3, 6, seed=-1), InvalidSpec, "seed must be >= 0"),
     "sample-batch-seed-1.5": (lambda: sample_batch(JOINT3, 6, seed=1.5), InvalidSpec, "seed must be >= 0"),
@@ -806,6 +815,14 @@ VALUE_REPRODUCERS = {
                                      re.escape("reports[0] is not a run report")),
     "summary-entry-string": (lambda: report_summary([HRG_REPORT, "x"]), ConfigParseError,
                              re.escape("reports[1] is not a run report")),
+    "config-path-none": (lambda: load_json_config(None), ConfigParseError,
+                         re.escape("config path must be a str or os.PathLike, got NoneType")),
+    "build-config-path-int": (lambda: ExperimentConfig.build("hrg-spectrum", config_path=3), ConfigParseError,
+                              re.escape("config path must be a str or os.PathLike, got int")),
+    "summary-bool": (lambda: report_summary(True), ConfigParseError,
+                     re.escape("reports must be a list or tuple of run reports, got bool")),
+    "summary-int": (lambda: report_summary(5), ConfigParseError,
+                    re.escape("reports must be a list or tuple of run reports, got int")),
 }
 
 
@@ -820,8 +837,6 @@ PASSED_THROUGH = {
     "JointDistribution.from_counts.fields": "the constructor of the class, as its other fields (an induced kind)",
     "canonical_json.obj": "json.dumps, with sorted keys",
     "config_hash.config": "canonical_json",
-    "load_json_config.path": "pathlib.Path; a file that cannot be read or parsed is a ConfigParseError",
-    "ExperimentConfig.build.config_path": "load_json_config",
     "save_csv.path": "pathlib.Path, opened for writing",
     "save_csv.rows": "np.asarray(dtype=object), one CSV row per row",
     "save_csv.header": "csv.writer, as the first row",

@@ -1,4 +1,5 @@
 """Population and sampled losses: values, identities, and the batch sampler."""
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -349,6 +350,59 @@ class TestEmpiricalScl:
         ]
         se = float(np.std(values, ddof=1)) / np.sqrt(len(values))
         assert abs(float(np.mean(values)) - population) <= 3.0 * se
+
+
+class TestCellScores:
+    """The table every sampled batch loss looks its scores up in."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12), st.integers(1, 8),
+           st.integers(1, 400))
+    @settings(max_examples=80, deadline=None)
+    def test_each_cell_is_its_pair_score_bit_for_bit(self, seed, nv, nl, k, budget):
+        """Budgets from below one row's entries to the whole table, so most
+        tables span several row blocks; zero and scaled rows included."""
+        rng = np.random.default_rng(seed)
+        fv, fl = rng.standard_normal((nv, k)), rng.standard_normal((nl, k))
+        fv *= rng.choice([0.0, 1e-3, 1.0, 1e3], size=(nv, 1))
+        table = losses._cell_scores(fv, fl, budget)
+        v, l = np.divmod(np.arange(nv * nl), nl)
+        assert table.shape == (nv, nl)
+        assert table.tobytes() == losses._row_dots(fv[v], fl[l]).tobytes()
+
+    @staticmethod
+    def large_instance():
+        """A 150 x 200 joint with zero cells, k = 8 tables and its sampler."""
+        rng = np.random.default_rng(23)
+        counts = rng.gamma(0.5, size=(150, 200))
+        counts[rng.random(counts.shape) < 0.3] = 0.0
+        joint = JointDistribution.from_counts(counts)
+        fv, fl = random_tables(rng, joint, 8)
+        return fv, fl, BatchSampler(joint, 30)
+
+    @pytest.mark.parametrize("count", [300, 1200])
+    def test_batches_of_a_large_joint_are_the_single_batch_losses(self, count):
+        """9,000 pairs score without the table of 30,000 cells, 36,000 with
+        it. A budget of 4 rows' products: 38 table blocks, and the draws and
+        plans span several blocks and chunks too."""
+        fv, fl, sampler = self.large_instance()
+        one, many = np.random.default_rng(7), np.random.default_rng(7)
+        singles = [empirical_scl(fv, fl, sampler.draw(one)) for _ in range(count)]
+        with mock.patch.object(losses, "_CHUNK_ENTRIES", 4 * fl.size):
+            chunked = empirical_scl_batches(fv, fl, sampler, many, count)
+        assert chunked.tobytes() == np.array(singles).tobytes()
+        assert one.random() == many.random()
+
+    def test_no_product_of_every_cell_is_allocated(self):
+        """The table is built a block at a time: a run long enough to build
+        it peaks below half the bytes of one (150, 200, 8) product."""
+        fv, fl, sampler = self.large_instance()
+        tracemalloc.start()
+        try:
+            empirical_scl_batches(fv, fl, sampler, np.random.default_rng(3), 1200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < fv.shape[0] * fl.size * 8 / 2
 
 
 class TestAnalyticGradients:

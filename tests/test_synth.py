@@ -187,6 +187,22 @@ class TestGenerateAugmentationModel:
             model.labels_for_augmented(np.array([5, 6, 7])), [5, 5, 6, 6, 7, 7]
         )
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 8), st.floats(0.0, 1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_splits_are_the_per_sample_dirichlet_draws(self, seed, nv, augs, leak):
+        """One call draws every natural sample's split as a loop of single
+        draws would, bit for bit, and leaves the generator where the loop
+        leaves it."""
+        loop = np.random.default_rng(seed)
+        n_a = nv * augs
+        want = np.full((n_a, nv), leak / n_a)
+        for v in range(nv):
+            want[v * augs:(v + 1) * augs, v] += (1.0 - leak) * loop.dirichlet(np.ones(augs))
+        assert generate_augmentation_model(nv, augs, leak, seed=seed).matrix.tobytes() == want.tobytes()
+        one = np.random.default_rng(seed)
+        one.dirichlet(np.ones(augs), size=nv)
+        assert one.random() == loop.random()
+
     def test_rejects_invalid_conditional(self):
         with pytest.raises(InvalidSpec):
             AugmentationModel(np.array([[0.5, 0.2], [0.4, 0.8]]), augs_per_sample=1)

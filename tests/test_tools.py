@@ -32,8 +32,9 @@ for name, fn in cases:
     fn()
 induced, teacher, cfg, weight = microbench.resample_compare_instance()
 assert teacher.num_samples == induced.num_samples and cfg.batch_mode == "sampled"
-batches, count = microbench.mc_loss_case()
-assert batches().shape == (count,)
+(draw, draw_fn, draws), (loss, loss_fn, losses) = microbench.mc_loss_cases()
+assert (draw, loss) == ("draw_chunk", "empirical_scl_batches")
+assert draw_fn()[0].shape[0] == draws and loss_fn().shape == (losses,)
 print(len(cases))
 """
     done = run_python("-c", code, str(TOOLS / "microbench.py"))

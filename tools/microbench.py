@@ -8,9 +8,10 @@ Prints the median microseconds per call, over 7 repeats, of:
   ``apply_strategy`` for each strategy (the drops at ratio 0.5, so that
   each drops something) on one 12-draw batch of an 8 x 8 joint with k = 3
   tables and an 8 x 3 teacher;
-- ``empirical_scl_batches`` per batch at the ``verify-equivalence``
-  defaults (``mean_batches`` batches of ``batch_size`` draws from a 6 x 8
-  joint with k = 3 tables), the path its Monte-Carlo work unit takes;
+- ``BatchSampler.draw_chunk`` and ``empirical_scl_batches`` per batch at
+  the ``verify-equivalence`` defaults (``mean_batches`` batches of
+  ``batch_size`` draws from a 6 x 8 joint with k = 3 tables), the draw
+  alone and the path its Monte-Carlo work unit takes;
 - one sampled ``train_sscl`` step at the ``resample-compare`` defaults,
   without and with each strategy: a whole run divided by its steps. The
   timed runs repeat one run, so they reuse its memoised draws, as the
@@ -65,15 +66,17 @@ def single_batch_cases():
         yield f"apply_strategy {strategy}", lambda cfg=cfg: apply_strategy(batch, teacher, cfg)
 
 
-def mc_loss_case():
-    """(one ``empirical_scl_batches`` call over the ``verify-equivalence``
-    mean batches, their count)."""
+def mc_loss_cases():
+    """(name, one call over the ``verify-equivalence`` mean batches, their
+    count): the draw alone, then the draw and the losses."""
     params = SUITES["verify-equivalence"].defaults
     rng = np.random.default_rng(0)
     joint = JointDistribution.from_counts(rng.gamma(2.0, size=(6, 8)))
     fv, fl = rng.standard_normal((6, 3)), rng.standard_normal((8, 3))
     sampler, count = BatchSampler(joint, params["batch_size"]), params["mean_batches"]
-    return lambda: empirical_scl_batches(fv, fl, sampler, np.random.default_rng(71), count), count
+    yield "draw_chunk", lambda: sampler.draw_chunk(np.random.default_rng(71), count), count
+    yield "empirical_scl_batches", lambda: empirical_scl_batches(fv, fl, sampler, np.random.default_rng(71),
+                                                                 count), count
 
 
 def resample_compare_instance():
@@ -87,8 +90,8 @@ def resample_compare_instance():
 def main() -> int:
     for name, fn in single_batch_cases():
         print(f"{name:36s} {per_call_us(fn, 2000):9.2f} us")
-    batches, count = mc_loss_case()
-    print(f"{'empirical_scl_batches per batch':36s} {per_call_us(batches, 1) / count:9.2f} us")
+    for name, batches, count in mc_loss_cases():
+        print(f"{name + ' per batch':36s} {per_call_us(batches, 1) / count:9.2f} us")
     induced, teacher, cfg, weight = resample_compare_instance()
     for name in ("baseline",) + STRATEGIES:
         resample = None if name == "baseline" else ResampleConfig(name, mixing_weight=weight)
