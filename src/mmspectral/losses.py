@@ -15,11 +15,11 @@ loss, its gradient form and the many-batch loss agree bit for bit. A
 batch's draw is its ``n`` uniforms, shuffled in place: the permutation
 ``Generator.permutation(n)`` would draw, with no index array. A plan
 scores itself from its own splits, weights and batch size, once per
-distinct caption/image split. A many-batch loss that scores at least as
-many pairs as there are cells looks its pairs' scores up in one table of
-every cell's score (``_cell_scores``), built a block of rows at a time in
-the arithmetic of a batch's gather (``_row_dots``); the teacher
-similarity table of ``train`` is the same helper's. Gradients
+distinct caption/image split. The many-batch loss looks its pairs'
+scores up in one table of every cell's score (``_cell_scores``), built a
+block of rows at a time in the arithmetic of a batch's gather
+(``_row_dots``); the teacher similarity table of ``train`` is the same
+helper's. Gradients
 (``_PlanGrads``) work on one stacked table, the language rows after the
 visual rows or one table shared by both sides: a batch is one gather and
 one ``np.bincount`` scatter, and keeps its scores for ``_Plan.losses``.
@@ -427,20 +427,14 @@ def empirical_scl(f_visual, f_language, batch: Batch) -> float:
 def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, count: int) -> np.ndarray:
     """:func:`empirical_scl` of ``count`` consecutive batches drawn from
     ``sampler`` with ``rng``, bit for bit, evaluated a plan chunk of
-    batches at a time without building any ``Batch``. A run that scores
-    at least as many pairs as the joint has cells computes every cell's
-    score once (:func:`_cell_scores`) and looks its pairs' scores up;
-    a shorter run scores its pairs, in the same arithmetic."""
+    batches at a time without building any ``Batch``: every cell's score
+    is computed once (:func:`_cell_scores`) and each pair's is looked up."""
     fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     draws = _instance("sampler", sampler, BatchSampler).draw_chunk(rng, count)
-    table = _cell_scores(fv, fl, _CHUNK_ENTRIES) if count * sampler.n >= fv.shape[0] * fl.shape[0] else None
+    table = _cell_scores(fv, fl, _CHUNK_ENTRIES)
     losses = np.empty(count)
     for batches, plan in _Plan.chunks(draws, fv.shape[1]):
-        if table is None:
-            scores = _row_dots(fv[plan.visual], fl[plan.language])
-        else:
-            scores = table[plan.visual, plan.language]
-        losses[batches] = plan.losses(scores)
+        losses[batches] = plan.losses(table[plan.visual, plan.language])
     return losses
 
 

