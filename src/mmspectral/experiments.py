@@ -3,14 +3,15 @@ sweeps, and emits machine-readable reports.
 
 Each experiment kind is a :class:`Suite` in ``SUITES``, and its work is
 data. ``units(params, seeds)`` lists the work units of a run as
-``(fn, tasks)`` groups; every unit is a top-level ``fn(params, task)``, a
-pure function of its arguments. ``reduce(params, seeds, *results)`` turns
-each group's results, in task order, into the checks and the artifact
-tables. :func:`run` alone maps the units, in one map over all of them,
-sequentially or over one worker pool, so fanning out cannot change a
-result; and it alone writes the tables, so the same configuration gives
-byte-identical CSV artifacts and an identical report up to the wall-clock
-field.
+``(fn, tasks)`` groups and computes nothing; every unit is a top-level
+``fn(params, task)``, a pure function of its arguments, and every task is
+plain data: ints, floats, strings and tuples of them. ``reduce(params,
+seeds, *results)`` turns each group's results, in task order, into the
+checks and the artifact tables. :func:`run` alone maps the units, in one
+map over all of them, sequentially or over one worker pool, so fanning
+out cannot change a result; and it alone writes the tables, so the same
+configuration gives byte-identical CSV artifacts and an identical report
+up to the wall-clock field.
 """
 from __future__ import annotations
 
@@ -600,21 +601,6 @@ def _sweep_masses(point: int, points: int, classes: int, groups: int,
     return cross, mid, within
 
 
-def _sweep_case(params, task):
-    """For ``task = (matrix, point, seed)``, the probe error of top-k
-    features fitted to a sampled estimate of one sweep point's clean joint
-    ``matrix``."""
-    matrix, point, seed = task
-    labels = np.repeat(np.arange(params["classes"]), params["groups"] * params["group_size"])
-    rng = default_rng([seed, 40, point])
-    flat = matrix.ravel()
-    counts = rng.multinomial(params["sample_pairs"], flat / flat.sum()).reshape(matrix.shape).astype(float)
-    counts = (counts + counts.T) / 2.0
-    norm = normalize_cooccurrence(JointDistribution.from_counts(counts))
-    _, features = _uni_encoder(norm, params["dim"])
-    return _in_sample_probe(features, labels[norm.visual_index], norm.marginal_visual)[1]
-
-
 def _bound_case(params, sep):
     """The bound-term row at separation ``sep`` of the first pair's graph."""
     s_l, s_h = params["pairs"][0]
@@ -627,39 +613,45 @@ def _bound_case(params, sep):
             report.kappa, report.constant_proxy)
 
 
-def _clean_case(params, matrix):
-    """(labeling error, sigma_{k+1}) of a sweep point's clean joint ``matrix``."""
-    clean = JointDistribution(matrix)
-    labels = np.repeat(np.arange(params["classes"]), params["groups"] * params["group_size"])
-    return (labeling_error(clean, LabelAssignment(labels, labels, params["classes"])),
-            decompose(normalize_cooccurrence(clean)).singular_values[params["dim"]])
+def _point_case(params, task):
+    """For ``task = (point, seeds)``: the labeling error and sigma_{k+1} of
+    sweep point ``point``'s clean joint, and for each seed in order the
+    probe error of top-k features fitted to a sampled estimate of that
+    joint, drawn with the generator ``[seed, 40, point]``."""
+    point, seeds = task
+    classes, groups, group_size, dim = (params[key] for key in ("classes", "groups", "group_size", "dim"))
+    masses = _sweep_masses(point, params["sweep_points"], classes, groups, group_size, params["cross_mass"])
+    clean = JointDistribution(_block_matrix((classes, groups, group_size), masses))
+    labels = np.repeat(np.arange(classes), groups * group_size)
+    alpha = labeling_error(clean, LabelAssignment(labels, labels, classes))
+    sigma_next = decompose(normalize_cooccurrence(clean)).singular_values[dim]
+    flat = clean.matrix.ravel()
+    mass = flat / flat.sum()
+    errors = []
+    for seed in seeds:
+        counts = default_rng([seed, 40, point]).multinomial(params["sample_pairs"], mass)
+        counts = counts.reshape(clean.matrix.shape).astype(float)
+        norm = normalize_cooccurrence(JointDistribution.from_counts((counts + counts.T) / 2.0))
+        _, features = _uni_encoder(norm, dim)
+        errors.append(_in_sample_probe(features, labels[norm.visual_index], norm.marginal_visual)[1])
+    return alpha, sigma_next, errors
 
 
 def _bound_sweep_units(params, seeds):
     """The monotonicity pairs; the bound terms along the separation sweep
     for the first pair, where its graph has more blocks than classes; and
-    each sweep point's clean joint, built once, which the seeds then only
-    resample."""
+    the sweep points, each probing every seed."""
     s_l, s_h = params["pairs"][0]
-    classes, groups, group_size = params["classes"], params["groups"], params["group_size"]
-    points = params["sweep_points"]
-    matrices = []
-    for point in range(points):
-        masses = _sweep_masses(point, points, classes, groups, group_size, params["cross_mass"])
-        matrices.append(JointDistribution(_block_matrix((classes, groups, group_size), masses)).matrix)
     return [(_monotone_case, params["pairs"]),
             (_bound_case, params["separations"] if s_l * s_h >= s_l + 1 else ()),
-            (_clean_case, matrices),
-            (_sweep_case, [(matrices[point], point, seed) for point in range(points) for seed in seeds])]
+            (_point_case, [(point, tuple(seeds)) for point in range(params["sweep_points"])])]
 
 
-def _bound_sweep_reduce(params, seeds, worsts, bound_rows, clean, errors):
+def _bound_sweep_reduce(params, seeds, worsts, bound_rows, sweep):
     checks = [_check(f"monotone-sl{s_l}-sh{s_h}", worst, params["tolerance"],
                      "max over t, d<d' of sigma_t(d) - sigma_t(d')")
               for (s_l, s_h), worst in zip(params["pairs"], worsts)]
-    points = params["sweep_points"]
-    alphas, sigma_next = np.array(clean).T
-    errors = np.array(errors).reshape(points, len(seeds))
+    alphas, sigma_next, errors = (np.array(column) for column in zip(*sweep))
     checks.append(_check("alpha-fixed", float(np.max(np.abs(alphas - params["cross_mass"]))), 1e-12,
                          "labeling error is pinned by the cross-class mass across the sweep"))
     mean_errors = errors.mean(axis=1)
@@ -671,7 +663,7 @@ def _bound_sweep_reduce(params, seeds, worsts, bound_rows, clean, errors):
                              "sigma_gap", "kappa", "constant_proxy"], bound_rows),
         "probe_sweep.csv": (["point", "sigma_next_clean", "alpha", "probe_error_mean"],
                             [(p, float(sigma_next[p]), float(alphas[p]), float(mean_errors[p]))
-                             for p in range(points)]),
+                             for p in range(params["sweep_points"])]),
     }
 
 
@@ -973,12 +965,15 @@ def _is_check(data) -> bool:
 
 def _report_dict(data, name: str) -> dict:
     """``data`` if it is the JSON form of a run report, as far as
-    :func:`report_summary` reads one: an experiment name, a pass flag and
-    a list of checks; anything else is a ConfigParseError naming ``name``."""
+    :func:`report_summary` reads one: an experiment name, a list of checks
+    and a pass flag that is true exactly when every check passed; anything
+    else is a ConfigParseError naming ``name``."""
     if not (isinstance(data, dict) and isinstance(data.get("experiment"), str)
             and isinstance(data.get("all_passed"), bool) and isinstance(data.get("checks"), list)
             and all(_is_check(c) for c in data["checks"])):
         raise ConfigParseError(f"{name} is not a run report")
+    if data["all_passed"] != all(c["passed"] for c in data["checks"]):
+        raise ConfigParseError(f"{name} is not a run report: all_passed disagrees with its checks")
     return data
 
 

@@ -254,14 +254,14 @@ def _row_dots(a, b, out=None):
     return np.add.reduce(a * b, axis=-1, out=out)
 
 
-def _cell_scores(f_visual: np.ndarray, f_language: np.ndarray, budget: int) -> np.ndarray:
+def _cell_scores(f_visual: np.ndarray, f_language: np.ndarray) -> np.ndarray:
     """The ``(num_visual, num_language)`` table of every cell's score,
     ``_row_dots(f_visual[v], f_language[l])`` bit for bit, built a block
-    of visual rows at a time so that no product holds more than ``budget``
-    entries (one row's at least)."""
+    of visual rows at a time so that no product holds more than
+    ``_CHUNK_ENTRIES`` entries (one row's at least)."""
     (num_visual, k), num_language = f_visual.shape, f_language.shape[0]
     table = np.empty((num_visual, num_language))
-    block = max(1, budget // max(num_language * k, 1))
+    block = max(1, _CHUNK_ENTRIES // max(num_language * k, 1))
     for start in range(0, num_visual, block):
         rows = slice(start, start + block)
         _row_dots(f_visual[rows, None], f_language, out=table[rows])
@@ -431,7 +431,7 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     is computed once (:func:`_cell_scores`) and each pair's is looked up."""
     fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     draws = _instance("sampler", sampler, BatchSampler).draw_chunk(rng, count)
-    table = _cell_scores(fv, fl, _CHUNK_ENTRIES)
+    table = _cell_scores(fv, fl)
     losses = np.empty(count)
     for batches, plan in _Plan.chunks(draws, fv.shape[1]):
         losses[batches] = plan.losses(table[plan.visual, plan.language])

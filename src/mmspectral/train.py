@@ -35,7 +35,7 @@ from .distributions import (InducedDistribution, JointDistribution, _choice, _cl
                             _matrix_of, _real, normalize_cooccurrence)
 from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
-from .losses import (_CHUNK_ENTRIES, Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads, _cell_scores,
+from .losses import (Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads, _cell_scores, _row_dots,
                      equivalence_constant)
 from .losses import sample_batch  # noqa: F401  (perfbench's tracer test looks it up here)
 from .spectral import _check_top_k, decompose
@@ -307,9 +307,7 @@ def nearest_neighbor_positive(index: int, candidates, teacher: EncoderTable) -> 
     if cand.size == 0:
         raise EmptyCandidates("no candidates besides the anchor itself")
     rows = _unit_rows(features)
-    # the arithmetic of _TeacherTables.similarities; argmax takes the first
-    # maximum, which is the smallest index
-    return int(cand[np.argmax(np.sum(rows[cand] * rows[index], axis=-1))])
+    return int(cand[np.argmax(_row_dots(rows[cand], rows[index]))])
 
 
 class _TeacherTables:
@@ -334,9 +332,9 @@ class _TeacherTables:
     @cached_property
     def similarities(self) -> np.ndarray:
         """The N x N table of cosine similarities, in the arithmetic
-        ``np.sum(rows[a] * rows[b], axis=-1)``: the cell scores of the
-        unit rows on both sides."""
-        return _cell_scores(self.rows, self.rows, _CHUNK_ENTRIES)
+        ``_row_dots(rows[a], rows[b])``: the cell scores of the unit rows on
+        both sides."""
+        return _cell_scores(self.rows, self.rows)
 
 
 def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> Batch:

@@ -191,6 +191,18 @@ class TestReportCommand:
         assert main(["report", str(path)]) == 2
         assert "is not a run report" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("passing", [True, False])
+    def test_a_pass_flag_that_disagrees_with_the_checks_exits_two(self, tmp_path, capsys, passing):
+        """The printed rows and the exit code come from one verdict: a
+        report whose all_passed contradicts its checks is refused."""
+        _, out = run_hrg(tmp_path, *([] if passing else ["--tolerance", "-1.0"]))
+        path = out / "hrg-spectrum-report.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), all_passed=not passing)))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "all_passed disagrees with its checks" in captured.err and captured.out == ""
+
     def test_any_failure_exits_one(self, tmp_path, capsys):
         run_hrg(tmp_path / "good")
         run_hrg(tmp_path / "bad", "--tolerance", "-1.0")

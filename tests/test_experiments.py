@@ -231,6 +231,14 @@ class TestReportSummary:
         data = report(checks=[check("a")]).to_json_dict()
         assert "PASS" in report_summary([data])
 
+    @pytest.mark.parametrize("flag, passed", [(True, False), (False, True)])
+    def test_a_pass_flag_that_disagrees_with_the_checks_is_refused(self, flag, passed):
+        """A hand-edited report whose all_passed says otherwise than its
+        checks would print one verdict and exit with the other."""
+        data = dict(report(checks=[check("a", passed=passed)]).to_json_dict(), all_passed=flag)
+        with pytest.raises(ConfigParseError, match=r"reports\[0\] is not a run report: all_passed disagrees"):
+            report_summary([data])
+
     def test_resample_rows_get_per_strategy_sublines(self):
         rep = report(kind="resample-compare", checks=[
             check("nonharm-AddNewPositive", value=0.48, tolerance=0.005, detail="10 seeds"),
@@ -278,50 +286,65 @@ class TestRun:
         assert means[0] == means[1]
 
     @pytest.mark.parametrize("config", [None, PERFBENCH_CONFIGS / "bound-sweep.json"], ids=["default", "perfbench"])
-    def test_bound_sweep_clean_joints_keep_the_three_tier_fill(self, config):
-        """The clean joint of every sweep point, as the suite hands it to
-        its sweep units, holds the bytes of the explicit three-tier fill."""
+    def test_bound_sweep_clean_joints_keep_the_three_tier_fill(self, config, monkeypatch):
+        """The suite hands each sweep point every seed, and the point's unit
+        builds its clean joint with the bytes of the explicit three-tier
+        fill and reads alpha and sigma_{k+1} off that joint."""
         cfg = ExperimentConfig.build("bound-sweep", config_path=config)
         params = cfg.params
         classes, groups, group_size, points = (params[key] for key in ("classes", "groups", "group_size",
                                                                         "sweep_points"))
-        tasks = dict(SUITES["bound-sweep"].units(params, list(cfg.seeds)))[experiments._sweep_case]
-        assert len(tasks) == points * len(cfg.seeds)
-        handed = {point: matrix for matrix, point, _ in tasks}
-        assert sorted(handed) == list(range(points))
-        for point, matrix in handed.items():
+        tasks = dict(SUITES["bound-sweep"].units(params, list(cfg.seeds)))[experiments._point_case]
+        assert tasks == [(point, cfg.seeds) for point in range(points)]
+        labeling, cleans = experiments.labeling_error, []
+
+        def recording(joint, labels):
+            cleans.append(joint)
+            return labeling(joint, labels)
+
+        monkeypatch.setattr(experiments, "labeling_error", recording)
+        labels = np.repeat(np.arange(classes), groups * group_size)
+        for point, _ in tasks:
+            cleans.clear()
+            alpha, sigma_next, _ = experiments._point_case(params, (point, ()))
+            (clean,) = cleans
             cross, mid, within = experiments._sweep_masses(point, points, classes, groups, group_size,
                                                            params["cross_mass"])
-            fill = JointDistribution(three_tier_fill(classes, groups, group_size, within, mid, cross)).matrix
-            assert matrix.dtype == fill.dtype and matrix.tobytes() == fill.tobytes()
+            fill = JointDistribution(three_tier_fill(classes, groups, group_size, within, mid, cross))
+            assert clean.matrix.dtype == fill.matrix.dtype and clean.matrix.tobytes() == fill.matrix.tobytes()
+            assert alpha == labeling(fill, LabelAssignment(labels, labels, classes))
+            assert sigma_next == spectral.decompose(
+                experiments.normalize_cooccurrence(fill)).singular_values[params["dim"]]
 
     def test_bound_sweep_units_probe_the_labels_of_the_kept_samples(self, monkeypatch):
-        """At 60 sampled pairs a sweep unit's estimate leaves some visual
-        samples unseen, and normalization prunes them; the unit's probe
-        error is the one fitted to the labels of the rows it keeps, chosen
-        here by a loop over the estimate's row sums."""
+        """At 60 sampled pairs a seed's estimate leaves some visual samples
+        unseen, and normalization prunes them; each probe error of a sweep
+        point is the one fitted to the labels of the rows its estimate
+        keeps, chosen here by a loop over the estimate's row sums."""
         params = dict(SUITES["bound-sweep"].defaults, sample_pairs=60)
         block = params["groups"] * params["group_size"]
-        normalize, estimates = experiments.normalize_cooccurrence, []
+        normalize, normalized = experiments.normalize_cooccurrence, []
 
         def recording(joint):
-            estimates.append(joint)
+            normalized.append(joint)
             return normalize(joint)
 
         monkeypatch.setattr(experiments, "normalize_cooccurrence", recording)
-        tasks = dict(SUITES["bound-sweep"].units(params, list(range(8))))[experiments._sweep_case]
+        tasks = dict(SUITES["bound-sweep"].units(params, list(range(8))))[experiments._point_case]
         pruned = 0
         for task in tasks:
-            estimates.clear()
-            error = experiments._sweep_case(params, task)
-            (joint,) = estimates
-            row_mass, _ = marginals_oracle(joint.matrix)
-            kept = [v for v in range(len(row_mass)) if row_mass[v] > 0]
-            pruned += len(kept) < len(row_mass)
-            norm = normalize(joint)
-            _, features = experiments._uni_encoder(norm, params["dim"])
-            labels = [v // block for v in kept]
-            assert error == experiments._in_sample_probe(features, labels, norm.marginal_visual)[1]
+            normalized.clear()
+            _, _, errors = experiments._point_case(params, task)
+            _, *estimates = normalized  # the clean joint first, then one estimate per seed
+            assert len(errors) == len(estimates) == len(task[1])
+            for error, joint in zip(errors, estimates):
+                row_mass, _ = marginals_oracle(joint.matrix)
+                kept = [v for v in range(len(row_mass)) if row_mass[v] > 0]
+                pruned += len(kept) < len(row_mass)
+                norm = normalize(joint)
+                _, features = experiments._uni_encoder(norm, params["dim"])
+                labels = [v // block for v in kept]
+                assert error == experiments._in_sample_probe(features, labels, norm.marginal_visual)[1]
         assert pruned
 
     def test_loss_log_lists_both_losses_per_instance_in_seed_order(self, tmp_path):
@@ -373,6 +396,38 @@ class TestRun:
             dict_a.pop("wall_clock_seconds")
             dict_b.pop("wall_clock_seconds")
             assert dict_a == dict_b
+
+
+def plain(task) -> bool:
+    """Whether ``task`` is built only from ints, floats, strings and tuples of them."""
+    if isinstance(task, tuple):
+        return all(map(plain, task))
+    return type(task) in (int, float, str)
+
+
+class TestUnitsAreData:
+    """A suite's ``units`` lists plain-data tasks and computes nothing: the
+    units build their own matrices."""
+
+    CONFIGS = [(kind, config) for kind in SUITES
+               for config in (None, PERFBENCH_CONFIGS / f"{kind}.json")
+               if config is None or config.is_file()]
+
+    @pytest.mark.parametrize("kind, config", CONFIGS,
+                             ids=[f"{kind}-{'perfbench' if config else 'default'}" for kind, config in CONFIGS])
+    def test_every_task_is_plain_data_listed_without_numerics(self, kind, config, monkeypatch):
+        cfg = ExperimentConfig.build(kind, config_path=config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("units computed a matrix")
+
+        for name in ("_block_matrix", "JointDistribution", "normalize_cooccurrence", "decompose"):
+            monkeypatch.setattr(experiments, name, refuse)
+        groups = SUITES[kind].units(cfg.params, list(cfg.seeds))
+        assert groups and all(isinstance(tasks, (list, tuple)) for _, tasks in groups)
+        for fn, tasks in groups:
+            assert getattr(experiments, fn.__name__) is fn
+            assert all(plain(task) for task in tasks), fn.__name__
 
 
 class TestOneDecompositionPerMatrix:

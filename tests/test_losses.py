@@ -364,7 +364,8 @@ class TestCellScores:
         rng = np.random.default_rng(seed)
         fv, fl = rng.standard_normal((nv, k)), rng.standard_normal((nl, k))
         fv *= rng.choice([0.0, 1e-3, 1.0, 1e3], size=(nv, 1))
-        table = losses._cell_scores(fv, fl, budget)
+        with mock.patch.object(losses, "_CHUNK_ENTRIES", budget):
+            table = losses._cell_scores(fv, fl)
         v, l = np.divmod(np.arange(nv * nl), nl)
         assert table.shape == (nv, nl)
         assert table.tobytes() == losses._row_dots(fv[v], fl[l]).tobytes()

@@ -337,7 +337,7 @@ class TestTeacherTables:
         pairs = [(every[:, None], every[None, :]), (every, every[::-1])]
         for shape in ((int(rng.integers(1, 20)),), tuple(int(x) for x in rng.integers(1, 12, size=2))):
             pairs.append((rng.integers(0, n, size=shape), rng.integers(0, n, size=shape)))
-        with mock.patch.object(train, "_CHUNK_ENTRIES", budget):
+        with mock.patch("mmspectral.losses._CHUNK_ENTRIES", budget):
             for a, b in pairs:
                 want = np.sum(tables.rows[a] * tables.rows[b], axis=-1)
                 got = tables.similarities[a, b]
