@@ -250,6 +250,8 @@ class RunReport:
 
     def __post_init__(self):
         names = [c.name for c in self.checks]
+        if not names:
+            raise InvalidSpec("a run report needs at least one check")
         if len(names) != len(set(names)):
             raise InvalidSpec("check names must be unique within a report")
 
@@ -305,6 +307,14 @@ def _random_joint(rng, nv: int, nl: int) -> JointDistribution:
     return JointDistribution.from_counts(rng.gamma(2.0, size=(nv, nl)))
 
 
+def _random_case(rng, visual, language, dim):
+    """(sizes, joint, visual table, language table) drawn from ``rng`` in this
+    order: the sizes from their ``[low, high)`` ranges, the joint, the two normal tables."""
+    nv, nl, k = sizes = tuple(int(rng.integers(*bounds)) for bounds in (visual, language, dim))
+    joint = _random_joint(rng, nv, nl)
+    return sizes, joint, rng.standard_normal((nv, k)), rng.standard_normal((nl, k))
+
+
 def _covering_labels(rng, n: int, r: int) -> np.ndarray:
     """Random labels over r classes, each class guaranteed to appear."""
     labels = np.concatenate([np.arange(r), rng.integers(0, r, size=n - r)])
@@ -316,12 +326,6 @@ def _uni_encoder(norm: NormalizedCooccurrence, k: int):
     _, vecs = np.linalg.eigh(norm.matrix)
     top = vecs[:, ::-1][:, :k]
     return top, EncoderTable(top / np.sqrt(norm.marginal_visual)[:, None])
-
-
-def _in_sample_probe(features: EncoderTable, labels, weights):
-    """(predictions, weighted error) of the probe fitted to ``features``."""
-    probe = fit_probe(features, labels, weights)
-    return probe.predict(features), probe_error(probe, features, labels, weights)
 
 
 def _multimodal_instance(params, seed: int):
@@ -363,13 +367,8 @@ def _gapped_multimodal(params, seed: int):
 
 
 def _equivalence_case(params, seed):
-    rng = default_rng([seed, 10])
-    nv = int(rng.integers(2, params["max_visual"] + 1))
-    nl = int(rng.integers(2, params["max_language"] + 1))
-    k = int(rng.integers(1, params["max_dim"] + 1))
-    joint = _random_joint(rng, nv, nl)
-    fv = rng.standard_normal((nv, k))
-    fl = rng.standard_normal((nl, k))
+    (nv, nl, k), joint, fv, fl = _random_case(default_rng([seed, 10]), (2, params["max_visual"] + 1),
+                                              (2, params["max_language"] + 1), (1, params["max_dim"] + 1))
     norm = normalize_cooccurrence(joint)
     scl = scl_loss(fv, fl, joint)
     amf = amf_loss(
@@ -446,8 +445,8 @@ def _optimum_case(params, seed):
     fv, fl, history = train_mmcl(joint, cfg)
     final = scl_loss(fv, fl, joint)
     closed_v, _ = optimal_encoders(norm, dec, dim)
-    trained_pred, _ = _in_sample_probe(fv, labels.visual, joint.marginal_visual)
-    closed_pred, _ = _in_sample_probe(closed_v, labels.visual, joint.marginal_visual)
+    trained_pred = fit_probe(fv, labels.visual, joint.marginal_visual).predict(fv)
+    closed_pred = fit_probe(closed_v, labels.visual, joint.marginal_visual).predict(closed_v)
     mismatches = int(np.sum(trained_pred != closed_pred))
     return final - target, mismatches, final, target, len(history)
 
@@ -469,12 +468,8 @@ def _relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def _grad_case(params, seed):
     rng = default_rng([seed, 80])
-    nv = int(rng.integers(3, 8))
-    nl = int(rng.integers(3, 8))
-    k = int(rng.integers(1, 4))
-    joint = _random_joint(rng, nv, nl)
-    fv = EncoderTable(rng.standard_normal((nv, k)))
-    fl = EncoderTable(rng.standard_normal((nl, k)), side="language")
+    (nv, nl, k), joint, fv, fl = _random_case(rng, (3, 8), (3, 8), (1, 4))
+    fv, fl = EncoderTable(fv), EncoderTable(fl, side="language")
 
     _, gv, gl = scl_grad(fv, fl, joint)
     num_v = _central_difference(lambda m: scl_loss(m, fl, joint), fv.matrix)
@@ -633,7 +628,8 @@ def _point_case(params, task):
         counts = counts.reshape(clean.matrix.shape).astype(float)
         norm = normalize_cooccurrence(JointDistribution.from_counts((counts + counts.T) / 2.0))
         _, features = _uni_encoder(norm, dim)
-        errors.append(_in_sample_probe(features, labels[norm.visual_index], norm.marginal_visual)[1])
+        kept, weights = labels[norm.visual_index], norm.marginal_visual
+        errors.append(probe_error(fit_probe(features, kept, weights), features, kept, weights))
     return alpha, sigma_next, errors
 
 
@@ -676,8 +672,8 @@ def _uni_case(params, seed):
     joint, labels, norm, dec = _gapped_multimodal(params, seed)
     closed_v, _ = optimal_encoders(norm, dec, dim)
     top, features = _uni_encoder(normalized_uni(norm), dim)
-    pred_multi, _ = _in_sample_probe(closed_v, labels.visual, norm.marginal_visual)
-    pred_uni, _ = _in_sample_probe(features, labels.visual, norm.marginal_visual)
+    pred_multi = fit_probe(closed_v, labels.visual, norm.marginal_visual).predict(closed_v)
+    pred_uni = fit_probe(features, labels.visual, norm.marginal_visual).predict(features)
     mismatches = int(np.sum(pred_multi != pred_uni))
     return mismatches, _max_principal_angle(dec.left[:, :dim], top)
 
@@ -787,7 +783,8 @@ def _resample_case(params, seed):
     accuracies = []
     for resample in resamples:  # the baseline, then each strategy
         encoder, _ = train_sscl(induced, cfg=cfg, resample=resample, teacher=teacher)
-        accuracies.append(1.0 - _in_sample_probe(encoder, labels_aug, induced.marginal)[1])
+        probe = fit_probe(encoder, labels_aug, induced.marginal)
+        accuracies.append(1.0 - probe_error(probe, encoder, labels_aug, induced.marginal))
     return accuracies
 
 
@@ -965,12 +962,12 @@ def _is_check(data) -> bool:
 
 def _report_dict(data, name: str) -> dict:
     """``data`` if it is the JSON form of a run report, as far as
-    :func:`report_summary` reads one: an experiment name, a list of checks
-    and a pass flag that is true exactly when every check passed; anything
-    else is a ConfigParseError naming ``name``."""
+    :func:`report_summary` reads one: an experiment name, a non-empty list
+    of checks and a pass flag that is true exactly when every check
+    passed; anything else is a ConfigParseError naming ``name``."""
     if not (isinstance(data, dict) and isinstance(data.get("experiment"), str)
             and isinstance(data.get("all_passed"), bool) and isinstance(data.get("checks"), list)
-            and all(_is_check(c) for c in data["checks"])):
+            and data["checks"] and all(_is_check(c) for c in data["checks"])):
         raise ConfigParseError(f"{name} is not a run report")
     if data["all_passed"] != all(c["passed"] for c in data["checks"]):
         raise ConfigParseError(f"{name} is not a run report: all_passed disagrees with its checks")

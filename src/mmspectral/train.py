@@ -183,7 +183,6 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
     """
     norm = normalize_cooccurrence(joint)
     target = norm.matrix
-    constant = equivalence_constant(norm)
     dec = decompose(norm)
     k = cfg.dim
     _check_top_k(dec, k)
@@ -199,6 +198,7 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
             # FF^T is PSD, so only positive eigenvalues of the target are reachable
             eigs = np.linalg.eigvalsh(target)[::-1]
             optimum = -float(np.sum(np.clip(eigs[:k], 0.0, None) ** 2))
+        constant = equivalence_constant(norm)
 
         def loss_and_grads(factors):
             fv, fl = factors[0], factors[-1]

@@ -184,6 +184,7 @@ class TestReportCommand:
         "{}",
         "[]",
         '{"experiment": "x", "all_passed": true, "checks": [{"name": "a"}]}',
+        '{"experiment": "hrg-spectrum", "all_passed": true, "checks": []}',
     ])
     def test_json_that_is_not_a_report_exits_two(self, tmp_path, capsys, text):
         path = tmp_path / "f.json"

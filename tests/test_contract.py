@@ -612,7 +612,8 @@ def test_index_arrays_refuse_fractions_negatives_bools_strings_non_finite_ragged
 LIBRARY = (
     JOINT3, INDUCED3, NORM3, DEC3, LABELS3, AUGMENT, EncoderTable(EYE3), BATCH3, BatchSampler(JOINT3, 6), PROBE,
     HierarchicalGraphSpec(2, 2, 0.5), MultiModalGenConfig(2, 2, 2), SAMPLED, ResampleConfig("AddNewPositive"), HRG,
-    np.random.default_rng(0), CheckResult("a", True, 0.0, 1.0), RunReport("x", "", (0,), (), 0.0, ()),
+    np.random.default_rng(0), CheckResult("a", True, 0.0, 1.0),
+    RunReport("x", "", (0,), (CheckResult("a", True, 0.0, 1.0),), 0.0, ()),
     BoundReport(0.0, 0.5, 0.0, 0.0, 1.0, 1.0), LossHistory([0.0], True),
 )
 

@@ -26,9 +26,12 @@ from mmspectral import (
     InvalidSpec,
     JointDistribution,
     LabelAssignment,
+    LinearProbe,
     RunReport,
     bound_report,
     build_hierarchical_matrix,
+    fit_probe,
+    probe_error,
     report_summary,
     run,
 )
@@ -58,7 +61,7 @@ def check(name, passed=True, value=0.0, tolerance=1e-9, detail=""):
     return CheckResult(name=name, passed=passed, value=value, tolerance=tolerance, detail=detail)
 
 
-def report(kind="hrg-spectrum", checks=(), **kw):
+def report(checks, kind="hrg-spectrum", **kw):
     fields = dict(experiment=kind, config_hash="0" * 64, seeds=(0,),
                   checks=tuple(checks), wall_clock_seconds=0.0, artifacts=())
     fields.update(kw)
@@ -182,6 +185,20 @@ class TestExperimentConfigBuild:
         cfg = ExperimentConfig.build("estimators", config_path=path)
         assert cfg.params["bound_tolerance"] == 1e-10
 
+    @pytest.mark.parametrize("kind, digest", [
+        ("verify-equivalence", "43b8f5da3f63159dad33fe187e2efb108d5f3d7987e0d39cd838810846dc544f"),
+        ("verify-optimum", "e8b3bf8633318c34c95993672ced83a142e3f521840a19520eadc187f8dfc280"),
+        ("hrg-spectrum", "fb27d1e842a3e7516e9f9b4e24730a135693e765f65a6a02d545a6531e613823"),
+        ("bound-sweep", "e256d42e2a54536cfef148fe7774bc5180835e5ab6cf6fa221d2cf1f604ee52c"),
+        ("uni-equivalence", "7d333eecae0c063c86a1f3bd2b2bb05b93214ebeda5220e0b54dec986118904c"),
+        ("resample-compare", "e4d211856aad7fea82afb3ada66f2038bf13b00dff0fb9a9bab85a9600e15686"),
+        ("estimators", "c2f3156e6fdce5c084fc7a390b063a7775bcdf7c172fd323491cba907aa1a0ef"),
+    ])
+    def test_default_config_hashes_are_pinned(self, kind, digest):
+        """A report names its configuration by this hash, so a change that
+        moves a default, a parameter name or the hashing moves it too."""
+        assert ExperimentConfig.build(kind).hash() == digest
+
     def test_hash_ignores_output_directory(self):
         a = ExperimentConfig.build("estimators", out="first")
         b = ExperimentConfig.build("estimators", out="second")
@@ -193,6 +210,10 @@ class TestRunReport:
     def test_duplicate_check_names_rejected(self):
         with pytest.raises(InvalidSpec):
             report(checks=[check("same"), check("same")])
+
+    def test_a_report_without_checks_is_refused(self):
+        with pytest.raises(InvalidSpec, match="at least one check"):
+            report(checks=[])
 
     def test_all_passed_tracks_checks(self):
         assert report(checks=[check("a"), check("b")]).all_passed
@@ -230,6 +251,13 @@ class TestReportSummary:
     def test_accepts_json_dict_form(self):
         data = report(checks=[check("a")]).to_json_dict()
         assert "PASS" in report_summary([data])
+
+    def test_a_report_without_checks_is_refused(self):
+        """run refuses a configuration that selects no checks, so no run
+        writes such a file, and it would read as a pass."""
+        data = {"experiment": "hrg-spectrum", "all_passed": True, "checks": []}
+        with pytest.raises(ConfigParseError, match=r"reports\[0\] is not a run report"):
+            report_summary([data])
 
     @pytest.mark.parametrize("flag, passed", [(True, False), (False, True)])
     def test_a_pass_flag_that_disagrees_with_the_checks_is_refused(self, flag, passed):
@@ -344,7 +372,8 @@ class TestRun:
                 norm = normalize(joint)
                 _, features = experiments._uni_encoder(norm, params["dim"])
                 labels = [v // block for v in kept]
-                assert error == experiments._in_sample_probe(features, labels, norm.marginal_visual)[1]
+                weights = norm.marginal_visual
+                assert error == probe_error(fit_probe(features, labels, weights), features, labels, weights)
         assert pruned
 
     def test_loss_log_lists_both_losses_per_instance_in_seed_order(self, tmp_path):
@@ -458,6 +487,79 @@ class TestOneDecompositionPerMatrix:
     def test_estimators_unit(self, shapes):
         experiments._estimator_case(SUITES["estimators"].defaults, 0)
         assert len(shapes) == 1
+
+
+class TestOneProbePerFeatureTable:
+    """A unit fits one probe per feature table and reads it once: the
+    units that compare predictions predict, the units that report an
+    error take probe_error, which predicts."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, fit, error, predict = [], experiments.fit_probe, experiments.probe_error, LinearProbe.predict
+
+        def fitting(features, labels, weights=None):
+            calls.append(("fit", features))
+            return fit(features, labels, weights)
+
+        def erring(probe, features, labels, weights=None):
+            calls.append(("error", features))
+            return error(probe, features, labels, weights)
+
+        def predicting(probe, features):
+            calls.append(("predict", features))
+            return predict(probe, features)
+
+        monkeypatch.setattr(experiments, "fit_probe", fitting)
+        monkeypatch.setattr(experiments, "probe_error", erring)
+        monkeypatch.setattr(LinearProbe, "predict", predicting)
+        return calls
+
+    @pytest.mark.parametrize("case, kind, overrides, task, fits, reads", [
+        (experiments._optimum_case, "verify-optimum", {}, 0, 2, ["predict"]),
+        (experiments._uni_case, "uni-equivalence", {}, 0, 2, ["predict"]),
+        (experiments._point_case, "bound-sweep", {}, (0, (0, 1, 2)), 3, ["error", "predict"]),
+        (experiments._resample_case, "resample-compare", {"steps": 30}, 0, 5, ["error", "predict"]),
+    ], ids=["verify-optimum", "uni-equivalence", "bound-sweep", "resample-compare"])
+    def test_unit(self, calls, case, kind, overrides, task, fits, reads):
+        case(dict(SUITES[kind].defaults, **overrides), task)
+        width = 1 + len(reads)
+        assert [name for name, _ in calls] == ["fit", *reads] * fits
+        groups = [calls[i:i + width] for i in range(0, len(calls), width)]
+        assert all(features is group[0][1] for group in groups for _, features in group)
+        assert len({id(group[0][1]) for group in groups}) == fits
+
+
+@pytest.mark.parametrize("seed", [0, 5, 602])
+@pytest.mark.parametrize("case, stream, bounds", [
+    (experiments._equivalence_case, 10, lambda p: ((2, p["max_visual"] + 1), (2, p["max_language"] + 1),
+                                                   (1, p["max_dim"] + 1))),
+    (experiments._grad_case, 80, lambda p: ((3, 8), (3, 8), (1, 4))),
+], ids=["verify-equivalence", "gradient"])
+def test_random_cases_draw_sizes_then_joint_then_tables(case, stream, bounds, seed, monkeypatch):
+    """The random cases draw through ``_random_case`` exactly what they
+    drew inline: the three sizes, the gamma joint, the visual table, the
+    language table, leaving their generator where the inline draws did."""
+    params = SUITES["verify-equivalence"].defaults
+    drawn, random_case = [], experiments._random_case
+
+    def recording(rng, *ranges):
+        drawn.append((random_case(rng, *ranges), rng.bit_generator.state))
+        return drawn[-1][0]
+
+    monkeypatch.setattr(experiments, "_random_case", recording)
+    case(params, seed)
+    (((nv, nl, k), joint, fv, fl), state), = drawn
+
+    rng = np.random.default_rng([seed, stream])
+    (v_lo, v_hi), (l_lo, l_hi), (k_lo, k_hi) = bounds(params)
+    assert (nv, nl, k) == (int(rng.integers(v_lo, v_hi)), int(rng.integers(l_lo, l_hi)),
+                           int(rng.integers(k_lo, k_hi)))
+    expect = JointDistribution.from_counts(rng.gamma(2.0, size=(nv, nl)))
+    assert joint.matrix.tobytes() == expect.matrix.tobytes()
+    assert fv.shape == (nv, k) and fv.tobytes() == rng.standard_normal((nv, k)).tobytes()
+    assert fl.shape == (nl, k) and fl.tobytes() == rng.standard_normal((nl, k)).tobytes()
+    assert state == rng.bit_generator.state
 
 
 class TestMapTasks:
