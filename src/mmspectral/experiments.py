@@ -65,7 +65,7 @@ from .losses import (
     scl_loss,
 )
 from .serialize import canonical_json, config_hash, load_json_config, save_csv
-from .spectral import bound_report, decompose, hierarchical_eigenvalues, optimal_encoders
+from .spectral import _check_rank, bound_report, decompose, hierarchical_eigenvalues, optimal_encoders
 from .synth import (
     HierarchicalGraphSpec,
     MultiModalGenConfig,
@@ -127,6 +127,13 @@ def _parsed(key: str, convert, value):
         return convert(value)
     except (TypeError, ValueError, InvalidSpec) as exc:
         raise ConfigParseError(f"bad value for {key!r}: {value!r} ({exc})") from exc
+
+
+def _require(key: str, value, holds: bool, need: str) -> None:
+    """A value that parses but that its suite cannot measure is a
+    ConfigParseError naming its key, as a malformed value is."""
+    if not holds:
+        raise ConfigParseError(f"bad value for {key!r}: {value!r} (need {need})")
 
 
 @dataclass(frozen=True)
@@ -322,7 +329,10 @@ def _covering_labels(rng, n: int, r: int) -> np.ndarray:
 
 
 def _uni_encoder(norm: NormalizedCooccurrence, k: int):
-    """(top-k eigenvectors of the symmetric ``norm``; the uni-modal closed-form encoder they give)."""
+    """(top-k eigenvectors of the symmetric ``norm``; the uni-modal closed-form encoder they give).
+    Refuses k past the support, as the SVD closed forms do, but warns of no
+    degenerate gap: the sampled estimates of bound-sweep tie often."""
+    _check_rank(k, norm.matrix.shape[0])
     _, vecs = np.linalg.eigh(norm.matrix)
     top = vecs[:, ::-1][:, :k]
     return top, EncoderTable(top / np.sqrt(norm.marginal_visual)[:, None])
@@ -396,9 +406,12 @@ def _empirical_case(params, task):
 
 
 def _verify_equivalence_units(params, seeds):
+    batches, counts = params["mean_batches"], params["rate_batch_counts"]
+    _require("mean_batches", batches, batches >= 2, "at least 2 batches for a standard error")
+    _require("rate_batch_counts", counts, len(set(counts)) >= 2, "two distinct counts to fit a rate slope")
     return [(_equivalence_case, seeds),
-            (_empirical_case, [(seeds[0], params["mean_batches"], (71,))]),
-            (_empirical_case, [(seeds[0], max(params["rate_batch_counts"]), (72, rep))
+            (_empirical_case, [(seeds[0], batches, (71,))]),
+            (_empirical_case, [(seeds[0], max(counts), (72, rep))
                                for rep in range(params["rate_repeats"])])]
 
 
@@ -610,7 +623,8 @@ def _bound_case(params, sep):
 
 def _point_case(params, task):
     """For ``task = (point, seeds)``: the labeling error and sigma_{k+1} of
-    sweep point ``point``'s clean joint, and for each seed in order the
+    sweep point ``point``'s clean joint, from its bound report, which
+    refuses a k without a sigma_{k+1}; and for each seed in order the
     probe error of top-k features fitted to a sampled estimate of that
     joint, drawn with the generator ``[seed, 40, point]``."""
     point, seeds = task
@@ -618,8 +632,7 @@ def _point_case(params, task):
     masses = _sweep_masses(point, params["sweep_points"], classes, groups, group_size, params["cross_mass"])
     clean = JointDistribution(_block_matrix((classes, groups, group_size), masses))
     labels = np.repeat(np.arange(classes), groups * group_size)
-    alpha = labeling_error(clean, LabelAssignment(labels, labels, classes))
-    sigma_next = decompose(normalize_cooccurrence(clean)).singular_values[dim]
+    terms = bound_report(clean, LabelAssignment(labels, labels, classes), dim)
     flat = clean.matrix.ravel()
     mass = flat / flat.sum()
     errors = []
@@ -630,13 +643,15 @@ def _point_case(params, task):
         _, features = _uni_encoder(norm, dim)
         kept, weights = labels[norm.visual_index], norm.marginal_visual
         errors.append(probe_error(fit_probe(features, kept, weights), features, kept, weights))
-    return alpha, sigma_next, errors
+    return terms.alpha, terms.sigma_next, errors
 
 
 def _bound_sweep_units(params, seeds):
     """The monotonicity pairs; the bound terms along the separation sweep
     for the first pair, where its graph has more blocks than classes; and
     the sweep points, each probing every seed."""
+    _require("classes", params["classes"], params["classes"] >= 2, "at least 2 classes for a cross-class mass")
+    _require("sweep_points", params["sweep_points"], params["sweep_points"] >= 2, "two points to rank")
     s_l, s_h = params["pairs"][0]
     return [(_monotone_case, params["pairs"]),
             (_bound_case, params["separations"] if s_l * s_h >= s_l + 1 else ()),
@@ -957,18 +972,23 @@ def run(config: ExperimentConfig, workers: int = 1) -> RunReport:
 def _is_check(data) -> bool:
     return (isinstance(data, dict) and isinstance(data.get("name"), str)
             and isinstance(data.get("passed"), bool) and isinstance(data.get("detail"), str)
-            and all(isinstance(data.get(k), (int, float)) for k in ("value", "tolerance")))
+            and all(isinstance(data.get(k), (int, float)) and not isinstance(data.get(k), bool)
+                    for k in ("value", "tolerance")))
 
 
 def _report_dict(data, name: str) -> dict:
     """``data`` if it is the JSON form of a run report, as far as
     :func:`report_summary` reads one: an experiment name, a non-empty list
-    of checks and a pass flag that is true exactly when every check
+    of uniquely named checks, each with a number (not a bool) as its value
+    and tolerance, and a pass flag that is true exactly when every check
     passed; anything else is a ConfigParseError naming ``name``."""
     if not (isinstance(data, dict) and isinstance(data.get("experiment"), str)
             and isinstance(data.get("all_passed"), bool) and isinstance(data.get("checks"), list)
             and data["checks"] and all(_is_check(c) for c in data["checks"])):
         raise ConfigParseError(f"{name} is not a run report")
+    names = [c["name"] for c in data["checks"]]
+    if len(names) != len(set(names)):
+        raise ConfigParseError(f"{name} is not a run report: check names must be unique within a report")
     if data["all_passed"] != all(c["passed"] for c in data["checks"]):
         raise ConfigParseError(f"{name} is not a run report: all_passed disagrees with its checks")
     return data

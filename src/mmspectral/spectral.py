@@ -71,12 +71,19 @@ def decompose(norm: NormalizedCooccurrence) -> SpectralDecomposition:
     return SpectralDecomposition(left=u, singular_values=s, right=vt.T)
 
 
+def _check_rank(k, rank: int) -> int:
+    """``k`` as an int, refused past the rank bound: a top-k closed form
+    needs k columns to take."""
+    k = _integer("k", k, 1)
+    if k > rank:
+        raise InvalidSpec(f"k={k} exceeds the rank bound {rank}")
+    return k
+
+
 def _check_top_k(dec: SpectralDecomposition, k: int) -> None:
     """Refuse k past the rank bound; warn when the top-k subspace is ill-defined."""
     s = dec.singular_values
-    k = _integer("k", k, 1)
-    if k > s.size:
-        raise InvalidSpec(f"k={k} exceeds the rank bound {s.size}")
+    k = _check_rank(k, s.size)
     # only an interior gap can be degenerate; k == rank bound has none
     if k < s.size and s[k - 1] - s[k] < GAP_TOL:
         warnings.warn(

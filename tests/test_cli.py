@@ -94,6 +94,15 @@ class TestExperimentCommands:
         pytest.param(("bound-sweep", {"separations": ["0.5", "1"]}), id="string-separations"),
         pytest.param(("hrg-spectrum", {"seeds": [3], "seed": "x", "num_seeds": -4}, "seed"),
                      id="meta-keys-beside-seed-list"),
+        # values that parse but that the suite cannot measure, refused before any work
+        pytest.param(("verify-equivalence", {"rate_batch_counts": [50], "num_seeds": 2, "mean_batches": 300,
+                                             "rate_repeats": 3}), id="one-rate-count"),
+        pytest.param(("verify-equivalence", {"rate_batch_counts": [50, 50], "num_seeds": 2, "mean_batches": 300,
+                                             "rate_repeats": 3}), id="repeated-rate-count"),
+        pytest.param(("verify-equivalence", {"mean_batches": 1, "num_seeds": 2, "rate_repeats": 3,
+                                             "rate_batch_counts": [5, 20]}), id="one-mean-batch"),
+        pytest.param(("bound-sweep", {"classes": 1, "num_seeds": 1}), id="one-class"),
+        pytest.param(("bound-sweep", {"sweep_points": 1, "num_seeds": 1}), id="one-sweep-point"),
     ])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, monkeypatch, payload):
         kind, payload, *named = payload if isinstance(payload, tuple) else (None, payload)
@@ -118,7 +127,9 @@ class TestExperimentCommands:
         ("resample-compare", {"batch_size": 10}, "batch size must be a positive multiple of 3"),
         ("hrg-spectrum", {"s_low": [1, 2]}, "need s_l >= 2"),
         ("bound-sweep", {"separations": [2.0]}, "separation must lie in [0, 1]"),
-    ], ids=["empty-range", "batch-size", "s-low", "separation"])
+        ("bound-sweep", {"dim": 36}, "need k+1 <= 36, got k=36"),
+        ("bound-sweep", {"dim": 9, "num_seeds": 1, "sample_pairs": 4}, "k=9 exceeds the rank bound 8"),
+    ], ids=["empty-range", "batch-size", "s-low", "separation", "dim-past-clean-rank", "dim-past-estimate-support"])
     def test_values_the_library_refuses_exit_two(self, tmp_path, capsys, kind, payload, message):
         """These surface in the suite's work, before the output directory is
         made: one error line, exit code 2 and nothing written."""
@@ -185,7 +196,12 @@ class TestReportCommand:
         "[]",
         '{"experiment": "x", "all_passed": true, "checks": [{"name": "a"}]}',
         '{"experiment": "hrg-spectrum", "all_passed": true, "checks": []}',
-    ])
+        '{"experiment": "x", "all_passed": true, "checks": ['
+        '{"name": "a", "passed": true, "value": 0.0, "tolerance": 1.0, "detail": ""}, '
+        '{"name": "a", "passed": true, "value": 0.0, "tolerance": 1.0, "detail": ""}]}',
+        '{"experiment": "x", "all_passed": true, "checks": ['
+        '{"name": "a", "passed": true, "value": true, "tolerance": false, "detail": ""}]}',
+    ], ids=["object", "list", "bare-check", "no-checks", "repeated-name", "bool-numbers"])
     def test_json_that_is_not_a_report_exits_two(self, tmp_path, capsys, text):
         path = tmp_path / "f.json"
         path.write_text(text)

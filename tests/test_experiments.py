@@ -267,6 +267,23 @@ class TestReportSummary:
         with pytest.raises(ConfigParseError, match=r"reports\[0\] is not a run report: all_passed disagrees"):
             report_summary([data])
 
+    @pytest.mark.parametrize("checks, why", [
+        ([check("a").to_json_dict()] * 2, ": check names must be unique within a report"),
+        ([dict(check("a").to_json_dict(), value=True)], ""),
+        ([dict(check("a").to_json_dict(), tolerance=False)], ""),
+    ], ids=["repeated-name", "bool-value", "bool-tolerance"])
+    def test_what_run_report_refuses_is_refused(self, checks, why):
+        """RunReport refuses repeated check names, and no library number
+        is a bool; a hand-written report is held to the same rules."""
+        data = dict(report(checks=[check("a")]).to_json_dict(), checks=checks)
+        with pytest.raises(ConfigParseError, match=rf"^reports\[0\] is not a run report{why}$"):
+            report_summary([data])
+
+    def test_a_nan_value_is_a_check_value(self):
+        """A Spearman of constant input is nan, and its check a failure to show."""
+        data = report(checks=[check("rho", passed=False, value=math.nan)]).to_json_dict()
+        assert report_summary([data]).splitlines()[1].startswith("FAIL   hrg-spectrum   0/1    rho=nan")
+
     def test_resample_rows_get_per_strategy_sublines(self):
         rep = report(kind="resample-compare", checks=[
             check("nonharm-AddNewPositive", value=0.48, tolerance=0.005, detail="10 seeds"),
@@ -324,13 +341,13 @@ class TestRun:
                                                                         "sweep_points"))
         tasks = dict(SUITES["bound-sweep"].units(params, list(cfg.seeds)))[experiments._point_case]
         assert tasks == [(point, cfg.seeds) for point in range(points)]
-        labeling, cleans = experiments.labeling_error, []
+        labeling, terms, cleans = experiments.labeling_error, experiments.bound_report, []
 
-        def recording(joint, labels):
+        def recording(joint, labels, k):
             cleans.append(joint)
-            return labeling(joint, labels)
+            return terms(joint, labels, k)
 
-        monkeypatch.setattr(experiments, "labeling_error", recording)
+        monkeypatch.setattr(experiments, "bound_report", recording)
         labels = np.repeat(np.arange(classes), groups * group_size)
         for point, _ in tasks:
             cleans.clear()
@@ -351,19 +368,18 @@ class TestRun:
         keeps, chosen here by a loop over the estimate's row sums."""
         params = dict(SUITES["bound-sweep"].defaults, sample_pairs=60)
         block = params["groups"] * params["group_size"]
-        normalize, normalized = experiments.normalize_cooccurrence, []
+        normalize, estimates = experiments.normalize_cooccurrence, []
 
-        def recording(joint):
-            normalized.append(joint)
+        def recording(joint):  # each seed's estimate; bound_report normalizes the clean joint in spectral
+            estimates.append(joint)
             return normalize(joint)
 
         monkeypatch.setattr(experiments, "normalize_cooccurrence", recording)
         tasks = dict(SUITES["bound-sweep"].units(params, list(range(8))))[experiments._point_case]
         pruned = 0
         for task in tasks:
-            normalized.clear()
+            estimates.clear()
             _, _, errors = experiments._point_case(params, task)
-            _, *estimates = normalized  # the clean joint first, then one estimate per seed
             assert len(errors) == len(estimates) == len(task[1])
             for error, joint in zip(errors, estimates):
                 row_mass, _ = marginals_oracle(joint.matrix)

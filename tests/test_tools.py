@@ -3,6 +3,7 @@
 Each runs in a subprocess, so that microbench's BLAS thread settings stay
 out of the test process.
 """
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,41 @@ def test_identity_without_an_output_directory_prints_its_usage():
     assert done.returncode == 2
     assert done.stderr.startswith("Write every suite's artifacts") and "identity.py OUT" in done.stderr
     assert done.stdout == ""
+
+
+def test_identity_digest_checks_one_kind(tmp_path):
+    """A digest of hrg-spectrum's files checks clean; a changed digest and a
+    file it does not list are named, exit 1; a digest from another platform
+    gets no verdict, exit 2. The full digest stays outside the test suite."""
+    digest = tmp_path / "IDENTITY.json"
+    code = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("identity", sys.argv[1])
+identity = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(identity)
+identity.write_digest(identity.Path(sys.argv[2]), "write one kind", kinds=["hrg-spectrum"])
+"""
+    done = run_python("-c", code, str(TOOLS / "identity.py"), str(digest))
+    assert done.returncode == 0, done.stderr
+    record = json.loads(digest.read_text())
+    assert record["command"] == "write one kind" and set(record["platform"]) == {"numpy", "openblas", "openblas_core"}
+    files = sorted(record["files"])
+    assert len(files) == 8 and all(name.startswith("hrg-spectrum/seed") for name in files)  # 2 seeds x 2 worker counts x 2 files
+
+    def check():
+        return run_python(str(TOOLS / "identity.py"), "--check", str(digest))
+
+    done = check()
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"all 8 files match {digest}\n", "")
+    record["files"][files[0]] = "0" * 64
+    del record["files"][files[-1]]
+    digest.write_text(json.dumps(record))
+    done = check()
+    assert (done.returncode, done.stdout) == (1, f"differs: {files[0]}\nnew: {files[-1]}\n")
+    record["platform"]["numpy"] = "0.0"
+    digest.write_text(json.dumps(record))
+    done = check()
+    assert done.returncode == 2 and done.stdout == "" and done.stderr.startswith("platform differs, no verdict")
 
 
 def test_microbench_cases_build_and_run_once():

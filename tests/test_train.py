@@ -36,7 +36,7 @@ from mmspectral import generate_augmentation_model
 from mmspectral import train
 from mmspectral.losses import _CHUNK_ENTRIES, _Plan, _PlanGrads
 from mmspectral.train import _LATEST_DRAWS, DEFAULT_RATIOS, STRATEGIES, _resample, _TeacherTables
-from oracles import BATCH_INDEX_FIELDS, strategy_oracle
+from oracles import BATCH_INDEX_FIELDS, nearest_oracle, strategy_oracle
 
 TILTED = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
 DIAG = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
@@ -306,14 +306,23 @@ def tied_teacher(rng, n):
     return EncoderTable(distinct[rng.integers(0, distinct.shape[0], size=n)])
 
 
+def exact_teacher(rng, n):
+    """Teacher of repeated one-hot rows, some scaled and some zero: its
+    cosine similarities are exactly 0 or 1 in any arithmetic, so a
+    ranking has no rounding to disagree on."""
+    d = int(rng.integers(1, 4))
+    rows = np.vstack([np.eye(d), np.zeros((1, d))])[rng.integers(0, d + 1, size=n)]
+    return EncoderTable(rows * rng.choice([1.0, 0.5, 3.0], size=(n, 1)))
+
+
 class TestTeacherTables:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_nearest_table_matches_reference(self, seed, n, tied):
         rng = np.random.default_rng(seed)
         teacher = tied_teacher(rng, n) if tied else EncoderTable(rng.standard_normal((n, 3)))
-        table = _TeacherTables(teacher.matrix).nearest
-        assert table.tolist() == [nearest_neighbor_positive(i, np.arange(n), teacher) for i in range(n)]
+        rows = teacher.matrix.tolist()
+        assert _TeacherTables(teacher.matrix).nearest.tolist() == [nearest_oracle(i, rows) for i in range(n)]
 
     def test_single_sample_has_no_neighbor(self):
         with pytest.raises(EmptyCandidates):
@@ -345,12 +354,13 @@ class TestTeacherTables:
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(STRATEGIES), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
-    def test_one_table_serves_every_batch_as_apply_strategy_would(self, seed, strategy, ratio):
+    def test_one_table_serves_every_batch_as_its_one_row_plan_would(self, seed, strategy, ratio):
         """One teacher table rewrites a plan of consecutive draws at once,
-        each row as apply_strategy rewrites that batch alone."""
+        each row as the one-row plan of that batch alone is rewritten with
+        tables of its own, which gives the oracle's batch."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
-        teacher = tied_teacher(rng, n)
+        teacher = exact_teacher(rng, n)
         joint = JointDistribution.from_counts(rng.gamma(1.0, size=(n, n)))
         cfg = ResampleConfig(strategy, ratio=None if strategy == "AddNewPositive" else ratio,
                              mixing_weight=float(rng.uniform(0.0, 2.0)))
@@ -360,15 +370,17 @@ class TestTeacherTables:
         batches = [sampler.draw(single) for _ in range(count)]
         drawn = sampler.draw_chunk(np.random.default_rng(draw_seed), count)
         plan = _resample(_Plan.of_triples(*drawn), _TeacherTables(teacher.matrix), cfg)
+        rows = teacher.matrix.tolist()
         for row, batch in enumerate(batches):
-            want = _Plan.of_batch(apply_strategy(batch, teacher, cfg))
+            want = _resample(_Plan.of_batch(batch), _TeacherTables(teacher.matrix), cfg)
             assert (plan.positives, plan.split[row], plan.negatives_end) == (
                 want.positives, want.split[0], want.negatives_end)
             for name in ("visual", "language", "weight"):
                 assert getattr(plan, name)[row].tobytes() == getattr(want, name)[0].tobytes()
-            if strategy == "AddNewPositive":
-                assert plan.language[row, plan.negatives_end:].tolist() == [
-                    nearest_neighbor_positive(v, np.arange(n), teacher) for v in batch.pos_visual]
+            out, oracle = want.as_batch(), strategy_oracle(batch, rows, strategy, cfg.ratio, cfg.mixing_weight)
+            for name in BATCH_INDEX_FIELDS:
+                assert getattr(out, name).tolist() == oracle[name], name
+            assert out.extra_pos_weight.tolist() == oracle["extra_pos_weight"]
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(STRATEGIES), st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
@@ -391,15 +403,6 @@ class TestTeacherTables:
             for name in BATCH_INDEX_FIELDS + ("extra_pos_weight",):
                 got, want = getattr(again, name), getattr(batch, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
-def exact_teacher(rng, n):
-    """Teacher of repeated one-hot rows, some scaled and some zero: its
-    cosine similarities are exactly 0 or 1 in any arithmetic, so a
-    ranking has no rounding to disagree on."""
-    d = int(rng.integers(1, 4))
-    rows = np.vstack([np.eye(d), np.zeros((1, d))])[rng.integers(0, d + 1, size=n)]
-    return EncoderTable(rows * rng.choice([1.0, 0.5, 3.0], size=(n, 1)))
 
 
 class TestStrategyOracle:
@@ -446,9 +449,9 @@ class TestStrategyOracle:
 
 
 def sgd_reference(joint, cfg, tables, resample=None, teacher=None):
-    """Sampled training as a loop over single batches: draw, rewrite with
-    apply_strategy, step along empirical_scl_grad. Returns (feature
-    matrices, per-step losses)."""
+    """Sampled training as a loop over single batches: draw, rewrite as the
+    batch's one-row plan with teacher tables of its own, step along
+    empirical_scl_grad. Returns (feature matrices, per-step losses)."""
     norm = normalize_cooccurrence(joint)
     k = cfg.dim
     rng = np.random.default_rng(cfg.seed)
@@ -459,12 +462,12 @@ def sgd_reference(joint, cfg, tables, resample=None, teacher=None):
     sampler = BatchSampler(pruned, cfg.batch_size)
     batch_rng = np.random.default_rng(rng.integers(2**63))
     if resample is not None:
-        teacher = EncoderTable(teacher.matrix[norm.visual_index])
+        rows = teacher.matrix[norm.visual_index]
     losses = []
     for _ in range(cfg.max_steps):
         batch = sampler.draw(batch_rng)
         if resample is not None:
-            batch = apply_strategy(batch, teacher, resample)
+            batch = _resample(_Plan.of_batch(batch), _TeacherTables(rows), resample).as_batch()
         loss, gv, gl = empirical_scl_grad(factors[0], factors[-1], batch)
         grads = [gv, gl] if tables == 2 else [gv + gl]
         factors = [f - cfg.learning_rate * g for f, g in zip(factors, grads)]
