@@ -652,6 +652,11 @@ def _bound_sweep_units(params, seeds):
     the sweep points, each probing every seed."""
     _require("classes", params["classes"], params["classes"] >= 2, "at least 2 classes for a cross-class mass")
     _require("sweep_points", params["sweep_points"], params["sweep_points"] >= 2, "two points to rank")
+    points, cross_mass = params["sweep_points"], params["cross_mass"]
+    sizes = tuple(params[key] for key in ("classes", "groups", "group_size"))
+    tiers = [_sweep_masses(point, points, *sizes, cross_mass) for point in range(points)]
+    _require("cross_mass", cross_mass, cross_mass > 0 and all(cross <= mid <= within for cross, mid, within in tiers),
+             "0 < cross <= mid <= within at every sweep point")
     s_l, s_h = params["pairs"][0]
     return [(_monotone_case, params["pairs"]),
             (_bound_case, params["separations"] if s_l * s_h >= s_l + 1 else ()),

@@ -13,7 +13,11 @@ out as ``_Plan`` rows (a ``Batch`` is one row) and scores them with
 ``_Plan.losses`` within one ``_CHUNK_ENTRIES`` budget, so the single-batch
 loss, its gradient form and the many-batch loss agree bit for bit. A
 batch's draw is its ``n`` uniforms, shuffled in place: the permutation
-``Generator.permutation(n)`` would draw, with no index array. A plan
+``Generator.permutation(n)`` would draw, with no index array. A
+uniform's cell is the count of cdf entries at or below it: found in an
+exact bin table by a run of at least one draw per bin on a joint of at
+most ``_CHUNK_ENTRIES / 16`` cells, by a search of the cdf otherwise,
+with the same cells either way (see :class:`BatchSampler`). A plan
 scores itself from its own splits, weights and batch size, once per
 distinct caption/image split. The many-batch loss looks its pairs'
 scores up in one table of every cell's score (``_cell_scores``), built a
@@ -27,6 +31,7 @@ one ``np.bincount`` scatter, and keeps its scores for ``_Plan.losses``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -178,8 +183,8 @@ def _batch_size(n) -> int:
     raise InvalidBatchSize(f"batch size must be a positive multiple of 3, got {n!r}")
 
 
-#: largest number of entries one array of a draw block (``// n`` batches)
-#: or of a plan chunk (``// (n * k)`` batches) holds
+#: largest number of entries one array of a draw block (``// n`` batches),
+#: a bin table or a plan chunk (``// (n * width)`` batches) holds
 _CHUNK_ENTRIES = 2**13
 
 
@@ -191,6 +196,17 @@ class BatchSampler:
     shuffles them in place: the same stream ``Generator.choice(size=n,
     p=...)`` followed by ``Generator.permutation(n)`` consumes, so equal
     generator states give identical batches to :func:`sample_batch`.
+
+    A uniform's cell is the number of cdf entries at or below it. A run of
+    at least one draw per bin on a joint whose bin table fits the chunk
+    budget finds it in a bin table, built on first use: ``bins``, the power
+    of two at or above 16 per cell, splits [0, 1) into equal bins, so
+    ``u * bins`` is exact and its integer part is the bin holding ``u``.
+    Each bin stores the cell of its left edge and whether a cdf entry lies
+    strictly between its edges. A uniform in a bin with none has its
+    bin's cell, as no entry lies between the left edge and it; only the
+    uniforms of the other bins (at most one bin in 16) are searched. Every
+    cell is the search's, so the choice changes no draw.
     """
 
     def __init__(self, joint: JointDistribution, n: int):
@@ -199,8 +215,28 @@ class BatchSampler:
         cdf = joint.matrix.ravel().cumsum()
         cdf /= cdf[-1]
         self._cdf = cdf
+        self._bins = 1 << (16 * cdf.size - 1).bit_length()
         self._num_language = joint.num_language
         self._dtype = np.min_scalar_type(max(joint.matrix.shape))  # small: a run holds them all
+
+    @cached_property
+    def _bin_table(self):
+        """Per bin ``[b, b + 1) / bins``: the cell of its left edge, in the
+        smallest dtype, and whether a cdf entry lies strictly between
+        its edges."""
+        edges = np.arange(self._bins + 1) / self._bins
+        left = self._cdf.searchsorted(edges[:-1], side="right")
+        inside = left != self._cdf.searchsorted(edges[1:], side="left")
+        return left.astype(np.min_scalar_type(self._cdf.size)), inside
+
+    def _table_cells(self, uniforms):
+        """The cell of each uniform in [0, 1) from the bin table: a lookup,
+        then a search of the uniforms whose bin holds a cdf entry."""
+        cell, inside = self._bin_table
+        bins = (uniforms * self._bins).astype(np.intp)
+        cells, searched = cell.take(bins), inside.take(bins)
+        cells[searched] = self._cdf.searchsorted(uniforms[searched], side="right")
+        return cells
 
     def draw(self, rng) -> Batch:
         """One batch: the one-row case of :meth:`draw_chunk`."""
@@ -210,10 +246,13 @@ class BatchSampler:
         """The (pos_visual, pos_language, neg_language, neg_visual) lists of
         ``count`` consecutive batches, in read-only ``(count, n/3)`` arrays
         of the smallest index dtype; drawn ``_CHUNK_ENTRIES // n`` at a
-        time. The slot rule is :func:`sample_batch`'s."""
+        time, through the bin table when it holds at most
+        ``_CHUNK_ENTRIES`` bins and the run draws at least one uniform per
+        bin. The slot rule is :func:`sample_batch`'s."""
         count = _integer("batch count", count, 0)
         rng = _instance("rng", rng, Generator)
         nl = self._num_language
+        table = self._bins <= _CHUNK_ENTRIES and count * self.n >= self._bins
         draws = tuple(np.empty((count, self.n // 3), dtype=self._dtype) for _ in range(4))
         block = max(1, _CHUNK_ENTRIES // self.n)
         uniforms = np.empty((min(block, count), self.n))
@@ -223,7 +262,8 @@ class BatchSampler:
             for row in uniforms[:rows]:
                 random(out=row)
                 shuffle(row)  # swaps that depend on n and the stream alone
-            cells = self._cdf.searchsorted(uniforms[:rows], side="right")
+            u = uniforms[:rows]
+            cells = self._table_cells(u) if table else self._cdf.searchsorted(u, side="right")
             pos = cells[:, 0::3]
             for out, part in zip(draws, (pos // nl, pos % nl, cells[:, 1::3] % nl, cells[:, 2::3] // nl)):
                 out[start:start + rows] = part
@@ -311,11 +351,13 @@ class _Plan(NamedTuple):
                    np.zeros((rows, 0)), triples, np.full(rows, 2 * triples), 3 * triples, 3 * triples)
 
     @classmethod
-    def chunks(cls, draws, k: int):
+    def chunks(cls, draws, width: int):
         """Yield ``(batches, plan)``, a slice of the batches ``draws`` holds
-        and its plan, ``_CHUNK_ENTRIES // (n * k)`` batches of ``n`` draws at
-        a time: the chunk rule of every sampled run on ``k`` features."""
-        chunk = max(1, _CHUNK_ENTRIES // (3 * draws[0].shape[1] * max(k, 1)))
+        and its plan, ``_CHUNK_ENTRIES // (n * width)`` batches of ``n``
+        draws at a time: the chunk rule of every sampled run, ``width``
+        being the entries per draw of the caller's widest per-chunk array
+        (``k`` for training's scatter indices, 1 for score lookups)."""
+        chunk = max(1, _CHUNK_ENTRIES // (3 * draws[0].shape[1] * max(width, 1)))
         for start in range(0, draws[0].shape[0], chunk):
             batches = slice(start, start + chunk)
             yield batches, cls.of_triples(*(d[batches] for d in draws))
@@ -433,7 +475,7 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     draws = _instance("sampler", sampler, BatchSampler).draw_chunk(rng, count)
     table = _cell_scores(fv, fl)
     losses = np.empty(count)
-    for batches, plan in _Plan.chunks(draws, fv.shape[1]):
+    for batches, plan in _Plan.chunks(draws, 1):
         losses[batches] = plan.losses(table[plan.visual, plan.language])
     return losses
 

@@ -115,6 +115,19 @@ def empirical_scl_oracle(fv, fl, batch):
     return total
 
 
+def cell_oracle(cdf, u):
+    """The cell of each key: the number of cdf entries at or below it,
+    counted one entry at a time."""
+    cells = []
+    for key in u:
+        count = 0
+        for edge in cdf:
+            if edge <= key:
+                count += 1
+        cells.append(count)
+    return np.array(cells, dtype=int)
+
+
 BATCH_INDEX_FIELDS = ("pos_visual", "pos_language", "neg_language", "neg_language_anchor",
                       "neg_visual", "neg_visual_anchor", "extra_pos_visual", "extra_pos_language")
 

@@ -103,6 +103,12 @@ class TestExperimentCommands:
                                              "rate_batch_counts": [5, 20]}), id="one-mean-batch"),
         pytest.param(("bound-sweep", {"classes": 1, "num_seeds": 1}), id="one-class"),
         pytest.param(("bound-sweep", {"sweep_points": 1, "num_seeds": 1}), id="one-sweep-point"),
+        # cross_mass past its measurable range: disconnected classes, inverted tiers, negative masses
+        pytest.param(("bound-sweep", {"cross_mass": 0.0, "num_seeds": 1}), id="no-cross-mass"),
+        pytest.param(("bound-sweep", {"cross_mass": 0.7, "num_seeds": 1}), id="cross-mass-above-mid"),
+        pytest.param(("bound-sweep", {"cross_mass": 0.9, "num_seeds": 1}), id="cross-mass-0.9"),
+        pytest.param(("bound-sweep", {"cross_mass": 1.0, "num_seeds": 1}), id="all-mass-across"),
+        pytest.param(("bound-sweep", {"cross_mass": -0.5, "num_seeds": 1}), id="negative-cross-mass"),
     ])
     def test_malformed_config_value_exits_two(self, tmp_path, capsys, monkeypatch, payload):
         kind, payload, *named = payload if isinstance(payload, tuple) else (None, payload)

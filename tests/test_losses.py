@@ -29,6 +29,7 @@ from mmspectral import (
 from mmspectral import losses
 from oracles import (
     amf_oracle,
+    cell_oracle,
     empirical_scl_oracle,
     random_joint,
     scl_oracle,
@@ -252,6 +253,62 @@ class TestBatchSampler:
             assert got.tolist() == [getattr(batch, name).tolist() for batch in singles]
         assert one.random() == many.random()
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bin_table_cells_are_the_oracle_cells(self, seed):
+        """Keys at every cdf entry below 1, at both its float neighbours,
+        at every bin edge and at both ends of [0, 1); zero-mass cells
+        repeat cdf entries, so some bins hold several edges."""
+        sampler = BatchSampler(sparse_joint(np.random.default_rng(seed)), 3)
+        cdf = sampler._cdf
+        edges = np.arange(sampler._bins) / sampler._bins
+        keys = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                               edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
+        keys = keys[(keys >= 0.0) & (keys < 1.0)]
+        assert sampler._table_cells(keys).tolist() == cell_oracle(cdf, keys).tolist()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_a_run_through_the_bin_table_continues_the_stream_of_single_draws(self, seed):
+        """Single draws search; 1,500 batches of 6 take the table, over
+        two blocks of 1,365 batches."""
+        joint = sparse_joint(np.random.default_rng(seed))
+        sampler = BatchSampler(joint, 6)
+        one, many = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
+        singles = [sampler.draw(one) for _ in range(1500)]
+        assert "_bin_table" not in vars(sampler)
+        drawn = sampler.draw_chunk(many, 1500)
+        assert "_bin_table" in vars(sampler)
+        for got, name in zip(drawn, ("pos_visual", "pos_language", "neg_language", "neg_visual")):
+            assert got.tobytes() == np.array([getattr(batch, name) for batch in singles], got.dtype).tobytes()
+        assert one.bit_generator.state == many.bit_generator.state
+
+    @pytest.mark.parametrize("budget", [255, 256, 1024])
+    @pytest.mark.parametrize("count", [1, 42, 43, 200])
+    def test_the_bin_table_is_used_exactly_when_it_fits_and_pays(self, budget, count):
+        """A 3 x 4 joint has 256 bins; a table run searches only the bin
+        edges, once, and the keys of open bins, never a block of draws."""
+
+        class SearchSpy(np.ndarray):
+            def searchsorted(self, v, side="left", sorter=None):
+                searched.append(np.shape(v))
+                return np.asarray(self).searchsorted(v, side, sorter)
+
+        joint = JointDistribution.from_counts(np.arange(1.0, 13.0).reshape(3, 4))
+        sampler, searched = BatchSampler(joint, 6), []
+        assert sampler._bins == 256
+        sampler._cdf = sampler._cdf.view(SearchSpy)
+        with mock.patch.object(losses, "_CHUNK_ENTRIES", budget):
+            drawn = sampler.draw_chunk(np.random.default_rng(count), count)
+        if budget >= 256 and count * 6 >= 256:
+            assert searched[:2] == [(256,), (256,)] and all(len(shape) == 1 for shape in searched[2:])
+        else:
+            block = budget // 6
+            assert searched == [(min(block, count - start), 6) for start in range(0, count, block)]
+        with mock.patch.object(losses, "_CHUNK_ENTRIES", 255):  # one bin short: searched
+            searched_run = BatchSampler(joint, 6).draw_chunk(np.random.default_rng(count), count)
+        assert all(d.tobytes() == e.tobytes() for d, e in zip(drawn, searched_run))
+
     def test_chunks_take_the_smallest_index_dtype(self):
         for size, dtype in ((255, np.uint8), (256, np.uint16), (70000, np.uint32)):
             joint = JointDistribution.from_counts(np.arange(1.0, size + 1.0)[None, :])
@@ -305,7 +362,7 @@ class TestEmpiricalScl:
         sampler = BatchSampler(joint, 3 * int(rng.integers(1, 12)))
         one, many = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
         singles = [empirical_scl_grad(fv, fl, sampler.draw(one))[0] for _ in range(count)]
-        with mock.patch.object(losses, "_CHUNK_ENTRIES", 7 * sampler.n * k):
+        with mock.patch.object(losses, "_CHUNK_ENTRIES", 7 * sampler.n):
             chunked = empirical_scl_batches(fv, fl, sampler, many, count)
         assert chunked.tobytes() == np.array(singles).tobytes()
         assert one.random() == many.random()
@@ -318,6 +375,22 @@ class TestEmpiricalScl:
         one, many = np.random.default_rng(5), np.random.default_rng(5)
         singles = [empirical_scl(fv, fl, sampler.draw(one)) for _ in range(2345)]
         assert empirical_scl_batches(fv, fl, sampler, many, 2345).tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_loss_only_chunks_are_sized_by_their_score_lookups(self, k):
+        """One score per pair, whatever k: 273 batches of 30 draws a chunk."""
+        rng = np.random.default_rng(k)
+        joint = sparse_joint(rng)
+        fv, fl = random_tables(rng, joint, k)
+        shapes, losses_of = [], losses._Plan.losses
+
+        def spy(plan, scores):
+            shapes.append(scores.shape)
+            return losses_of(plan, scores)
+
+        with mock.patch.object(losses._Plan, "losses", spy):
+            empirical_scl_batches(fv, fl, BatchSampler(joint, 30), rng, 600)
+        assert shapes == [(273, 30), (273, 30), (54, 30)]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)

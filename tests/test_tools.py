@@ -71,6 +71,9 @@ assert teacher.num_samples == induced.num_samples and cfg.batch_mode == "sampled
 (draw, draw_fn, draws), (loss, loss_fn, losses) = microbench.mc_loss_cases()
 assert (draw, loss) == ("draw_chunk", "empirical_scl_batches")
 assert draw_fn()[0].shape[0] == draws and loss_fn().shape == (losses,)
+name, resample_fn, count = microbench.resample_draw_case()
+assert name == "draw_chunk resample-compare" and count == cfg.max_steps
+assert resample_fn()[0].shape == (count, cfg.batch_size // 3)
 print(len(cases))
 """
     done = run_python("-c", code, str(TOOLS / "microbench.py"))

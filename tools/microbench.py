@@ -12,6 +12,9 @@ Prints the median microseconds per call, over 7 repeats, of:
   the ``verify-equivalence`` defaults (``mean_batches`` batches of
   ``batch_size`` draws from a 6 x 8 joint with k = 3 tables), the draw
   alone and the path its Monte-Carlo work unit takes;
+- ``BatchSampler.draw_chunk`` per batch on the first seed's pruned
+  ``resample-compare`` joint at its batch size and step count, a joint too
+  large for the sampler's bin table, so every draw is searched;
 - one sampled ``train_sscl`` step at the ``resample-compare`` defaults,
   without and with each strategy: a whole run divided by its steps. The
   timed runs repeat one run, so they reuse its memoised draws, as the
@@ -38,7 +41,7 @@ import numpy as np  # noqa: E402
 
 from mmspectral import (  # noqa: E402
     BatchSampler, EncoderTable, JointDistribution, ResampleConfig, apply_strategy, empirical_scl,
-    empirical_scl_batches, empirical_scl_grad, sample_batch, train_sscl,
+    empirical_scl_batches, empirical_scl_grad, normalize_cooccurrence, sample_batch, train_sscl,
 )
 from mmspectral.experiments import SUITES, _resample_instance  # noqa: E402
 from mmspectral.train import STRATEGIES  # noqa: E402
@@ -87,10 +90,20 @@ def resample_compare_instance():
     return induced, teacher, cfg, params["mixing_weight"]
 
 
+def resample_draw_case():
+    """(name, one draw of a sampled ``resample-compare`` run, its batch
+    count) on the first seed's pruned joint, the support training samples."""
+    induced, _, cfg, _ = resample_compare_instance()
+    norm = normalize_cooccurrence(induced)
+    pruned = JointDistribution.from_counts(induced.matrix[np.ix_(norm.visual_index, norm.language_index)])
+    sampler, count = BatchSampler(pruned, cfg.batch_size), cfg.max_steps
+    return "draw_chunk resample-compare", lambda: sampler.draw_chunk(np.random.default_rng(71), count), count
+
+
 def main() -> int:
     for name, fn in single_batch_cases():
         print(f"{name:36s} {per_call_us(fn, 2000):9.2f} us")
-    for name, batches, count in mc_loss_cases():
+    for name, batches, count in (*mc_loss_cases(), resample_draw_case()):
         print(f"{name + ' per batch':36s} {per_call_us(batches, 1) / count:9.2f} us")
     induced, teacher, cfg, weight = resample_compare_instance()
     for name in ("baseline",) + STRATEGIES:
