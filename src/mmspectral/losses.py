@@ -8,12 +8,19 @@ negative-caption / negative-image triples, and the empirical loss averages
 the two quadratic negative sums so that its expectation over batches is
 exactly the population loss.
 
-Every sampled path draws with ``BatchSampler.draw_chunk``, lays batches
-out as ``_Plan`` rows (a ``Batch`` is one row) and scores them with
-``_Plan.losses`` within one ``_CHUNK_ENTRIES`` budget, so the single-batch
-loss, its gradient form and the many-batch loss agree bit for bit. A
-batch's draw is its ``n`` uniforms, shuffled in place: the permutation
-``Generator.permutation(n)`` would draw, with no index array. A
+Every sampled path draws through the one draw loop of ``BatchSampler``,
+lays batches out as ``_Plan`` rows (a ``Batch`` is one row) and scores
+them with ``_Plan.losses`` within one ``_CHUNK_ENTRIES`` budget, so the
+single-batch loss, its gradient form and the many-batch loss of the same
+batches agree bit for bit. The loop has two streams. On the training
+stream (``BatchSampler.draw_chunk``, ``sample_batch`` and every training
+run) a batch's draw is its ``n`` uniforms, shuffled in place: the
+permutation ``Generator.permutation(n)`` would draw, with no index
+array. Training keeps it: the gates pass on their seeds with these draws, and without
+the shuffle resample-compare fails criterion 09 at base seed 0. The
+loss-only Monte Carlo (``empirical_scl_batches``) takes a block's
+uniforms in one call and shuffles none: a batch's ``n`` draws are
+i.i.d., so reordering them changes no loss's distribution. A
 uniform's cell is the count of cdf entries at or below it: found in an
 exact bin table by a run of at least one draw per bin on a joint of at
 most ``_CHUNK_ENTRIES / 16`` cells, by a search of the cdf otherwise,
@@ -184,18 +191,26 @@ def _batch_size(n) -> int:
 
 
 #: largest number of entries one array of a draw block (``// n`` batches),
-#: a bin table or a plan chunk (``// (n * width)`` batches) holds
+#: a bin table or a plan chunk (``// (n * width)`` batches) holds, but
+#: for ``_PlanGrads.flat``: 2k entries per scored pair, so 15,600 in a
+#: resample-compare chunk and 20,800 with AddNewPositive's extra positives
 _CHUNK_ENTRIES = 2**13
 
 
 class BatchSampler:
     """The three-way batch sampler of one joint distribution and batch size.
 
-    The cumulative distribution over the joint's cells is built once. Each
-    batch then takes ``n`` uniforms from the caller's generator and
-    shuffles them in place: the same stream ``Generator.choice(size=n,
-    p=...)`` followed by ``Generator.permutation(n)`` consumes, so equal
-    generator states give identical batches to :func:`sample_batch`.
+    The cumulative distribution over the joint's cells is built once. On
+    the training stream (:meth:`draw_chunk`) each batch then takes ``n``
+    uniforms from the caller's generator and shuffles them in place: the
+    same stream ``Generator.choice(size=n, p=...)`` followed by
+    ``Generator.permutation(n)`` consumes, so equal generator states give
+    identical batches to :func:`sample_batch`. Training draws on it, so
+    its runs, and the gates they pass, keep their draws. On the
+    Monte-Carlo stream (:func:`empirical_scl_batches`) a block of batches
+    takes its uniforms in one call, unshuffled: the cells of
+    ``Generator.choice(size=(count, n), p=...)``. A batch's draws are
+    i.i.d., so the shuffle changes no loss's distribution there.
 
     A uniform's cell is the number of cdf entries at or below it. A run of
     at least one draw per bin on a joint whose bin table fits the chunk
@@ -248,7 +263,14 @@ class BatchSampler:
         of the smallest index dtype; drawn ``_CHUNK_ENTRIES // n`` at a
         time, through the bin table when it holds at most
         ``_CHUNK_ENTRIES`` bins and the run draws at least one uniform per
-        bin. The slot rule is :func:`sample_batch`'s."""
+        bin. The slot rule is :func:`sample_batch`'s, on the training
+        stream: each batch's uniforms shuffled."""
+        return self._draw_chunk(rng, count, shuffled=True)
+
+    def _draw_chunk(self, rng, count, shuffled: bool):
+        """:meth:`draw_chunk` on the training stream, or, unshuffled, on the
+        Monte-Carlo stream: a block's uniforms in one call, so batch b
+        takes uniforms ``[b*n, (b+1)*n)``, whatever the block size."""
         count = _integer("batch count", count, 0)
         rng = _instance("rng", rng, Generator)
         nl = self._num_language
@@ -259,10 +281,13 @@ class BatchSampler:
         random, shuffle = rng.random, rng.shuffle
         for start in range(0, count, block):
             rows = min(block, count - start)
-            for row in uniforms[:rows]:
-                random(out=row)
-                shuffle(row)  # swaps that depend on n and the stream alone
             u = uniforms[:rows]
+            if shuffled:
+                for row in u:
+                    random(out=row)
+                    shuffle(row)  # swaps that depend on n and the stream alone
+            else:
+                random(out=u)
             cells = self._table_cells(u) if table else self._cdf.searchsorted(u, side="right")
             pos = cells[:, 0::3]
             for out, part in zip(draws, (pos // nl, pos % nl, cells[:, 1::3] % nl, cells[:, 2::3] // nl)):
@@ -470,9 +495,16 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     """:func:`empirical_scl` of ``count`` consecutive batches drawn from
     ``sampler`` with ``rng``, bit for bit, evaluated a plan chunk of
     batches at a time without building any ``Batch``: every cell's score
-    is computed once (:func:`_cell_scores`) and each pair's is looked up."""
+    is computed once (:func:`_cell_scores`) and each pair's is looked up.
+
+    The batches are the Monte-Carlo stream's, unshuffled: batch b's cells
+    are row b of ``rng.choice(cells, size=(count, n), p=...)``, sliced
+    into triples as :func:`sample_batch` slices its permuted draws. A
+    batch's draws are i.i.d., so their order changes no loss's
+    distribution; the training stream keeps its shuffle (see
+    :class:`BatchSampler`)."""
     fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
-    draws = _instance("sampler", sampler, BatchSampler).draw_chunk(rng, count)
+    draws = _instance("sampler", sampler, BatchSampler)._draw_chunk(rng, count, shuffled=False)
     table = _cell_scores(fv, fl)
     losses = np.empty(count)
     for batches, plan in _Plan.chunks(draws, 1):

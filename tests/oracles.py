@@ -128,6 +128,14 @@ def cell_oracle(cdf, u):
     return np.array(cells, dtype=int)
 
 
+def mc_cells_oracle(joint, n, count, rng):
+    """The cells of ``count`` Monte-Carlo batches of ``n`` draws, one row
+    a batch: ``Generator.choice`` over the joint's flattened cells in one
+    call, so batch b takes the stream's uniforms ``[b*n, (b+1)*n)``."""
+    p = np.asarray(joint, dtype=float).ravel()
+    return rng.choice(p.size, size=(count, n), p=p)
+
+
 BATCH_INDEX_FIELDS = ("pos_visual", "pos_language", "neg_language", "neg_language_anchor",
                       "neg_visual", "neg_visual_anchor", "extra_pos_visual", "extra_pos_language")
 

@@ -31,6 +31,7 @@ from oracles import (
     amf_oracle,
     cell_oracle,
     empirical_scl_oracle,
+    mc_cells_oracle,
     random_joint,
     scl_oracle,
     uni_scl_oracle,
@@ -43,6 +44,18 @@ UNIFORM_2X2 = JointDistribution([[0.25, 0.25], [0.25, 0.25]])
 def random_tables(rng, joint, k):
     nv, nl = joint.matrix.shape
     return rng.standard_normal((nv, k)), rng.standard_normal((nl, k))
+
+
+def mc_batches(joint, n, count, rng):
+    """The Monte-Carlo stream's batches by the oracle: each row of
+    :func:`mc_cells_oracle` sliced into triples as ``sample_batch`` slices
+    its permuted draws."""
+    batches = []
+    for cells in mc_cells_oracle(joint.matrix, n, count, rng):
+        v, l = np.divmod(cells, joint.num_language)
+        batches.append(Batch(pos_visual=v[0::3], pos_language=l[0::3], neg_language=l[1::3],
+                             neg_language_anchor=v[0::3], neg_visual=v[2::3], neg_visual_anchor=l[0::3], n=n))
+    return batches
 
 
 class TestSclLoss:
@@ -355,13 +368,14 @@ class TestEmpiricalScl:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 60))
     @settings(max_examples=40, deadline=None)
     def test_chunked_loss_is_bit_equal_to_the_batch_loss(self, seed, k, count):
-        """Plan chunks of 7 batches, so most counts end on a partial chunk."""
+        """Plan chunks of 7 batches, so most counts end on a partial chunk;
+        each batch is the oracle's, on the Monte-Carlo stream."""
         rng = np.random.default_rng(seed)
         joint = sparse_joint(rng)
         fv, fl = random_tables(rng, joint, k)
         sampler = BatchSampler(joint, 3 * int(rng.integers(1, 12)))
         one, many = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
-        singles = [empirical_scl_grad(fv, fl, sampler.draw(one))[0] for _ in range(count)]
+        singles = [empirical_scl_grad(fv, fl, batch)[0] for batch in mc_batches(joint, sampler.n, count, one)]
         with mock.patch.object(losses, "_CHUNK_ENTRIES", 7 * sampler.n):
             chunked = empirical_scl_batches(fv, fl, sampler, many, count)
         assert chunked.tobytes() == np.array(singles).tobytes()
@@ -373,8 +387,29 @@ class TestEmpiricalScl:
         fv, fl = random_tables(rng, joint, 3)
         sampler = BatchSampler(joint, 30)
         one, many = np.random.default_rng(5), np.random.default_rng(5)
-        singles = [empirical_scl(fv, fl, sampler.draw(one)) for _ in range(2345)]
+        singles = [empirical_scl(fv, fl, batch) for batch in mc_batches(joint, 30, 2345, one)]
         assert empirical_scl_batches(fv, fl, sampler, many, 2345).tobytes() == np.array(singles).tobytes()
+        assert one.random() == many.random()
+
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 150))
+    @settings(max_examples=30, deadline=None)
+    def test_monte_carlo_losses_do_not_depend_on_the_budget(self, seed, small, count):
+        """Budgets of one batch, of 7 batches and the default split the
+        draws, the plan chunks and the score table differently. A joint of
+        at most 36 cells takes the bin table at the default budget once a
+        run draws a uniform per bin; one of 600 cells never does."""
+        rng = np.random.default_rng(seed)
+        joint = sparse_joint(rng) if small else JointDistribution.from_counts(rng.gamma(0.5, size=(24, 25)))
+        fv, fl = random_tables(rng, joint, int(rng.integers(1, 6)))
+        runs, states, tables = [], [], []
+        for budget in (30, 7 * 30, losses._CHUNK_ENTRIES):
+            sampler, many = BatchSampler(joint, 30), np.random.default_rng([seed, 6])
+            with mock.patch.object(losses, "_CHUNK_ENTRIES", budget):
+                runs.append(empirical_scl_batches(fv, fl, sampler, many, count).tobytes())
+            states.append(many.bit_generator.state)
+            tables.append("_bin_table" in vars(sampler))
+        assert len(set(runs)) == 1 and all(state == states[0] for state in states)
+        assert tables[-1] == (small and count * 30 >= sampler._bins)
 
     @pytest.mark.parametrize("k", [3, 8])
     def test_loss_only_chunks_are_sized_by_their_score_lookups(self, k):
@@ -445,20 +480,21 @@ class TestCellScores:
 
     @staticmethod
     def large_instance():
-        """A 150 x 200 joint with zero cells, k = 8 tables and its sampler."""
+        """k = 8 tables of a 150 x 200 joint with zero cells, and the joint."""
         rng = np.random.default_rng(23)
         counts = rng.gamma(0.5, size=(150, 200))
         counts[rng.random(counts.shape) < 0.3] = 0.0
         joint = JointDistribution.from_counts(counts)
         fv, fl = random_tables(rng, joint, 8)
-        return fv, fl, BatchSampler(joint, 30)
+        return fv, fl, joint
 
     def test_batches_of_a_large_joint_are_the_single_batch_losses(self):
         """A budget of 4 rows' products: 38 table blocks, and the draws and
         plans span several blocks and chunks too."""
-        fv, fl, sampler = self.large_instance()
+        fv, fl, joint = self.large_instance()
+        sampler = BatchSampler(joint, 30)
         one, many = np.random.default_rng(7), np.random.default_rng(7)
-        singles = [empirical_scl(fv, fl, sampler.draw(one)) for _ in range(300)]
+        singles = [empirical_scl(fv, fl, batch) for batch in mc_batches(joint, 30, 300, one)]
         with mock.patch.object(losses, "_CHUNK_ENTRIES", 4 * fl.size):
             chunked = empirical_scl_batches(fv, fl, sampler, many, 300)
         assert chunked.tobytes() == np.array(singles).tobytes()
@@ -467,7 +503,8 @@ class TestCellScores:
     def test_no_product_of_every_cell_is_allocated(self):
         """The table is built a block at a time: a run peaks below half the
         bytes of one (150, 200, 8) product."""
-        fv, fl, sampler = self.large_instance()
+        fv, fl, joint = self.large_instance()
+        sampler = BatchSampler(joint, 30)
         tracemalloc.start()
         try:
             empirical_scl_batches(fv, fl, sampler, np.random.default_rng(3), 300)

@@ -8,7 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 def run_python(*args):
@@ -55,6 +58,17 @@ identity.write_digest(identity.Path(sys.argv[2]), "write one kind", kinds=["hrg-
     digest.write_text(json.dumps(record))
     done = check()
     assert done.returncode == 2 and done.stdout == "" and done.stderr.startswith("platform differs, no verdict")
+    assert "numpy: " in done.stderr and "openblas" not in done.stderr  # the one field that differs
+
+
+def test_every_artifact_matches_the_committed_digest():
+    """Every suite's artifacts, at both seeds, sequentially and over 2
+    workers, against ``IDENTITY.json``: moved files fail the test by name,
+    and a digest made on another platform skips it, naming the fields."""
+    done = run_python(str(TOOLS / "identity.py"), "--check", str(ROOT / "IDENTITY.json"))
+    if done.returncode == 2:
+        pytest.skip(done.stderr.strip())
+    assert done.returncode == 0, f"identity check exit {done.returncode}:\n{done.stdout}{done.stderr}"
 
 
 def test_microbench_cases_build_and_run_once():
@@ -68,9 +82,9 @@ for name, fn in cases:
     fn()
 induced, teacher, cfg, weight = microbench.resample_compare_instance()
 assert teacher.num_samples == induced.num_samples and cfg.batch_mode == "sampled"
-(draw, draw_fn, draws), (loss, loss_fn, losses) = microbench.mc_loss_cases()
-assert (draw, loss) == ("draw_chunk", "empirical_scl_batches")
-assert draw_fn()[0].shape[0] == draws and loss_fn().shape == (losses,)
+(draw, draw_fn, draws), (mc_draw, mc_draw_fn, mc_draws), (loss, loss_fn, losses) = microbench.mc_loss_cases()
+assert (draw, mc_draw, loss) == ("draw_chunk", "draw_chunk unshuffled", "empirical_scl_batches")
+assert draw_fn()[0].shape[0] == draws and mc_draw_fn()[0].shape[0] == mc_draws and loss_fn().shape == (losses,)
 name, resample_fn, count = microbench.resample_draw_case()
 assert name == "draw_chunk resample-compare" and count == cfg.max_steps
 assert resample_fn()[0].shape == (count, cfg.batch_size // 3)

@@ -34,6 +34,7 @@ from mmspectral import (
 from mmspectral import BatchSampler, empirical_scl, empirical_scl_grad
 from mmspectral import generate_augmentation_model
 from mmspectral import train
+from mmspectral.experiments import SUITES, _resample_instance
 from mmspectral.losses import _CHUNK_ENTRIES, _Plan, _PlanGrads
 from mmspectral.train import _LATEST_DRAWS, DEFAULT_RATIOS, STRATEGIES, _resample, _TeacherTables
 from oracles import BATCH_INDEX_FIELDS, nearest_oracle, strategy_oracle
@@ -550,6 +551,31 @@ class TestSampledTrainingPlan:
             assert not any(d.flags.writeable for draws in _LATEST_DRAWS.values() for d in draws)
         assert len(set(results[::2])) == 1
         assert len(set(results)) == 1 + len(variants)
+
+    def test_only_the_scatter_indices_outgrow_the_chunk_budget(self):
+        """A resample-compare chunk (batch 120, k = 5) holds 13 steps. Its
+        scatter indices, ``_PlanGrads.flat``, take 2k entries per scored
+        pair and are exempt from the budget; every other array of the
+        chunk stays within it, for the baseline and each strategy."""
+        params = SUITES["resample-compare"].defaults
+        induced, _, teacher, cfg = _resample_instance(params, 0)
+        norm = normalize_cooccurrence(induced)
+        pruned = JointDistribution.from_counts(induced.matrix[np.ix_(norm.visual_index, norm.language_index)])
+        draws = BatchSampler(pruned, cfg.batch_size).draw_chunk(np.random.default_rng(0), cfg.max_steps)
+        steps, plan = next(_Plan.chunks(draws, cfg.dim))
+        tables = _TeacherTables(teacher.matrix[norm.visual_index])
+        flat = {}
+        for name in ("baseline",) + STRATEGIES:
+            chunk = plan if name == "baseline" else _resample(
+                plan, tables, ResampleConfig(name, mixing_weight=params["mixing_weight"]))
+            grads = _PlanGrads(chunk, cfg.dim, *norm.matrix.shape, shared=True)
+            arrays = [d[steps] for d in draws] + [a for a in chunk if isinstance(a, np.ndarray)]
+            arrays += [a for key, a in vars(grads).items() if isinstance(a, np.ndarray) and key != "flat"]
+            assert max(a.size for a in arrays) <= _CHUNK_ENTRIES, name
+            flat[name] = grads.flat.size
+        assert plan.visual.shape == (13, 120)
+        assert flat == {"baseline": 15600, "AddNewPositive": 20800, "DropFalsePositive": 15080,
+                        "DropFalseNegative": 15080, "DropEasyNegative": 14560}
 
 
 def plan_row_batch(plan, row):

@@ -22,7 +22,8 @@ numpy's version, its OpenBLAS version and the OpenBLAS core picked at run
 time (a DYNAMIC_ARCH build picks its kernels per CPU). ``--check``
 recomputes the kinds the file records and exits 0 when every digest
 matches, 1 naming each file that differs, is missing or is new, and 2,
-computing nothing, when the platform fields differ from the file's.
+computing nothing and naming each field that differs, when the platform
+fields differ from the file's.
 """
 import ctypes
 import hashlib
@@ -84,13 +85,15 @@ def write_digest(path: Path, command: str, kinds=tuple(SUITES)) -> None:
 def check_digest(path: Path) -> int:
     try:
         record = json.loads(path.read_text())
-        files, recorded = record["files"], record["platform"]
+        files, recorded = record["files"], dict(record["platform"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"cannot read digest {path}: {exc!r}", file=sys.stderr)
         return 2
     here = platform()
     if here != recorded:
-        print(f"platform differs, no verdict: {here} here, {recorded} in {path}", file=sys.stderr)
+        fields = "; ".join(f"{key}: {here.get(key)!r} here, {recorded.get(key)!r} in {path}"
+                           for key in sorted(here.keys() | recorded.keys()) if here.get(key) != recorded.get(key))
+        print(f"platform differs, no verdict: {fields}", file=sys.stderr)
         return 2
     got = digests(sorted({name.split("/")[0] for name in files}))
     moved = []

@@ -8,10 +8,12 @@ Prints the median microseconds per call, over 7 repeats, of:
   ``apply_strategy`` for each strategy (the drops at ratio 0.5, so that
   each drops something) on one 12-draw batch of an 8 x 8 joint with k = 3
   tables and an 8 x 3 teacher;
-- ``BatchSampler.draw_chunk`` and ``empirical_scl_batches`` per batch at
-  the ``verify-equivalence`` defaults (``mean_batches`` batches of
-  ``batch_size`` draws from a 6 x 8 joint with k = 3 tables), the draw
-  alone and the path its Monte-Carlo work unit takes;
+- ``BatchSampler.draw_chunk`` (the training stream),
+  ``BatchSampler._draw_chunk`` unshuffled (the Monte-Carlo stream) and
+  ``empirical_scl_batches`` per batch at the ``verify-equivalence``
+  defaults (``mean_batches`` batches of ``batch_size`` draws from a 6 x 8
+  joint with k = 3 tables): each stream's draw alone, and the path its
+  Monte-Carlo work unit takes;
 - ``BatchSampler.draw_chunk`` per batch on the first seed's pruned
   ``resample-compare`` joint at its batch size and step count, a joint too
   large for the sampler's bin table, so every draw is searched;
@@ -71,13 +73,15 @@ def single_batch_cases():
 
 def mc_loss_cases():
     """(name, one call over the ``verify-equivalence`` mean batches, their
-    count): the draw alone, then the draw and the losses."""
+    count): the draw alone on the training stream and on the Monte-Carlo
+    stream, then the Monte-Carlo draw and the losses."""
     params = SUITES["verify-equivalence"].defaults
     rng = np.random.default_rng(0)
     joint = JointDistribution.from_counts(rng.gamma(2.0, size=(6, 8)))
     fv, fl = rng.standard_normal((6, 3)), rng.standard_normal((8, 3))
     sampler, count = BatchSampler(joint, params["batch_size"]), params["mean_batches"]
     yield "draw_chunk", lambda: sampler.draw_chunk(np.random.default_rng(71), count), count
+    yield "draw_chunk unshuffled", lambda: sampler._draw_chunk(np.random.default_rng(71), count, shuffled=False), count
     yield "empirical_scl_batches", lambda: empirical_scl_batches(fv, fl, sampler, np.random.default_rng(71),
                                                                  count), count
 
