@@ -20,7 +20,6 @@ import operator
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
 from itertools import islice
@@ -286,6 +285,8 @@ def _map_tasks(fn, tasks, workers: int):
     tasks = list(tasks)
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: a sequential run never loads it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

@@ -8,32 +8,35 @@ negative-caption / negative-image triples, and the empirical loss averages
 the two quadratic negative sums so that its expectation over batches is
 exactly the population loss.
 
-Every sampled path draws through the one draw loop of ``BatchSampler``,
-lays batches out as ``_Plan`` rows (a ``Batch`` is one row) and scores
-them with ``_Plan.losses`` within one ``_CHUNK_ENTRIES`` budget, so the
-single-batch loss, its gradient form and the many-batch loss of the same
-batches agree bit for bit. The loop has two streams. On the training
-stream (``BatchSampler.draw_chunk``, ``sample_batch`` and every training
-run) a batch's draw is its ``n`` uniforms, shuffled in place: the
-permutation ``Generator.permutation(n)`` would draw, with no index
-array. Training keeps it: the gates pass on their seeds with these draws, and without
+Every sampled path draws through the one draw loop of ``BatchSampler``
+and scores its batches with one loss helper (``_triple_losses``) within
+one ``_CHUNK_ENTRIES`` budget, so the single-batch loss, its gradient
+form and the many-batch loss of the same batches agree bit for bit. The
+loop has two streams. On the training stream
+(``BatchSampler.draw_chunk``, ``sample_batch`` and every training run) a
+batch's draw is its ``n`` uniforms, shuffled in place: the permutation
+``Generator.permutation(n)`` would draw, with no index array. Training
+keeps it: the gates pass on their seeds with these draws, and without
 the shuffle resample-compare fails criterion 09 at base seed 0. The
 loss-only Monte Carlo (``empirical_scl_batches``) takes a block's
 uniforms in one call and shuffles none: a batch's ``n`` draws are
-i.i.d., so reordering them changes no loss's distribution. A
-uniform's cell is the count of cdf entries at or below it: found in an
-exact bin table by a run of at least one draw per bin on a joint of at
-most ``_CHUNK_ENTRIES / 16`` cells, by a search of the cdf otherwise,
-with the same cells either way (see :class:`BatchSampler`). A plan
-scores itself from its own splits, weights and batch size, once per
-distinct caption/image split. The many-batch loss looks its pairs'
-scores up in one table of every cell's score (``_cell_scores``), built a
-block of rows at a time in the arithmetic of a batch's gather
-(``_row_dots``); the teacher similarity table of ``train`` is the same
-helper's. Gradients
-(``_PlanGrads``) work on one stacked table, the language rows after the
-visual rows or one table shared by both sides: a batch is one gather and
-one ``np.bincount`` scatter, and keeps its scores for ``_Plan.losses``.
+i.i.d., so reordering them changes no loss's distribution. A uniform's
+cell is the count of cdf entries at or below it: found in an exact bin
+table by a run of at least one draw per bin on a joint of at most
+``_CHUNK_ENTRIES / 16`` cells, by a search of the cdf otherwise, with
+the same cells either way (see :class:`BatchSampler`). Batches that are
+scored one at a time or trained on are laid out as ``_Plan`` rows (a
+``Batch`` is one row); a plan scores itself from its own splits, weights
+and batch size, once per distinct caption/image split. The many-batch
+loss builds no plan: it scores each draw block straight from its cells,
+looking each pair's score up in one flat table of every cell's score
+(``_cell_scores``) by cell arithmetic. That table is built a block of
+rows at a time in the arithmetic of a batch's gather (``_row_dots``);
+the teacher similarity table of ``train`` is the same helper's.
+Gradients (``_PlanGrads``) work on one stacked table, the language rows
+after the visual rows or one table shared by both sides: a batch is one
+gather and one ``np.bincount`` scatter, and keeps its scores for
+``_Plan.losses``.
 """
 from __future__ import annotations
 
@@ -190,9 +193,9 @@ def _batch_size(n) -> int:
     raise InvalidBatchSize(f"batch size must be a positive multiple of 3, got {n!r}")
 
 
-#: largest number of entries one array of a draw block (``// n`` batches),
-#: a bin table or a plan chunk (``// (n * width)`` batches) holds, but
-#: for ``_PlanGrads.flat``: 2k entries per scored pair, so 15,600 in a
+#: largest number of entries one array of a draw block or a Monte-Carlo
+#: score block (``// n`` batches), a bin table or a training plan chunk
+#: (``// (n * k)`` batches) holds, but for ``_PlanGrads.flat``: 2k entries per scored pair, so 15,600 in a
 #: resample-compare chunk and 20,800 with AddNewPositive's extra positives
 _CHUNK_ENTRIES = 2**13
 
@@ -217,11 +220,17 @@ class BatchSampler:
     budget finds it in a bin table, built on first use: ``bins``, the power
     of two at or above 16 per cell, splits [0, 1) into equal bins, so
     ``u * bins`` is exact and its integer part is the bin holding ``u``.
-    Each bin stores the cell of its left edge and whether a cdf entry lies
-    strictly between its edges. A uniform in a bin with none has its
+    Each bin stores the cell of its left edge or, when a cdf entry lies
+    strictly between its edges, the cell count as a flag, so a lookup is
+    one ``take`` and one compare. A uniform in a bin with no entry has its
     bin's cell, as no entry lies between the left edge and it; only the
-    uniforms of the other bins (at most one bin in 16) are searched. Every
+    uniforms of flagged bins (at most one bin in 16) are searched. Every
     cell is the search's, so the choice changes no draw.
+
+    Both streams come out of one draw loop, :meth:`_cell_blocks`, as blocks
+    of ``_CHUNK_ENTRIES // n`` batches' cells: :meth:`draw_chunk` splits
+    each block into its triple lists, :func:`empirical_scl_batches` scores
+    it by cell arithmetic (:meth:`_pair_cells`).
     """
 
     def __init__(self, joint: JointDistribution, n: int):
@@ -236,21 +245,42 @@ class BatchSampler:
 
     @cached_property
     def _bin_table(self):
-        """Per bin ``[b, b + 1) / bins``: the cell of its left edge, in the
-        smallest dtype, and whether a cdf entry lies strictly between
-        its edges."""
+        """Per bin ``[b, b + 1) / bins``: the cell of its left edge, or the
+        cell count, a flag, when a cdf entry lies strictly between its
+        edges. Index-sized, so the cells it gives index without a cast."""
         edges = np.arange(self._bins + 1) / self._bins
         left = self._cdf.searchsorted(edges[:-1], side="right")
-        inside = left != self._cdf.searchsorted(edges[1:], side="left")
-        return left.astype(np.min_scalar_type(self._cdf.size)), inside
+        left[left != self._cdf.searchsorted(edges[1:], side="left")] = self._cdf.size
+        return left
+
+    @cached_property
+    def _cell_rows(self):
+        """Per cell ``c = v * nl + l``, in the smallest dtype: ``vis(c) =
+        v * nl``, its visual row's first cell, and ``lang(c) = l``."""
+        nl = self._num_language
+        dtype = np.min_scalar_type(self._cdf.size - 1)
+        nv = self._cdf.size // nl
+        return (np.repeat((np.arange(nv) * nl).astype(dtype), nl),
+                np.tile(np.arange(nl).astype(dtype), nv))
+
+    def _pair_cells(self, cells):
+        """The cells of the pairs a ``(rows, n)`` block of draws scores, in
+        place of its ``cells``. With ``lang(c) = c % nl`` and ``vis(c) = c -
+        lang(c)``, triple (c0, c1, c2) scores its positive at c0, its
+        caption negative at ``vis(c0) + lang(c1)`` and its image negative
+        at ``vis(c2) + lang(c0)``, in columns ``_TRIPLE_COLUMNS``."""
+        vis, lang = self._cell_rows
+        v, l = vis.take(cells), lang.take(cells)
+        np.add(v[:, 0::3], l[:, 1::3], out=cells[:, 1::3])
+        np.add(v[:, 2::3], l[:, 0::3], out=cells[:, 2::3])
+        return cells
 
     def _table_cells(self, uniforms):
         """The cell of each uniform in [0, 1) from the bin table: a lookup,
         then a search of the uniforms whose bin holds a cdf entry."""
-        cell, inside = self._bin_table
-        bins = (uniforms * self._bins).astype(np.intp)
-        cells, searched = cell.take(bins), inside.take(bins)
-        cells[searched] = self._cdf.searchsorted(uniforms[searched], side="right")
+        cells = self._bin_table.take((uniforms * self._bins).astype(np.intp))
+        searched = np.flatnonzero(cells == self._cdf.size)
+        cells.put(searched, self._cdf.searchsorted(uniforms.take(searched), side="right"))
         return cells
 
     def draw(self, rng) -> Batch:
@@ -260,28 +290,36 @@ class BatchSampler:
     def draw_chunk(self, rng, count: int):
         """The (pos_visual, pos_language, neg_language, neg_visual) lists of
         ``count`` consecutive batches, in read-only ``(count, n/3)`` arrays
-        of the smallest index dtype; drawn ``_CHUNK_ENTRIES // n`` at a
-        time, through the bin table when it holds at most
-        ``_CHUNK_ENTRIES`` bins and the run draws at least one uniform per
-        bin. The slot rule is :func:`sample_batch`'s, on the training
-        stream: each batch's uniforms shuffled."""
-        return self._draw_chunk(rng, count, shuffled=True)
-
-    def _draw_chunk(self, rng, count, shuffled: bool):
-        """:meth:`draw_chunk` on the training stream, or, unshuffled, on the
-        Monte-Carlo stream: a block's uniforms in one call, so batch b
-        takes uniforms ``[b*n, (b+1)*n)``, whatever the block size."""
+        of the smallest index dtype, on the training stream: the slot
+        rule of :func:`sample_batch`, each batch's uniforms shuffled."""
         count = _integer("batch count", count, 0)
         rng = _instance("rng", rng, Generator)
         nl = self._num_language
-        table = self._bins <= _CHUNK_ENTRIES and count * self.n >= self._bins
         draws = tuple(np.empty((count, self.n // 3), dtype=self._dtype) for _ in range(4))
+        for batches, cells in self._cell_blocks(rng, count, shuffled=True):
+            pos = cells[:, 0::3]
+            for out, part in zip(draws, (pos // nl, pos % nl, cells[:, 1::3] % nl, cells[:, 2::3] // nl)):
+                out[batches] = part
+        for out in draws:
+            out.setflags(write=False)
+        return draws
+
+    def _cell_blocks(self, rng: Generator, count: int, shuffled: bool):
+        """Yield ``(batches, cells)``, a slice of ``count`` consecutive
+        batches and their ``(rows, n)`` cells, ``_CHUNK_ENTRIES // n``
+        batches at a time: through the bin table when it holds at most
+        ``_CHUNK_ENTRIES`` bins and the run draws at least one uniform per
+        bin, by a search otherwise. Shuffled, each batch's uniforms are
+        drawn and shuffled in place (the training stream); unshuffled, a
+        block's uniforms come in one call, so batch b takes uniforms
+        ``[b*n, (b+1)*n)`` whatever the block size (the Monte-Carlo
+        stream)."""
+        table = self._bins <= _CHUNK_ENTRIES and count * self.n >= self._bins
         block = max(1, _CHUNK_ENTRIES // self.n)
         uniforms = np.empty((min(block, count), self.n))
         random, shuffle = rng.random, rng.shuffle
         for start in range(0, count, block):
-            rows = min(block, count - start)
-            u = uniforms[:rows]
+            u = uniforms[:count - start]
             if shuffled:
                 for row in u:
                     random(out=row)
@@ -289,12 +327,7 @@ class BatchSampler:
             else:
                 random(out=u)
             cells = self._table_cells(u) if table else self._cdf.searchsorted(u, side="right")
-            pos = cells[:, 0::3]
-            for out, part in zip(draws, (pos // nl, pos % nl, cells[:, 1::3] % nl, cells[:, 2::3] // nl)):
-                out[start:start + rows] = part
-        for out in draws:
-            out.setflags(write=False)
-        return draws
+            yield slice(start, start + block), cells
 
 
 def sample_batch(joint: JointDistribution, n: int, seed=None) -> Batch:
@@ -379,9 +412,9 @@ class _Plan(NamedTuple):
     def chunks(cls, draws, width: int):
         """Yield ``(batches, plan)``, a slice of the batches ``draws`` holds
         and its plan, ``_CHUNK_ENTRIES // (n * width)`` batches of ``n``
-        draws at a time: the chunk rule of every sampled run, ``width``
+        draws at a time: the chunk rule of every training run, ``width``
         being the entries per draw of the caller's widest per-chunk array
-        (``k`` for training's scatter indices, 1 for score lookups)."""
+        (``k`` for training's scatter indices)."""
         chunk = max(1, _CHUNK_ENTRIES // (3 * draws[0].shape[1] * max(width, 1)))
         for start in range(0, draws[0].shape[0], chunk):
             batches = slice(start, start + chunk)
@@ -409,13 +442,26 @@ class _Plan(NamedTuple):
         for split in splits:
             rows = self.split == split if len(splits) > 1 else slice(None)
             s = scores[rows]
-            loss = -2.0 * s[:, :p].sum(axis=-1) / triples
-            loss = loss + 0.5 * (s[:, p:split]**2).sum(axis=-1) / triples
-            loss = loss + 0.5 * (s[:, split:q]**2).sum(axis=-1) / triples
+            loss = _triple_losses(s, slice(p), slice(p, split), slice(split, q), triples)
             if width > q:
                 loss = loss - 2.0 * (self.weight[rows] * s[:, q:]).sum(axis=-1) / (width - q)
             out[rows] = loss
         return out
+
+
+#: the column slices of a draw block's positives, caption negatives and
+#: image negatives: a triple's draws are consecutive
+_TRIPLE_COLUMNS = (slice(0, None, 3), slice(1, None, 3), slice(2, None, 3))
+
+
+def _triple_losses(scores, positive, caption, image, triples: int) -> np.ndarray:
+    """The positive and negative terms of :func:`empirical_scl`, one per
+    row of ``scores``, whose column slices ``positive``, ``caption`` and
+    ``image`` hold the scores of its positives, caption negatives and
+    image negatives; ``triples`` is the batch's n/3."""
+    loss = -2.0 * scores[:, positive].sum(axis=-1) / triples
+    loss = loss + 0.5 * (scores[:, caption]**2).sum(axis=-1) / triples
+    return loss + 0.5 * (scores[:, image]**2).sum(axis=-1) / triples
 
 
 class _PlanGrads:
@@ -493,9 +539,10 @@ def empirical_scl(f_visual, f_language, batch: Batch) -> float:
 
 def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, count: int) -> np.ndarray:
     """:func:`empirical_scl` of ``count`` consecutive batches drawn from
-    ``sampler`` with ``rng``, bit for bit, evaluated a plan chunk of
-    batches at a time without building any ``Batch``: every cell's score
-    is computed once (:func:`_cell_scores`) and each pair's is looked up.
+    ``sampler`` with ``rng``, bit for bit, scored a draw block at a time
+    without building any ``Batch`` or plan: every cell's score is computed
+    once (:func:`_cell_scores`) and each scored pair's is looked up by cell
+    arithmetic (:meth:`BatchSampler._pair_cells`).
 
     The batches are the Monte-Carlo stream's, unshuffled: batch b's cells
     are row b of ``rng.choice(cells, size=(count, n), p=...)``, sliced
@@ -504,11 +551,13 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     distribution; the training stream keeps its shuffle (see
     :class:`BatchSampler`)."""
     fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
-    draws = _instance("sampler", sampler, BatchSampler)._draw_chunk(rng, count, shuffled=False)
-    table = _cell_scores(fv, fl)
+    sampler = _instance("sampler", sampler, BatchSampler)
+    count = _integer("batch count", count, 0)
+    rng = _instance("rng", rng, Generator)
+    table = _cell_scores(fv, fl).ravel()
     losses = np.empty(count)
-    for batches, plan in _Plan.chunks(draws, 1):
-        losses[batches] = plan.losses(table[plan.visual, plan.language])
+    for batches, cells in sampler._cell_blocks(rng, count, shuffled=False):
+        losses[batches] = _triple_losses(table.take(sampler._pair_cells(cells)), *_TRIPLE_COLUMNS, sampler.n // 3)
     return losses
 
 

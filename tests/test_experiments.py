@@ -1,5 +1,6 @@
 """Experiment harness: config resolution, reports, and reproducible runs."""
 import ast
+import concurrent.futures
 import csv
 import json
 import math
@@ -417,12 +418,12 @@ class TestRun:
         it returns."""
         pools = []
 
-        class CountingPool(experiments.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         reduced = tmp_path / "resample.json"
         reduced.write_text(json.dumps({"num_seeds": 3, "steps": 40}))
         for kind in SUITES:
@@ -605,7 +606,7 @@ class TestMapTasks:
     ])
     def test_pool_size_is_capped(self, monkeypatch, workers, tasks, cpus, expect):
         self.RecordingPool.sizes = []
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", self.RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert _map_tasks(abs, [-t for t in range(tasks)], workers) == list(range(tasks))
         assert self.RecordingPool.sizes == ([] if expect is None else [expect])
@@ -691,6 +692,15 @@ SRC = str(Path(experiments.__file__).resolve().parents[1])
 def test_package_import_leaves_out_slow_scipy_modules():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import mmspectral; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_package_import_leaves_out_the_process_pool():
+    """Only a run over several workers loads ``concurrent.futures.process``
+    and ``multiprocessing``."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mmspectral; "
+            "print(sorted(m for m in sys.modules if m in ('concurrent.futures.process', 'multiprocessing')))")
     done = subprocess.run([sys.executable, "-c", code, SRC], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 

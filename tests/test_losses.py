@@ -411,19 +411,47 @@ class TestEmpiricalScl:
         assert len(set(runs)) == 1 and all(state == states[0] for state in states)
         assert tables[-1] == (small and count * 30 >= sampler._bins)
 
+    @pytest.mark.parametrize("shape, zero_share, table", [
+        ((16, 32), 0.0, True),   # 512 cells: the largest bin table, 8,192 bins, its flag 512
+        ((16, 32), 0.4, True),
+        ((5, 6), 0.5, True),     # runs of zero-mass cells: repeated cdf entries
+        ((24, 25), 0.3, False),  # 600 cells: every draw searched
+    ])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=6, deadline=None)
+    def test_monte_carlo_edges_are_the_oracle_batch_losses(self, shape, zero_share, table, seed):
+        """300 batches of 30, over two draw blocks. Zero-mass joints lose
+        their first and last cells and a run of six."""
+        rng = np.random.default_rng(seed)
+        counts = rng.gamma(0.7, size=shape) * (rng.random(shape) >= zero_share)
+        if zero_share:
+            counts.flat[0] = counts.flat[-1] = 0.0
+            counts.flat[3:9] = 0.0
+        counts.flat[int(rng.integers(9, counts.size - 1))] += 0.5
+        joint = JointDistribution.from_counts(counts)
+        fv, fl = random_tables(rng, joint, int(rng.integers(1, 6)))
+        sampler = BatchSampler(joint, 30)
+        one, many = np.random.default_rng([seed, 8]), np.random.default_rng([seed, 8])
+        singles = [empirical_scl(fv, fl, batch) for batch in mc_batches(joint, 30, 300, one)]
+        assert empirical_scl_batches(fv, fl, sampler, many, 300).tobytes() == np.array(singles).tobytes()
+        assert one.bit_generator.state == many.bit_generator.state
+        assert ("_bin_table" in vars(sampler)) == table
+        if table and joint.matrix.size == 512:
+            assert sampler._bins == losses._CHUNK_ENTRIES and (sampler._bin_table == 512).any()
+
     @pytest.mark.parametrize("k", [3, 8])
     def test_loss_only_chunks_are_sized_by_their_score_lookups(self, k):
-        """One score per pair, whatever k: 273 batches of 30 draws a chunk."""
+        """One score per pair, whatever k: 273 batches of 30 draws a block."""
         rng = np.random.default_rng(k)
         joint = sparse_joint(rng)
         fv, fl = random_tables(rng, joint, k)
-        shapes, losses_of = [], losses._Plan.losses
+        shapes, losses_of = [], losses._triple_losses
 
-        def spy(plan, scores):
+        def spy(scores, *columns):
             shapes.append(scores.shape)
-            return losses_of(plan, scores)
+            return losses_of(scores, *columns)
 
-        with mock.patch.object(losses._Plan, "losses", spy):
+        with mock.patch.object(losses, "_triple_losses", spy):
             empirical_scl_batches(fv, fl, BatchSampler(joint, 30), rng, 600)
         assert shapes == [(273, 30), (273, 30), (54, 30)]
 

@@ -21,9 +21,11 @@ sha256 of each file, with the platform fields that decide its bits:
 numpy's version, its OpenBLAS version and the OpenBLAS core picked at run
 time (a DYNAMIC_ARCH build picks its kernels per CPU). ``--check``
 recomputes the kinds the file records and exits 0 when every digest
-matches, 1 naming each file that differs, is missing or is new, and 2,
+matches, 1 naming each file that differs, is missing or is new, 2,
 computing nothing and naming each field that differs, when the platform
-fields differ from the file's.
+fields differ from the file's, and 3, naming the kind, base seed and
+worker count of the run and the exception it raised, when a suite
+raises: a crash is not a moved file.
 """
 import ctypes
 import hashlib
@@ -43,12 +45,19 @@ SEEDS = (0, 602)
 WORKERS = (1, 2)
 
 
+class RunFailed(Exception):
+    """A suite run raised; the message names the run and its exception."""
+
+
 def write_runs(root: Path, kinds=tuple(SUITES)) -> None:
     for kind in kinds:
         for seed in SEEDS:
             for workers in WORKERS:
                 out = root / kind / f"seed{seed}-workers{workers}"
-                run(ExperimentConfig.build(kind, seed=seed, out=out), workers=workers)
+                try:
+                    run(ExperimentConfig.build(kind, seed=seed, out=out), workers=workers)
+                except Exception as exc:
+                    raise RunFailed(f"{kind} at base seed {seed} over {workers} worker(s) raised {exc!r}") from exc
                 path = out / f"{kind}-report.json"
                 report = json.loads(path.read_text())
                 del report["wall_clock_seconds"]
@@ -95,7 +104,11 @@ def check_digest(path: Path) -> int:
                            for key in sorted(here.keys() | recorded.keys()) if here.get(key) != recorded.get(key))
         print(f"platform differs, no verdict: {fields}", file=sys.stderr)
         return 2
-    got = digests(sorted({name.split("/")[0] for name in files}))
+    try:
+        got = digests(sorted({name.split("/")[0] for name in files}))
+    except RunFailed as exc:
+        print(f"a suite raised, no verdict: {exc}", file=sys.stderr)
+        return 3
     moved = []
     for name in sorted(set(files) | set(got)):
         if name not in got:

@@ -8,12 +8,16 @@ Prints the median microseconds per call, over 7 repeats, of:
   ``apply_strategy`` for each strategy (the drops at ratio 0.5, so that
   each drops something) on one 12-draw batch of an 8 x 8 joint with k = 3
   tables and an 8 x 3 teacher;
-- ``BatchSampler.draw_chunk`` (the training stream),
-  ``BatchSampler._draw_chunk`` unshuffled (the Monte-Carlo stream) and
+- ``BatchSampler.draw_chunk`` (the training stream), the draw loop
+  ``BatchSampler._cell_blocks`` unshuffled (the Monte-Carlo stream) and
   ``empirical_scl_batches`` per batch at the ``verify-equivalence``
   defaults (``mean_batches`` batches of ``batch_size`` draws from a 6 x 8
   joint with k = 3 tables): each stream's draw alone, and the path its
   Monte-Carlo work unit takes;
+- the parts of one Monte-Carlo draw block there (273 batches of 30):
+  its uniforms, their cells through the bin table, the pairs' score
+  lookups and the losses. Each call takes the next of 8 blocks, so that
+  no part runs twice in a row on the same data;
 - ``BatchSampler.draw_chunk`` per batch on the first seed's pruned
   ``resample-compare`` joint at its batch size and step count, a joint too
   large for the sampler's bin table, so every draw is searched;
@@ -32,6 +36,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import itertools  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import timeit  # noqa: E402
@@ -46,6 +51,7 @@ from mmspectral import (  # noqa: E402
     empirical_scl_batches, empirical_scl_grad, normalize_cooccurrence, sample_batch, train_sscl,
 )
 from mmspectral.experiments import SUITES, _resample_instance  # noqa: E402
+from mmspectral.losses import _CHUNK_ENTRIES, _TRIPLE_COLUMNS, _cell_scores, _triple_losses  # noqa: E402
 from mmspectral.train import STRATEGIES  # noqa: E402
 
 REPEATS = 7
@@ -71,19 +77,42 @@ def single_batch_cases():
         yield f"apply_strategy {strategy}", lambda cfg=cfg: apply_strategy(batch, teacher, cfg)
 
 
-def mc_loss_cases():
-    """(name, one call over the ``verify-equivalence`` mean batches, their
-    count): the draw alone on the training stream and on the Monte-Carlo
-    stream, then the Monte-Carlo draw and the losses."""
+def mc_loss_instance():
+    """A 6 x 8 joint, k = 3 tables and the ``verify-equivalence`` sampler
+    and mean batch count."""
     params = SUITES["verify-equivalence"].defaults
     rng = np.random.default_rng(0)
     joint = JointDistribution.from_counts(rng.gamma(2.0, size=(6, 8)))
     fv, fl = rng.standard_normal((6, 3)), rng.standard_normal((8, 3))
-    sampler, count = BatchSampler(joint, params["batch_size"]), params["mean_batches"]
+    return fv, fl, BatchSampler(joint, params["batch_size"]), params["mean_batches"]
+
+
+def mc_loss_cases():
+    """(name, one call over the ``verify-equivalence`` mean batches, their
+    count): the draw alone on the training stream and on the Monte-Carlo
+    stream, then the Monte-Carlo draw and the losses."""
+    fv, fl, sampler, count = mc_loss_instance()
     yield "draw_chunk", lambda: sampler.draw_chunk(np.random.default_rng(71), count), count
-    yield "draw_chunk unshuffled", lambda: sampler._draw_chunk(np.random.default_rng(71), count, shuffled=False), count
+    yield "cell blocks unshuffled", lambda: list(sampler._cell_blocks(np.random.default_rng(71), count, False)), count
     yield "empirical_scl_batches", lambda: empirical_scl_batches(fv, fl, sampler, np.random.default_rng(71),
                                                                  count), count
+
+
+def mc_block_parts(blocks: int = 8):
+    """(name, one call) for each part of a full Monte-Carlo draw block at
+    the ``verify-equivalence`` defaults, each call on the next of
+    ``blocks`` drawn blocks: uniforms, cells, score lookups (on a copy of
+    the cells, which they rewrite in place) and losses."""
+    fv, fl, sampler, _ = mc_loss_instance()
+    rng, table = np.random.default_rng(71), _cell_scores(fv, fl).ravel()
+    uniforms = rng.random((blocks, _CHUNK_ENTRIES // sampler.n, sampler.n))
+    cells = [sampler._table_cells(u) for u in uniforms]
+    scores = [table.take(sampler._pair_cells(c.copy())) for c in cells]
+    u, c, s = (itertools.cycle(parts) for parts in (uniforms, cells, scores))
+    yield "block uniforms", lambda: rng.random(out=next(u))
+    yield "block cells", lambda: sampler._table_cells(next(u))
+    yield "block score lookups", lambda: table.take(sampler._pair_cells(next(c).copy()))
+    yield "block losses", lambda: _triple_losses(next(s), *_TRIPLE_COLUMNS, sampler.n // 3)
 
 
 def resample_compare_instance():
@@ -109,6 +138,8 @@ def main() -> int:
         print(f"{name:36s} {per_call_us(fn, 2000):9.2f} us")
     for name, batches, count in (*mc_loss_cases(), resample_draw_case()):
         print(f"{name + ' per batch':36s} {per_call_us(batches, 1) / count:9.2f} us")
+    for name, part in mc_block_parts():
+        print(f"{name:36s} {per_call_us(part, 256):9.2f} us")
     induced, teacher, cfg, weight = resample_compare_instance()
     for name in ("baseline",) + STRATEGIES:
         resample = None if name == "baseline" else ResampleConfig(name, mixing_weight=weight)
