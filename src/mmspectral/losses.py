@@ -8,35 +8,31 @@ negative-caption / negative-image triples, and the empirical loss averages
 the two quadratic negative sums so that its expectation over batches is
 exactly the population loss.
 
-Every sampled path draws through the one draw loop of ``BatchSampler``
-and scores its batches with one loss helper (``_triple_losses``) within
-one ``_CHUNK_ENTRIES`` budget, so the single-batch loss, its gradient
-form and the many-batch loss of the same batches agree bit for bit. The
-loop has two streams. On the training stream
-(``BatchSampler.draw_chunk``, ``sample_batch`` and every training run) a
-batch's draw is its ``n`` uniforms, shuffled in place: the permutation
-``Generator.permutation(n)`` would draw, with no index array. Training
-keeps it: the gates pass on their seeds with these draws, and without
-the shuffle resample-compare fails criterion 09 at base seed 0. The
-loss-only Monte Carlo (``empirical_scl_batches``) takes a block's
-uniforms in one call and shuffles none: a batch's ``n`` draws are
-i.i.d., so reordering them changes no loss's distribution. A uniform's
-cell is the count of cdf entries at or below it: found in an exact bin
-table by a run of at least one draw per bin on a joint of at most
-``_CHUNK_ENTRIES / 16`` cells, by a search of the cdf otherwise, with
-the same cells either way (see :class:`BatchSampler`). Batches that are
-scored one at a time or trained on are laid out as ``_Plan`` rows (a
-``Batch`` is one row); a plan scores itself from its own splits, weights
-and batch size, once per distinct caption/image split. The many-batch
-loss builds no plan: it scores each draw block straight from its cells,
-looking each pair's score up in one flat table of every cell's score
-(``_cell_scores``) by cell arithmetic. That table is built a block of
-rows at a time in the arithmetic of a batch's gather (``_row_dots``);
-the teacher similarity table of ``train`` is the same helper's.
+Every sampled path draws through the one draw loop of ``BatchSampler``,
+takes a triple's pairs by one rule (``BatchSampler._pair_cells``) and
+scores its batches with one loss helper (``_triple_losses``) within one
+``_CHUNK_ENTRIES`` budget, so the single-batch loss, its gradient form
+and the many-batch loss of the same batches agree bit for bit. The loop
+has two streams: training's (every training run, and ``sample_batch``,
+one batch of it) shuffles each batch's uniforms in place, as the gates
+were passed with, and the loss-only Monte Carlo's
+(``empirical_scl_batches``) shuffles none; see :class:`BatchSampler` for
+both, and for the exact bin table that finds the cells on small joints.
+Batches that are scored one at a time or trained on are laid out as
+``_Plan`` rows (a ``Batch`` is one row; a training run's draws are
+stored in plan column order and widened a chunk at a time); a plan
+scores itself from its own splits, weights and batch size, once per
+distinct caption/image split. The many-batch loss builds no plan: it
+scores each draw block straight from its cells, looking each pair's
+score up in one flat table of every cell's score (``_cell_scores``) by
+cell arithmetic. That table is built a block of rows at a time in the
+arithmetic of a batch's gather (``_row_dots``); the teacher similarity
+table of ``train`` is the same helper's.
 Gradients (``_PlanGrads``) work on one stacked table, the language rows
 after the visual rows or one table shared by both sides: a batch is one
 gather and one ``np.bincount`` scatter, and keeps its scores for
-``_Plan.losses``.
+``_Plan.losses``. Every loss reads its tables through one reader
+(``_feature_tables``) that holds them to what they are scored on.
 """
 from __future__ import annotations
 
@@ -89,6 +85,25 @@ class EncoderTable:
         return self.matrix * np.sqrt(p)[:, None]
 
 
+def _feature_tables(f_visual, f_language, shape=None, pairs=(), names=("f_visual", "f_language"), kind=EncoderTable):
+    """The matrices of a visual and a language table, each a ``kind`` or a
+    2-d float array read as argument ``names`` (once, if one object is on
+    both sides), that share one k and have the ``(visual, language)`` rows
+    ``shape`` of a joint or sampler, and a row for every sample index of
+    ``pairs``, a batch's ``(visual, language)`` indices."""
+    fv = _matrix_of(names[0], f_visual, kind)
+    fl = fv if f_language is f_visual else _matrix_of(names[1], f_language, kind)
+    (rows_v, k_v), (rows_l, k_l) = fv.shape, fl.shape
+    if k_v != k_l:
+        raise InvalidSpec(f"{' and '.join(names)} must share one k, got {k_v} and {k_l}")
+    if shape is not None and (rows_v, rows_l) != shape:
+        raise InvalidSpec(f"{' and '.join(names)} must have {shape[0]} and {shape[1]} rows, got {rows_v} and {rows_l}")
+    for name, indices, rows in zip(names, pairs, (rows_v, rows_l)):
+        if indices.size and indices.max() >= rows:
+            raise InvalidSpec(f"sample indices must lie in [0, {rows}) for {name} with {rows} rows")
+    return fv, fl
+
+
 def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
     """Multi-modal spectral contrastive loss, exact population value:
     -2 E_pos[f_V.f_L] + E_{independent}[(f_V.f_L)^2].
@@ -96,8 +111,8 @@ def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
     With one table on both sides of a symmetric joint, such as an
     :class:`~mmspectral.distributions.InducedDistribution`, this is the
     uni-modal spectral contrastive loss."""
-    fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     joint = _instance("joint", joint, JointDistribution)
+    fv, fl = _feature_tables(f_visual, f_language, joint.matrix.shape)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
     scores = fv @ fl.T
@@ -109,8 +124,10 @@ def scl_loss(f_visual, f_language, joint: JointDistribution) -> float:
 def amf_loss(factor_visual, factor_language, normalized) -> float:
     """Squared Frobenius residual of the asymmetric factorization:
     ``|| P_norm - F_V F_L^T ||_F^2``, on bare factors (:meth:`EncoderTable.factor`)."""
-    resid = (_matrix_of("normalized", normalized, NormalizedCooccurrence)
-             - _reals("factor_visual", factor_visual, 2) @ _reals("factor_language", factor_language, 2).T)
+    target = _matrix_of("normalized", normalized, NormalizedCooccurrence)
+    fv, fl = _feature_tables(factor_visual, factor_language, target.shape, names=("factor_visual", "factor_language"),
+                             kind=())  # bare factors only
+    resid = target - fv @ fl.T
     return float(np.sum(resid * resid))
 
 
@@ -204,7 +221,7 @@ class BatchSampler:
     """The three-way batch sampler of one joint distribution and batch size.
 
     The cumulative distribution over the joint's cells is built once. On
-    the training stream (:meth:`draw_chunk`) each batch then takes ``n``
+    the training stream (:meth:`_draw_chunk`) each batch then takes ``n``
     uniforms from the caller's generator and shuffles them in place: the
     same stream ``Generator.choice(size=n, p=...)`` followed by
     ``Generator.permutation(n)`` consumes, so equal generator states give
@@ -228,9 +245,10 @@ class BatchSampler:
     cell is the search's, so the choice changes no draw.
 
     Both streams come out of one draw loop, :meth:`_cell_blocks`, as blocks
-    of ``_CHUNK_ENTRIES // n`` batches' cells: :meth:`draw_chunk` splits
-    each block into its triple lists, :func:`empirical_scl_batches` scores
-    it by cell arithmetic (:meth:`_pair_cells`).
+    of ``_CHUNK_ENTRIES // n`` batches' cells, and both take a block's
+    pairs from :meth:`_pair_cells`: :meth:`_draw_chunk` stores them as
+    training's plan columns, :func:`empirical_scl_batches` looks their
+    scores up by cell.
     """
 
     def __init__(self, joint: JointDistribution, n: int):
@@ -240,8 +258,7 @@ class BatchSampler:
         cdf /= cdf[-1]
         self._cdf = cdf
         self._bins = 1 << (16 * cdf.size - 1).bit_length()
-        self._num_language = joint.num_language
-        self._dtype = np.min_scalar_type(max(joint.matrix.shape))  # small: a run holds them all
+        self._shape = joint.matrix.shape
 
     @cached_property
     def _bin_table(self):
@@ -257,9 +274,8 @@ class BatchSampler:
     def _cell_rows(self):
         """Per cell ``c = v * nl + l``, in the smallest dtype: ``vis(c) =
         v * nl``, its visual row's first cell, and ``lang(c) = l``."""
-        nl = self._num_language
+        nv, nl = self._shape
         dtype = np.min_scalar_type(self._cdf.size - 1)
-        nv = self._cdf.size // nl
         return (np.repeat((np.arange(nv) * nl).astype(dtype), nl),
                 np.tile(np.arange(nl).astype(dtype), nv))
 
@@ -284,24 +300,20 @@ class BatchSampler:
         return cells
 
     def draw(self, rng) -> Batch:
-        """One batch: the one-row case of :meth:`draw_chunk`."""
-        return _Plan.of_triples(*self.draw_chunk(rng, 1)).as_batch()
+        """One batch on the training stream: the plan of one :meth:`_draw_chunk`."""
+        (_, plan), = _Plan.chunks(self._draw_chunk(_instance("rng", rng, Generator), 1), 1)
+        return plan.as_batch()
 
-    def draw_chunk(self, rng, count: int):
-        """The (pos_visual, pos_language, neg_language, neg_visual) lists of
-        ``count`` consecutive batches, in read-only ``(count, n/3)`` arrays
-        of the smallest index dtype, on the training stream: the slot
-        rule of :func:`sample_batch`, each batch's uniforms shuffled."""
-        count = _integer("batch count", count, 0)
-        rng = _instance("rng", rng, Generator)
-        nl = self._num_language
-        draws = tuple(np.empty((count, self.n // 3), dtype=self._dtype) for _ in range(4))
+    def _draw_chunk(self, rng: Generator, count: int) -> np.ndarray:
+        """Training's draws of ``count`` batches on the training stream: the
+        read-only ``(2, count, n)`` visual and language sample indices of
+        each batch's scored pairs (:meth:`_pair_cells`), in plan column
+        order and the smallest index dtype, as :meth:`_Plan.chunks` reads them."""
+        draws = np.empty((2, count, self.n), np.min_scalar_type(max(self._shape)))  # small: a run holds them all
         for batches, cells in self._cell_blocks(rng, count, shuffled=True):
-            pos = cells[:, 0::3]
-            for out, part in zip(draws, (pos // nl, pos % nl, cells[:, 1::3] % nl, cells[:, 2::3] // nl)):
-                out[batches] = part
-        for out in draws:
-            out.setflags(write=False)
+            pairs = self._pair_cells(cells)
+            draws[:, batches] = np.divmod(np.hstack([pairs[:, c] for c in _TRIPLE_COLUMNS]), self._shape[1])
+        draws.setflags(write=False)
         return draws
 
     def _cell_blocks(self, rng: Generator, count: int, shuffled: bool):
@@ -400,25 +412,19 @@ class _Plan(NamedTuple):
                    batch.pos_visual.size, np.array([split]), split + batch.neg_visual.size, batch.n)
 
     @classmethod
-    def of_triples(cls, pos_visual, pos_language, neg_language, neg_visual) -> "_Plan":
-        """The plan of freshly drawn batches, from their ``(rows, n/3)``
-        triple lists as :meth:`BatchSampler.draw_chunk` returns them."""
-        rows, triples = pos_visual.shape
-        return cls(np.concatenate([pos_visual, pos_visual, neg_visual], axis=1, dtype=int),
-                   np.concatenate([pos_language, neg_language, pos_language], axis=1, dtype=int),
-                   np.zeros((rows, 0)), triples, np.full(rows, 2 * triples), 3 * triples, 3 * triples)
-
-    @classmethod
     def chunks(cls, draws, width: int):
-        """Yield ``(batches, plan)``, a slice of the batches ``draws`` holds
-        and its plan, ``_CHUNK_ENTRIES // (n * width)`` batches of ``n``
-        draws at a time: the chunk rule of every training run, ``width``
-        being the entries per draw of the caller's widest per-chunk array
-        (``k`` for training's scatter indices)."""
-        chunk = max(1, _CHUNK_ENTRIES // (3 * draws[0].shape[1] * max(width, 1)))
-        for start in range(0, draws[0].shape[0], chunk):
-            batches = slice(start, start + chunk)
-            yield batches, cls.of_triples(*(d[batches] for d in draws))
+        """Yield ``(batches, plan)``, a slice of the batches ``draws``
+        (:meth:`BatchSampler._draw_chunk`) holds and their plan, indices
+        widened to ``int``, ``_CHUNK_ENTRIES // (n * width)`` batches at a
+        time. Training passes ``width = k``, so every array of a chunk stays
+        within the budget but ``_PlanGrads.flat``, 2k entries per scored pair."""
+        visual, language = draws
+        count, n = visual.shape
+        chunk = max(1, _CHUNK_ENTRIES // (n * width))
+        for start in range(0, count, chunk):
+            batches, rows = slice(start, start + chunk), min(chunk, count - start)
+            yield batches, cls(visual[batches].astype(int), language[batches].astype(int), np.zeros((rows, 0)),
+                               n // 3, np.full(rows, 2 * n // 3), n, n)
 
     def as_batch(self) -> Batch:
         """The batch of row 0: the inverse of :meth:`of_batch`."""
@@ -532,8 +538,8 @@ def empirical_scl(f_visual, f_language, batch: Batch) -> float:
     Appended extra positives contribute their own weighted
     -2 * mean(score) term.
     """
-    fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     plan = _Plan.of_batch(batch)
+    fv, fl = _feature_tables(f_visual, f_language, pairs=(plan.visual, plan.language))
     return float(plan.losses(_row_dots(fv[plan.visual], fl[plan.language]))[0])
 
 
@@ -544,14 +550,12 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
     once (:func:`_cell_scores`) and each scored pair's is looked up by cell
     arithmetic (:meth:`BatchSampler._pair_cells`).
 
-    The batches are the Monte-Carlo stream's, unshuffled: batch b's cells
-    are row b of ``rng.choice(cells, size=(count, n), p=...)``, sliced
-    into triples as :func:`sample_batch` slices its permuted draws. A
-    batch's draws are i.i.d., so their order changes no loss's
-    distribution; the training stream keeps its shuffle (see
-    :class:`BatchSampler`)."""
-    fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
+    The batches are the Monte-Carlo stream's, unshuffled (see
+    :class:`BatchSampler`): batch b's cells are row b of
+    ``rng.choice(cells, size=(count, n), p=...)``, sliced into triples as
+    :func:`sample_batch` slices its permuted draws."""
     sampler = _instance("sampler", sampler, BatchSampler)
+    fv, fl = _feature_tables(f_visual, f_language, sampler._shape)
     count = _integer("batch count", count, 0)
     rng = _instance("rng", rng, Generator)
     table = _cell_scores(fv, fl).ravel()
@@ -564,8 +568,8 @@ def empirical_scl_batches(f_visual, f_language, sampler: BatchSampler, rng, coun
 def empirical_scl_grad(f_visual, f_language, batch: Batch):
     """Value and analytic gradients of :func:`empirical_scl` with respect
     to both feature tables. Returns (loss, grad_visual, grad_language)."""
-    fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     plan = _Plan.of_batch(batch)
+    fv, fl = _feature_tables(f_visual, f_language, pairs=(plan.visual, plan.language))
     grads = _PlanGrads(plan, fv.shape[1], fv.shape[0], fl.shape[0])
     flat = grads(0, np.concatenate([fv, fl]))
     return float(plan.losses(grads.scores)[0]), flat[:fv.size].reshape(fv.shape), flat[fv.size:].reshape(fl.shape)
@@ -575,8 +579,8 @@ def scl_grad(f_visual, f_language, joint: JointDistribution):
     """Analytic gradients of :func:`scl_loss` with respect to both feature
     tables. Returns (loss, grad_visual, grad_language). For one table
     shared by both sides, its gradient is ``grad_visual + grad_language``."""
-    fv, fl = _matrix_of("f_visual", f_visual, EncoderTable), _matrix_of("f_language", f_language, EncoderTable)
     joint = _instance("joint", joint, JointDistribution)
+    fv, fl = _feature_tables(f_visual, f_language, joint.matrix.shape)
     p = joint.matrix
     pv, pl = joint.marginal_visual, joint.marginal_language
     scores = fv @ fl.T

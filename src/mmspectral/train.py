@@ -10,14 +10,15 @@ both encoder kinds: SSCL is its one-table case, a single encoder shared by
 both sides of the symmetric induced joint.
 
 Batches do not depend on the features, so a sampled run draws all of
-them first with one :meth:`BatchSampler.draw_chunk` and keeps the latest
-run's draws for a run that would draw the same. It then steps through a
-plan (``losses._Plan``) a chunk of ``_CHUNK_ENTRIES // (n * k)`` steps at
-a time, on one stacked table (``losses._PlanGrads``): the strategy
-rewrites every batch of the chunk at once from teacher similarities
-cached for the run, each step is one gather, one ``np.bincount`` scatter
-and an in-place update, and after its last step the chunk's plan scores
-its losses from the scores the steps kept (``_Plan.losses``).
+them first, as the pairs each batch scores in plan column order, and
+keeps the latest run's draws for a run that would draw the same. It then
+steps through a plan (``losses._Plan.chunks``) a chunk of
+``_CHUNK_ENTRIES // (n * k)`` steps at a time, on one stacked table
+(``losses._PlanGrads``): the strategy rewrites every batch of the chunk
+at once from teacher similarities cached for the run, each step is one
+gather, one ``np.bincount`` scatter and an in-place update, and after
+its last step the chunk's plan scores its losses from the scores the
+steps kept (``_Plan.losses``).
 :func:`apply_strategy` and :func:`empirical_scl_grad` are the
 one-row case of the same code, so a run equals the loop over single
 batches bit for bit.
@@ -35,7 +36,7 @@ from .distributions import (InducedDistribution, JointDistribution, _choice, _cl
                             _matrix_of, _real, normalize_cooccurrence)
 from .errors import DidNotConverge, EmptyCandidates, InvalidSpec, TeacherMissing
 from .evaluation import _unit_rows
-from .losses import (Batch, BatchSampler, EncoderTable, _Plan, _PlanGrads, _cell_scores, _row_dots,
+from .losses import (Batch, BatchSampler, EncoderTable, _feature_tables, _Plan, _PlanGrads, _cell_scores, _row_dots,
                      equivalence_constant)
 from .losses import sample_batch  # noqa: F401  (perfbench's tracer test looks it up here)
 from .spectral import _check_top_k, decompose
@@ -51,7 +52,7 @@ DEFAULT_RATIOS = {
     "DropEasyNegative": 0.10,
 }
 
-#: {draw key: triple lists} of the latest sampled run, see _run_draws
+#: {draw key: plan columns} of the latest sampled run, see _run_draws
 _LATEST_DRAWS = {}
 
 
@@ -235,15 +236,16 @@ def _train(joint: JointDistribution, cfg: TrainConfig, tables: int,
 
 
 def _run_draws(pruned: JointDistribution, n: int, seed: int, steps: int):
-    """:meth:`BatchSampler.draw_chunk` of the ``steps`` batches a sampled
-    run draws from ``pruned`` with the generator seeded by ``seed``.
+    """The plan columns (``BatchSampler._draw_chunk``) of the ``steps``
+    batches a sampled run draws from ``pruned`` with the generator seeded
+    by ``seed``.
 
     The latest run's draws are kept: the runs of one resample-compare
     work unit differ only in strategy, so they draw the same batches.
     """
     key = (pruned.matrix.shape, pruned.matrix.tobytes(), n, seed, steps)
     if key not in _LATEST_DRAWS:
-        draws = BatchSampler(pruned, n).draw_chunk(default_rng(seed), steps)
+        draws = BatchSampler(pruned, n)._draw_chunk(default_rng(seed), steps)
         _LATEST_DRAWS.clear()
         _LATEST_DRAWS[key] = draws
     return _LATEST_DRAWS[key]
@@ -301,8 +303,7 @@ def nearest_neighbor_positive(index: int, candidates, teacher: EncoderTable) -> 
     """
     index = _integer("anchor index", index, 0)
     cand = np.unique(_class_indices("candidates", candidates))
-    features = _matrix_of("teacher", teacher, EncoderTable)
-    _check_rows(np.append(cand, index), features.shape[0])
+    features, _ = _feature_tables(teacher, teacher, pairs=(np.array([index]), cand), names=("teacher", "teacher"))
     cand = cand[cand != index]
     if cand.size == 0:
         raise EmptyCandidates("no candidates besides the anchor itself")
@@ -347,15 +348,9 @@ def apply_strategy(batch: Batch, teacher: EncoderTable, cfg: ResampleConfig) -> 
     index of the batch must index a row of the teacher.
     """
     plan = _Plan.of_batch(batch)
-    features = _matrix_of("teacher", teacher, EncoderTable)
-    _check_rows(np.append(plan.visual, plan.language), features.shape[0])
+    features, _ = _feature_tables(teacher, teacher, pairs=(plan.visual, plan.language), names=("teacher", "teacher"))
     out = _resample(plan, _TeacherTables(features), _instance("cfg", cfg, ResampleConfig))
     return batch if out is plan else out.as_batch()
-
-
-def _check_rows(indices: np.ndarray, rows: int) -> None:
-    if indices.size and (indices.min() < 0 or indices.max() >= rows):
-        raise InvalidSpec(f"sample indices must lie in [0, {rows}) for a teacher with {rows} rows")
 
 
 def _resample(plan: _Plan, tables: _TeacherTables, cfg: ResampleConfig) -> _Plan:

@@ -133,12 +133,6 @@ NUMBER_REPRODUCERS = {
     "sample-batch-6.0": (lambda ind, joint: sample_batch(joint, 6.0), InvalidBatchSize),
     "resample-weight-string": (lambda ind, joint: ResampleConfig("AddNewPositive", mixing_weight="1"), InvalidSpec),
     "resample-ratio-string": (lambda ind, joint: ResampleConfig("DropEasyNegative", ratio="x"), InvalidSpec),
-    "draw-chunk-2.5": (lambda ind, joint: BatchSampler(joint, 6).draw_chunk(np.random.default_rng(0), 2.5),
-                       InvalidSpec),
-    "draw-chunk-string": (lambda ind, joint: BatchSampler(joint, 6).draw_chunk(np.random.default_rng(0), "3"),
-                          InvalidSpec),
-    "draw-chunk-negative": (lambda ind, joint: BatchSampler(joint, 6).draw_chunk(np.random.default_rng(0), -1),
-                            InvalidSpec),
     "scl-batches-2.5": (lambda ind, joint: empirical_scl_batches(np.eye(3), np.eye(3), BatchSampler(joint, 6),
                                                                  np.random.default_rng(0), 2.5), InvalidSpec),
     "label-classes-2.5": (lambda ind, joint: LabelAssignment([0, 1], [0, 1], 2.5), InvalidSpec),
@@ -243,7 +237,6 @@ INTEGER_SLOTS = {
     "LabelAssignment.num_classes": lambda v: LabelAssignment([0, 1], [0, 1], v),
     "Batch.n": lambda v: Batch([], [], [], [], [], [], n=v),
     "BatchSampler.n": lambda v: BatchSampler(JOINT3, v),
-    "BatchSampler.draw_chunk.count": lambda v: BatchSampler(JOINT3, 6).draw_chunk(np.random.default_rng(0), v),
     "optimal_encoders.k": lambda v: closed_form_k(JOINT3, v),
     "bound_report.k": lambda v: bound_report(JOINT3, LABELS3, v),
     "sample_batch.n": lambda v: sample_batch(JOINT3, v),
@@ -642,7 +635,6 @@ OBJECT_SLOTS = {
     "empirical_scl_batches.sampler": (BatchSampler, lambda v: empirical_scl_batches(
         EYE3, EYE3, v, np.random.default_rng(0), 2)),
     "BatchSampler.draw.rng": (np.random.Generator, BatchSampler(JOINT3, 6).draw),
-    "BatchSampler.draw_chunk.rng": (np.random.Generator, lambda v: BatchSampler(JOINT3, 6).draw_chunk(v, 2)),
     "empirical_scl_batches.rng": (np.random.Generator, lambda v: empirical_scl_batches(
         EYE3, EYE3, BatchSampler(JOINT3, 6), v, 2)),
     "train_mmcl.cfg": (TrainConfig, lambda v: train_mmcl(JOINT3, v)),
@@ -706,7 +698,6 @@ OBJECT_REPRODUCERS = {
     "apply_strategy.batch": None,
     "empirical_scl_batches.sampler": JOINT3,
     "BatchSampler.draw.rng": 0,
-    "BatchSampler.draw_chunk.rng": 0,
     "empirical_scl_batches.rng": 0,
     "train_mmcl.cfg": {"dim": 1},
     "train_sscl.cfg": {"dim": 1},
@@ -830,6 +821,48 @@ VALUE_REPRODUCERS = {
 @pytest.mark.parametrize("call,error,message", VALUE_REPRODUCERS.values(), ids=VALUE_REPRODUCERS)
 def test_values_of_the_wrong_kind_raise_lab_errors_naming_them(call, error, message):
     with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
+JOINT45 = JointDistribution.from_counts(np.random.default_rng(3).gamma(1.0, size=(4, 5)))
+NORM45 = normalize_cooccurrence(JOINT45)
+FV4, FL5, FL6 = np.split(np.random.default_rng(4).standard_normal((15, 2)), [4, 9])
+FL5_K3 = np.random.default_rng(5).standard_normal((5, 3))
+
+
+def one_pair_batch(visual: int, language: int) -> Batch:
+    """A batch of one triple that scores only the positive pair (visual, language)."""
+    return Batch([visual], [language], [], [], [], [], n=3)
+
+
+#: calls that once read the wrong rows of a feature table without a word,
+#: or raised a raw ValueError or IndexError, on tables of different k or
+#: without the rows of the joint, sampler or batch they are scored on:
+#: (the call, the start of its InvalidSpec message)
+TABLE_REPRODUCERS = {
+    "batches-language-rows": (lambda: empirical_scl_batches(FV4, FL6, BatchSampler(JOINT45, 6),
+                                                            np.random.default_rng(5), 3),
+                              "f_visual and f_language must have 4 and 5 rows, got 4 and 6"),
+    "scl-loss-rows": (lambda: scl_loss(FV4, FL6, JOINT45), "f_visual and f_language must have 4 and 5 rows"),
+    "scl-loss-k": (lambda: scl_loss(FV4, FL5_K3, JOINT45), "f_visual and f_language must share one k, got 2 and 3"),
+    "scl-grad-rows": (lambda: scl_grad(FV4[:3], FL5, JOINT45), "f_visual and f_language must have 4 and 5 rows"),
+    "scl-grad-k": (lambda: scl_grad(FV4, FL5_K3, JOINT45), "f_visual and f_language must share one k"),
+    "amf-rows": (lambda: amf_loss(FV4[:1], FL5, NORM45), "factor_visual and factor_language must have 4 and 5 rows"),
+    "amf-k": (lambda: amf_loss(FV4, FL5_K3, NORM45), "factor_visual and factor_language must share one k"),
+    "batch-grad-k": (lambda: empirical_scl_grad(FV4, FL5_K3, sample_batch(JOINT45, 6, seed=0)),
+                     "f_visual and f_language must share one k"),
+    "batch-too-few-rows": (lambda: empirical_scl(FV4[:3], FL5, one_pair_batch(3, 4)),
+                           "sample indices must lie in [0, 3) for f_visual with 3 rows"),
+    "batch-index-past-table": (lambda: empirical_scl(FV4, FL5, one_pair_batch(0, 5)),
+                               "sample indices must lie in [0, 5) for f_language with 5 rows"),
+    "batch-grad-index-past-table": (lambda: empirical_scl_grad(FV4, FL5, one_pair_batch(4, 0)),
+                                    "sample indices must lie in [0, 4) for f_visual with 4 rows"),
+}
+
+
+@pytest.mark.parametrize("call,message", TABLE_REPRODUCERS.values(), ids=TABLE_REPRODUCERS)
+def test_tables_that_do_not_fit_what_they_are_scored_on_raise_lab_errors(call, message):
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}"):
         call()
 
 

@@ -225,6 +225,15 @@ def sparse_joint(rng):
     return JointDistribution.from_counts(weights)
 
 
+def plan_columns(batches) -> list:
+    """The visual, then the language, sample indices of the pairs each
+    batch scores, in plan column order: positives, caption negatives
+    (anchor image, negative caption), image negatives (negative image,
+    anchor caption)."""
+    return [[np.concatenate([b.pos_visual, b.neg_language_anchor, b.neg_visual]).tolist() for b in batches],
+            [np.concatenate([b.pos_language, b.neg_language, b.neg_visual_anchor]).tolist() for b in batches]]
+
+
 class TestBatchSampler:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
@@ -260,10 +269,9 @@ class TestBatchSampler:
         one, many = np.random.default_rng([seed, 4]), np.random.default_rng([seed, 4])
         singles = [sampler.draw(one) for _ in range(count)]
         with mock.patch.object(losses, "_CHUNK_ENTRIES", block * sampler.n):
-            drawn = sampler.draw_chunk(many, count)
-        for got, name in zip(drawn, ("pos_visual", "pos_language", "neg_language", "neg_visual")):
-            assert got.shape == (count, 3) and got.dtype == np.uint8 and not got.flags.writeable
-            assert got.tolist() == [getattr(batch, name).tolist() for batch in singles]
+            drawn = sampler._draw_chunk(many, count)
+        assert drawn.shape == (2, count, 9) and drawn.dtype == np.uint8 and not drawn.flags.writeable
+        assert drawn.tolist() == plan_columns(singles)
         assert one.random() == many.random()
 
     @given(st.integers(0, 2**32 - 1))
@@ -290,10 +298,9 @@ class TestBatchSampler:
         one, many = np.random.default_rng([seed, 5]), np.random.default_rng([seed, 5])
         singles = [sampler.draw(one) for _ in range(1500)]
         assert "_bin_table" not in vars(sampler)
-        drawn = sampler.draw_chunk(many, 1500)
+        drawn = sampler._draw_chunk(many, 1500)
         assert "_bin_table" in vars(sampler)
-        for got, name in zip(drawn, ("pos_visual", "pos_language", "neg_language", "neg_visual")):
-            assert got.tobytes() == np.array([getattr(batch, name) for batch in singles], got.dtype).tobytes()
+        assert drawn.tobytes() == np.array(plan_columns(singles), drawn.dtype).tobytes()
         assert one.bit_generator.state == many.bit_generator.state
 
     @pytest.mark.parametrize("budget", [255, 256, 1024])
@@ -312,21 +319,20 @@ class TestBatchSampler:
         assert sampler._bins == 256
         sampler._cdf = sampler._cdf.view(SearchSpy)
         with mock.patch.object(losses, "_CHUNK_ENTRIES", budget):
-            drawn = sampler.draw_chunk(np.random.default_rng(count), count)
+            drawn = sampler._draw_chunk(np.random.default_rng(count), count)
         if budget >= 256 and count * 6 >= 256:
             assert searched[:2] == [(256,), (256,)] and all(len(shape) == 1 for shape in searched[2:])
         else:
             block = budget // 6
             assert searched == [(min(block, count - start), 6) for start in range(0, count, block)]
         with mock.patch.object(losses, "_CHUNK_ENTRIES", 255):  # one bin short: searched
-            searched_run = BatchSampler(joint, 6).draw_chunk(np.random.default_rng(count), count)
-        assert all(d.tobytes() == e.tobytes() for d, e in zip(drawn, searched_run))
+            searched_run = BatchSampler(joint, 6)._draw_chunk(np.random.default_rng(count), count)
+        assert drawn.tobytes() == searched_run.tobytes()
 
     def test_chunks_take_the_smallest_index_dtype(self):
         for size, dtype in ((255, np.uint8), (256, np.uint16), (70000, np.uint32)):
             joint = JointDistribution.from_counts(np.arange(1.0, size + 1.0)[None, :])
-            drawn = BatchSampler(joint, 6).draw_chunk(np.random.default_rng(size), 4)
-            assert all(d.dtype == dtype for d in drawn)
+            assert BatchSampler(joint, 6)._draw_chunk(np.random.default_rng(size), 4).dtype == dtype
 
     def test_rejects_non_multiple_of_three(self):
         with pytest.raises(InvalidBatchSize):
@@ -334,7 +340,7 @@ class TestBatchSampler:
 
     def test_zero_batches_draw_nothing(self):
         sampler, rng = BatchSampler(UNIFORM_2X2, 6), np.random.default_rng(3)
-        assert all(d.shape == (0, 2) for d in sampler.draw_chunk(rng, 0))
+        assert sampler._draw_chunk(rng, 0).shape == (2, 0, 6)
         assert empirical_scl_batches(np.eye(2), np.eye(2), sampler, rng, 0).shape == (0,)
         assert rng.random() == np.random.default_rng(3).random()
 

@@ -110,15 +110,16 @@ for name, fn in cases:
 induced, teacher, cfg, weight = microbench.resample_compare_instance()
 assert teacher.num_samples == induced.num_samples and cfg.batch_mode == "sampled"
 (draw, draw_fn, draws), (mc_draw, mc_draw_fn, mc_draws), (loss, loss_fn, losses) = microbench.mc_loss_cases()
-assert (draw, mc_draw, loss) == ("draw_chunk", "cell blocks unshuffled", "empirical_scl_batches")
-assert draw_fn()[0].shape[0] == draws and loss_fn().shape == (losses,)
+assert (draw, mc_draw, loss) == ("_draw_chunk", "cell blocks unshuffled", "empirical_scl_batches")
+assert draw_fn().shape == (2, draws, 30) and loss_fn().shape == (losses,)
 assert sum(cells.shape[0] for _, cells in mc_draw_fn()) == mc_draws
 parts = list(microbench.mc_block_parts(blocks=2))
 assert [name for name, _ in parts] == ["block uniforms", "block cells", "block score lookups", "block losses"]
 assert [np.shape(fn()) for _, fn in parts * 2] == [(273, 30)] * 3 + [(273,)] + [(273, 30)] * 3 + [(273,)]
-name, resample_fn, count = microbench.resample_draw_case()
-assert name == "draw_chunk resample-compare" and count == cfg.max_steps
-assert resample_fn()[0].shape == (count, cfg.batch_size // 3)
+(name, resample_fn, count), (plans, plans_fn, plan_count) = microbench.resample_draw_cases()
+assert (name, plans) == ("_draw_chunk resample-compare", "plan chunks resample-compare")
+assert count == plan_count == cfg.max_steps and resample_fn().shape == (2, count, cfg.batch_size)
+assert sum(plan.visual.shape[0] for _, plan in plans_fn()) == count
 print(len(cases))
 """
     done = run_python("-c", code, str(TOOLS / "microbench.py"))

@@ -43,6 +43,12 @@ TILTED = JointDistribution([[0.4, 0.1], [0.1, 0.4]])
 DIAG = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
 
 
+def drawn_plan(sampler: BatchSampler, rng, count: int):
+    """The plan of ``count`` batches drawn on the training stream, in one chunk."""
+    (_, plan), = _Plan.chunks(sampler._draw_chunk(rng, count), 1)
+    return plan
+
+
 def make_batch(pos_v=(), pos_l=(), neg_l=(), neg_l_anchor=(), neg_v=(), neg_v_anchor=(), n=30):
     return Batch(
         pos_visual=np.asarray(pos_v, dtype=int),
@@ -369,8 +375,8 @@ class TestTeacherTables:
         count, draw_seed = int(rng.integers(1, 6)), int(rng.integers(2**32))
         single = np.random.default_rng(draw_seed)
         batches = [sampler.draw(single) for _ in range(count)]
-        drawn = sampler.draw_chunk(np.random.default_rng(draw_seed), count)
-        plan = _resample(_Plan.of_triples(*drawn), _TeacherTables(teacher.matrix), cfg)
+        plan = _resample(drawn_plan(sampler, np.random.default_rng(draw_seed), count), _TeacherTables(teacher.matrix),
+                         cfg)
         rows = teacher.matrix.tolist()
         for row, batch in enumerate(batches):
             want = _resample(_Plan.of_batch(batch), _TeacherTables(teacher.matrix), cfg)
@@ -548,7 +554,7 @@ class TestSampledTrainingPlan:
             assert history.losses.tobytes() == losses.tobytes()
             assert f.matrix.tobytes() == f_ref.tobytes()
             results.append((f.matrix.tobytes(), history.losses.tobytes()))
-            assert not any(d.flags.writeable for draws in _LATEST_DRAWS.values() for d in draws)
+            assert not any(draws.flags.writeable for draws in _LATEST_DRAWS.values())
         assert len(set(results[::2])) == 1
         assert len(set(results)) == 1 + len(variants)
 
@@ -561,7 +567,7 @@ class TestSampledTrainingPlan:
         induced, _, teacher, cfg = _resample_instance(params, 0)
         norm = normalize_cooccurrence(induced)
         pruned = JointDistribution.from_counts(induced.matrix[np.ix_(norm.visual_index, norm.language_index)])
-        draws = BatchSampler(pruned, cfg.batch_size).draw_chunk(np.random.default_rng(0), cfg.max_steps)
+        draws = BatchSampler(pruned, cfg.batch_size)._draw_chunk(np.random.default_rng(0), cfg.max_steps)
         steps, plan = next(_Plan.chunks(draws, cfg.dim))
         tables = _TeacherTables(teacher.matrix[norm.visual_index])
         flat = {}
@@ -601,7 +607,7 @@ class TestStackedSteps:
         nl = nv if shared else nv + int(rng.integers(1, 4))  # the teacher's rows cover both sides
         joint = JointDistribution.from_counts(rng.gamma(1.0, size=(nv, nl)))
         sampler = BatchSampler(joint, 3 * int(rng.integers(2, 12)))
-        plan = _Plan.of_triples(*sampler.draw_chunk(rng, int(rng.integers(1, 9))))
+        plan = drawn_plan(sampler, rng, int(rng.integers(1, 9)))
         if strategy is not None:
             cfg = ResampleConfig(strategy, ratio=ratio, mixing_weight=float(rng.uniform(0.0, 2.0)))
             plan = _resample(plan, _TeacherTables(rng.standard_normal((nl, 2))), cfg)
@@ -639,7 +645,7 @@ class TestStackedSteps:
         n = int(rng.integers(2, 7))
         joint = JointDistribution.from_counts(rng.gamma(1.0, size=(n, n)))
         sampler = BatchSampler(joint, 3 * int(rng.integers(2, 12)))
-        plan = _Plan.of_triples(*sampler.draw_chunk(rng, int(rng.integers(1, 12))))
+        plan = drawn_plan(sampler, rng, int(rng.integers(1, 12)))
         if strategy is not None:
             plan = _resample(plan, _TeacherTables(rng.standard_normal((n, 2))), ResampleConfig(strategy, ratio=ratio))
         fv, fl = rng.standard_normal((n, k)), rng.standard_normal((n, k))

@@ -8,7 +8,7 @@ Prints the median microseconds per call, over 7 repeats, of:
   ``apply_strategy`` for each strategy (the drops at ratio 0.5, so that
   each drops something) on one 12-draw batch of an 8 x 8 joint with k = 3
   tables and an 8 x 3 teacher;
-- ``BatchSampler.draw_chunk`` (the training stream), the draw loop
+- ``BatchSampler._draw_chunk`` (training's draws), the draw loop
   ``BatchSampler._cell_blocks`` unshuffled (the Monte-Carlo stream) and
   ``empirical_scl_batches`` per batch at the ``verify-equivalence``
   defaults (``mean_batches`` batches of ``batch_size`` draws from a 6 x 8
@@ -18,9 +18,10 @@ Prints the median microseconds per call, over 7 repeats, of:
   its uniforms, their cells through the bin table, the pairs' score
   lookups and the losses. Each call takes the next of 8 blocks, so that
   no part runs twice in a row on the same data;
-- ``BatchSampler.draw_chunk`` per batch on the first seed's pruned
+- ``BatchSampler._draw_chunk`` per batch on the first seed's pruned
   ``resample-compare`` joint at its batch size and step count, a joint too
-  large for the sampler's bin table, so every draw is searched;
+  large for the sampler's bin table, so every draw is searched, and
+  ``_Plan.chunks`` per batch over that run's draws at k = ``dim``;
 - one sampled ``train_sscl`` step at the ``resample-compare`` defaults,
   without and with each strategy: a whole run divided by its steps. The
   timed runs repeat one run, so they reuse its memoised draws, as the
@@ -51,7 +52,7 @@ from mmspectral import (  # noqa: E402
     empirical_scl_batches, empirical_scl_grad, normalize_cooccurrence, sample_batch, train_sscl,
 )
 from mmspectral.experiments import SUITES, _resample_instance  # noqa: E402
-from mmspectral.losses import _CHUNK_ENTRIES, _TRIPLE_COLUMNS, _cell_scores, _triple_losses  # noqa: E402
+from mmspectral.losses import _CHUNK_ENTRIES, _TRIPLE_COLUMNS, _Plan, _cell_scores, _triple_losses  # noqa: E402
 from mmspectral.train import STRATEGIES  # noqa: E402
 
 REPEATS = 7
@@ -92,7 +93,7 @@ def mc_loss_cases():
     count): the draw alone on the training stream and on the Monte-Carlo
     stream, then the Monte-Carlo draw and the losses."""
     fv, fl, sampler, count = mc_loss_instance()
-    yield "draw_chunk", lambda: sampler.draw_chunk(np.random.default_rng(71), count), count
+    yield "_draw_chunk", lambda: sampler._draw_chunk(np.random.default_rng(71), count), count
     yield "cell blocks unshuffled", lambda: list(sampler._cell_blocks(np.random.default_rng(71), count, False)), count
     yield "empirical_scl_batches", lambda: empirical_scl_batches(fv, fl, sampler, np.random.default_rng(71),
                                                                  count), count
@@ -123,20 +124,23 @@ def resample_compare_instance():
     return induced, teacher, cfg, params["mixing_weight"]
 
 
-def resample_draw_case():
-    """(name, one draw of a sampled ``resample-compare`` run, its batch
-    count) on the first seed's pruned joint, the support training samples."""
+def resample_draw_cases():
+    """(name, one call over a sampled ``resample-compare`` run, its batch
+    count) on the first seed's pruned joint, the support training samples:
+    the run's draw, then its plan chunks from those draws."""
     induced, _, cfg, _ = resample_compare_instance()
     norm = normalize_cooccurrence(induced)
     pruned = JointDistribution.from_counts(induced.matrix[np.ix_(norm.visual_index, norm.language_index)])
     sampler, count = BatchSampler(pruned, cfg.batch_size), cfg.max_steps
-    return "draw_chunk resample-compare", lambda: sampler.draw_chunk(np.random.default_rng(71), count), count
+    draws = sampler._draw_chunk(np.random.default_rng(71), count)
+    yield "_draw_chunk resample-compare", lambda: sampler._draw_chunk(np.random.default_rng(71), count), count
+    yield "plan chunks resample-compare", lambda: list(_Plan.chunks(draws, cfg.dim)), count
 
 
 def main() -> int:
     for name, fn in single_batch_cases():
         print(f"{name:36s} {per_call_us(fn, 2000):9.2f} us")
-    for name, batches, count in (*mc_loss_cases(), resample_draw_case()):
+    for name, batches, count in (*mc_loss_cases(), *resample_draw_cases()):
         print(f"{name + ' per batch':36s} {per_call_us(batches, 1) / count:9.2f} us")
     for name, part in mc_block_parts():
         print(f"{name:36s} {per_call_us(part, 256):9.2f} us")
